@@ -17,6 +17,7 @@ import csv
 import io
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import date as Date
 from datetime import datetime, timezone
@@ -154,7 +155,7 @@ class StepAudit:
 
     date: Date
     corpus_sizes: dict[str, int] = field(compare=False)
-    max_story_dates: dict[str, Date] = field(compare=False)
+    max_story_dates: dict[str, Date | None] = field(compare=False)  # None: empty index
 
 
 @dataclass(frozen=True)
@@ -180,9 +181,13 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
                      backend=None, embedder=None) -> RollingForecastResult:
     """Forecast every day after split_date with memory grown walk-forward.
 
-    At each step the three predictors run concurrently against their own
-    granularity's index, their values are recorded as the ablation traces,
-    and the same Prediction objects feed fusion for the multi-agent trace.
+    At each step the three predictors run against their own granularity's
+    index, their values are recorded as the ablation traces, and the same
+    Prediction objects feed fusion for the multi-agent trace. Predictors run
+    inline, in AGENT_IDS order, unless the backend says it is I/O-bound
+    (``io_bound``, as RemoteChatBackend does); only then do they fan out to a
+    thread pool. An index may be empty early on (e.g. a window longer than
+    the history before the split); its agents then get no examples.
     """
     if params is None:
         params = ForecastParams()
@@ -200,15 +205,14 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
 
     indexes = {g: StoryIndex(provider=embedder, retention=params.retention())
                for g in GRANULARITIES}
-    agent_index = {"daily": indexes["daily"], "weekday": indexes["weekday"],
-                   "windowed": indexes["windowed"]}
 
     entries: list[TraceEntry] = []
     reports: list[ForecastReport] = []
     audit: list[StepAudit] = []
     next_story = 0
 
-    with ThreadPoolExecutor(max_workers=len(AGENT_IDS)) as pool:
+    fan_out = getattr(backend, "io_bound", False)
+    with ThreadPoolExecutor(max_workers=len(AGENT_IDS)) if fan_out else nullcontext() as pool:
         for j in range(s, len(events)):
             while next_story < j:
                 for g in GRANULARITIES:
@@ -218,11 +222,10 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
                 next_story += 1
 
             target_day = events[j].date
-            sizes = {g: len(indexes[g].documents()) for g in GRANULARITIES}
-            max_dates = {g: max(d.story.date for d in indexes[g].documents())
-                         for g in GRANULARITIES}
+            sizes = {g: len(indexes[g]) for g in GRANULARITIES}
+            max_dates = {g: indexes[g].newest_date for g in GRANULARITIES}
             for g, newest in max_dates.items():
-                if newest >= target_day:
+                if newest is not None and newest >= target_day:
                     raise RuntimeError(
                         f"memory leak: {g} index holds a story dated {newest} "
                         f"while forecasting {target_day}"
@@ -231,14 +234,16 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
                                    max_story_dates=max_dates))
 
             current = events[j - 1]
-            futures = {
-                aid: pool.submit(predictor_predict, aid, current, series,
-                                 agent_index[aid], backend, params.k, params.window)
-                for aid in AGENT_IDS
-            }
-            preds = {aid: fut.result() for aid, fut in futures.items()}
-            trend = trend_analyze([ev.close for ev in events[:j]],
-                                  window=params.trend_window,
+            calls = {aid: (aid, current, series, indexes[aid], backend, params.k, params.window)
+                     for aid in AGENT_IDS}
+            if pool is None:
+                preds = {aid: predictor_predict(*call) for aid, call in calls.items()}
+            else:
+                futures = {aid: pool.submit(predictor_predict, *call)
+                           for aid, call in calls.items()}
+                preds = {aid: fut.result() for aid, fut in futures.items()}
+            closes = [ev.close for ev in events[max(0, j - params.trend_lookback):j]]
+            trend = trend_analyze(closes, window=params.trend_window,
                                   lookback=params.trend_lookback,
                                   thresholds=params.trend_thresholds)
             report = fuse(preds, trend, forecast_date=target_day,

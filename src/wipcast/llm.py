@@ -173,7 +173,13 @@ class StubBackend:
 
 
 class RemoteChatBackend:
-    """Chat-completions-compatible HTTP client with retries and a concurrency cap."""
+    """Chat-completions-compatible HTTP client with retries and a concurrency cap.
+
+    ``io_bound`` tells callers that requests mostly wait on the network, so
+    independent calls are worth issuing from several threads.
+    """
+
+    io_bound = True
 
     def __init__(self, endpoint: str, model: str, api_key_env: str = "OPENAI_API_KEY",
                  timeout: float = 60.0, retries: int = 2, backoff: float = 1.0,
@@ -269,6 +275,7 @@ class LoggingBackend:
         self.inner = inner
         self.run_logger = run_logger
         self.backend_id = inner.backend_id
+        self.io_bound = getattr(inner, "io_bound", False)
 
     def chat(self, req: ChatRequest) -> ChatResponse:
         try:

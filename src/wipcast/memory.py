@@ -63,19 +63,25 @@ class DeterministicEmbedder:
             raise ValueError("buckets must be >= 1 and numeric_slots >= 0")
         self.buckets = buckets
         self.numeric_slots = numeric_slots
+        # trigram -> bucket; story templates repeat a small trigram vocabulary
+        self._bucket_of: dict[str, int] = {}
 
     @property
     def dim(self) -> int:
         return self.buckets + self.numeric_slots
 
+    def _buckets(self, padded: str) -> list[int]:
+        trigrams = [padded[i : i + 3] for i in range(len(padded) - 2)]
+        memo = self._bucket_of
+        for trigram in set(trigrams).difference(memo):
+            memo[trigram] = zlib.crc32(trigram.encode("utf-8")) % self.buckets
+        return list(map(memo.__getitem__, trigrams))
+
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise EmbeddingError("cannot embed empty text")
-        counts = np.zeros(self.buckets, dtype=float)
         padded = f"##{text}##"  # boundary padding guarantees at least one trigram
-        for i in range(len(padded) - 2):
-            bucket = zlib.crc32(padded[i : i + 3].encode("utf-8")) % self.buckets
-            counts[bucket] += 1.0
+        counts = np.bincount(self._buckets(padded), minlength=self.buckets).astype(float)
         counts /= np.linalg.norm(counts)
         numeric = np.zeros(self.numeric_slots, dtype=float)
         for slot, value in zip(range(self.numeric_slots), story_numbers(text)):
@@ -181,9 +187,12 @@ class RetentionPolicy:
 class StoryIndex:
     """Flat cosine index over contextual stories with a strict as-of cutoff.
 
-    One writer or many readers at a time; the score arrays are rebuilt lazily
-    under a lock after mutations. Ties on similarity prefer the more recent
-    story date, then the smaller doc_id.
+    Rows (embedding, norm, date ordinal, doc_id) live in capacity-doubling
+    arrays in insertion order. ``add`` only records the document; the next
+    ``retrieve`` folds everything added since into the arrays in one batch, and
+    a re-added doc_id overwrites its row. One writer or many readers at a
+    time. Ties on similarity prefer the more recent story date, then the
+    smaller doc_id.
     """
 
     def __init__(self, provider=None, retention: RetentionPolicy | None = None):
@@ -191,8 +200,12 @@ class StoryIndex:
         self.retention = retention if retention is not None else RetentionPolicy()
         self._docs: dict[int, MemoryDocument] = {}
         self._dim: int | None = None
+        self._next_id = 0
+        self._newest: Date | None = None
         self._lock = threading.Lock()
-        self._stale = True
+        self._pending: dict[int, MemoryDocument] = {}
+        self._row_of: dict[int, int] = {}
+        self._rows = 0
         self._matrix = np.empty((0, 0))
         self._norms = np.empty(0)
         self._dates = np.empty(0, dtype=np.int64)
@@ -201,6 +214,11 @@ class StoryIndex:
     @property
     def dim(self) -> int | None:
         return self._dim
+
+    @property
+    def newest_date(self) -> Date | None:
+        """Date of the newest story held, or None while the index is empty."""
+        return self._newest
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -214,15 +232,22 @@ class StoryIndex:
                 f"embedding dim {doc.embedding.shape[0]} does not match index dim {self._dim}"
             )
         with self._lock:
+            replaced = self._docs.get(doc.doc_id)
             self._docs[doc.doc_id] = doc
-            self._stale = True
+            self._pending[doc.doc_id] = doc
+            self._next_id = max(self._next_id, doc.doc_id + 1)
+            day = doc.story.date
+            if replaced is not None and replaced.story.date > day:
+                self._newest = max(d.story.date for d in self._docs.values())
+            elif self._newest is None or day > self._newest:
+                self._newest = day
 
     def add_story(self, story: Story, doc_id: int | None = None) -> MemoryDocument:
         """Embed a contextual story with the index's provider and insert it."""
         if self.provider is None:
             raise ValueError("index has no embedding provider; use add() with a document")
         if doc_id is None:
-            doc_id = max(self._docs, default=-1) + 1
+            doc_id = self._next_id
         doc = MemoryDocument(story=story, embedding=self.provider.embed(story.text), doc_id=doc_id)
         self.add(doc)
         return doc
@@ -230,24 +255,43 @@ class StoryIndex:
     def documents(self) -> list[MemoryDocument]:
         return [self._docs[i] for i in sorted(self._docs)]
 
-    def _rebuild(self) -> None:
+    def _fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Move pending documents into the row arrays in one batch.
+
+        Returns views of the filled rows: embeddings, norms, date ordinals, ids.
+        """
         with self._lock:
-            if not self._stale:
-                return
-            ids = sorted(self._docs)
-            if ids:
-                self._matrix = np.stack([self._docs[i].embedding for i in ids])
-                self._norms = np.linalg.norm(self._matrix, axis=1)
-                self._dates = np.array(
-                    [self._docs[i].story.date.toordinal() for i in ids], dtype=np.int64
-                )
-                self._ids = np.array(ids, dtype=np.int64)
-            else:
-                self._matrix = np.empty((0, self._dim or 0))
-                self._norms = np.empty(0)
-                self._dates = np.empty(0, dtype=np.int64)
-                self._ids = np.empty(0, dtype=np.int64)
-            self._stale = False
+            if self._pending:
+                self._fold_pending()
+            n = self._rows
+            return self._matrix[:n], self._norms[:n], self._dates[:n], self._ids[:n]
+
+    def _fold_pending(self) -> None:
+        docs = list(self._pending.values())
+        self._pending.clear()
+        rows = []
+        for doc in docs:
+            row = self._row_of.get(doc.doc_id)
+            if row is None:
+                row = self._row_of[doc.doc_id] = self._rows
+                self._rows += 1
+            rows.append(row)
+        if self._rows > len(self._ids):
+            self._grow(max(self._rows, 2 * len(self._ids)))
+        block = np.stack([doc.embedding for doc in docs])
+        self._matrix[rows] = block
+        self._norms[rows] = np.linalg.norm(block, axis=1)
+        self._dates[rows] = [doc.story.date.toordinal() for doc in docs]
+        self._ids[rows] = [doc.doc_id for doc in docs]
+
+    def _grow(self, capacity: int) -> None:
+        if not len(self._ids):
+            self._matrix = np.empty((0, self._dim))
+        for name in ("_matrix", "_norms", "_dates", "_ids"):
+            old = getattr(self, name)
+            new = np.empty((capacity, *old.shape[1:]), dtype=old.dtype)
+            new[:len(old)] = old
+            setattr(self, name, new)
 
     def retrieve(self, query: Story | str | np.ndarray, as_of: Date, k: int = 5) -> list[RetrievalResult]:
         """Top-k most similar documents dated strictly before as_of."""
@@ -267,21 +311,21 @@ class StoryIndex:
             return []
         if self._dim is not None and qvec.shape[0] != self._dim:
             raise ValueError(f"query dim {qvec.shape[0]} does not match index dim {self._dim}")
-        self._rebuild()
+        matrix, norms, dates, ids = self._fold()
 
         cutoff = as_of.toordinal()
-        mask = self._dates < cutoff
+        mask = dates < cutoff
         if self.retention.max_age_days is not None:
             oldest = (as_of - timedelta(days=self.retention.max_age_days)).toordinal()
-            mask &= self._dates >= oldest
+            mask &= dates >= oldest
         if not mask.any():
             return []
         # einsum, not BLAS matmul: matmul accumulates differently per row
         # position, so equal embeddings would not score bit-identically and
         # the tie rule below would never engage.
-        sims = np.einsum("ij,j->i", self._matrix[mask], qvec) / (self._norms[mask] * qnorm)
-        dates = self._dates[mask]
-        ids = self._ids[mask]
+        sims = np.einsum("ij,j->i", matrix[mask], qvec) / (norms[mask] * qnorm)
+        dates = dates[mask]
+        ids = ids[mask]
         if self.retention.min_similarity is not None:
             keep = sims >= self.retention.min_similarity
             sims, dates, ids = sims[keep], dates[keep], ids[keep]

@@ -1,10 +1,14 @@
 """Walk-forward evaluation: metric oracles, corpus growth, determinism."""
 
+import dataclasses
 import math
+import threading
+import time
 from datetime import date, timedelta
 
 import pytest
 
+from wipcast import evaluation
 from wipcast.config import ForecastParams
 from wipcast.evaluation import (
     MetricsSummary,
@@ -23,6 +27,7 @@ from wipcast.evaluation import (
     rolling_forecast,
     summarize,
 )
+from wipcast.llm import LoggingBackend, RemoteChatBackend, RunLogger, StubBackend
 from wipcast.synthetic import synthetic_event_log, synthetic_series
 from wipcast.wipseries import WipSeries, wip_event
 
@@ -289,6 +294,101 @@ def test_rolling_respects_custom_k(twenty_day_run):
     assert len(result.trace.entries) == len(baseline.trace.entries)
     # k=1 uses only the nearest neighbour
     assert len(result.reports[0].agent_predictions["daily"].retrieved) == 1
+
+
+
+def test_rolling_window_longer_than_history_starts_with_empty_index():
+    # a 20-day window with 14 days before the split: no windowed story exists
+    # until day 20 has a next-day close, so that index starts empty
+    series = synthetic_series(40, seed=1)
+    result = rolling_forecast(series, split_date=series.events[14].date,
+                              params=ForecastParams(window=20))
+    sizes = [a.corpus_sizes["windowed"] for a in result.audit]
+    assert sizes[:7] == [0, 0, 0, 0, 0, 1, 2]
+    assert [a.max_story_dates["windowed"] for a in result.audit[:5]] == [None] * 5
+    assert result.audit[5].max_story_dates["windowed"] == series.events[19].date
+    # with nothing retrieved the stub answers with the current close
+    closes = {ev.date: float(ev.close) for ev in series.events}
+    for entry in result.trace.for_source("windowed_only")[:5]:
+        assert entry.predicted == closes[entry.date - timedelta(days=1)]
+
+
+def test_rolling_audit_raises_on_a_story_from_the_forecast_day(monkeypatch):
+    real = evaluation._contextual_story
+
+    def leaky(events, i, granularity, window):
+        story = real(events, i, granularity, window)
+        if granularity == "weekday":
+            story = dataclasses.replace(story, date=story.date + timedelta(days=1))
+        return story
+
+    monkeypatch.setattr(evaluation, "_contextual_story", leaky)
+    series = synthetic_series(20, seed=3)
+    with pytest.raises(RuntimeError, match="weekday index holds a story dated"):
+        rolling_forecast(series, split_date=series.events[14].date)
+
+
+class ThreadRecordingStub(StubBackend):
+    def __init__(self):
+        self.threads = []
+
+    def chat(self, req):
+        self.threads.append(threading.get_ident())
+        return super().chat(req)
+
+
+def test_rolling_local_backend_predicts_on_the_calling_thread():
+    backend = ThreadRecordingStub()
+    series = synthetic_series(20, seed=3)
+    rolling_forecast(series, split_date=series.events[14].date, backend=backend,
+                     params=ForecastParams(fusion_mode="react"))
+    assert len(backend.threads) > 15
+    assert set(backend.threads) == {threading.get_ident()}
+
+
+class _Completion:
+    status_code = 200
+    text = ""
+
+    def __init__(self, content):
+        self._content = content
+
+    def json(self):
+        return {"choices": [{"message": {"content": self._content}}]}
+
+
+class SlowSession:
+    """Answers every chat request after a pause, counting requests in flight."""
+
+    def __init__(self, pause=0.05):
+        self.pause = pause
+        self.in_flight = 0
+        self.max_in_flight = 0
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        with self._lock:
+            self.calls += 1
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        time.sleep(self.pause)
+        with self._lock:
+            self.in_flight -= 1
+        return _Completion("PREDICTION: 40.00")
+
+
+@pytest.mark.parametrize("logged", [False, True])
+def test_rolling_remote_backend_fans_predictors_out(logged, tmp_path):
+    session = SlowSession()
+    backend = RemoteChatBackend("http://llm.test", "m", session=session, backoff=0.0)
+    if logged:
+        backend = LoggingBackend(backend, RunLogger(str(tmp_path / "run.jsonl")))
+    series = synthetic_series(17, seed=3)
+    result = rolling_forecast(series, split_date=series.events[14].date, backend=backend)
+    assert len(result.reports) == 2
+    assert session.calls == 6
+    assert session.max_in_flight >= 2
 
 
 # --- report emission ---

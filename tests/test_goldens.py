@@ -1,0 +1,99 @@
+"""Golden outputs: `wipcast evaluate` must reproduce these files byte for byte.
+
+Acceptance 5 only checks that two runs agree with each other, so it cannot
+catch a refactor that changes the numbers. These sha256 digests pin
+predictions.csv, metrics.csv and forecast_reports.jsonl for two seeded
+synthetic workloads in both fusion modes. A change that is meant to alter
+forecasts must update them on purpose and say why.
+
+- ``log``: an event log ingested through the CLI, default parameters.
+- ``empty-window``: a 20-day window with only 14 days before the split, so the
+  windowed index starts empty and fills mid-run.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from wipcast.cli import main
+from wipcast.eventlog import export_csv
+from wipcast.synthetic import synthetic_event_log, synthetic_series
+from wipcast.wipseries import export_wip_csv, load_wip_csv
+
+FILES = ("predictions.csv", "metrics.csv", "forecast_reports.jsonl")
+MODES = ("rules", "react")
+
+
+def _prepare_log(out: str) -> list[str]:
+    log_path = os.path.join(out, "log.csv")
+    with open(log_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(export_csv(synthetic_event_log(240, seed=11, span_days=90)))
+    assert main(["ingest", log_path, "--out", out]) == 0
+    with open(os.path.join(out, "wip.csv"), encoding="utf-8") as fh:
+        split = load_wip_csv(fh).events[30].date
+    return ["--split", split.isoformat()]
+
+
+def _prepare_empty_window(out: str) -> list[str]:
+    series = synthetic_series(90, seed=1)
+    with open(os.path.join(out, "wip.csv"), "w", encoding="utf-8", newline="") as fh:
+        fh.write(export_wip_csv(series))
+    config = os.path.join(out, "config.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump({"forecast": {"window": 20}}, fh)
+    return ["--split", series.events[14].date.isoformat(), "--config", config]
+
+
+WORKLOADS = {"log": _prepare_log, "empty-window": _prepare_empty_window}
+
+
+def evaluate_digests(workload: str, mode: str, out: str) -> dict[str, str]:
+    """Run one workload through `evaluate` and hash its output files."""
+    extra = WORKLOADS[workload](out)
+    argv = ["evaluate", "--out", out, "--mode", mode, "--freeze-timestamps", *extra]
+    assert main(argv) == 0
+    digests = {}
+    for name in FILES:
+        with open(os.path.join(out, name), "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+GOLDENS = {
+    "log": {
+        "rules": {
+            "predictions.csv": "f56fd240531f4c16df3819911e6a105d86371072e49224f8df517cda21ac1652",
+            "metrics.csv": "dd411ac8b39d596b1db18d7c558f91ab0e94fb7b1c38b01c9d24fdbb7ab7b256",
+            "forecast_reports.jsonl": "c16bec8e477c3628ebbadf0ce7f515ff26f35b9f255718bb709cc69ae37eaad6",
+        },
+        "react": {
+            "predictions.csv": "bfa9dae5d0761cabe019ef34e77f9ecb83eec5ee1a0f725c75bd3fe55c51a27d",
+            "metrics.csv": "ad1fe33c312de119e7d62098ae462629db45bcf6b84e3a37a1e56157519cc089",
+            "forecast_reports.jsonl": "0e5dcedd8353573db43a52ddd7fbc354a67335c1d122c95a70c9fbf60f0eee07",
+        },
+    },
+    # Recorded with the full-scan index and only the audit made to accept an
+    # empty index; before that the workload crashed in the audit.
+    "empty-window": {
+        "rules": {
+            "predictions.csv": "58201bd82e9e2316489e949475f9f497ecef16eb4091937bd6d38dc8377d4d0b",
+            "metrics.csv": "bc59f3f959b95ba9400df1208a787ce56381e0f4b397e099924ba0cd458915e7",
+            "forecast_reports.jsonl": "008aa8795b4c64dd79894c4c1d2486c94395b61c3a5cb26417ad1fe0ec0405b2",
+        },
+        "react": {
+            "predictions.csv": "181d6bad8a14f0fb415b78a509f79b1b4bd2b8bc598ba4ed3eba046a8966777b",
+            "metrics.csv": "667625b3f1fe01a2964984f28ef489b285bcb4a9c57e56f2617083211534be03",
+            "forecast_reports.jsonl": "17ad472570b4d397f92881afafc0997df1984f4ea1faa3c73be9484dcf331ac4",
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_evaluate_matches_golden(workload, mode, tmp_path):
+    assert evaluate_digests(workload, mode, str(tmp_path)) == GOLDENS[workload][mode]

@@ -9,6 +9,9 @@ from __future__ import annotations
 import io
 import math
 import random
+import sys
+import threading
+import zlib
 from datetime import date, timedelta
 
 import numpy as np
@@ -218,6 +221,132 @@ def test_retrieve_matches_oracle_on_random_corpora():
             assert [g[0] for g in got] == [w[0] for w in want]
             for (_, gs), (_, ws) in zip(got, want):
                 assert gs == pytest.approx(ws, abs=1e-9)
+
+
+
+def test_index_interleaved_adds_and_queries_match_oracle():
+    rng = random.Random(404)
+    emb = DeterministicEmbedder()
+    corpus = build_corpus(rng, 40, emb)
+    index = StoryIndex(provider=emb)
+    live: dict[int, MemoryDocument] = {}
+    queries = [
+        (date(2024, 1, 1) + timedelta(days=d),
+         emb.embed(render_query_story(random_wip_event(rng, date(2024, 3, 1))).text))
+        for d in (3, 12, 25, 41)
+    ]
+
+    def check():
+        assert len(index) == len(live)
+        assert index.newest_date == max(d.story.date for d in live.values())
+        assert [d.doc_id for d in index.documents()] == sorted(live)
+        for as_of, qvec in queries:
+            got = [(r.document.doc_id, r.similarity) for r in index.retrieve(qvec, as_of, k=6)]
+            want = oracle_retrieve(live.values(), qvec, as_of, 6)
+            assert [g[0] for g in got] == [w[0] for w in want]
+            assert [g[1] for g in got] == pytest.approx([w[1] for w in want], abs=1e-9)
+
+    def add(doc):
+        index.add(doc)
+        live[doc.doc_id] = doc
+        check()
+
+    # add -> retrieve -> add -> retrieve, several rows pending at once too
+    for doc in corpus[:6]:
+        add(doc)
+    for doc in corpus[6:10]:
+        index.add(doc)
+        live[doc.doc_id] = doc
+    check()
+
+    # replace a doc_id an earlier query returned, moving it to an older date
+    as_of, qvec = queries[1]
+    returned = index.retrieve(qvec, as_of, k=1)[0].document
+    older = render_contextual_story(random_wip_event(rng, date(2023, 12, 1)), 3)
+    add(MemoryDocument(story=older, embedding=emb.embed(older.text), doc_id=returned.doc_id))
+    replaced = [r.document for r in index.retrieve(qvec, as_of, k=len(live))
+                if r.document.doc_id == returned.doc_id]
+    assert [d.story for d in replaced] == [older]
+
+    # replace the newest story with an older one: the newest date moves back
+    newest = max(live.values(), key=lambda d: d.story.date)
+    add(MemoryDocument(story=older, embedding=emb.embed(older.text), doc_id=newest.doc_id))
+
+    # ids out of order
+    for i in (30, 12, 25, 11):
+        add(corpus[i])
+
+    # add_story continues after the largest id ever added
+    fresh = StoryIndex(provider=emb)
+    fresh.add(corpus[7])
+    fresh.add(corpus[3])
+    assert fresh.add_story(corpus[20].story).doc_id == 8
+    assert index.add_story(corpus[39].story).doc_id == 31
+    live[31] = MemoryDocument(story=corpus[39].story, embedding=corpus[39].embedding, doc_id=31)
+    check()
+
+
+
+def test_index_concurrent_readers_fold_pending_rows_once():
+    rng = random.Random(9)
+    emb = DeterministicEmbedder()
+    docs = build_corpus(rng, 200, emb)
+    as_of = date(2024, 12, 31)
+    qvec = emb.embed(render_query_story(random_wip_event(rng, as_of)).text)
+    want = oracle_retrieve(docs, qvec, as_of, 10)
+    results, errors = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            index = StoryIndex(provider=emb)
+            for doc in docs:
+                index.add(doc)  # every row still pending when the readers start
+            start = threading.Barrier(8)
+
+            def read():
+                try:
+                    start.wait(timeout=10)
+                    results.append([r.document.doc_id for r in index.retrieve(qvec, as_of, k=10)])
+                except Exception as exc:  # reported below; a thread cannot fail the test
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert results == [[doc_id for doc_id, _ in want]] * 160
+
+
+def trigram_shares(text, buckets):
+    """Share of the text's trigrams in each crc32 bucket, hashed afresh."""
+    padded = f"##{text}##"
+    counts = np.zeros(buckets)
+    for i in range(len(padded) - 2):
+        counts[zlib.crc32(padded[i:i + 3].encode("utf-8")) % buckets] += 1.0
+    return counts / counts.sum()
+
+
+def test_embedder_memo_is_per_instance_and_bucket_count():
+    rng = random.Random(12)
+    long_lived = {64: DeterministicEmbedder(64), 32: DeterministicEmbedder(32)}
+    for i in range(30):
+        ev = random_wip_event(rng, date(2024, 1, 1) + timedelta(days=i))
+        texts = (render_query_story(ev).text, render_query_story(ev, "weekday").text,
+                 render_contextual_story(ev, rng.randint(0, 90)).text)
+        for text in texts:
+            for buckets in (64, 32):
+                got = long_lived[buckets].embed(text)
+                want = DeterministicEmbedder(buckets).embed(text)
+                assert got.tobytes() == want.tobytes()
+                block = got[:buckets]
+                assert block / block.sum() == pytest.approx(trigram_shares(text, buckets),
+                                                            abs=1e-12)
 
 
 def test_retrieve_prefix_consistency():
