@@ -42,7 +42,7 @@ from .evaluation import (
     summarize,
 )
 from .llm import AGENT_IDS, LlmError
-from .memory import EmbeddingError, StoryIndex, load_index, save_index
+from .memory import EmbeddingError, StoryIndex, load_snapshot, save_snapshot
 from .narrative import (
     read_stories_jsonl,
     render_contextual_story,
@@ -131,7 +131,8 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
 
     report = validate(log)
     series = build_wip_series(log, build_lifecycle(cfg.lifecycle),
-                              gap_policy=args.gap_policy or cfg.gap_policy)
+                              gap_policy=args.gap_policy or cfg.gap_policy,
+                              tz=cfg.input.timezone)
 
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, SERIES_FILE)
@@ -158,18 +159,22 @@ def cmd_stories(args, cfg: PipelineConfig) -> int:
     return 0
 
 
+def _build_index(stories, embedder, cfg: PipelineConfig) -> StoryIndex:
+    """Index the contextual stories among ``stories``, embedded in one call."""
+    contextual = [s for s in stories if s.kind == "contextual"]
+    index = StoryIndex(provider=embedder, retention=cfg.forecast.retention())
+    index.add_many(contextual, embedder.embed_many(s.text for s in contextual))
+    return index
+
+
 def cmd_index(args, cfg: PipelineConfig) -> int:
     embedder = build_embedder(cfg.embedder)
     for g in GRANULARITIES:
         src = _require(_stories_file(args.out, g), "run `wipcast stories` first")
         with open(src, encoding="utf-8") as fh:
-            stories = [s for s in read_stories_jsonl(fh) if s.kind == "contextual"]
-        index = StoryIndex(provider=embedder, retention=cfg.forecast.retention())
-        for story in stories:
-            index.add_story(story)
+            index = _build_index(read_stories_jsonl(fh), embedder, cfg)
         path = _index_file(args.out, g)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            count = save_index(index, fh)
+        count = save_snapshot(index, path)
         print(f"wrote {path}: {count} documents")
     return 0
 
@@ -177,22 +182,12 @@ def cmd_index(args, cfg: PipelineConfig) -> int:
 def _load_or_build_indexes(args, cfg: PipelineConfig, series):
     """Prefer snapshots from `wipcast index`; otherwise embed on the fly."""
     embedder = build_embedder(cfg.embedder)
-    indexes = {}
-    snapshots = [_index_file(args.out, g) for g in GRANULARITIES]
-    if all(os.path.exists(p) for p in snapshots):
-        for g, path in zip(GRANULARITIES, snapshots):
-            with open(path, encoding="utf-8") as fh:
-                indexes[g] = load_index(fh, provider=embedder,
-                                        retention=cfg.forecast.retention())
-        return indexes
+    snapshots = {g: _index_file(args.out, g) for g in GRANULARITIES}
+    if all(os.path.exists(p) for p in snapshots.values()):
+        return {g: load_snapshot(path, provider=embedder, retention=cfg.forecast.retention())
+                for g, path in snapshots.items()}
     stories = _day_stories(series.events, cfg.forecast.window)
-    for g in GRANULARITIES:
-        index = StoryIndex(provider=embedder, retention=cfg.forecast.retention())
-        for story in stories[g]:
-            if story.kind == "contextual":
-                index.add_story(story)
-        indexes[g] = index
-    return indexes
+    return {g: _build_index(stories[g], embedder, cfg) for g in GRANULARITIES}
 
 
 def cmd_forecast(args, cfg: PipelineConfig) -> int:

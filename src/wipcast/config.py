@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import IO, Mapping
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .agents import DEFAULT_FUSION_WEIGHTS, TREND_LABELS
 from .llm import AGENT_IDS
@@ -31,6 +32,10 @@ class InputConfig:
     def __post_init__(self):
         if self.format not in ("auto", "xes", "csv"):
             raise ValueError(f"unknown input format: {self.format}")
+        try:
+            ZoneInfo(self.timezone)
+        except (ZoneInfoNotFoundError, ValueError) as exc:
+            raise ValueError(f"unknown input timezone {self.timezone!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)

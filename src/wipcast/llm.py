@@ -25,6 +25,9 @@ PREDICTION_RE = re.compile(r"PREDICTION:\s*(-?\d+(?:\.\d+)?)")
 NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
 ACTION_RE = re.compile(r"ACTION:\s*(\w+)\(([^)]*)\)")
 
+# Client errors that a later retry can cure: request timeout and rate limiting.
+RETRYABLE_4XX = (408, 429)
+
 
 class LlmError(Exception):
     """Base error for the chat layer."""
@@ -175,6 +178,10 @@ class StubBackend:
 class RemoteChatBackend:
     """Chat-completions-compatible HTTP client with retries and a concurrency cap.
 
+    Transport failures, 5xx, 408 and 429 responses are retried with
+    exponential backoff. Other 4xx statuses and an empty completion fail on
+    the first attempt, since sending the same request again cannot help.
+
     ``io_bound`` tells callers that requests mostly wait on the network, so
     independent calls are worth issuing from several threads.
     """
@@ -223,17 +230,23 @@ class RemoteChatBackend:
                         self.endpoint, json=payload, headers=self._headers(),
                         timeout=self.timeout,
                     )
-                if resp.status_code < 200 or resp.status_code >= 300:
-                    raise TransportError(f"status {resp.status_code}: {resp.text[:200]}")
-                body = resp.json()
-                text = body["choices"][0]["message"]["content"]
-                if not text:
-                    raise ResponseFormatError("empty completion text")
-                return ChatResponse(text=text, backend_id=self.backend_id)
-            except LlmError as exc:
-                last_error = exc
+                status = resp.status_code
+                ok = 200 <= status < 300
+                if ok:
+                    text = resp.json()["choices"][0]["message"]["content"]
+                else:
+                    detail = resp.text[:200]
             except Exception as exc:
                 last_error = TransportError(str(exc))
+                continue
+            if not ok:
+                last_error = TransportError(f"status {status}: {detail}")
+                if 400 <= status < 500 and status not in RETRYABLE_4XX:
+                    raise last_error  # resending the same request cannot succeed
+                continue
+            if not text:
+                raise ResponseFormatError("empty completion text")
+            return ChatResponse(text=text, backend_id=self.backend_id)
         raise BackendUnavailable(str(last_error), retries=self.retries)
 
 

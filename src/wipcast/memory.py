@@ -8,9 +8,12 @@ after the query day: downstream forecasting depends on that cutoff.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
+import os
 import threading
+import zipfile
 import zlib
 from dataclasses import dataclass, field
 from datetime import date as Date, timedelta
@@ -154,16 +157,32 @@ class MemoryDocument:
     doc_id: int = 0
 
     def __post_init__(self):
-        if self.story.kind != "contextual":
-            raise ValueError("memory stores contextual stories only")
         vec = np.asarray(self.embedding, dtype=float)
         if vec.ndim != 1:
             raise ValueError("embedding must be one-dimensional")
-        if not np.isfinite(vec).all():
-            raise ValueError("embedding entries must be finite")
-        if float(np.linalg.norm(vec)) == 0.0:
-            raise ValueError("embedding must have nonzero norm")
+        _check_rows([self.story], vec[None, :])
         object.__setattr__(self, "embedding", vec)
+
+    @classmethod
+    def _checked(cls, story: Story, embedding: np.ndarray, doc_id: int) -> MemoryDocument:
+        """Build a document whose story and embedding :func:`_check_rows` passed."""
+        doc = object.__new__(cls)
+        object.__setattr__(doc, "story", story)
+        object.__setattr__(doc, "embedding", embedding)
+        object.__setattr__(doc, "doc_id", doc_id)
+        return doc
+
+
+def _check_rows(stories: Sequence[Story], matrix: np.ndarray) -> np.ndarray:
+    """Validate one embedding row per contextual story; returns the row norms."""
+    if any(story.kind != "contextual" for story in stories):
+        raise ValueError("memory stores contextual stories only")
+    if not np.isfinite(matrix).all():
+        raise ValueError("embedding entries must be finite")
+    norms = np.linalg.norm(matrix, axis=1)
+    if not norms.all():
+        raise ValueError("embedding must have nonzero norm")
+    return norms
 
 
 @dataclass(frozen=True)
@@ -189,8 +208,9 @@ class StoryIndex:
 
     Rows (embedding, norm, date ordinal, doc_id) live in capacity-doubling
     arrays in insertion order. ``add`` only records the document; the next
-    ``retrieve`` folds everything added since into the arrays in one batch, and
-    a re-added doc_id overwrites its row. One writer or many readers at a
+    ``retrieve`` folds everything added since into the arrays in one batch.
+    ``add_many`` writes a whole batch of rows at once. A re-added doc_id
+    overwrites its row. One writer or many readers at a
     time. Ties on similarity prefer the more recent story date, then the
     smaller doc_id.
     """
@@ -242,6 +262,43 @@ class StoryIndex:
             elif self._newest is None or day > self._newest:
                 self._newest = day
 
+    def add_many(self, stories: Sequence[Story], embeddings,
+                 doc_ids: Sequence[int] | None = None) -> None:
+        """Insert contextual stories with one embedding row each, in one batch.
+
+        Checks the whole matrix once instead of each document on its own and
+        fills the row arrays directly, in input order. Ids default to the next
+        free ones. As with :meth:`add`, a later row whose doc_id is already
+        present replaces the earlier entry and keeps its row.
+        """
+        if not stories:
+            return
+        matrix = np.array(embeddings, dtype=float)  # a copy: documents hold its rows
+        if matrix.ndim != 2 or len(matrix) != len(stories):
+            raise ValueError(f"need one embedding row per story, got shape {matrix.shape} "
+                             f"for {len(stories)} stories")
+        if doc_ids is None:
+            doc_ids = range(self._next_id, self._next_id + len(stories))
+        elif len(doc_ids) != len(stories):
+            raise ValueError(f"got {len(doc_ids)} doc_ids for {len(stories)} stories")
+        dim = matrix.shape[1]
+        if self._dim is not None and dim != self._dim:
+            raise ValueError(f"embedding dim {dim} does not match index dim {self._dim}")
+        norms = _check_rows(stories, matrix)
+        # Keys in first-occurrence order, each mapped to its last occurrence.
+        last = {int(doc_id): i for i, doc_id in enumerate(doc_ids)}
+        keep = list(last.values())
+        with self._lock:
+            if self._pending:
+                self._fold_pending()
+            self._dim = dim
+            for doc_id, i in last.items():
+                self._docs[doc_id] = MemoryDocument._checked(stories[i], matrix[i], doc_id)
+            self._put(list(last), matrix[keep], norms[keep],
+                      [stories[i].date.toordinal() for i in keep])
+            self._next_id = max(self._next_id, max(last) + 1)
+            self._newest = Date.fromordinal(int(self._dates[:self._rows].max()))
+
     def add_story(self, story: Story, doc_id: int | None = None) -> MemoryDocument:
         """Embed a contextual story with the index's provider and insert it."""
         if self.provider is None:
@@ -269,20 +326,26 @@ class StoryIndex:
     def _fold_pending(self) -> None:
         docs = list(self._pending.values())
         self._pending.clear()
+        block = np.stack([doc.embedding for doc in docs])
+        self._put([doc.doc_id for doc in docs], block, np.linalg.norm(block, axis=1),
+                  [doc.story.date.toordinal() for doc in docs])
+
+    def _put(self, doc_ids: list[int], block: np.ndarray, norms: np.ndarray,
+             ordinals: list[int]) -> None:
+        """Write rows for distinct doc_ids: a held id keeps its row, a new one appends."""
         rows = []
-        for doc in docs:
-            row = self._row_of.get(doc.doc_id)
+        for doc_id in doc_ids:
+            row = self._row_of.get(doc_id)
             if row is None:
-                row = self._row_of[doc.doc_id] = self._rows
+                row = self._row_of[doc_id] = self._rows
                 self._rows += 1
             rows.append(row)
         if self._rows > len(self._ids):
             self._grow(max(self._rows, 2 * len(self._ids)))
-        block = np.stack([doc.embedding for doc in docs])
         self._matrix[rows] = block
-        self._norms[rows] = np.linalg.norm(block, axis=1)
-        self._dates[rows] = [doc.story.date.toordinal() for doc in docs]
-        self._ids[rows] = [doc.doc_id for doc in docs]
+        self._norms[rows] = norms
+        self._dates[rows] = ordinals
+        self._ids[rows] = doc_ids
 
     def _grow(self, capacity: int) -> None:
         if not len(self._ids):
@@ -343,7 +406,7 @@ def save_index(index: StoryIndex, fp: IO[str]) -> int:
     for doc in index.documents():
         record = story_to_dict(doc.story)
         record["doc_id"] = doc.doc_id
-        record["embedding"] = [float(x) for x in doc.embedding]
+        record["embedding"] = doc.embedding.tolist()
         del record["kind"]  # snapshots hold contextual stories only
         fp.write(json.dumps(record, sort_keys=True) + "\n")
         count += 1
@@ -352,15 +415,96 @@ def save_index(index: StoryIndex, fp: IO[str]) -> int:
 
 def load_index(fp: IO[str], provider=None, retention: RetentionPolicy | None = None) -> StoryIndex:
     """Rebuild an index from a JSON-lines snapshot written by :func:`save_index`."""
-    index = StoryIndex(provider=provider, retention=retention)
+    stories, rows, doc_ids = [], [], []
     for line in fp:
         line = line.strip()
         if not line:
             continue
         record = json.loads(line)
-        embedding = np.asarray(record.pop("embedding"), dtype=float)
-        doc_id = int(record.pop("doc_id"))
+        rows.append(record.pop("embedding"))
+        doc_ids.append(int(record.pop("doc_id")))
         record["kind"] = "contextual"
-        story = story_from_dict(record)
-        index.add(MemoryDocument(story=story, embedding=embedding, doc_id=doc_id))
+        stories.append(story_from_dict(record))
+    index = StoryIndex(provider=provider, retention=retention)
+    index.add_many(stories, rows, doc_ids)
+    return index
+
+
+# The sidecar's arrays, beside the sha256 of the JSON lines they mirror.
+_SIDECAR_ARRAYS = ("embeddings", "doc_ids", "dates", "targets", "texts", "granularities")
+
+
+def _sidecar_path(path: str) -> str:
+    return os.path.splitext(path)[0] + ".npz"
+
+
+def _sha256(data: bytes) -> str:
+    import hashlib  # loads OpenSSL, so only the snapshot stages pay for it, not every CLI start
+
+    return hashlib.sha256(data).hexdigest()
+
+
+def save_snapshot(index: StoryIndex, path: str) -> int:
+    """Write the index to ``path`` as JSON lines, plus a binary sidecar beside it.
+
+    The JSON lines are the snapshot of record. The sidecar (same name, ``.npz``)
+    holds the same rows as arrays, in the same order, and the sha256 of the
+    JSON-lines bytes, so :func:`load_snapshot` can skip parsing them.
+    Returns the number of documents written.
+    """
+    buf = io.StringIO()
+    count = save_index(index, buf)
+    data = buf.getvalue().encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    docs = index.documents()
+    arrays = {
+        "embeddings": (np.stack([d.embedding for d in docs]) if docs
+                       else np.empty((0, index.dim or 0))),
+        "doc_ids": np.array([d.doc_id for d in docs], dtype=np.int64),
+        "dates": np.array([d.story.date.toordinal() for d in docs], dtype=np.int64),
+        "targets": np.array([d.story.target for d in docs], dtype=float),
+        "texts": np.array([d.story.text for d in docs], dtype=str),
+        "granularities": np.array([d.story.granularity for d in docs], dtype=str),
+    }
+    with open(_sidecar_path(path), "wb") as fh:
+        np.savez(fh, jsonl_sha256=np.array(_sha256(data)), **arrays)
+    return count
+
+
+def _load_sidecar(path: str, digest: str, provider, retention) -> StoryIndex | None:
+    """The index held by the sidecar of ``path``; None when it is missing,
+    unreadable or was not written from JSON lines with this sha256."""
+    try:
+        with np.load(_sidecar_path(path), allow_pickle=False) as npz:
+            if str(npz["jsonl_sha256"]) != digest:
+                return None
+            arrays = {name: npz[name] for name in _SIDECAR_ARRAYS}
+        stories = [
+            Story(text=text, kind="contextual", granularity=granularity,
+                  date=Date.fromordinal(ordinal), target=target)
+            for text, granularity, ordinal, target in zip(
+                arrays["texts"].tolist(), arrays["granularities"].tolist(),
+                arrays["dates"].tolist(), arrays["targets"].tolist(), strict=True)
+        ]
+        index = StoryIndex(provider=provider, retention=retention)
+        index.add_many(stories, arrays["embeddings"], arrays["doc_ids"].tolist())
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        logger.debug("not using the sidecar of %s: %s", path, exc)
+        return None
+    return index
+
+
+def load_snapshot(path: str, provider=None, retention: RetentionPolicy | None = None) -> StoryIndex:
+    """Load an index written by :func:`save_snapshot`.
+
+    Uses the sidecar when it matches the sha256 of the JSON lines at ``path``;
+    otherwise parses the JSON lines with :func:`load_index`.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    index = _load_sidecar(path, _sha256(data), provider, retention)
+    if index is None:
+        index = load_index(io.StringIO(data.decode("utf-8"), newline=None),
+                           provider=provider, retention=retention)
     return index

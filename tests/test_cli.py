@@ -1,12 +1,17 @@
 """CLI pipeline: subcommands, file products, exit codes, idempotency."""
 
+import hashlib
 import json
 import os
+import shutil
 
+import numpy as np
 import pytest
 
+from wipcast import memory
 from wipcast.cli import main
 from wipcast.eventlog import export_csv
+from wipcast.memory import DeterministicEmbedder, RemoteEmbedder
 from wipcast.synthetic import synthetic_event_log
 from wipcast.wipseries import load_wip_csv
 
@@ -275,3 +280,144 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["transmogrify"])
     assert err.value.code == 2
+
+
+# --- index snapshots: binary sidecar and JSON-lines fallback ---
+SNAPSHOT_TARGET = "2024-02-20"
+# sha256 of forecast.jsonl for SNAPSHOT_TARGET from index_*.jsonl alone, as
+# forecast wrote it before index snapshots had a sidecar.
+JSONL_FORECAST_SHA256 = {
+    "as indexed": "2895350ff491ee67f29e34f37c3cdbaf6c2338d677255432302b790a7c53f5db",
+    "edited": "0969c42f047701ec0dc6b465febb303a1351c6919a1f85b00419c1b1d967ed7c",
+}
+
+
+@pytest.fixture(scope="module")
+def snapshot_workspace(tmp_path_factory):
+    out = tmp_path_factory.mktemp("snapshots")
+    log = out / "tickets.csv"
+    log.write_text(export_csv(synthetic_event_log(600, seed=5, span_days=60)))
+    for argv in (["ingest", str(log), "--out", str(out)],
+                 ["stories", "--out", str(out)],
+                 ["index", "--out", str(out)]):
+        assert main(argv) == 0
+    return out
+
+
+@pytest.fixture
+def jsonl_loads(monkeypatch):
+    """Records every snapshot that is parsed from its JSON lines."""
+    parsed = []
+    real = memory.load_index
+
+    def spy(fp, *args, **kwargs):
+        parsed.append(fp)
+        return real(fp, *args, **kwargs)
+
+    monkeypatch.setattr(memory, "load_index", spy)
+    return parsed
+
+
+def forecast_sha256(out) -> str:
+    argv = ["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET, "--mode", "react"]
+    assert main(argv) == 0
+    return hashlib.sha256((out / "forecast.jsonl").read_bytes()).hexdigest()
+
+
+def edit_targets(out):
+    path = out / "index_daily.jsonl"
+    records = [json.loads(line) for line in read_lines(path)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for record in records:
+            record["target"] += 5
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def test_index_writes_sidecar_beside_each_snapshot(snapshot_workspace):
+    for g in ("daily", "weekday", "windowed"):
+        jsonl = (snapshot_workspace / f"index_{g}.jsonl").read_bytes()
+        with np.load(snapshot_workspace / f"index_{g}.npz", allow_pickle=False) as npz:
+            assert str(npz["jsonl_sha256"]) == hashlib.sha256(jsonl).hexdigest()
+            assert len(npz["doc_ids"]) == len(jsonl.splitlines())
+
+
+def test_forecast_uses_sidecar(tmp_path, snapshot_workspace, jsonl_loads):
+    out = tmp_path / "run"
+    shutil.copytree(snapshot_workspace, out)
+    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+    assert jsonl_loads == []
+
+
+@pytest.mark.parametrize("damage", ["edited jsonl", "deleted sidecar", "truncated sidecar"])
+def test_forecast_falls_back_to_jsonl(tmp_path, snapshot_workspace, jsonl_loads, damage):
+    out = tmp_path / "run"
+    shutil.copytree(snapshot_workspace, out)
+    sidecar = out / "index_daily.npz"
+    if damage == "edited jsonl":
+        edit_targets(out)
+    elif damage == "deleted sidecar":
+        sidecar.unlink()
+    else:
+        data = sidecar.read_bytes()
+        sidecar.write_bytes(data[:len(data) // 2])
+    want = JSONL_FORECAST_SHA256["edited" if damage == "edited jsonl" else "as indexed"]
+    assert forecast_sha256(out) == want
+    assert len(jsonl_loads) == 1  # only the daily snapshot was parsed
+
+
+class EmbeddingSession:
+    """Answers embedding POSTs with the deterministic embedder's vectors."""
+
+    def __init__(self):
+        self.embedder = DeterministicEmbedder()
+        self.posts = 0
+
+    def post(self, url, json=None, timeout=None):
+        self.posts += 1
+        rows = self.embedder.embed_many(json["input"])
+        body = {"data": [{"embedding": row.tolist()} for row in rows]}
+        return type("Response", (), {"raise_for_status": lambda self: None,
+                                     "json": lambda self: body})()
+
+
+def test_index_embeds_once_per_granularity(tmp_path, workspace, monkeypatch):
+    out = tmp_path / "run"
+    shutil.copytree(workspace, out)
+    session = EmbeddingSession()
+    monkeypatch.setattr("wipcast.cli.build_embedder",
+                        lambda cfg: RemoteEmbedder("http://embed.test", session=session))
+    assert main(["index", "--out", str(out)]) == 0
+    assert session.posts == 3
+    for g in ("daily", "weekday", "windowed"):  # same vectors as the local embedder
+        assert read_lines(out / f"index_{g}.jsonl") == read_lines(
+            os.path.join(workspace, f"index_{g}.jsonl"))
+
+
+# --- input timezone ---
+
+
+def test_ingest_honours_input_timezone(tmp_path):
+    log = tmp_path / "midnight.csv"
+    rows = ["case,activity,timestamp"]
+    for i, (opened, closed) in enumerate([("01T23:30", "03T00:30"), ("02T00:15", "02T23:45"),
+                                          ("02T22:00", "04T01:00"), ("03T23:59", "04T00:01")]):
+        rows += [f"c{i},open,2024-01-{opened}:00Z", f"c{i},close,2024-01-{closed}:00Z"]
+    log.write_text("\n".join(rows) + "\n")
+    wip = {}
+    for zone in ("UTC", "Asia/Tokyo"):
+        config = tmp_path / f"{zone.replace('/', '_')}.json"
+        config.write_text(json.dumps({"input": {"timezone": zone}}))
+        out = tmp_path / zone.replace("/", "_")
+        assert main(["ingest", str(log), "--config", str(config), "--out", str(out)]) == 0
+        wip[zone] = read_lines(out / "wip.csv")
+    assert wip["UTC"][1].startswith("2024-01-01,")
+    assert wip["Asia/Tokyo"][1].startswith("2024-01-02,")
+    assert wip["UTC"] != wip["Asia/Tokyo"]
+
+
+def test_unknown_timezone_exits_1(tmp_path, log_path, capsys):
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"input": {"timezone": "Mars/Olympus_Mons"}}))
+    assert main(["ingest", log_path, "--config", str(config), "--out", str(tmp_path)]) == 1
+    assert "Mars/Olympus_Mons" in capsys.readouterr().err
+    assert not (tmp_path / "wip.csv").exists()

@@ -133,6 +133,15 @@ def test_remote_sections_need_endpoints():
     EmbedderConfig(kind="remote", endpoint="https://api.example/v1/embed")
 
 
+def test_input_timezone_validated():
+    assert InputConfig(timezone="Asia/Tokyo").timezone == "Asia/Tokyo"
+    for zone in ("Mars/Olympus_Mons", "", "../etc/passwd"):
+        with pytest.raises(ValueError):
+            InputConfig(timezone=zone)
+    with pytest.raises(ValueError):
+        config_from_dict({"input": {"timezone": "Not/AZone"}})
+
+
 def test_build_helpers():
     assert isinstance(build_embedder(EmbedderConfig()), DeterministicEmbedder)
     remote = build_embedder(EmbedderConfig(kind="remote", endpoint="https://e/x"))

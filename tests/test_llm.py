@@ -20,6 +20,7 @@ from wipcast.llm import (
     RunLogger,
     StructuredContext,
     StubBackend,
+    TransportError,
     extract_prediction,
     parse_action,
 )
@@ -202,6 +203,35 @@ def test_remote_backend_malformed_body_is_unavailable():
                                 backoff=0.0)
     with pytest.raises(BackendUnavailable):
         backend.chat(ChatRequest(system_text="s", user_text="u"))
+
+
+@pytest.mark.parametrize("status", [400, 401, 404])
+def test_remote_backend_does_not_retry_client_errors(status):
+    session = FakeSession([FakeResponse(status_code=status, text="no")] * 3)
+    backend = RemoteChatBackend("http://llm.test", "m", session=session, retries=2,
+                                backoff=0.0)
+    with pytest.raises(TransportError, match=str(status)):
+        backend.chat(ChatRequest(system_text="s", user_text="u"))
+    assert len(session.calls) == 1
+
+
+@pytest.mark.parametrize("status", [408, 429, 500])
+def test_remote_backend_retries_transient_statuses(status):
+    session = FakeSession([FakeResponse(status_code=status, text="later")] * 3)
+    backend = RemoteChatBackend("http://llm.test", "m", session=session, retries=2,
+                                backoff=0.0)
+    with pytest.raises(BackendUnavailable):
+        backend.chat(ChatRequest(system_text="s", user_text="u"))
+    assert len(session.calls) == 3
+
+
+def test_remote_backend_does_not_retry_empty_completion():
+    session = FakeSession([_completion("")] * 3)
+    backend = RemoteChatBackend("http://llm.test", "m", session=session, retries=2,
+                                backoff=0.0)
+    with pytest.raises(ResponseFormatError):
+        backend.chat(ChatRequest(system_text="s", user_text="u"))
+    assert len(session.calls) == 1
 
 
 def test_remote_backend_sends_bearer_from_env(monkeypatch):

@@ -7,6 +7,7 @@ document in a plain Python loop and sorts with the documented tie rule.
 from __future__ import annotations
 
 import io
+import json
 import math
 import random
 import sys
@@ -17,6 +18,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from wipcast import memory
 from wipcast.memory import (
     DeterministicEmbedder,
     EmbeddingError,
@@ -25,9 +27,14 @@ from wipcast.memory import (
     StoryIndex,
     cosine,
     load_index,
+    load_snapshot,
     save_index,
+    save_snapshot,
 )
+from wipcast.cli import main
+from wipcast.eventlog import export_csv
 from wipcast.narrative import render_contextual_story, render_query_story
+from wipcast.synthetic import synthetic_event_log
 
 from conftest import random_wip_event
 
@@ -447,3 +454,136 @@ def test_snapshot_round_trip():
     a = [(r.document.doc_id, r.similarity) for r in index.retrieve(qvec, date(2024, 1, 9), k=5)]
     b = [(r.document.doc_id, r.similarity) for r in loaded.retrieve(qvec, date(2024, 1, 9), k=5)]
     assert a == b
+
+
+def rows_of(index):
+    """The index's row arrays, in row order: embeddings, norms, date ordinals, ids."""
+    return index._fold()
+
+
+def assert_same_index(a, b):
+    assert a.documents() == b.documents()
+    for da, db in zip(a.documents(), b.documents()):
+        assert np.array_equal(da.embedding, db.embedding)
+    for ra, rb in zip(rows_of(a), rows_of(b)):
+        assert np.array_equal(ra, rb)
+    assert (len(a), a.dim, a.newest_date) == (len(b), b.dim, b.newest_date)
+
+
+def refuse_jsonl(*args, **kwargs):
+    raise AssertionError("the sidecar should have been used")
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    log = out / "log.csv"
+    log.write_text(export_csv(synthetic_event_log(300, seed=3, span_days=50)))
+    for argv in (["ingest", str(log), "--out", str(out)], ["stories", "--out", str(out)],
+                 ["index", "--out", str(out)]):
+        assert main(argv) == 0
+    return out
+
+
+@pytest.mark.parametrize("granularity", ["daily", "weekday", "windowed"])
+def test_sidecar_index_matches_jsonl_index(run_dir, granularity, monkeypatch):
+    emb = DeterministicEmbedder()
+    path = run_dir / f"index_{granularity}.jsonl"
+    with open(path, encoding="utf-8") as fh:
+        from_jsonl = load_index(fh, provider=emb)
+
+    monkeypatch.setattr(memory, "load_index", refuse_jsonl)
+    from_sidecar = load_snapshot(str(path), provider=emb)
+    assert len(from_sidecar) > 30
+    assert_same_index(from_sidecar, from_jsonl)
+    ids = rows_of(from_sidecar)[3]
+    assert ids.tolist() == [json.loads(line)["doc_id"] for line in path.read_text().splitlines()]
+    rng = random.Random(17)
+    for _ in range(20):
+        as_of = from_jsonl.newest_date - timedelta(days=rng.randint(-1, 40))
+        query = render_query_story(random_wip_event(rng, as_of))
+        k = rng.choice((1, 5, 12))
+        got = [(r.document, r.similarity) for r in from_sidecar.retrieve(query, as_of, k=k)]
+        want = [(r.document, r.similarity) for r in from_jsonl.retrieve(query, as_of, k=k)]
+        assert got == want  # similarities compared for equality, not closeness
+
+
+def test_empty_snapshot_round_trips(tmp_path, monkeypatch):
+    path = tmp_path / "index_daily.jsonl"
+    assert save_snapshot(StoryIndex(), str(path)) == 0
+    assert path.read_bytes() == b""
+    with open(path, encoding="utf-8") as fh:
+        assert len(load_index(fh)) == 0
+    monkeypatch.setattr(memory, "load_index", refuse_jsonl)
+    loaded = load_snapshot(str(path), provider=DeterministicEmbedder())
+    assert (len(loaded), loaded.dim, loaded.newest_date) == (0, None, None)
+    assert loaded.retrieve("The WiP items opened at 3.", date(2030, 1, 1), k=5) == []
+
+
+def test_add_many_matches_sequential_adds_with_duplicate_ids():
+    rng = random.Random(23)
+    emb = DeterministicEmbedder()
+    docs = build_corpus(rng, 30, emb)
+    # ids 3 and 8 recur: the later row wins and keeps the first one's row
+    ids = list(range(20)) + [3, 20, 21, 8, 22, 23, 3, 24, 25, 26]
+    one_by_one = StoryIndex(provider=emb)
+    for doc, doc_id in zip(docs, ids):
+        one_by_one.add(MemoryDocument(story=doc.story, embedding=doc.embedding, doc_id=doc_id))
+    batched = StoryIndex(provider=emb)
+    batched.add(docs[0])  # pending rows fold before the batch
+    batched.add_many([d.story for d in docs], np.stack([d.embedding for d in docs]), ids)
+    assert_same_index(batched, one_by_one)
+    assert len(batched) == 27
+    assert batched.documents()[3].story == docs[26].story
+    as_of = date(2024, 2, 15)
+    qvec = emb.embed(render_query_story(random_wip_event(rng, as_of)).text)
+    assert ([(r.document, r.similarity) for r in batched.retrieve(qvec, as_of, k=27)]
+            == [(r.document, r.similarity) for r in one_by_one.retrieve(qvec, as_of, k=27)])
+    assert batched.add_story(docs[1].story).doc_id == 27
+
+
+def corrupt(embedding, bad):
+    if bad == "non-finite":
+        embedding[5] = float("nan")
+    elif bad == "zero-norm":
+        embedding[:] = [0.0] * len(embedding)
+    else:  # mixed dims: one row is shorter than the rest
+        embedding.pop()
+
+
+@pytest.mark.parametrize("bad", ["non-finite", "zero-norm", "mixed-dim"])
+def test_load_index_rejects_bad_embeddings(bad):
+    rng = random.Random(13)
+    emb = DeterministicEmbedder()
+    index = StoryIndex(provider=emb)
+    for doc in build_corpus(rng, 6, emb):
+        index.add(doc)
+    buf = io.StringIO()
+    save_index(index, buf)
+    lines = []
+    for i, line in enumerate(buf.getvalue().splitlines()):
+        record = json.loads(line)
+        if i == 2:
+            corrupt(record["embedding"], bad)
+        lines.append(json.dumps(record))
+    with pytest.raises(ValueError):
+        load_index(io.StringIO("\n".join(lines)))
+    stories = [d.story for d in index.documents()]
+    rows = [json.loads(line)["embedding"] for line in lines]
+    with pytest.raises(ValueError):
+        StoryIndex().add_many(stories, rows)
+
+
+def test_add_many_rejects_query_stories_and_foreign_dims(monday_example):
+    emb = DeterministicEmbedder()
+    query = render_query_story(monday_example)
+    story = render_contextual_story(monday_example, 71)
+    with pytest.raises(ValueError, match="contextual"):
+        StoryIndex().add_many([query], emb.embed_many([query.text]))
+    index = StoryIndex()
+    index.add_many([story], np.ones((1, 8)))
+    with pytest.raises(ValueError, match="dim"):
+        index.add_many([story], np.ones((1, 9)))
+    with pytest.raises(ValueError):
+        index.add_many([story, story], np.ones((1, 8)))
+    assert len(index) == 1
