@@ -13,14 +13,20 @@ import csv
 import gzip
 import io
 import logging
-import xml.etree.ElementTree as ET
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import IO, Union
+from functools import lru_cache
+from typing import IO, Iterator, Union
+from xml.parsers import expat
 
 logger = logging.getLogger(__name__)
 
 Scalar = Union[str, int, float, bool, datetime]
+
+_GZIP_MAGIC = b"\x1f\x8b"
+_CHUNK_BYTES = 1 << 16
 
 
 class EventLogError(Exception):
@@ -29,6 +35,10 @@ class EventLogError(Exception):
 
 class XesParseError(EventLogError):
     """Structurally malformed XES (bad XML). Carries line/column in the message."""
+
+
+class CorruptGzipError(EventLogError):
+    """A gzip source is truncated or damaged. Names the source in the message."""
 
 
 class EmptyLogError(EventLogError):
@@ -129,35 +139,55 @@ def parse_timestamp(text: str, fmt: str | None = None) -> datetime:
     return parsed.astimezone(timezone.utc)
 
 
-def _as_bytes(stream: bytes | IO[bytes]) -> bytes:
+def _has_gzip_magic(stream: IO[bytes]) -> bool:
+    if hasattr(stream, "peek"):
+        return stream.peek(2)[:2] == _GZIP_MAGIC
+    start = stream.tell()
+    magic = stream.read(2)
+    stream.seek(start)
+    return magic == _GZIP_MAGIC
+
+
+@contextmanager
+def _open_binary(stream: bytes | IO[bytes], source_name: str) -> Iterator[IO[bytes]]:
+    """Yield a reader over ``stream`` that gunzips as it reads if the data is gzip.
+
+    A file object must support ``peek`` or ``seek`` so the gzip magic can be
+    checked without consuming it. It is left open.
+    """
     if isinstance(stream, bytes):
-        data = stream
-    else:
-        data = stream.read()
-    if data[:2] == b"\x1f\x8b":
-        data = gzip.decompress(data)
-    return data
+        stream = io.BytesIO(stream)
+    if not _has_gzip_magic(stream):
+        yield stream
+        return
+    with gzip.GzipFile(fileobj=stream, mode="rb") as reader:
+        try:
+            yield reader
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise CorruptGzipError(f"{source_name}: truncated or corrupt gzip data: {exc}") from exc
 
 
-def _as_text(stream: str | bytes | IO[str] | IO[bytes]) -> str:
+@contextmanager
+def _open_text(stream: str | bytes | IO[str] | IO[bytes], source_name: str) -> Iterator[IO[str]]:
+    """Yield a text reader over ``stream``; bytes are decoded as UTF-8 as they are read."""
     if isinstance(stream, str):
-        return stream
-    data = stream if isinstance(stream, bytes) else stream.read()
-    if isinstance(data, str):
-        return data
-    if data[:2] == b"\x1f\x8b":
-        data = gzip.decompress(data)
-    return data.decode("utf-8-sig")
+        yield io.StringIO(stream)
+    elif isinstance(stream, io.TextIOBase):
+        yield stream
+    else:
+        with _open_binary(stream, source_name) as binary:
+            # newline="" hands line endings to the csv module, which handles CRLF.
+            text = io.TextIOWrapper(binary, encoding="utf-8-sig", newline="")
+            try:
+                yield text
+            finally:
+                text.detach()  # closing the wrapper would close the caller's stream
 
 
 def _sorted_events(events: list[Event]) -> tuple[Event, ...]:
     # Stable sort: equal timestamps keep input order (then case_id can never
     # differ within one input position, so the documented tie rule reduces to this).
     return tuple(sorted(events, key=lambda ev: ev.timestamp))
-
-
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
 
 
 _XES_VALUE_PARSERS = {
@@ -169,70 +199,108 @@ _XES_VALUE_PARSERS = {
 }
 
 
-def _xes_attributes(element: ET.Element) -> dict[str, Scalar]:
-    """Read the typed key/value children of a trace or event element."""
-    out: dict[str, Scalar] = {}
-    for child in element:
-        kind = _local(child.tag)
-        parser = _XES_VALUE_PARSERS.get(kind)
-        if parser is None:
+@lru_cache(maxsize=256)
+def _local_name(name: str) -> str:
+    """The local part of an expat element name, ``uri}local`` or ``local``."""
+    return name[name.rfind("}") + 1:]
+
+
+def _emit_trace(trace_attrs: dict[str, Scalar], event_attrs: list[dict[str, Scalar]],
+                events: list[Event], diagnostics: list[str]) -> None:
+    """Turn one closed trace's collected attributes into events or diagnostics."""
+    case_id = trace_attrs.get("concept:name")
+    if not isinstance(case_id, str) or not case_id:
+        diagnostics.append(f"trace without concept:name skipped ({len(event_attrs)} events)")
+        return
+    for attrs in event_attrs:
+        activity = attrs.pop("concept:name", None)
+        ts = attrs.pop("time:timestamp", None)
+        if not isinstance(activity, str) or not activity:
+            diagnostics.append(f"case {case_id!r}: event without concept:name skipped")
             continue
-        key = child.get("key")
-        value = child.get("value")
-        if key is None or value is None:
+        if not isinstance(ts, datetime):
+            diagnostics.append(f"case {case_id!r}: event {activity!r} without parseable time:timestamp skipped")
             continue
-        try:
-            out[key] = parser(value)
-        except (ValueError, TypeError):
-            out[key] = value
-    return out
+        lifecycle = attrs.pop("lifecycle:transition", None)
+        if lifecycle is not None and not isinstance(lifecycle, str):
+            lifecycle = str(lifecycle)
+        events.append(Event(case_id, activity, ts, lifecycle, attrs))
 
 
 def parse_xes(stream: bytes | IO[bytes], source_name: str = "<xes>") -> EventLog:
-    """Parse an XES byte stream into an :class:`EventLog`.
+    """Parse an XES byte stream (plain or gzip) into an :class:`EventLog`.
 
-    The case id comes from the trace-level ``concept:name``; each event needs
-    ``concept:name`` and ``time:timestamp``. Events missing either are skipped
-    with a diagnostic. Raises :class:`XesParseError` on malformed XML and
-    :class:`EmptyLogError` when no usable event remains.
+    The document is parsed as it is read, so neither the decompressed text
+    nor an element tree is ever held whole. Only the typed attributes
+    (``string``, ``int``, ``float``, ``boolean``, ``date``) that are direct
+    children of a ``trace`` under the root element, or of an ``event`` directly
+    inside such a trace, are read; everything else (log-level attributes,
+    extensions, globals, classifiers, nested lists and containers) is skipped.
+
+    The case id comes from the trace-level ``concept:name``, wherever it sits
+    in the trace; each event needs ``concept:name`` and ``time:timestamp``.
+    Events missing either are skipped with a diagnostic. Raises
+    :class:`XesParseError` on malformed XML, :class:`CorruptGzipError` on a
+    damaged gzip stream and :class:`EmptyLogError` when no usable event
+    remains.
     """
-    data = _as_bytes(stream)
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        line, col = exc.position
-        raise XesParseError(f"{source_name}: malformed XML at line {line}, column {col}: {exc}") from exc
-
     events: list[Event] = []
     diagnostics: list[str] = []
     seen = 0
-    for trace in root:
-        if _local(trace.tag) != "trace":
-            continue
-        trace_attrs = _xes_attributes(trace)
-        case_id = trace_attrs.get("concept:name")
-        if not isinstance(case_id, str) or not case_id:
-            n = sum(1 for el in trace if _local(el.tag) == "event")
-            seen += n
-            diagnostics.append(f"trace without concept:name skipped ({n} events)")
-            continue
-        for el in trace:
-            if _local(el.tag) != "event":
-                continue
-            seen += 1
-            attrs = _xes_attributes(el)
-            activity = attrs.pop("concept:name", None)
-            ts = attrs.pop("time:timestamp", None)
-            if not isinstance(activity, str) or not activity:
-                diagnostics.append(f"case {case_id!r}: event without concept:name skipped")
-                continue
-            if not isinstance(ts, datetime):
-                diagnostics.append(f"case {case_id!r}: event {activity!r} without parseable time:timestamp skipped")
-                continue
-            lifecycle = attrs.pop("lifecycle:transition", None)
-            if lifecycle is not None and not isinstance(lifecycle, str):
-                lifecycle = str(lifecycle)
-            events.append(Event(case_id, activity, ts, lifecycle, attrs))
+    depth = 0  # of the innermost open element; the root is 1
+    trace_attrs: dict[str, Scalar] | None = None  # None outside a trace
+    trace_events: list[dict[str, Scalar]] = []  # the open trace's events, as attributes
+    event_attrs: dict[str, Scalar] | None = None  # None outside an event
+
+    def start(name: str, attrs: dict[str, str]) -> None:
+        nonlocal depth, trace_attrs, trace_events, event_attrs
+        depth += 1
+        if depth == 2:
+            event_attrs = None
+            trace_attrs = {} if _local_name(name) == "trace" else None
+            trace_events = []
+            return
+        if depth == 3 and trace_attrs is not None:
+            local = _local_name(name)
+            if local == "event":
+                event_attrs = {}
+                trace_events.append(event_attrs)
+                return
+            event_attrs = None
+            out = trace_attrs
+        elif depth == 4 and event_attrs is not None:
+            local = _local_name(name)
+            out = event_attrs
+        else:
+            return
+        convert = _XES_VALUE_PARSERS.get(local)
+        key = attrs.get("key")
+        value = attrs.get("value")
+        if convert is None or key is None or value is None:
+            return
+        try:
+            out[key] = convert(value)
+        except (ValueError, TypeError):
+            out[key] = value  # a value that does not parse stays a string
+
+    def end(name: str) -> None:
+        nonlocal depth, seen
+        if depth == 2 and trace_attrs is not None:
+            seen += len(trace_events)
+            _emit_trace(trace_attrs, trace_events, events, diagnostics)
+        depth -= 1
+
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    with _open_binary(stream, source_name) as reader:
+        try:
+            while chunk := reader.read(_CHUNK_BYTES):
+                parser.Parse(chunk, False)
+            parser.Parse(b"", True)
+        except expat.ExpatError as exc:
+            raise XesParseError(
+                f"{source_name}: malformed XML at line {exc.lineno}, column {exc.offset}: {exc}") from exc
 
     for msg in diagnostics:
         logger.warning("%s: %s", source_name, msg)
@@ -249,44 +317,45 @@ def parse_csv(
 ) -> EventLog:
     """Parse CSV input (header row required, UTF-8 if bytes) into an :class:`EventLog`.
 
+    Bytes may be gzip; they are decompressed and decoded as rows are read.
     Unmapped columns become string attributes; empty cells are dropped. Rows
     with an unparseable timestamp or a blank case/activity are skipped with a
     diagnostic.
     """
-    text = _as_text(stream)
-    reader = csv.DictReader(io.StringIO(text))
-    header = reader.fieldnames or []
-    required = [mapping.case, mapping.activity, mapping.timestamp]
-    if mapping.lifecycle:
-        required.append(mapping.lifecycle)
-    missing = [col for col in required if col not in header]
-    if missing:
-        raise MappingError(f"{source_name}: mapped column(s) not in header: {', '.join(missing)}")
-
-    core = {mapping.case, mapping.activity, mapping.timestamp, mapping.lifecycle}
-    events: list[Event] = []
-    diagnostics: list[str] = []
-    seen = 0
-    for i, row in enumerate(reader, start=2):
-        seen += 1
-        case_id = (row.get(mapping.case) or "").strip()
-        activity = (row.get(mapping.activity) or "").strip()
-        raw_ts = (row.get(mapping.timestamp) or "").strip()
-        if not case_id or not activity:
-            diagnostics.append(f"row {i}: empty case or activity, skipped")
-            continue
-        try:
-            ts = parse_timestamp(raw_ts, mapping.timestamp_format)
-        except ValueError:
-            diagnostics.append(f"row {i}: unparseable timestamp {raw_ts!r}, skipped")
-            continue
-        lifecycle = None
+    with _open_text(stream, source_name) as text:
+        reader = csv.DictReader(text)
+        header = reader.fieldnames or []
+        required = [mapping.case, mapping.activity, mapping.timestamp]
         if mapping.lifecycle:
-            lifecycle = (row.get(mapping.lifecycle) or "").strip() or None
-        attrs: dict[str, Scalar] = {
-            k: v for k, v in row.items() if k not in core and v is not None and v != ""
-        }
-        events.append(Event(case_id, activity, ts, lifecycle, attrs))
+            required.append(mapping.lifecycle)
+        missing = [col for col in required if col not in header]
+        if missing:
+            raise MappingError(f"{source_name}: mapped column(s) not in header: {', '.join(missing)}")
+
+        core = {mapping.case, mapping.activity, mapping.timestamp, mapping.lifecycle}
+        events: list[Event] = []
+        diagnostics: list[str] = []
+        seen = 0
+        for i, row in enumerate(reader, start=2):
+            seen += 1
+            case_id = (row.get(mapping.case) or "").strip()
+            activity = (row.get(mapping.activity) or "").strip()
+            raw_ts = (row.get(mapping.timestamp) or "").strip()
+            if not case_id or not activity:
+                diagnostics.append(f"row {i}: empty case or activity, skipped")
+                continue
+            try:
+                ts = parse_timestamp(raw_ts, mapping.timestamp_format)
+            except ValueError:
+                diagnostics.append(f"row {i}: unparseable timestamp {raw_ts!r}, skipped")
+                continue
+            lifecycle = None
+            if mapping.lifecycle:
+                lifecycle = (row.get(mapping.lifecycle) or "").strip() or None
+            attrs: dict[str, Scalar] = {
+                k: v for k, v in row.items() if k not in core and v is not None and v != ""
+            }
+            events.append(Event(case_id, activity, ts, lifecycle, attrs))
 
     for msg in diagnostics:
         logger.warning("%s: %s", source_name, msg)

@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import threading
+import time
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
+from .llm import RETRYABLE_4XX
 from .narrative import Story, story_from_dict, story_numbers, story_to_dict
 
 logger = logging.getLogger(__name__)
@@ -98,7 +100,15 @@ class DeterministicEmbedder:
 
 
 class RemoteEmbedder:
-    """Embedding client for an HTTP endpoint taking {model, input} and returning vectors."""
+    """Embedding client for an HTTP endpoint taking {model, input} and returning vectors.
+
+    Transport failures, 5xx, 408 and 429 responses are retried with
+    exponential backoff, as in :class:`~wipcast.llm.RemoteChatBackend`. Other
+    4xx statuses and a malformed payload fail on the first attempt.
+    """
+
+    retries = 2  # RemoteChatBackend's defaults
+    backoff = 1.0  # seconds before the first retry; doubles after each
 
     def __init__(self, endpoint: str, model: str = "bge-base-en-v1.5",
                  timeout: float = 30.0, session=None):
@@ -116,23 +126,42 @@ class RemoteEmbedder:
             raise EmbeddingError("remote dimension unknown before the first embed call")
         return self._dim
 
+    def _post(self, batch: list[str]):
+        import requests
+
+        last_error: Exception | None = None
+        for attempt in range(self.retries + 1):
+            if attempt:
+                time.sleep(self.backoff * (2 ** (attempt - 1)))
+            try:
+                resp = self._session.post(
+                    self.endpoint,
+                    json={"model": self.model, "input": batch},
+                    timeout=self.timeout,
+                )
+                resp.raise_for_status()
+                return resp
+            except requests.HTTPError as exc:
+                status = exc.response.status_code
+                if 400 <= status < 500 and status not in RETRYABLE_4XX:
+                    # resending the same request cannot succeed
+                    raise EmbeddingError(f"remote embedding failed: {exc}") from exc
+                last_error = exc
+            except OSError as exc:  # connection errors and timeouts, requests' included
+                last_error = exc
+        raise EmbeddingError(f"remote embedding failed after {self.retries + 1} attempts: {last_error}")
+
     def embed_many(self, texts: Iterable[str]) -> np.ndarray:
         batch = list(texts)
         if not batch:
             return np.empty((0, self._dim or 0))
         if any(not t for t in batch):
             raise EmbeddingError("cannot embed empty text")
+        resp = self._post(batch)
         try:
-            resp = self._session.post(
-                self.endpoint,
-                json={"model": self.model, "input": batch},
-                timeout=self.timeout,
-            )
-            resp.raise_for_status()
-            payload = resp.json()
-            rows = [np.asarray(item["embedding"], dtype=float) for item in payload["data"]]
-        except Exception as exc:
-            raise EmbeddingError(f"remote embedding failed: {exc}") from exc
+            rows = [np.asarray(item["embedding"], dtype=float) for item in resp.json()["data"]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise EmbeddingError(f"remote embedding returned a malformed payload: {exc}") from exc
         if len(rows) != len(batch):
             raise EmbeddingError(f"expected {len(batch)} embeddings, got {len(rows)}")
         matrix = np.stack(rows)

@@ -180,24 +180,24 @@ def build_wip_series(
     if not anchors:
         raise EmptyLogError("no usable cases after lifecycle-rule filtering")
 
-    transitions: list[tuple[datetime, int]] = []
+    # (instant, its local day, +1 opening / -1 closing)
+    transitions: list[tuple[datetime, Date, int]] = []
     new_per_day: dict[Date, int] = {}
     done_per_day: dict[Date, int] = {}
     started_per_day: dict[Date, int] = {}
     for _case_id, opening, closing, started in anchors:
-        transitions.append((opening.timestamp, +1))
-        transitions.append((closing.timestamp, -1))
-        d = local_day(opening.timestamp)
-        new_per_day[d] = new_per_day.get(d, 0) + 1
-        d = local_day(closing.timestamp)
-        done_per_day[d] = done_per_day.get(d, 0) + 1
-        d = local_day(started.timestamp)
+        open_day = local_day(opening.timestamp)
+        close_day = local_day(closing.timestamp)
+        transitions.append((opening.timestamp, open_day, +1))
+        transitions.append((closing.timestamp, close_day, -1))
+        new_per_day[open_day] = new_per_day.get(open_day, 0) + 1
+        done_per_day[close_day] = done_per_day.get(close_day, 0) + 1
+        d = open_day if started is opening else local_day(started.timestamp)
         started_per_day[d] = started_per_day.get(d, 0) + 1
     transitions.sort(key=lambda t: t[0])
 
     first_day = local_day(log.events[0].timestamp)
     last_day = local_day(log.events[-1].timestamp)
-    event_days = {local_day(ev.timestamp) for ev in log.events}
 
     days: list[WipEvent] = []
     running = 0
@@ -207,10 +207,10 @@ def build_wip_series(
     while day <= last_day:
         open_count = running
         high = low = running
-        while ti < n and local_day(transitions[ti][0]) <= day:
+        while ti < n and transitions[ti][1] <= day:
             ts = transitions[ti][0]
             while ti < n and transitions[ti][0] == ts:
-                running += transitions[ti][1]
+                running += transitions[ti][2]
                 ti += 1
             high = max(high, running)
             low = min(low, running)
@@ -229,6 +229,7 @@ def build_wip_series(
         day += timedelta(days=1)
 
     if gap_policy == "drop":
+        event_days = {local_day(ev.timestamp) for ev in log.events}
         kept = tuple(ev for ev in days if ev.date in event_days)
         return WipSeries(kept, contiguous=len(kept) == len(days), lifecycle=cfg)
     return WipSeries(tuple(days), contiguous=True, lifecycle=cfg)

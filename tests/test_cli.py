@@ -1,5 +1,6 @@
 """CLI pipeline: subcommands, file products, exit codes, idempotency."""
 
+import gzip
 import hashlib
 import json
 import os
@@ -14,6 +15,8 @@ from wipcast.eventlog import export_csv
 from wipcast.memory import DeterministicEmbedder, RemoteEmbedder
 from wipcast.synthetic import synthetic_event_log
 from wipcast.wipseries import load_wip_csv
+
+from conftest import xes_document
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +72,25 @@ def test_ingest_unknown_extension_exits_1(tmp_path):
     weird = tmp_path / "log.parquet"
     weird.write_text("not a log")
     assert main(["ingest", str(weird), "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("name", ["cut.xes.gz", "cut.csv.gz"])
+def test_ingest_truncated_gzip_exits_1(tmp_path, capsys, name):
+    log = synthetic_event_log(120, seed=21, span_days=45)
+    if name.endswith(".xes.gz"):
+        by_case = {}
+        for ev in log.events:
+            by_case.setdefault(ev.case_id, []).append((ev.activity, ev.timestamp))
+        text = xes_document(by_case)
+    else:
+        text = export_csv(log)
+    packed = gzip.compress(text.encode("utf-8"))
+    path = tmp_path / name
+    path.write_bytes(packed[: len(packed) // 2])
+    assert main(["ingest", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert name in err and "gzip" in err
+    assert not (tmp_path / "out" / "wip.csv").exists()
 
 
 def test_ingest_is_idempotent(tmp_path, log_path):

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import gzip
 import io
 import random
+import tracemalloc
+import xml.etree.ElementTree as ET
 from datetime import date, datetime, timezone
 
 import pytest
 
 from wipcast.eventlog import (
     ColumnMapping,
+    CorruptGzipError,
     EmptyLogError,
     MappingError,
     XesParseError,
@@ -22,6 +26,7 @@ from wipcast.eventlog import (
 )
 
 from conftest import CSV_MAPPING, NINE_EVENTS, csv_document, xes_document
+from xes_oracle import oracle_parse_xes
 
 
 def test_parse_timestamp_accepts_zulu_suffix():
@@ -189,3 +194,272 @@ def test_validate_flags_duplicates():
     log = parse_csv(io.StringIO(csv_document(rows)), CSV_MAPPING, source_name="dup.csv")
     report = validate(log)
     assert report.duplicate_count == 1
+
+
+# --- streaming XES parser against the tree-walking oracle ---
+
+PARITY_DOCS = {
+    "trace-name-after-events": """<log xes.version="1.0">
+<trace>
+  <event><string key="concept:name" value="A"/><date key="time:timestamp" value="2024-01-01T09:00:00Z"/></event>
+  <event><string key="concept:name" value="B"/><date key="time:timestamp" value="2024-01-02T09:00:00+02:00"/></event>
+  <string key="concept:name" value="late"/>
+</trace>
+<trace><string key="concept:name" value="early"/><string key="concept:name" value="renamed"/>
+  <event><string key="concept:name" value="A"/><date key="time:timestamp" value="2024-01-01T08:00:00Z"/></event>
+</trace>
+</log>""",
+    "trace-without-name": """<log>
+<trace><event><string key="concept:name" value="A"/><date key="time:timestamp" value="2024-01-01T09:00:00Z"/></event>
+  <event><string key="concept:name" value="B"/><date key="time:timestamp" value="2024-01-01T10:00:00Z"/></event></trace>
+<trace><int key="concept:name" value="7"/><event><string key="concept:name" value="A"/>
+  <date key="time:timestamp" value="2024-01-01T09:00:00Z"/></event></trace>
+<trace><string key="concept:name" value=""/></trace>
+<trace><string value="no key"/><string key="concept:name"/><event/></trace>
+<trace><string key="concept:name" value="ok"/><event><string key="concept:name" value="A"/>
+  <date key="time:timestamp" value="2024-01-03T09:00:00Z"/></event></trace>
+</log>""",
+    "nested-children": """<log>
+<trace>
+  <list key="tags"><string key="concept:name" value="from-list"/></list>
+  <string key="concept:name" value="c1"/>
+  <event>
+    <string key="concept:name" value="A"/>
+    <date key="time:timestamp" value="2024-01-01T09:00:00Z"/>
+    <list key="items"><string key="concept:name" value="inner"/><values><int key="n" value="1"/></values></list>
+    <container key="box"><date key="time:timestamp" value="1999-01-01T00:00:00Z"/></container>
+    <string key="note" value="outer"><string key="concept:name" value="nested"/></string>
+    <event><string key="concept:name" value="deeper"/><date key="time:timestamp" value="2024-02-01T00:00:00Z"/></event>
+  </event>
+  <trace><string key="concept:name" value="inner-trace"/>
+    <event><string key="concept:name" value="X"/><date key="time:timestamp" value="2024-01-05T00:00:00Z"/></event>
+  </trace>
+  <event><string key="concept:name" value="B"/><date key="time:timestamp" value="2024-01-02T09:00:00Z"/>
+    <int key="lifecycle:transition" value="3"/></event>
+</trace>
+</log>""",
+    "log-level-elements": """<?xml version="1.0" encoding="UTF-8"?>
+<log xes.version="1.0" xes.features="nested-attributes" openxes.version="1.0RC7">
+<extension name="Concept" prefix="concept" uri="http://www.xes-standard.org/concept.xesext"/>
+<global scope="trace"><string key="concept:name" value="__INVALID__"/></global>
+<global scope="event"><string key="concept:name" value="__INVALID__"/>
+  <date key="time:timestamp" value="1970-01-01T00:00:00.000+01:00"/></global>
+<classifier name="Activity" keys="concept:name"/>
+<string key="concept:name" value="the log"/>
+<date key="time:timestamp" value="2024-01-01T00:00:00Z"/>
+<event><string key="concept:name" value="orphan"/><date key="time:timestamp" value="2024-01-01T00:00:00Z"/></event>
+<trace><string key="concept:name" value="c1"/>
+  <event><string key="concept:name" value="A"/><date key="time:timestamp" value="2024-01-01T09:00:00.123+01:00"/>
+    <string key="lifecycle:transition" value="complete"/><string key="org:resource" value="Ann"/></event>
+</trace>
+</log>""",
+    "prefixed-namespace": """<x:log xmlns:x="http://www.xes-standard.org/" xmlns:y="urn:other">
+<x:trace><x:string key="concept:name" value="c1"/><x:string x:key="ignored" value="v"/>
+  <x:event><x:string key="concept:name" value="A"/><x:date key="time:timestamp" value="2024-01-01T09:00:00Z"/></x:event>
+  <y:event><y:string key="concept:name" value="other-ns"/><y:date key="time:timestamp" value="2024-01-01T10:00:00Z"/></y:event>
+</x:trace>
+<trace xmlns="http://www.xes-standard.org/"><string key="concept:name" value="c2"/>
+  <event><string key="concept:name" value="B"/><date key="time:timestamp" value="2024-01-01T11:00:00Z"/></event>
+</trace>
+</x:log>""",
+    "comments-and-instructions": """<?xml version="1.0"?>
+<!DOCTYPE log [<!ENTITY co "Company">]>
+<!-- a comment before the root -->
+<?xes-tool version="1"?>
+<log><!-- inside the log -->
+<trace><?pi inside the trace?><string key="concept:name" value="&co; case"/><!-- <event/> -->
+  <event><![CDATA[ <event/> ]]><string key="concept:name" value="Prüfung &amp; 処理"/>
+    <date key="time:timestamp" value="2024-01-01T09:00:00Z"/></event>
+</trace>
+</log>""",
+    "unparseable-values": """<log>
+<trace><string key="concept:name" value="c1"/>
+  <event><string key="concept:name" value="A"/><date key="time:timestamp" value="yesterday"/></event>
+  <event><int key="concept:name" value="12"/><date key="time:timestamp" value="2024-01-01T09:00:00Z"/></event>
+  <event><string key="concept:name" value="B"/><date key="time:timestamp" value="2024-01-01T09:00:00Z"/>
+    <int key="n" value="x1"/><float key="f" value="abc"/><boolean key="b" value="maybe"/>
+    <date key="due" value="2024-13-01"/><int key="ok" value=" 5 "/><float key="g" value="1e3"/></event>
+  <event><string key="concept:name" value="C"/><string key="time:timestamp" value="2024-01-01T09:00:00Z"/></event>
+</trace>
+</log>""",
+}
+
+INPUT_FORMS = {
+    "bytes": lambda doc: doc,
+    "file": io.BytesIO,
+    "gzip-bytes": lambda doc: gzip.compress(doc),
+    "gzip-file": lambda doc: io.BytesIO(gzip.compress(doc)),
+}
+
+
+def _parse_both(doc: bytes, form: str):
+    got = parse_xes(INPUT_FORMS[form](doc), source_name="doc.xes")
+    want = oracle_parse_xes(INPUT_FORMS[form](doc), source_name="doc.xes")
+    return got, want
+
+
+@pytest.mark.parametrize("form", sorted(INPUT_FORMS))
+@pytest.mark.parametrize("name", sorted(PARITY_DOCS))
+def test_parse_xes_matches_tree_oracle(name, form):
+    got, want = _parse_both(PARITY_DOCS[name].encode("utf-8"), form)
+    assert got.events == want.events
+    assert got.source_meta == want.source_meta
+
+
+def test_parity_documents_exercise_what_they_name():
+    log = parse_xes(PARITY_DOCS["trace-name-after-events"].encode(), source_name="d")
+    assert {ev.case_id for ev in log.events} == {"late", "renamed"}
+    log = parse_xes(PARITY_DOCS["trace-without-name"].encode(), source_name="d")
+    assert log.source_meta.diagnostics[:4] == (
+        "trace without concept:name skipped (2 events)",
+        "trace without concept:name skipped (1 events)",
+        "trace without concept:name skipped (0 events)",
+        "trace without concept:name skipped (1 events)",
+    )
+    log = parse_xes(PARITY_DOCS["nested-children"].encode(), source_name="d")
+    assert [(ev.activity, ev.lifecycle, ev.attributes) for ev in log.events] == [
+        ("A", None, {"note": "outer"}), ("B", "3", {})]
+    log = parse_xes(PARITY_DOCS["prefixed-namespace"].encode(), source_name="d")
+    assert [ev.activity for ev in log.events] == ["A", "other-ns", "B"]
+    log = parse_xes(PARITY_DOCS["comments-and-instructions"].encode(), source_name="d")
+    assert (log.events[0].case_id, log.events[0].activity) == ("Company case", "Prüfung & 処理")
+    log = parse_xes(PARITY_DOCS["unparseable-values"].encode(), source_name="d")
+    assert log.events[0].attributes == {"n": "x1", "f": "abc", "b": False, "due": "2024-13-01",
+                                        "ok": 5, "g": 1000.0}
+    assert log.source_meta.skipped == 3
+
+
+def test_parse_xes_matches_oracle_on_declared_encoding():
+    doc = ('<?xml version="1.0" encoding="ISO-8859-1"?><log><trace>'
+           '<string key="concept:name" value="café"/><event><string key="concept:name" value="Étape"/>'
+           '<date key="time:timestamp" value="2024-01-01T09:00:00Z"/></event></trace></log>').encode("latin-1")
+    got, want = _parse_both(doc, "file")
+    assert got.events == want.events and got.events[0].case_id == "café"
+
+
+def _xes_bytes(n_cases: int, events_per_case: int = 5) -> bytes:
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>',
+             '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">']
+    for c in range(n_cases):
+        parts.append(f'<trace><string key="concept:name" value="case-{c}"/>')
+        for e in range(events_per_case):
+            parts.append(
+                f'<event><string key="concept:name" value="Schritt-{e}-ü"/>'
+                f'<string key="org:resource" value="r{c % 7}"/>'
+                '<string key="lifecycle:transition" value="complete"/>'
+                f'<date key="time:timestamp" value="2024-01-{1 + (c + e) % 28:02d}T{c % 24:02d}:00:00Z"/></event>')
+        parts.append("</trace>")
+    parts.append("</log>")
+    return "\n".join(parts).encode("utf-8")
+
+
+def test_parse_xes_matches_oracle_across_read_chunks():
+    doc = _xes_bytes(600)  # several read chunks, multi-byte characters on the boundaries
+    for form in ("file", "gzip-file"):
+        got, want = _parse_both(doc, form)
+        assert len(got.events) == 3000
+        assert got.events == want.events
+        assert got.source_meta == want.source_meta
+
+
+MALFORMED_DOCS = {
+    "mismatched-tag": b"<log><trace><event></log>",
+    "truncated": b"<log><trace>",
+    "unbound-prefix": b"<x:log><x:trace/></x:log>",
+    "junk-after-root": b"<log/><log/>",
+    "empty": b"",
+    "undefined-entity": b"<log>&undefined;</log>",
+    "duplicate-attribute": b'<log><trace><string key="a" value="1" value="2"/></trace></log>',
+    "multi-line": b'<log>\n<trace>\n  <string key="a" value="b"/>\n  <event>\n</trace>\n</log>',
+    "late-error": _xes_bytes(400)[:-7] + b"</trace>",
+}
+
+
+@pytest.mark.parametrize("form", ["file", "gzip-bytes"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_DOCS))
+def test_parse_xes_malformed_position_matches_oracle(name, form):
+    doc = MALFORMED_DOCS[name]
+    with pytest.raises(XesParseError) as got:
+        parse_xes(INPUT_FORMS[form](doc), source_name="bad.xes")
+    with pytest.raises(XesParseError) as want:
+        oracle_parse_xes(INPUT_FORMS[form](doc), source_name="bad.xes")
+    assert str(got.value) == str(want.value)
+    assert "line" in str(got.value) and "column" in str(got.value)
+
+
+def test_parse_xes_empty_log_matches_oracle():
+    doc = PARITY_DOCS["trace-without-name"].split("<trace><string key=\"concept:name\" value=\"ok\"/>")[0] + "</log>"
+    with pytest.raises(EmptyLogError) as got:
+        parse_xes(doc.encode(), source_name="none.xes")
+    with pytest.raises(EmptyLogError) as want:
+        oracle_parse_xes(doc.encode(), source_name="none.xes")
+    assert str(got.value) == str(want.value)
+
+
+def _traced_peak(fn) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_xes_peak_memory_is_below_half_of_an_element_tree():
+    doc = _xes_bytes(1000)  # 5,000 events
+    tree_peak = _traced_peak(lambda: ET.fromstring(doc))
+    stream_peak = _traced_peak(lambda: parse_xes(doc, source_name="big.xes"))
+    assert stream_peak < tree_peak / 2
+
+
+# --- gzip damage and stream handling ---
+
+
+def _truncated_gzip(data: bytes) -> bytes:
+    packed = gzip.compress(data)
+    return packed[: len(packed) // 2]
+
+
+def test_parse_xes_truncated_gzip_is_a_named_error():
+    with pytest.raises(CorruptGzipError, match="cut.xes.gz"):
+        parse_xes(io.BytesIO(_truncated_gzip(_xes_bytes(200))), source_name="cut.xes.gz")
+
+
+def test_parse_csv_truncated_gzip_is_a_named_error():
+    text = csv_document(NINE_EVENTS * 300)
+    with pytest.raises(CorruptGzipError, match="cut.csv.gz"):
+        parse_csv(io.BytesIO(_truncated_gzip(text.encode())), CSV_MAPPING, source_name="cut.csv.gz")
+
+
+def test_parse_gzip_with_bad_checksum_is_a_named_error():
+    packed = bytearray(gzip.compress(csv_document(NINE_EVENTS).encode()))
+    packed[-8] ^= 0xFF  # CRC32 of the member
+    with pytest.raises(CorruptGzipError, match="crc.csv.gz"):
+        parse_csv(bytes(packed), CSV_MAPPING, source_name="crc.csv.gz")
+
+
+@pytest.mark.parametrize("packed", [False, True])
+def test_parse_csv_bytes_strip_bom_and_keep_crlf(packed):
+    lines = csv_document(NINE_EVENTS).splitlines()
+    lines[0] += ",note"
+    lines[1] += ',"two\r\nlines"'
+    data = ("\ufeff" + "\r\n".join(lines) + "\r\n").encode("utf-8")
+    log = parse_csv(gzip.compress(data) if packed else data, CSV_MAPPING, source_name="bom.csv")
+    assert [(e.case_id, e.activity, e.timestamp) for e in log.events] == NINE_EVENTS
+    assert log.events[0].attributes == {"note": "two\r\nlines"}  # a quoted line break is kept as is
+    assert log.events[1].attributes == {}
+
+
+@pytest.mark.parametrize("packed", [False, True])
+def test_parsers_leave_the_callers_stream_open(packed, nine_event_xes):
+    def stream(text: str) -> io.BytesIO:
+        data = text.encode()
+        return io.BytesIO(gzip.compress(data) if packed else data)
+
+    csv_buf = stream(csv_document(NINE_EVENTS))
+    parse_csv(csv_buf, CSV_MAPPING, source_name="open.csv")
+    xes_buf = stream(nine_event_xes)
+    parse_xes(xes_buf, source_name="open.xes")
+    gc.collect()  # a dropped text wrapper closes its buffer when collected
+    assert not csv_buf.closed and not xes_buf.closed

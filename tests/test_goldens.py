@@ -1,4 +1,5 @@
-"""Golden outputs: `wipcast evaluate` must reproduce these files byte for byte.
+"""Golden outputs: `wipcast ingest` and `wipcast evaluate` must reproduce these
+files byte for byte.
 
 Acceptance 5 only checks that two runs agree with each other, so it cannot
 catch a refactor that changes the numbers. These sha256 digests pin
@@ -9,18 +10,24 @@ forecasts must update them on purpose and say why.
 - ``log``: an event log ingested through the CLI, default parameters.
 - ``empty-window``: a 20-day window with only 14 days before the split, so the
   windowed index starts empty and fills mid-run.
+
+The ingest digests pin ``wip.csv`` for one seeded log written as XES (plain
+and gzipped) and as CSV, plus a sparse CSV log replayed in a non-UTC zone with
+the ``drop`` gap policy.
 """
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import json
 import os
+from xml.sax.saxutils import quoteattr
 
 import pytest
 
 from wipcast.cli import main
-from wipcast.eventlog import export_csv
+from wipcast.eventlog import EventLog, export_csv
 from wipcast.synthetic import synthetic_event_log, synthetic_series
 from wipcast.wipseries import export_wip_csv, load_wip_csv
 
@@ -97,3 +104,67 @@ GOLDENS = {
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_evaluate_matches_golden(workload, mode, tmp_path):
     assert evaluate_digests(workload, mode, str(tmp_path)) == GOLDENS[workload][mode]
+
+
+def _xes_bytes(log: EventLog) -> bytes:
+    """XES with a default namespace, one trace per case in first-seen order."""
+    by_case: dict[str, list] = {}
+    for ev in log.events:
+        by_case.setdefault(ev.case_id, []).append(ev)
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>',
+             '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">']
+    for case_id, events in by_case.items():
+        parts.append(f'<trace><string key="concept:name" value={quoteattr(case_id)}/>')
+        for i, ev in enumerate(events):
+            parts.append(
+                f'<event><string key="concept:name" value={quoteattr(ev.activity)}/>'
+                f'<string key="lifecycle:transition" value={quoteattr(ev.lifecycle)}/>'
+                f'<int key="step" value="{i}"/>'
+                f'<date key="time:timestamp" value="{ev.timestamp.isoformat()}"/></event>')
+        parts.append("</trace>")
+    parts.append("</log>")
+    return "\n".join(parts).encode("utf-8")
+
+
+# name -> (file name, file bytes, extra ingest arguments, config or None)
+_INGEST_LOG = synthetic_event_log(240, seed=11, span_days=90)
+_SPARSE_LOG = synthetic_event_log(30, seed=5, span_days=60)
+_LIFECYCLE_ARGS = ["--lifecycle", "lifecycle"]
+INGEST_WORKLOADS = {
+    "xes": ("log.xes", lambda: _xes_bytes(_INGEST_LOG), [], None),
+    "xes-gzip": ("log.xes.gz", lambda: gzip.compress(_xes_bytes(_INGEST_LOG), mtime=0), [], None),
+    "csv": ("log.csv", lambda: export_csv(_INGEST_LOG).encode("utf-8"), _LIFECYCLE_ARGS, None),
+    "csv-sparse-new-york-drop": (
+        "log.csv", lambda: export_csv(_SPARSE_LOG).encode("utf-8"),
+        [*_LIFECYCLE_ARGS, "--gap-policy", "drop"], {"input": {"timezone": "America/New_York"}}),
+}
+
+
+def ingest_digest(workload: str, out: str) -> str:
+    """Ingest one workload's log and hash the written wip.csv."""
+    name, make, extra, config = INGEST_WORKLOADS[workload]
+    log_path = os.path.join(out, name)
+    with open(log_path, "wb") as fh:
+        fh.write(make())
+    if config is not None:
+        config_path = os.path.join(out, "config.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        extra = [*extra, "--config", config_path]
+    assert main(["ingest", log_path, "--out", out, *extra]) == 0
+    with open(os.path.join(out, "wip.csv"), "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+# Recorded before ingest became a streaming parse.
+INGEST_GOLDENS = {
+    "xes": "6499c43af152b10f6e0d28c547af0604edbd1361a4012c2ab760ba4378e48abb",
+    "xes-gzip": "6499c43af152b10f6e0d28c547af0604edbd1361a4012c2ab760ba4378e48abb",
+    "csv": "6499c43af152b10f6e0d28c547af0604edbd1361a4012c2ab760ba4378e48abb",
+    "csv-sparse-new-york-drop": "f007744ce489d037d0e8e08196008bc0fc8a628cfd68291cfe5bc99e5cd7a731",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(INGEST_WORKLOADS))
+def test_ingest_matches_golden(workload, tmp_path):
+    assert ingest_digest(workload, str(tmp_path)) == INGEST_GOLDENS[workload]

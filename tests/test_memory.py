@@ -17,12 +17,14 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+import requests
 
 from wipcast import memory
 from wipcast.memory import (
     DeterministicEmbedder,
     EmbeddingError,
     MemoryDocument,
+    RemoteEmbedder,
     RetentionPolicy,
     StoryIndex,
     cosine,
@@ -587,3 +589,82 @@ def test_add_many_rejects_query_stories_and_foreign_dims(monday_example):
     with pytest.raises(ValueError):
         index.add_many([story, story], np.ones((1, 8)))
     assert len(index) == 1
+
+
+# --- remote embedder retries ---
+
+
+class EmbedResponse:
+    def __init__(self, status_code=200, body=None):
+        self.status_code = status_code
+        self._body = body
+
+    def raise_for_status(self):
+        if self.status_code >= 400:
+            raise requests.HTTPError(f"{self.status_code} Error", response=self)
+
+    def json(self):
+        if self._body is None:
+            raise ValueError("not json")
+        return self._body
+
+
+def _vectors(n):
+    return EmbedResponse(body={"data": [{"embedding": [1.0, float(i)]} for i in range(n)]})
+
+
+class EmbedSession:
+    def __init__(self, outcomes):
+        self.outcomes = list(outcomes)
+        self.posts = 0
+
+    def post(self, url, json=None, timeout=None):
+        self.posts += 1
+        outcome = self.outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    waited = []
+    monkeypatch.setattr(memory.time, "sleep", waited.append)
+    return waited
+
+
+@pytest.mark.parametrize("failure", [
+    EmbedResponse(500), EmbedResponse(503), EmbedResponse(408), EmbedResponse(429),
+    ConnectionError("reset"), requests.ConnectionError("refused"), requests.Timeout("slow"),
+])
+def test_remote_embedder_retries_transient_failures(failure, sleeps):
+    session = EmbedSession([failure, failure, _vectors(2)])
+    matrix = RemoteEmbedder("http://embed.test", session=session).embed_many(["a", "b"])
+    assert matrix.shape == (2, 2)
+    assert session.posts == 3
+    assert sleeps == [1.0, 2.0]  # the chat backend's defaults: 2 retries, doubling backoff
+
+
+@pytest.mark.parametrize("status", [500, 429])
+def test_remote_embedder_gives_up_after_bounded_retries(status, sleeps):
+    session = EmbedSession([EmbedResponse(status)] * 5)
+    with pytest.raises(EmbeddingError, match=str(status)):
+        RemoteEmbedder("http://embed.test", session=session).embed_many(["a"])
+    assert session.posts == 3
+
+
+@pytest.mark.parametrize("status", [400, 401, 404, 422])
+def test_remote_embedder_does_not_retry_client_errors(status, sleeps):
+    session = EmbedSession([EmbedResponse(status), _vectors(1)])
+    with pytest.raises(EmbeddingError, match=str(status)):
+        RemoteEmbedder("http://embed.test", session=session).embed_many(["a"])
+    assert session.posts == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("body", [None, {"nope": []}, {"data": [{"vector": [1.0]}]}, {"data": [{"embedding": "x"}]}])
+def test_remote_embedder_does_not_retry_malformed_payload(body, sleeps):
+    session = EmbedSession([EmbedResponse(body=body), _vectors(1)])
+    with pytest.raises(EmbeddingError, match="malformed"):
+        RemoteEmbedder("http://embed.test", session=session).embed_many(["a"])
+    assert session.posts == 1
