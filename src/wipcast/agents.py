@@ -282,10 +282,12 @@ def fuse(preds: Sequence[Prediction] | Mapping[str, Prediction], trend: TrendIns
          max_steps: int = 4, k: int = 5) -> ForecastReport:
     """Combine the three agent predictions into the final forecast.
 
-    Rules mode is pure arithmetic. React mode hands control to the backend
-    through a bounded tool loop; any failure, budget exhaustion, or an answer
-    straying beyond the agent envelope (10% of the spread, at least 1.0) drops
-    back to rules mode with the reason recorded in the rationale.
+    ``weights`` maps trend labels to per-agent weights; a label it does not
+    name keeps its DEFAULT_FUSION_WEIGHTS row. Rules mode is pure arithmetic.
+    React mode hands control to the backend through a bounded tool loop; any
+    failure, budget exhaustion, or an answer straying beyond the agent
+    envelope (10% of the spread, at least 1.0) drops back to rules mode with
+    the reason recorded in the rationale.
     """
     if isinstance(preds, Mapping):
         by_id = dict(preds)
@@ -294,7 +296,7 @@ def fuse(preds: Sequence[Prediction] | Mapping[str, Prediction], trend: TrendIns
     missing = [a for a in AGENT_IDS if a not in by_id]
     if missing or len(by_id) != len(AGENT_IDS):
         raise ValueError(f"need exactly one prediction per agent; missing: {missing}")
-    table = dict(DEFAULT_FUSION_WEIGHTS) if weights is None else dict(weights)
+    table = {**DEFAULT_FUSION_WEIGHTS, **(weights or {})}
     _check_weights(table)
     if mode == "rules":
         return _rules_fuse(by_id, trend, forecast_date, table)

@@ -11,12 +11,14 @@ Exit codes: 0 success, 1 processing error, 2 missing/invalid path or usage,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+from dataclasses import replace
 from datetime import date as Date
 from datetime import timedelta
 
-from .agents import fuse, predictor_predict, trend_analyze
+from .agents import _query_story
 from .config import (
     PipelineConfig,
     build_backend,
@@ -33,7 +35,10 @@ from .eventlog import (
     validate,
 )
 from .evaluation import (
+    _contextual_story,
+    default_split_date,
     emit_report,
+    forecast_day,
     load_predictions_csv,
     merge_traces,
     persistence_baseline,
@@ -41,18 +46,10 @@ from .evaluation import (
     rolling_forecast,
     summarize,
 )
-from .llm import AGENT_IDS, LlmError
+from .llm import LlmError
 from .memory import EmbeddingError, StoryIndex, load_snapshot, save_snapshot
-from .narrative import (
-    read_stories_jsonl,
-    render_contextual_story,
-    render_query_story,
-    render_windowed_story,
-    write_stories_jsonl,
-)
+from .narrative import GRANULARITIES, read_stories_jsonl, write_stories_jsonl
 from .wipseries import build_wip_series, export_wip_csv, load_wip_csv
-
-GRANULARITIES = ("daily", "weekday", "windowed")
 
 SERIES_FILE = "wip.csv"
 
@@ -89,21 +86,24 @@ def _detect_format(path: str, declared: str) -> str:
     raise ValueError(f"cannot infer log format from {path!r}; pass --format")
 
 
-def _day_stories(events, window: int):
-    """Query and contextual stories per granularity for days with a known
-    next-day close. Windowed stories require a full window, so that file
-    starts at the window-th day."""
+def _day_stories(series, window: int):
+    """Each day's query story and contextual story, per granularity, for days
+    with a known next-day close. Windowed stories require a full window, so
+    that file starts at the window-th day."""
+    events = series.events
     out = {g: [] for g in GRANULARITIES}
     for i in range(len(events) - 1):
-        next_close = float(events[i + 1].close)
-        for g in ("daily", "weekday"):
-            out[g].append(render_query_story(events[i], g))
-            out[g].append(render_contextual_story(events[i], next_close, g))
-        if i >= window - 1:
-            window_events = events[i - window + 1:i + 1]
-            out["windowed"].append(render_windowed_story(window_events))
-            out["windowed"].append(render_windowed_story(window_events, next_close=next_close))
+        for g in GRANULARITIES:
+            contextual = _contextual_story(events, i, g, window)
+            if contextual is not None:
+                out[g] += (_query_story(g, events[i], series, window), contextual)
     return out
+
+
+def _write_reports(path: str, reports) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for report in reports:
+            fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
 
 
 # --- subcommands ---
@@ -149,7 +149,7 @@ def cmd_stories(args, cfg: PipelineConfig) -> int:
     series = _load_series(args.out)
     if len(series.events) < 2:
         raise ValueError("need at least two days to render contextual stories")
-    stories = _day_stories(series.events, cfg.forecast.window)
+    stories = _day_stories(series, cfg.forecast.window)
     for g in GRANULARITIES:
         path = _stories_file(args.out, g)
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -186,51 +186,30 @@ def _load_or_build_indexes(args, cfg: PipelineConfig, series):
     if all(os.path.exists(p) for p in snapshots.values()):
         return {g: load_snapshot(path, provider=embedder, retention=cfg.forecast.retention())
                 for g, path in snapshots.items()}
-    stories = _day_stories(series.events, cfg.forecast.window)
+    stories = _day_stories(series, cfg.forecast.window)
     return {g: _build_index(stories[g], embedder, cfg) for g in GRANULARITIES}
 
 
 def cmd_forecast(args, cfg: PipelineConfig) -> int:
     series = _load_series(args.out)
-    events = series.events
-    if args.date is None:
-        current = events[-1]
-    else:
+    current = series.events[-1]
+    if args.date is not None:
         target = Date.fromisoformat(args.date)
-        by_date = {ev.date: ev for ev in events}
         wanted = target - timedelta(days=1)
-        if wanted not in by_date:
+        current = next((ev for ev in series.events if ev.date == wanted), None)
+        if current is None:
             raise ValueError(f"cannot forecast {target}: no series day at {wanted}")
-        current = by_date[wanted]
-    forecast_date = current.date + timedelta(days=1)
 
     indexes = _load_or_build_indexes(args, cfg, series)
-    backend = build_backend(cfg.backend)
-    agent_to_granularity = {"daily": "daily", "weekday": "weekday", "windowed": "windowed"}
-    preds = {
-        aid: predictor_predict(aid, current, series, indexes[agent_to_granularity[aid]],
-                               backend, cfg.forecast.k, cfg.forecast.window)
-        for aid in AGENT_IDS
-    }
-    closes = [ev.close for ev in events if ev.date <= current.date]
-    trend = trend_analyze(closes, window=cfg.forecast.trend_window,
-                          lookback=cfg.forecast.trend_lookback,
-                          thresholds=cfg.forecast.trend_thresholds)
-    report = fuse(preds, trend, forecast_date, index=indexes["daily"],
-                  backend=backend, mode=args.mode or cfg.forecast.fusion_mode,
-                  weights=cfg.forecast.fusion_weights, k=cfg.forecast.k)
+    report = forecast_day(current, series, indexes, build_backend(cfg.backend), cfg.forecast)
 
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "forecast.jsonl")
-    import json
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
-
-    print(f"forecast for {forecast_date}: {report.final_value:.2f} "
-          f"(mode={report.mode}, trend={trend.label})")
-    for aid in AGENT_IDS:
-        print(f"  {aid}: {preds[aid].value:.2f}")
+    _write_reports(path, [report])
+    print(f"forecast for {report.date}: {report.final_value:.2f} "
+          f"(mode={report.mode}, trend={report.trend.label})")
+    for aid, pred in report.agent_predictions.items():
+        print(f"  {aid}: {pred.value:.2f}")
     print(f"wrote {path}")
     return 0
 
@@ -242,15 +221,9 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     elif cfg.split_date:
         split = Date.fromisoformat(cfg.split_date)
     else:
-        from .evaluation import default_split_date
-
         split = default_split_date(series, cfg.test_fraction)
 
     params = cfg.forecast
-    if args.mode and args.mode != params.fusion_mode:
-        from dataclasses import replace
-
-        params = replace(params, fusion_mode=args.mode)
     backend = build_backend(cfg.backend)
     embedder = build_embedder(cfg.embedder)
 
@@ -259,16 +232,10 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     baseline = persistence_baseline(series, split_date=split)
     merged = merge_traces(result.trace, baseline)
 
-    freeze = args.freeze_timestamps or cfg.freeze_timestamps
     paths = emit_report(merged, args.out, rolling_window=params.trend_window,
-                        freeze_timestamps=freeze, split_note=f"split={split}")
-
-    import json
-
+                        freeze_timestamps=cfg.freeze_timestamps, split_note=f"split={split}")
     reports_path = os.path.join(args.out, "forecast_reports.jsonl")
-    with open(reports_path, "w", encoding="utf-8", newline="") as fh:
-        for report in result.reports:
-            fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
+    _write_reports(reports_path, result.reports)
 
     print(f"evaluated {len(result.reports)} days after split {split}")
     print(f"{'source':<16} {'mape':>8} {'mae':>8} {'n':>4} {'skipped':>8}")
@@ -286,9 +253,8 @@ def cmd_plot(args, cfg: PipelineConfig) -> int:
                    "run `wipcast evaluate` first")
     with open(src, encoding="utf-8") as fh:
         trace = load_predictions_csv(fh)
-    freeze = args.freeze_timestamps or cfg.freeze_timestamps
     svg = render_report_svg(trace, rolling_window=cfg.forecast.trend_window,
-                            freeze_timestamps=freeze)
+                            freeze_timestamps=cfg.freeze_timestamps)
     path = os.path.join(args.out, "report.svg")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(svg)
@@ -353,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_config(args) -> PipelineConfig:
+    """The config file (or defaults) with the command-line overrides applied."""
     if args.config:
         _require(args.config, "config file")
         with open(args.config, encoding="utf-8") as fh:
@@ -360,9 +327,12 @@ def _effective_config(args) -> PipelineConfig:
     else:
         cfg = PipelineConfig()
     if args.backend and args.backend != cfg.backend.kind:
-        from dataclasses import replace
-
         cfg = replace(cfg, backend=replace(cfg.backend, kind=args.backend))
+    mode = getattr(args, "mode", None)  # only forecast and evaluate take --mode
+    if mode and mode != cfg.forecast.fusion_mode:
+        cfg = replace(cfg, forecast=replace(cfg.forecast, fusion_mode=mode))
+    if args.freeze_timestamps:
+        cfg = replace(cfg, freeze_timestamps=True)
     if args.out is None:
         args.out = cfg.out_dir
     return cfg

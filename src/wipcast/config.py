@@ -12,8 +12,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import IO, Mapping
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
-from .agents import DEFAULT_FUSION_WEIGHTS, TREND_LABELS
-from .llm import AGENT_IDS
+from .agents import _check_weights
 from .memory import DeterministicEmbedder, RemoteEmbedder, RetentionPolicy
 from .wipseries import GAP_POLICIES, LifecycleConfig
 
@@ -91,22 +90,11 @@ class ForecastParams:
         if self.fusion_mode not in ("rules", "react"):
             raise ValueError(f"unknown fusion mode: {self.fusion_mode}")
         if self.fusion_weights is not None:
-            for label, row in self.fusion_weights.items():
-                if label not in TREND_LABELS:
-                    raise ValueError(f"unknown trend label in weights: {label}")
-                if set(row) != set(AGENT_IDS):
-                    raise ValueError(f"weights for {label} must cover {AGENT_IDS}")
-                if any(w < 0 for w in row.values()):
-                    raise ValueError(f"weights for {label} must be nonnegative")
-                if abs(sum(row.values()) - 1.0) > 1e-9:
-                    raise ValueError(f"weights for {label} must sum to 1")
+            _check_weights(self.fusion_weights)
 
     def retention(self) -> RetentionPolicy:
         return RetentionPolicy(max_age_days=self.max_age_days,
                                min_similarity=self.min_similarity)
-
-    def weights(self) -> dict[str, dict[str, float]]:
-        return self.fusion_weights if self.fusion_weights is not None else DEFAULT_FUSION_WEIGHTS
 
 
 @dataclass(frozen=True)

@@ -16,22 +16,21 @@ from __future__ import annotations
 import csv
 import io
 import os
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import date as Date
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from typing import Mapping
 
 from .agents import ForecastReport, fuse, predictor_predict, trend_analyze
 from .config import ForecastParams
 from .llm import AGENT_IDS, StubBackend
 from .memory import DeterministicEmbedder, StoryIndex
 from .narrative import render_contextual_story, render_windowed_story
-from .wipseries import WipSeries
+from .wipseries import WipEvent, WipSeries
 
 SOURCES = ("multi_agent", "daily_only", "weekday_only", "windowed_only", "persistence")
-
-GRANULARITIES = ("daily", "weekday", "windowed")
 
 PREDICTIONS_HEADER = ["date", "source", "actual", "predicted"]
 METRICS_HEADER = ["source", "mape", "mae", "n", "skipped"]
@@ -176,18 +175,43 @@ def _contextual_story(events, i: int, granularity: str, window: int):
     return render_contextual_story(events[i], next_close, granularity)
 
 
+def forecast_day(current: WipEvent, series: WipSeries, indexes: Mapping[str, StoryIndex],
+                 backend, params: ForecastParams) -> ForecastReport:
+    """Forecast the close of the day after ``current``.
+
+    Each predictor queries its own granularity's index as of the forecast
+    day, so the indexes may also hold later stories. The trend analyst reads
+    the last ``trend_lookback`` closes up to ``current``, and fusion combines
+    the three values. Predictors run inline, in AGENT_IDS order, unless the
+    backend says it is I/O-bound (``io_bound``, as RemoteChatBackend does);
+    only then do they fan out to a short-lived thread pool.
+    """
+    calls = {aid: (aid, current, series, indexes[aid], backend, params.k, params.window)
+             for aid in AGENT_IDS}
+    if getattr(backend, "io_bound", False):
+        with ThreadPoolExecutor(max_workers=len(AGENT_IDS)) as pool:
+            futures = {aid: pool.submit(predictor_predict, *call) for aid, call in calls.items()}
+            preds = {aid: fut.result() for aid, fut in futures.items()}
+    else:
+        preds = {aid: predictor_predict(*call) for aid, call in calls.items()}
+    end = bisect_right(series.events, current.date, key=lambda ev: ev.date)
+    closes = [ev.close for ev in series.events[max(0, end - params.trend_lookback):end]]
+    trend = trend_analyze(closes, window=params.trend_window, lookback=params.trend_lookback,
+                          thresholds=params.trend_thresholds)
+    return fuse(preds, trend, forecast_date=current.date + timedelta(days=1),
+                index=indexes["daily"], backend=backend, mode=params.fusion_mode,
+                weights=params.fusion_weights, k=params.k)
+
+
 def rolling_forecast(series: WipSeries, split_date: Date | None = None,
                      params: ForecastParams | None = None,
                      backend=None, embedder=None) -> RollingForecastResult:
     """Forecast every day after split_date with memory grown walk-forward.
 
-    At each step the three predictors run against their own granularity's
-    index, their values are recorded as the ablation traces, and the same
-    Prediction objects feed fusion for the multi-agent trace. Predictors run
-    inline, in AGENT_IDS order, unless the backend says it is I/O-bound
-    (``io_bound``, as RemoteChatBackend does); only then do they fan out to a
-    thread pool. An index may be empty early on (e.g. a window longer than
-    the history before the split); its agents then get no examples.
+    Each step is one :func:`forecast_day`; each predictor's own value is
+    recorded as an ablation trace, from the same Prediction objects that fed
+    fusion. An index may be empty early on (e.g. a window longer than the
+    history before the split); its agent then gets no examples.
     """
     if params is None:
         params = ForecastParams()
@@ -204,59 +228,40 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
     s = _split_index(series, split_date, min_before=14)
 
     indexes = {g: StoryIndex(provider=embedder, retention=params.retention())
-               for g in GRANULARITIES}
+               for g in AGENT_IDS}
 
     entries: list[TraceEntry] = []
     reports: list[ForecastReport] = []
     audit: list[StepAudit] = []
     next_story = 0
 
-    fan_out = getattr(backend, "io_bound", False)
-    with ThreadPoolExecutor(max_workers=len(AGENT_IDS)) if fan_out else nullcontext() as pool:
-        for j in range(s, len(events)):
-            while next_story < j:
-                for g in GRANULARITIES:
-                    story = _contextual_story(events, next_story, g, params.window)
-                    if story is not None:
-                        indexes[g].add_story(story)
-                next_story += 1
+    for j in range(s, len(events)):
+        while next_story < j:
+            for g in AGENT_IDS:
+                story = _contextual_story(events, next_story, g, params.window)
+                if story is not None:
+                    indexes[g].add_story(story)
+            next_story += 1
 
-            target_day = events[j].date
-            sizes = {g: len(indexes[g]) for g in GRANULARITIES}
-            max_dates = {g: indexes[g].newest_date for g in GRANULARITIES}
-            for g, newest in max_dates.items():
-                if newest is not None and newest >= target_day:
-                    raise RuntimeError(
-                        f"memory leak: {g} index holds a story dated {newest} "
-                        f"while forecasting {target_day}"
-                    )
-            audit.append(StepAudit(date=target_day, corpus_sizes=sizes,
-                                   max_story_dates=max_dates))
+        target_day = events[j].date
+        sizes = {g: len(indexes[g]) for g in AGENT_IDS}
+        max_dates = {g: indexes[g].newest_date for g in AGENT_IDS}
+        for g, newest in max_dates.items():
+            if newest is not None and newest >= target_day:
+                raise RuntimeError(
+                    f"memory leak: {g} index holds a story dated {newest} "
+                    f"while forecasting {target_day}"
+                )
+        audit.append(StepAudit(date=target_day, corpus_sizes=sizes,
+                               max_story_dates=max_dates))
 
-            current = events[j - 1]
-            calls = {aid: (aid, current, series, indexes[aid], backend, params.k, params.window)
-                     for aid in AGENT_IDS}
-            if pool is None:
-                preds = {aid: predictor_predict(*call) for aid, call in calls.items()}
-            else:
-                futures = {aid: pool.submit(predictor_predict, *call)
-                           for aid, call in calls.items()}
-                preds = {aid: fut.result() for aid, fut in futures.items()}
-            closes = [ev.close for ev in events[max(0, j - params.trend_lookback):j]]
-            trend = trend_analyze(closes, window=params.trend_window,
-                                  lookback=params.trend_lookback,
-                                  thresholds=params.trend_thresholds)
-            report = fuse(preds, trend, forecast_date=target_day,
-                          index=indexes["daily"], backend=backend,
-                          mode=params.fusion_mode, weights=params.fusion_weights,
-                          k=params.k)
-            reports.append(report)
+        report = forecast_day(events[j - 1], series, indexes, backend, params)
+        reports.append(report)
 
-            actual = float(events[j].close)
-            entries.append(TraceEntry(target_day, "multi_agent", actual, report.final_value))
-            entries.append(TraceEntry(target_day, "daily_only", actual, preds["daily"].value))
-            entries.append(TraceEntry(target_day, "weekday_only", actual, preds["weekday"].value))
-            entries.append(TraceEntry(target_day, "windowed_only", actual, preds["windowed"].value))
+        actual = float(events[j].close)
+        entries.append(TraceEntry(target_day, "multi_agent", actual, report.final_value))
+        for aid, pred in report.agent_predictions.items():
+            entries.append(TraceEntry(target_day, f"{aid}_only", actual, pred.value))
 
     entries.sort(key=lambda e: (_source_rank(e.source), e.date))
     return RollingForecastResult(trace=PredictionTrace(entries=tuple(entries)),

@@ -127,6 +127,8 @@ def parse_timestamp(text: str, fmt: str | None = None) -> datetime:
 
     Accepts ISO 8601 (with ``Z`` or numeric offsets) when ``fmt`` is None,
     otherwise uses the given ``strptime`` format. Naive values are taken as UTC.
+    Raises ValueError for text that does not parse, or whose UTC value falls
+    outside the years 1-9999.
     """
     text = text.strip()
     if fmt is not None:
@@ -136,7 +138,10 @@ def parse_timestamp(text: str, fmt: str | None = None) -> datetime:
         parsed = datetime.fromisoformat(iso)
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.astimezone(timezone.utc)
+    try:
+        return parsed.astimezone(timezone.utc)
+    except OverflowError as exc:
+        raise ValueError(f"timestamp {text!r} is out of range in UTC") from exc
 
 
 def _has_gzip_magic(stream: IO[bytes]) -> bool:
@@ -317,45 +322,53 @@ def parse_csv(
 ) -> EventLog:
     """Parse CSV input (header row required, UTF-8 if bytes) into an :class:`EventLog`.
 
-    Bytes may be gzip; they are decompressed and decoded as rows are read.
-    Unmapped columns become string attributes; empty cells are dropped. Rows
+    Bytes may be gzip; they are decompressed and decoded as rows are read,
+    and bytes that are not UTF-8 raise :class:`EventLogError` naming the
+    line. Unmapped columns become string attributes; empty cells are dropped. Rows
     with an unparseable timestamp or a blank case/activity are skipped with a
     diagnostic.
     """
     with _open_text(stream, source_name) as text:
         reader = csv.DictReader(text)
-        header = reader.fieldnames or []
-        required = [mapping.case, mapping.activity, mapping.timestamp]
-        if mapping.lifecycle:
-            required.append(mapping.lifecycle)
-        missing = [col for col in required if col not in header]
-        if missing:
-            raise MappingError(f"{source_name}: mapped column(s) not in header: {', '.join(missing)}")
-
-        core = {mapping.case, mapping.activity, mapping.timestamp, mapping.lifecycle}
-        events: list[Event] = []
-        diagnostics: list[str] = []
-        seen = 0
-        for i, row in enumerate(reader, start=2):
-            seen += 1
-            case_id = (row.get(mapping.case) or "").strip()
-            activity = (row.get(mapping.activity) or "").strip()
-            raw_ts = (row.get(mapping.timestamp) or "").strip()
-            if not case_id or not activity:
-                diagnostics.append(f"row {i}: empty case or activity, skipped")
-                continue
-            try:
-                ts = parse_timestamp(raw_ts, mapping.timestamp_format)
-            except ValueError:
-                diagnostics.append(f"row {i}: unparseable timestamp {raw_ts!r}, skipped")
-                continue
-            lifecycle = None
+        try:
+            header = reader.fieldnames or []
+            required = [mapping.case, mapping.activity, mapping.timestamp]
             if mapping.lifecycle:
-                lifecycle = (row.get(mapping.lifecycle) or "").strip() or None
-            attrs: dict[str, Scalar] = {
-                k: v for k, v in row.items() if k not in core and v is not None and v != ""
-            }
-            events.append(Event(case_id, activity, ts, lifecycle, attrs))
+                required.append(mapping.lifecycle)
+            missing = [col for col in required if col not in header]
+            if missing:
+                raise MappingError(f"{source_name}: mapped column(s) not in header: {', '.join(missing)}")
+
+            core = {mapping.case, mapping.activity, mapping.timestamp, mapping.lifecycle}
+            events: list[Event] = []
+            diagnostics: list[str] = []
+            seen = 0
+            for i, row in enumerate(reader, start=2):
+                seen += 1
+                case_id = (row.get(mapping.case) or "").strip()
+                activity = (row.get(mapping.activity) or "").strip()
+                raw_ts = (row.get(mapping.timestamp) or "").strip()
+                if not case_id or not activity:
+                    diagnostics.append(f"row {i}: empty case or activity, skipped")
+                    continue
+                try:
+                    ts = parse_timestamp(raw_ts, mapping.timestamp_format)
+                except ValueError:
+                    diagnostics.append(f"row {i}: unparseable timestamp {raw_ts!r}, skipped")
+                    continue
+                lifecycle = None
+                if mapping.lifecycle:
+                    lifecycle = (row.get(mapping.lifecycle) or "").strip() or None
+                attrs: dict[str, Scalar] = {
+                    k: v for k, v in row.items() if k not in core and v is not None and v != ""
+                }
+                events.append(Event(case_id, activity, ts, lifecycle, attrs))
+        except UnicodeDecodeError as exc:
+            # The text layer decodes ahead of the rows: lines the reader has
+            # taken, plus the line breaks before the bad byte in this chunk.
+            line = reader.line_num + exc.object.count(b"\n", 0, exc.start) + 1
+            raise EventLogError(f"{source_name}: line {line} is not valid UTF-8 "
+                                f"({exc.reason})") from exc
 
     for msg in diagnostics:
         logger.warning("%s: %s", source_name, msg)

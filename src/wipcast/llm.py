@@ -19,7 +19,10 @@ from dataclasses import dataclass, field
 from datetime import date as Date, datetime, timezone
 from typing import IO
 
-AGENT_IDS = ("daily", "weekday", "windowed")
+from .narrative import GRANULARITIES
+
+# One predictor agent per story granularity, named after it.
+AGENT_IDS = GRANULARITIES
 
 PREDICTION_RE = re.compile(r"PREDICTION:\s*(-?\d+(?:\.\d+)?)")
 NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from wipcast import memory
+from wipcast.agents import DEFAULT_FUSION_WEIGHTS
 from wipcast.cli import main
 from wipcast.eventlog import export_csv
 from wipcast.memory import DeterministicEmbedder, RemoteEmbedder
@@ -443,3 +444,101 @@ def test_unknown_timezone_exits_1(tmp_path, log_path, capsys):
     assert main(["ingest", log_path, "--config", str(config), "--out", str(tmp_path)]) == 1
     assert "Mars/Olympus_Mons" in capsys.readouterr().err
     assert not (tmp_path / "wip.csv").exists()
+
+
+# --- ingest edge cases ---
+
+
+def test_ingest_skips_a_timestamp_out_of_range_in_utc(tmp_path):
+    path = tmp_path / "early.csv"
+    path.write_text("case,activity,timestamp\n"
+                    "c1,A,2024-01-01T09:00:00Z\n"
+                    "c2,A,0001-01-01T00:00:00+01:00\n")
+    assert main(["ingest", str(path), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "wip.csv", encoding="utf-8") as fh:
+        assert len(load_wip_csv(fh).events) == 1
+
+
+def test_ingest_csv_that_is_not_utf8_exits_1_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("case,activity,timestamp\nc1,Café,2024-01-01T09:00:00Z\n".encode("latin-1"))
+    assert main(["ingest", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "latin1.csv: line 2 is not valid UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "wip.csv").exists()
+
+
+# --- fusion weights ---
+
+
+def test_evaluate_with_a_partial_fusion_weight_table(tmp_path, workspace):
+    # labels the table leaves out keep their default rows
+    out = tmp_path / "run"
+    out.mkdir()
+    shutil.copy(os.path.join(workspace, "wip.csv"), out / "wip.csv")
+    cfg_path = tmp_path / "weights.json"
+    row = {"daily": 0.5, "weekday": 0.25, "windowed": 0.25}
+    table = {"increasing_significantly": row}
+    cfg_path.write_text(json.dumps({"forecast": {"fusion_weights": table}}))
+    assert main(["evaluate", "--out", str(out), "--config", str(cfg_path),
+                 "--freeze-timestamps"]) == 0
+    records = [json.loads(line) for line in read_lines(out / "forecast_reports.jsonl")]
+    weights = {r["trend_label"]: r["rationale"].split("weights ")[1] for r in records}
+    assert weights.pop("increasing_significantly") == "daily=0.5, weekday=0.25, windowed=0.25"
+    assert weights  # some days had another trend label
+    for label, text in weights.items():
+        assert text == ", ".join(f"{a}={w:.4g}" for a, w in DEFAULT_FUSION_WEIGHTS[label].items())
+
+
+# --- forecast and evaluate share one step ---
+
+
+@pytest.fixture(scope="module")
+def golden_log_run(tmp_path_factory):
+    """The `log` golden workload ingested twice, one copy with index snapshots,
+    plus the forecast_reports.jsonl lines of `evaluate` in each fusion mode."""
+    base = tmp_path_factory.mktemp("parity")
+    log_file = base / "log.csv"
+    log_file.write_text(export_csv(synthetic_event_log(240, seed=11, span_days=90)))
+    bare, indexed = str(base / "bare"), str(base / "indexed")
+    for argv in (["ingest", str(log_file), "--out", bare],
+                 ["ingest", str(log_file), "--out", indexed],
+                 ["stories", "--out", indexed],
+                 ["index", "--out", indexed]):
+        assert main(argv) == 0
+    with open(os.path.join(bare, "wip.csv"), encoding="utf-8") as fh:
+        split = load_wip_csv(fh).events[30].date
+    reports = {}
+    for mode in ("rules", "react"):
+        assert main(["evaluate", "--out", bare, "--mode", mode, "--split", split.isoformat(),
+                     "--freeze-timestamps"]) == 0
+        reports[mode] = read_lines(os.path.join(bare, "forecast_reports.jsonl"))
+    return bare, indexed, reports
+
+
+@pytest.mark.parametrize("snapshots", [False, True])
+@pytest.mark.parametrize("mode", ["rules", "react"])
+def test_forecast_writes_the_evaluate_record_for_its_day(golden_log_run, mode, snapshots):
+    bare, indexed, reports = golden_log_run
+    out = indexed if snapshots else bare
+    lines = reports[mode]
+    assert len(lines) == 59
+    for line in lines[::10] + lines[-1:]:
+        day = json.loads(line)["date"]
+        assert main(["forecast", "--out", out, "--date", day, "--mode", mode]) == 0
+        assert read_lines(os.path.join(out, "forecast.jsonl")) == [line]
+
+
+# sha256 of the `stories` files for the `log` golden workload, recorded when
+# each stage rendered its own stories; every row must stay byte for byte.
+STORY_DIGESTS = {
+    "daily": "7425a6ab1e884b49c65ddf70ff89420969ae36c60b98feaa6f9f77af672f00c2",
+    "weekday": "b761d6d7dddefc88ce7a6b82303eb1448e3a9b80bf7670b6d36d99d0138b7240",
+    "windowed": "1a4355403aa447c49210d51b12cb85e6af111afa1ec8657e689539a7d109e7a9",
+}
+
+
+def test_stories_files_are_unchanged(golden_log_run):
+    _, indexed, _ = golden_log_run
+    for g, digest in STORY_DIGESTS.items():
+        with open(os.path.join(indexed, f"stories_{g}.jsonl"), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, g

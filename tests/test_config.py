@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from wipcast.agents import DEFAULT_FUSION_WEIGHTS, TREND_LABELS
 from wipcast.config import (
     BackendConfig,
     EmbedderConfig,
@@ -99,9 +100,9 @@ def test_custom_weights_reject_unknown_label():
 def test_weights_within_tolerance_accepted():
     row = {"daily": 1 / 3, "weekday": 1 / 3, "windowed": 1 / 3}
     params = ForecastParams(fusion_weights={"stable": row})
-    assert params.weights()["stable"] == row
-    # default table covers all five labels when no override is given
-    assert set(ForecastParams().weights()) == {
+    assert params.fusion_weights["stable"] == row
+    # the default table, which fills labels an override leaves out, covers all five
+    assert set(DEFAULT_FUSION_WEIGHTS) == set(TREND_LABELS) == {
         "stable", "increasing", "decreasing",
         "increasing_significantly", "decreasing_significantly",
     }

@@ -9,6 +9,7 @@ from datetime import date, timedelta
 import pytest
 
 from wipcast import evaluation
+from wipcast.agents import trend_analyze
 from wipcast.config import ForecastParams
 from wipcast.evaluation import (
     MetricsSummary,
@@ -16,6 +17,7 @@ from wipcast.evaluation import (
     TraceEntry,
     default_split_date,
     emit_report,
+    forecast_day,
     load_predictions_csv,
     mae,
     mape,
@@ -27,7 +29,8 @@ from wipcast.evaluation import (
     rolling_forecast,
     summarize,
 )
-from wipcast.llm import LoggingBackend, RemoteChatBackend, RunLogger, StubBackend
+from wipcast.llm import AGENT_IDS, LoggingBackend, RemoteChatBackend, RunLogger, StubBackend
+from wipcast.memory import DeterministicEmbedder, StoryIndex
 from wipcast.synthetic import synthetic_event_log, synthetic_series
 from wipcast.wipseries import WipSeries, wip_event
 
@@ -389,6 +392,30 @@ def test_rolling_remote_backend_fans_predictors_out(logged, tmp_path):
     assert len(result.reports) == 2
     assert session.calls == 6
     assert session.max_in_flight >= 2
+
+
+def _empty_indexes():
+    return {aid: StoryIndex(provider=DeterministicEmbedder()) for aid in AGENT_IDS}
+
+
+def test_forecast_day_fans_a_remote_backend_out():
+    session = SlowSession()
+    backend = RemoteChatBackend("http://llm.test", "m", session=session, backoff=0.0)
+    series = synthetic_series(20, seed=3)
+    report = forecast_day(series.events[-1], series, _empty_indexes(), backend,
+                          ForecastParams())
+    assert report.date == series.events[-1].date + timedelta(days=1)
+    assert session.calls == 3
+    assert session.max_in_flight >= 2
+
+
+def test_forecast_day_trend_reads_only_closes_up_to_the_current_day():
+    series = synthetic_series(40, seed=2)
+    params = ForecastParams(trend_lookback=10, trend_window=3)
+    for i in (0, 5, 20, 39):
+        report = forecast_day(series.events[i], series, _empty_indexes(), StubBackend(), params)
+        closes = [ev.close for ev in series.events[:i + 1]]
+        assert report.trend == trend_analyze(closes, window=3, lookback=10)
 
 
 # --- report emission ---

@@ -16,6 +16,7 @@ from wipcast.eventlog import (
     ColumnMapping,
     CorruptGzipError,
     EmptyLogError,
+    EventLogError,
     MappingError,
     XesParseError,
     export_csv,
@@ -463,3 +464,59 @@ def test_parsers_leave_the_callers_stream_open(packed, nine_event_xes):
     parse_xes(xes_buf, source_name="open.xes")
     gc.collect()  # a dropped text wrapper closes its buffer when collected
     assert not csv_buf.closed and not xes_buf.closed
+
+
+# --- timestamps out of range and undecodable bytes ---
+
+
+@pytest.mark.parametrize("text, fmt", [
+    ("0001-01-01T00:00:00+01:00", None),
+    ("9999-12-31T23:30:00-01:00", None),
+    ("0001-01-01 00:00:00 +0100", "%Y-%m-%d %H:%M:%S %z"),
+])
+def test_parse_timestamp_out_of_range_in_utc_is_a_value_error(text, fmt):
+    with pytest.raises(ValueError, match="out of range"):
+        parse_timestamp(text, fmt)
+
+
+def test_parse_csv_skips_a_timestamp_out_of_range_in_utc():
+    rows = csv_document(NINE_EVENTS[:2]).splitlines()
+    rows.insert(2, "caseX,Early,0001-01-01T00:00:00+01:00")
+    log = parse_csv("\n".join(rows) + "\n", CSV_MAPPING, source_name="early.csv")
+    assert [(e.case_id, e.activity, e.timestamp) for e in log.events] == NINE_EVENTS[:2]
+    assert log.source_meta.skipped == 1
+    assert log.source_meta.diagnostics == (
+        "row 3: unparseable timestamp '0001-01-01T00:00:00+01:00', skipped",)
+
+
+def test_parse_xes_keeps_a_timestamp_out_of_range_in_utc_as_a_string():
+    doc = xes_document({"c1": [("A", datetime(2024, 1, 1, 9, tzinfo=timezone.utc))]})
+    doc = doc.replace("</trace>", '<event><string key="concept:name" value="Early"/>'
+                                  '<date key="time:timestamp" value="0001-01-01T00:00:00+01:00"/>'
+                                  '<string key="org:resource" value="r1"/></event></trace>')
+    log = parse_xes(doc.encode(), source_name="early.xes")
+    assert [e.activity for e in log.events] == ["A"]
+    assert log.source_meta.skipped == 1
+    assert log.source_meta.diagnostics == (
+        "case 'c1': event 'Early' without parseable time:timestamp skipped",)
+
+
+def _latin1_csv(n_rows: int, bad_row: int, crlf: bool = False) -> bytes:
+    """A CSV whose data row ``bad_row`` (counting the header as row 1) holds a Latin-1 byte."""
+    end = b"\r\n" if crlf else b"\n"
+    lines = [b"case,activity,ts,note"]
+    for i in range(2, n_rows + 2):
+        note = b"caf\xe9" if i == bad_row else b"cafe"
+        lines.append(b"c%d,A,2024-01-01T00:00:00Z,%s" % (i, note))
+    return end.join(lines) + end
+
+
+@pytest.mark.parametrize("n_rows, bad_row, crlf", [(1, 2, False), (3000, 2500, True)])
+@pytest.mark.parametrize("packed", [False, True])
+def test_parse_csv_names_the_file_and_line_of_bytes_that_are_not_utf8(
+        n_rows, bad_row, crlf, packed):
+    data = _latin1_csv(n_rows, bad_row, crlf)
+    with pytest.raises(EventLogError) as info:
+        parse_csv(gzip.compress(data) if packed else data, CSV_MAPPING, source_name="latin.csv")
+    assert str(info.value) == (f"latin.csv: line {bad_row} is not valid UTF-8 "
+                               "(invalid continuation byte)")
