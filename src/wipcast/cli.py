@@ -35,7 +35,7 @@ from .eventlog import (
     validate,
 )
 from .evaluation import (
-    _contextual_story,
+    contextual_stories,
     default_split_date,
     emit_report,
     forecast_day,
@@ -90,13 +90,11 @@ def _day_stories(series, window: int):
     """Each day's query story and contextual story, per granularity, for days
     with a known next-day close. Windowed stories require a full window, so
     that file starts at the window-th day."""
-    events = series.events
-    out = {g: [] for g in GRANULARITIES}
-    for i in range(len(events) - 1):
-        for g in GRANULARITIES:
-            contextual = _contextual_story(events, i, g, window)
-            if contextual is not None:
-                out[g] += (_query_story(g, events[i], series, window), contextual)
+    out = {}
+    for g in GRANULARITIES:
+        days, contextual = contextual_stories(series.events, g, window)
+        out[g] = [story for i, ctx in zip(days, contextual)
+                  for story in (_query_story(g, series.events[i], series, window), ctx)]
     return out
 
 
@@ -186,8 +184,9 @@ def _load_or_build_indexes(args, cfg: PipelineConfig, series):
     if all(os.path.exists(p) for p in snapshots.values()):
         return {g: load_snapshot(path, provider=embedder, retention=cfg.forecast.retention())
                 for g, path in snapshots.items()}
-    stories = _day_stories(series, cfg.forecast.window)
-    return {g: _build_index(stories[g], embedder, cfg) for g in GRANULARITIES}
+    return {g: _build_index(contextual_stories(series.events, g, cfg.forecast.window)[1],
+                            embedder, cfg)
+            for g in GRANULARITIES}
 
 
 def cmd_forecast(args, cfg: PipelineConfig) -> int:

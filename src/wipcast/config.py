@@ -8,8 +8,9 @@ backends read their API key from an environment variable named in the config.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
-from typing import IO, Mapping
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import IO, Mapping, Union, get_args, get_origin, get_type_hints
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .agents import _check_weights
@@ -117,33 +118,48 @@ class PipelineConfig:
             raise ValueError("test_fraction must be in (0, 1)")
 
 
-_SECTIONS = {"input": InputConfig, "forecast": ForecastParams,
-             "embedder": EmbedderConfig, "backend": BackendConfig}
+def _matches(value, hint) -> bool:
+    """Whether a JSON value fits a declared type. An int counts as a float, a
+    bool as neither, and a list as a tuple."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        return any(_matches(value, arg) for arg in args)
+    if origin is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_matches, value, args)))
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _matches(k, args[0]) and _matches(v, args[1]) for k, v in value.items())
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _build_section(cls, data: Mapping):
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+def _build(cls, data: Mapping, prefix: str = ""):
+    """``cls`` from parsed JSON, its sections built the same way. A key that
+    ``cls`` has no field for, or a value that does not fit its field's
+    declared type, is a ValueError naming the key."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{prefix.rstrip('.') or 'config'} must be a JSON object, got {data!r}")
+    declared = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(declared)
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    kwargs = dict(data)
-    if cls is ForecastParams and "trend_thresholds" in kwargs:
-        kwargs["trend_thresholds"] = tuple(kwargs["trend_thresholds"])
+        raise ValueError(f"unknown {cls.__name__ if prefix else 'config'} keys: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for key, value in data.items():
+        if is_dataclass(hints[key]):
+            value = _build(hints[key], value, f"{prefix}{key}.")
+        elif not _matches(value, hints[key]):
+            raise ValueError(f"config key {prefix}{key} must be {declared[key]}, got {value!r}")
+        elif isinstance(value, list):  # only a tuple field takes a list
+            value = tuple(value)
+        kwargs[key] = value
     return cls(**kwargs)
 
 
 def config_from_dict(data: Mapping) -> PipelineConfig:
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _SECTIONS:
-            kwargs[key] = _build_section(_SECTIONS[key], value)
-        else:
-            kwargs[key] = value
-    return PipelineConfig(**kwargs)
+    return _build(PipelineConfig, data)
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:

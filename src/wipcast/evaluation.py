@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date as Date
@@ -175,6 +175,17 @@ def _contextual_story(events, i: int, granularity: str, window: int):
     return render_contextual_story(events[i], next_close, granularity)
 
 
+def contextual_stories(events, granularity: str, window: int):
+    """Day indexes and contextual stories of one granularity, days ``0..n-2``."""
+    days, stories = [], []
+    for i in range(len(events) - 1):
+        story = _contextual_story(events, i, granularity, window)
+        if story is not None:
+            days.append(i)
+            stories.append(story)
+    return days, stories
+
+
 def forecast_day(current: WipEvent, series: WipSeries, indexes: Mapping[str, StoryIndex],
                  backend, params: ForecastParams) -> ForecastReport:
     """Forecast the close of the day after ``current``.
@@ -208,6 +219,9 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
                      backend=None, embedder=None) -> RollingForecastResult:
     """Forecast every day after split_date with memory grown walk-forward.
 
+    Each granularity's contextual stories are embedded up front in one call;
+    before the step that forecasts day j, one ``add_many`` per index adds the
+    rows of the days before j that it lacks, so doc ids follow day order.
     Each step is one :func:`forecast_day`; each predictor's own value is
     recorded as an ablation trace, from the same Prediction objects that fed
     fusion. An index may be empty early on (e.g. a window longer than the
@@ -230,18 +244,18 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
     indexes = {g: StoryIndex(provider=embedder, retention=params.retention())
                for g in AGENT_IDS}
 
+    rows = {}
+    for g in AGENT_IDS:
+        days, stories = contextual_stories(events, g, params.window)
+        rows[g] = days, stories, embedder.embed_many([s.text for s in stories])
     entries: list[TraceEntry] = []
     reports: list[ForecastReport] = []
     audit: list[StepAudit] = []
-    next_story = 0
 
     for j in range(s, len(events)):
-        while next_story < j:
-            for g in AGENT_IDS:
-                story = _contextual_story(events, next_story, g, params.window)
-                if story is not None:
-                    indexes[g].add_story(story)
-            next_story += 1
+        for g, (days, stories, matrix) in rows.items():
+            held, end = len(indexes[g]), bisect_left(days, j)
+            indexes[g].add_many(stories[held:end], matrix[held:end])
 
         target_day = events[j].date
         sizes = {g: len(indexes[g]) for g in AGENT_IDS}

@@ -89,13 +89,6 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.events)
 
-    def case_ids(self) -> list[str]:
-        """Distinct case ids in order of first appearance."""
-        seen: dict[str, None] = {}
-        for ev in self.events:
-            seen.setdefault(ev.case_id, None)
-        return list(seen)
-
 
 @dataclass(frozen=True)
 class ColumnMapping:

@@ -17,7 +17,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 from datetime import date as Date, datetime, timezone
-from typing import IO
 
 from .narrative import GRANULARITIES
 
@@ -301,7 +300,3 @@ class LoggingBackend:
             raise
         self.run_logger.log(req, resp)
         return resp
-
-
-def write_jsonl_line(fp: IO[str], record: dict) -> None:
-    fp.write(json.dumps(record, sort_keys=True) + "\n")

@@ -236,12 +236,11 @@ class StoryIndex:
     """Flat cosine index over contextual stories with a strict as-of cutoff.
 
     Rows (embedding, norm, date ordinal, doc_id) live in capacity-doubling
-    arrays in insertion order. ``add`` only records the document; the next
-    ``retrieve`` folds everything added since into the arrays in one batch.
-    ``add_many`` writes a whole batch of rows at once. A re-added doc_id
-    overwrites its row. One writer or many readers at a
-    time. Ties on similarity prefer the more recent story date, then the
-    smaller doc_id.
+    arrays in insertion order. :meth:`add_many` is the one way rows get in:
+    it writes a batch of stories with their embeddings, and a re-added doc_id
+    overwrites its row. ``retrieve`` scores the filled rows as they stand.
+    One writer or many readers at a time. Ties on similarity prefer the more
+    recent story date, then the smaller doc_id.
     """
 
     def __init__(self, provider=None, retention: RetentionPolicy | None = None):
@@ -252,7 +251,6 @@ class StoryIndex:
         self._next_id = 0
         self._newest: Date | None = None
         self._lock = threading.Lock()
-        self._pending: dict[int, MemoryDocument] = {}
         self._row_of: dict[int, int] = {}
         self._rows = 0
         self._matrix = np.empty((0, 0))
@@ -272,33 +270,14 @@ class StoryIndex:
     def __len__(self) -> int:
         return len(self._docs)
 
-    def add(self, doc: MemoryDocument) -> None:
-        """Insert a document; a duplicate doc_id replaces the prior entry."""
-        if self._dim is None:
-            self._dim = doc.embedding.shape[0]
-        elif doc.embedding.shape[0] != self._dim:
-            raise ValueError(
-                f"embedding dim {doc.embedding.shape[0]} does not match index dim {self._dim}"
-            )
-        with self._lock:
-            replaced = self._docs.get(doc.doc_id)
-            self._docs[doc.doc_id] = doc
-            self._pending[doc.doc_id] = doc
-            self._next_id = max(self._next_id, doc.doc_id + 1)
-            day = doc.story.date
-            if replaced is not None and replaced.story.date > day:
-                self._newest = max(d.story.date for d in self._docs.values())
-            elif self._newest is None or day > self._newest:
-                self._newest = day
-
     def add_many(self, stories: Sequence[Story], embeddings,
                  doc_ids: Sequence[int] | None = None) -> None:
         """Insert contextual stories with one embedding row each, in one batch.
 
         Checks the whole matrix once instead of each document on its own and
         fills the row arrays directly, in input order. Ids default to the next
-        free ones. As with :meth:`add`, a later row whose doc_id is already
-        present replaces the earlier entry and keeps its row.
+        free ones. A row whose doc_id is already present replaces the earlier
+        entry and keeps its row.
         """
         if not stories:
             return
@@ -318,8 +297,6 @@ class StoryIndex:
         last = {int(doc_id): i for i, doc_id in enumerate(doc_ids)}
         keep = list(last.values())
         with self._lock:
-            if self._pending:
-                self._fold_pending()
             self._dim = dim
             for doc_id, i in last.items():
                 self._docs[doc_id] = MemoryDocument._checked(stories[i], matrix[i], doc_id)
@@ -328,36 +305,13 @@ class StoryIndex:
             self._next_id = max(self._next_id, max(last) + 1)
             self._newest = Date.fromordinal(int(self._dates[:self._rows].max()))
 
-    def add_story(self, story: Story, doc_id: int | None = None) -> MemoryDocument:
+    def add_story(self, story: Story) -> MemoryDocument:
         """Embed a contextual story with the index's provider and insert it."""
-        if self.provider is None:
-            raise ValueError("index has no embedding provider; use add() with a document")
-        if doc_id is None:
-            doc_id = self._next_id
-        doc = MemoryDocument(story=story, embedding=self.provider.embed(story.text), doc_id=doc_id)
-        self.add(doc)
-        return doc
+        self.add_many([story], [self.provider.embed(story.text)])
+        return self._docs[self._next_id - 1]
 
     def documents(self) -> list[MemoryDocument]:
         return [self._docs[i] for i in sorted(self._docs)]
-
-    def _fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Move pending documents into the row arrays in one batch.
-
-        Returns views of the filled rows: embeddings, norms, date ordinals, ids.
-        """
-        with self._lock:
-            if self._pending:
-                self._fold_pending()
-            n = self._rows
-            return self._matrix[:n], self._norms[:n], self._dates[:n], self._ids[:n]
-
-    def _fold_pending(self) -> None:
-        docs = list(self._pending.values())
-        self._pending.clear()
-        block = np.stack([doc.embedding for doc in docs])
-        self._put([doc.doc_id for doc in docs], block, np.linalg.norm(block, axis=1),
-                  [doc.story.date.toordinal() for doc in docs])
 
     def _put(self, doc_ids: list[int], block: np.ndarray, norms: np.ndarray,
              ordinals: list[int]) -> None:
@@ -403,7 +357,8 @@ class StoryIndex:
             return []
         if self._dim is not None and qvec.shape[0] != self._dim:
             raise ValueError(f"query dim {qvec.shape[0]} does not match index dim {self._dim}")
-        matrix, norms, dates, ids = self._fold()
+        n = self._rows
+        matrix, norms, dates, ids = self._matrix[:n], self._norms[:n], self._dates[:n], self._ids[:n]
 
         cutoff = as_of.toordinal()
         mask = dates < cutoff

@@ -140,3 +140,9 @@ def make_log(rows: list[tuple[str, str, datetime]], name: str = "mem.csv") -> Ev
 
 def make_event(case_id: str, activity: str, ts: datetime) -> Event:
     return Event(case_id=case_id, activity=activity, timestamp=ts)
+
+
+def add_docs(index, docs) -> None:
+    """Insert MemoryDocuments into a StoryIndex in one add_many, keeping their doc_ids."""
+    docs = list(docs)
+    index.add_many([d.story for d in docs], [d.embedding for d in docs], [d.doc_id for d in docs])

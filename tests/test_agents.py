@@ -22,7 +22,7 @@ from wipcast.memory import DeterministicEmbedder, MemoryDocument, StoryIndex
 from wipcast.narrative import Story, render_contextual_story
 from wipcast.wipseries import WipSeries, wip_event
 
-from conftest import random_wip_event
+from conftest import add_docs, random_wip_event
 
 
 class ScriptedBackend:
@@ -259,7 +259,8 @@ def test_predictor_equal_similarities_mean(monday_example):
     for i, target in enumerate(targets):
         story = Story(text=base.text, kind="contextual", granularity="daily",
                       date=date(2024, 2, 1) + timedelta(days=i), target=float(target))
-        index.add(MemoryDocument(story=story, embedding=provider.embed(story.text), doc_id=i))
+        add_docs(index, [MemoryDocument(story=story, embedding=provider.embed(story.text),
+                                        doc_id=i)])
     history = make_history(monday_example.date, 10)
     pred = predictor_predict("daily", monday_example, history, index, StubBackend())
     assert pred.value == pytest.approx(70.0, abs=1e-9)

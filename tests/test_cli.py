@@ -289,6 +289,17 @@ def test_config_invalid_key_exits_1(tmp_path, log_path):
                  "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("section, key", [({"k": "5"}, "forecast.k"),
+                                          ({"trend_thresholds": 0.5}, "forecast.trend_thresholds")])
+def test_config_value_of_the_wrong_type_exits_1_naming_the_key(tmp_path, log_path, capsys,
+                                                              section, key):
+    cfg_path = tmp_path / "pipeline.json"
+    cfg_path.write_text(json.dumps({"forecast": section}))
+    assert main(["ingest", log_path, "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert f"error: config key {key} must be " in capsys.readouterr().err
+    assert not (tmp_path / "wip.csv").exists()
+
+
 def test_backend_remote_without_endpoint_exits_1(workspace):
     assert main(["forecast", "--out", workspace, "--backend", "remote"]) == 1
 
@@ -394,9 +405,11 @@ class EmbeddingSession:
     def __init__(self):
         self.embedder = DeterministicEmbedder()
         self.posts = 0
+        self.batches = []
 
     def post(self, url, json=None, timeout=None):
         self.posts += 1
+        self.batches.append(json["input"])
         rows = self.embedder.embed_many(json["input"])
         body = {"data": [{"embedding": row.tolist()} for row in rows]}
         return type("Response", (), {"raise_for_status": lambda self: None,
@@ -414,6 +427,29 @@ def test_index_embeds_once_per_granularity(tmp_path, workspace, monkeypatch):
     for g in ("daily", "weekday", "windowed"):  # same vectors as the local embedder
         assert read_lines(out / f"index_{g}.jsonl") == read_lines(
             os.path.join(workspace, f"index_{g}.jsonl"))
+
+
+def test_evaluate_embeds_each_contextual_story_once(tmp_path, workspace, monkeypatch):
+    local, remote = tmp_path / "local", tmp_path / "remote"
+    for out in (local, remote):
+        shutil.copytree(workspace, out)
+    assert main(["evaluate", "--out", str(local), "--freeze-timestamps"]) == 0
+    session = EmbeddingSession()
+    monkeypatch.setattr("wipcast.cli.build_embedder",
+                        lambda cfg: RemoteEmbedder("http://embed.test", session=session))
+    assert main(["evaluate", "--out", str(remote), "--freeze-timestamps"]) == 0
+
+    contextual = [json.loads(line)["text"]
+                  for g in ("daily", "weekday", "windowed")
+                  for line in read_lines(os.path.join(workspace, f"stories_{g}.jsonl"))
+                  if json.loads(line)["kind"] == "contextual"]
+    posted = [text for batch in session.batches for text in batch]
+    assert sorted(t for t in posted if t in set(contextual)) == sorted(contextual)
+    batches = [batch for batch in session.batches if len(batch) > 1]
+    assert len(batches) == 3  # one per granularity; query embeds post one text each
+    assert sorted(t for batch in batches for t in batch) == sorted(contextual)
+    for name in ("predictions.csv", "forecast_reports.jsonl"):  # same vectors, same outputs
+        assert read_lines(remote / name) == read_lines(local / name)
 
 
 # --- input timezone ---

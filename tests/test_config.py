@@ -67,6 +67,42 @@ def test_unknown_section_key_rejected():
         config_from_dict({"forecast": {"k": 5, "quux": 1}})
 
 
+@pytest.mark.parametrize("data, key", [
+    ({"forecast": {"k": "5"}}, "forecast.k"),
+    ({"forecast": {"k": True}}, "forecast.k"),
+    ({"forecast": {"trend_thresholds": 0.5}}, "forecast.trend_thresholds"),
+    ({"forecast": {"trend_thresholds": [0.01, "0.05"]}}, "forecast.trend_thresholds"),
+    ({"forecast": {"trend_thresholds": [0.01]}}, "forecast.trend_thresholds"),
+    ({"forecast": {"fusion_weights": {"stable": {"daily": "1"}}}}, "forecast.fusion_weights"),
+    ({"test_fraction": "0.2"}, "test_fraction"),
+    ({"freeze_timestamps": 1}, "freeze_timestamps"),
+    ({"split_date": 20240601}, "split_date"),
+    ({"backend": {"timeout": True}}, "backend.timeout"),
+])
+def test_value_of_the_wrong_type_rejected_naming_the_key(data, key):
+    with pytest.raises(ValueError, match=f"config key {key} must be "):
+        config_from_dict(data)
+
+
+def test_config_and_sections_must_be_objects():
+    with pytest.raises(ValueError, match="forecast must be a JSON object"):
+        config_from_dict({"forecast": 5})
+    for text in ("5", "null", "[1]"):
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            load_config(text)
+
+
+def test_values_of_the_declared_types_accepted():
+    cfg = config_from_dict({
+        "forecast": {"k": 3, "trend_thresholds": [0.02, 0.1], "max_age_days": None,
+                     "min_similarity": 0, "fusion_weights": {"stable": {
+                         "daily": 1, "weekday": 0, "windowed": 0.0}}},
+        "backend": {"timeout": 5}, "test_fraction": 0.25, "split_date": None,
+    })
+    assert cfg.forecast.trend_thresholds == (0.02, 0.1)
+    assert (cfg.forecast.k, cfg.backend.timeout, cfg.test_fraction) == (3, 5, 0.25)
+
+
 def test_positive_numerics_enforced():
     for field in ("k", "window", "trend_window", "trend_lookback"):
         with pytest.raises(ValueError):

@@ -38,7 +38,7 @@ from wipcast.eventlog import export_csv
 from wipcast.narrative import render_contextual_story, render_query_story
 from wipcast.synthetic import synthetic_event_log
 
-from conftest import random_wip_event
+from conftest import add_docs, random_wip_event
 
 
 def oracle_retrieve(docs, query_vec, as_of, k, retention=None):
@@ -159,10 +159,10 @@ def test_index_add_and_replace(monday_example):
     emb = DeterministicEmbedder()
     story = render_contextual_story(monday_example, 71)
     index = StoryIndex(provider=emb)
-    index.add(MemoryDocument(story=story, embedding=emb.embed(story.text), doc_id=7))
+    add_docs(index, [MemoryDocument(story=story, embedding=emb.embed(story.text), doc_id=7)])
     assert len(index) == 1
     other = render_contextual_story(monday_example, 40)
-    index.add(MemoryDocument(story=other, embedding=emb.embed(other.text), doc_id=7))
+    add_docs(index, [MemoryDocument(story=other, embedding=emb.embed(other.text), doc_id=7)])
     assert len(index) == 1
     assert index.documents()[0].story.target == 40.0
 
@@ -170,9 +170,9 @@ def test_index_add_and_replace(monday_example):
 def test_index_rejects_dim_mismatch(monday_example):
     story = render_contextual_story(monday_example, 71)
     index = StoryIndex()
-    index.add(MemoryDocument(story=story, embedding=np.ones(8), doc_id=0))
+    add_docs(index, [MemoryDocument(story=story, embedding=np.ones(8), doc_id=0)])
     with pytest.raises(ValueError):
-        index.add(MemoryDocument(story=story, embedding=np.ones(9), doc_id=1))
+        add_docs(index, [MemoryDocument(story=story, embedding=np.ones(9), doc_id=1)])
 
 
 def test_retrieve_respects_causality_everywhere():
@@ -180,8 +180,7 @@ def test_retrieve_respects_causality_everywhere():
     emb = DeterministicEmbedder()
     docs = build_corpus(rng, 60, emb)
     index = StoryIndex(provider=emb)
-    for doc in docs:
-        index.add(doc)
+    add_docs(index, docs)
     for _ in range(25):
         as_of = date(2024, 1, 1) + timedelta(days=rng.randint(0, 70))
         ev = random_wip_event(rng, as_of)
@@ -204,8 +203,7 @@ def test_retrieve_whole_corpus_when_k_exceeds_it():
     emb = DeterministicEmbedder()
     docs = build_corpus(rng, 4, emb)
     index = StoryIndex(provider=emb)
-    for doc in docs:
-        index.add(doc)
+    add_docs(index, docs)
     ev = random_wip_event(rng, date(2024, 3, 1))
     results = index.retrieve(render_query_story(ev), date(2024, 3, 1), k=50)
     assert len(results) == 4
@@ -219,8 +217,7 @@ def test_retrieve_matches_oracle_on_random_corpora():
         rng = random.Random(1000 + trial)
         docs = build_corpus(rng, rng.randint(5, 120), emb)
         index = StoryIndex(provider=emb)
-        for doc in docs:
-            index.add(doc)
+        add_docs(index, docs)
         for _ in range(25):
             as_of = date(2024, 1, 1) + timedelta(days=rng.randint(0, 130))
             qvec = emb.embed(render_query_story(random_wip_event(rng, as_of)).text)
@@ -256,16 +253,15 @@ def test_index_interleaved_adds_and_queries_match_oracle():
             assert [g[1] for g in got] == pytest.approx([w[1] for w in want], abs=1e-9)
 
     def add(doc):
-        index.add(doc)
+        add_docs(index, [doc])
         live[doc.doc_id] = doc
         check()
 
-    # add -> retrieve -> add -> retrieve, several rows pending at once too
+    # add -> retrieve -> add -> retrieve, then several rows in one batch
     for doc in corpus[:6]:
         add(doc)
-    for doc in corpus[6:10]:
-        index.add(doc)
-        live[doc.doc_id] = doc
+    add_docs(index, corpus[6:10])
+    live.update((doc.doc_id, doc) for doc in corpus[6:10])
     check()
 
     # replace a doc_id an earlier query returned, moving it to an older date
@@ -287,8 +283,7 @@ def test_index_interleaved_adds_and_queries_match_oracle():
 
     # add_story continues after the largest id ever added
     fresh = StoryIndex(provider=emb)
-    fresh.add(corpus[7])
-    fresh.add(corpus[3])
+    add_docs(fresh, [corpus[7], corpus[3]])
     assert fresh.add_story(corpus[20].story).doc_id == 8
     assert index.add_story(corpus[39].story).doc_id == 31
     live[31] = MemoryDocument(story=corpus[39].story, embedding=corpus[39].embedding, doc_id=31)
@@ -296,7 +291,7 @@ def test_index_interleaved_adds_and_queries_match_oracle():
 
 
 
-def test_index_concurrent_readers_fold_pending_rows_once():
+def test_index_concurrent_readers_get_the_oracle_results():
     rng = random.Random(9)
     emb = DeterministicEmbedder()
     docs = build_corpus(rng, 200, emb)
@@ -309,8 +304,7 @@ def test_index_concurrent_readers_fold_pending_rows_once():
     try:
         for _ in range(20):
             index = StoryIndex(provider=emb)
-            for doc in docs:
-                index.add(doc)  # every row still pending when the readers start
+            add_docs(index, docs)
             start = threading.Barrier(8)
 
             def read():
@@ -363,8 +357,7 @@ def test_retrieve_prefix_consistency():
     emb = DeterministicEmbedder()
     docs = build_corpus(rng, 40, emb)
     index = StoryIndex(provider=emb)
-    for doc in docs:
-        index.add(doc)
+    add_docs(index, docs)
     qvec = emb.embed(render_query_story(random_wip_event(rng, date(2024, 2, 20))).text)
     long = index.retrieve(qvec, date(2024, 2, 20), k=12)
     short = index.retrieve(qvec, date(2024, 2, 20), k=4)
@@ -379,7 +372,8 @@ def test_exact_ties_prefer_recent_then_small_id(monday_example):
     for doc_id, day in [(4, date(2024, 1, 1)), (1, date(2024, 1, 3)), (2, date(2024, 1, 3))]:
         story = type(base)(text=base.text, kind=base.kind, granularity=base.granularity,
                            date=day, target=base.target)
-        index.add(MemoryDocument(story=story, embedding=emb.embed(story.text), doc_id=doc_id))
+        add_docs(index, [MemoryDocument(story=story, embedding=emb.embed(story.text),
+                                        doc_id=doc_id)])
     results = index.retrieve(render_query_story(monday_example), date(2024, 2, 1), k=3)
     assert [r.document.doc_id for r in results] == [1, 2, 4]
 
@@ -390,8 +384,7 @@ def test_retention_max_age_filters_old_docs():
     docs = build_corpus(rng, 30, emb)
     policy = RetentionPolicy(max_age_days=7)
     index = StoryIndex(provider=emb, retention=policy)
-    for doc in docs:
-        index.add(doc)
+    add_docs(index, docs)
     as_of = date(2024, 1, 25)
     qvec = emb.embed(render_query_story(random_wip_event(rng, as_of)).text)
     results = index.retrieve(qvec, as_of, k=30)
@@ -407,12 +400,12 @@ def test_retention_min_similarity_drops_low_scores(monday_example):
     emb = DeterministicEmbedder()
     index = StoryIndex(provider=emb, retention=RetentionPolicy(min_similarity=0.999))
     near = render_contextual_story(monday_example, 71)
-    index.add(MemoryDocument(story=near, embedding=emb.embed(near.text), doc_id=0))
+    add_docs(index, [MemoryDocument(story=near, embedding=emb.embed(near.text), doc_id=0)])
     query = render_query_story(monday_example)
     hits = index.retrieve(query, date(2024, 4, 1), k=5)
     assert len(hits) <= 1
     loose = StoryIndex(provider=emb, retention=RetentionPolicy(min_similarity=-1.0))
-    loose.add(MemoryDocument(story=near, embedding=emb.embed(near.text), doc_id=0))
+    add_docs(loose, [MemoryDocument(story=near, embedding=emb.embed(near.text), doc_id=0)])
     assert len(loose.retrieve(query, date(2024, 4, 1), k=5)) == 1
 
 
@@ -427,8 +420,7 @@ def test_hundred_docs_all_retrievable():
     emb = DeterministicEmbedder()
     docs = build_corpus(rng, 100, emb)
     index = StoryIndex(provider=emb)
-    for doc in docs:
-        index.add(doc)
+    add_docs(index, docs)
     assert len(index) == 100
     qvec = emb.embed("The WiP items opened at 1.")
     results = index.retrieve(qvec, date(2030, 1, 1), k=1000)
@@ -441,8 +433,7 @@ def test_snapshot_round_trip():
     emb = DeterministicEmbedder()
     docs = build_corpus(rng, 12, emb)
     index = StoryIndex(provider=emb)
-    for doc in docs:
-        index.add(doc)
+    add_docs(index, docs)
     buf = io.StringIO()
     assert save_index(index, buf) == 12
     buf.seek(0)
@@ -460,7 +451,8 @@ def test_snapshot_round_trip():
 
 def rows_of(index):
     """The index's row arrays, in row order: embeddings, norms, date ordinals, ids."""
-    return index._fold()
+    n = index._rows
+    return index._matrix[:n], index._norms[:n], index._dates[:n], index._ids[:n]
 
 
 def assert_same_index(a, b):
@@ -530,9 +522,9 @@ def test_add_many_matches_sequential_adds_with_duplicate_ids():
     ids = list(range(20)) + [3, 20, 21, 8, 22, 23, 3, 24, 25, 26]
     one_by_one = StoryIndex(provider=emb)
     for doc, doc_id in zip(docs, ids):
-        one_by_one.add(MemoryDocument(story=doc.story, embedding=doc.embedding, doc_id=doc_id))
+        one_by_one.add_many([doc.story], [doc.embedding], [doc_id])
     batched = StoryIndex(provider=emb)
-    batched.add(docs[0])  # pending rows fold before the batch
+    add_docs(batched, docs[:1])  # a batch after an earlier one
     batched.add_many([d.story for d in docs], np.stack([d.embedding for d in docs]), ids)
     assert_same_index(batched, one_by_one)
     assert len(batched) == 27
@@ -558,8 +550,7 @@ def test_load_index_rejects_bad_embeddings(bad):
     rng = random.Random(13)
     emb = DeterministicEmbedder()
     index = StoryIndex(provider=emb)
-    for doc in build_corpus(rng, 6, emb):
-        index.add(doc)
+    add_docs(index, build_corpus(rng, 6, emb))
     buf = io.StringIO()
     save_index(index, buf)
     lines = []
