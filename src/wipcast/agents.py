@@ -322,7 +322,6 @@ def fuse(preds: Sequence[Prediction] | Mapping[str, Prediction], trend: TrendIns
             structured_context=StructuredContext(
                 agent_predictions=dict(known), trend_label=trend_label, tools=REACT_TOOLS
             ),
-            max_steps=max_steps,
         )
         try:
             resp: ChatResponse = backend.chat(req)

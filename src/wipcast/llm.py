@@ -9,14 +9,13 @@ number.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import statistics
 import threading
 import time
-from dataclasses import dataclass, field
-from datetime import date as Date, datetime, timezone
+from dataclasses import dataclass
+from datetime import date as Date
 
 from .narrative import GRANULARITIES
 
@@ -63,10 +62,6 @@ class RetrievedExample:
     target: float
     similarity: float
 
-    def to_dict(self) -> dict:
-        return {"date": self.date.isoformat(), "target": self.target,
-                "similarity": self.similarity}
-
 
 @dataclass(frozen=True)
 class StructuredContext:
@@ -78,20 +73,6 @@ class StructuredContext:
     trend_label: str | None = None
     tools: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        out: dict = {}
-        if self.retrieved is not None:
-            out["retrieved"] = [ex.to_dict() for ex in self.retrieved]
-        if self.current_close is not None:
-            out["current_close"] = self.current_close
-        if self.agent_predictions is not None:
-            out["agent_predictions"] = dict(sorted(self.agent_predictions.items()))
-        if self.trend_label is not None:
-            out["trend_label"] = self.trend_label
-        if self.tools:
-            out["tools"] = list(self.tools)
-        return out
-
 
 @dataclass(frozen=True)
 class ChatRequest:
@@ -99,7 +80,6 @@ class ChatRequest:
     user_text: str
     structured_context: StructuredContext | None = None
     deterministic: bool = True
-    max_steps: int = 4
 
 
 @dataclass(frozen=True)
@@ -250,53 +230,3 @@ class RemoteChatBackend:
                 raise ResponseFormatError("empty completion text")
             return ChatResponse(text=text, backend_id=self.backend_id)
         raise BackendUnavailable(str(last_error), retries=self.retries)
-
-
-@dataclass
-class RunLogger:
-    """Appends every prompt/response pair to a JSON-lines audit file."""
-
-    path: str
-    freeze_timestamps: bool = False
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def _now(self) -> str:
-        if self.freeze_timestamps:
-            return "1970-01-01T00:00:00+00:00"
-        return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-    def log(self, req: ChatRequest, resp: ChatResponse | None, error: str | None = None) -> None:
-        record = {
-            "ts": self._now(),
-            "system_text": req.system_text,
-            "user_text": req.user_text,
-            "structured_context": (
-                req.structured_context.to_dict() if req.structured_context else None
-            ),
-            "response_text": resp.text if resp else None,
-            "backend_id": resp.backend_id if resp else None,
-            "error": error,
-        }
-        line = json.dumps(record, sort_keys=True)
-        with self._lock:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-
-
-class LoggingBackend:
-    """Wraps any backend so every exchange lands in the run log."""
-
-    def __init__(self, inner, run_logger: RunLogger):
-        self.inner = inner
-        self.run_logger = run_logger
-        self.backend_id = inner.backend_id
-        self.io_bound = getattr(inner, "io_bound", False)
-
-    def chat(self, req: ChatRequest) -> ChatResponse:
-        try:
-            resp = self.inner.chat(req)
-        except LlmError as exc:
-            self.run_logger.log(req, None, error=str(exc))
-            raise
-        self.run_logger.log(req, resp)
-        return resp

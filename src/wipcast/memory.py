@@ -23,7 +23,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .llm import RETRYABLE_4XX
-from .narrative import Story, story_from_dict, story_numbers, story_to_dict
+from .narrative import Story, parse_jsonl, story_from_dict, story_numbers, story_to_dict
 
 logger = logging.getLogger(__name__)
 
@@ -179,27 +179,15 @@ class RemoteEmbedder:
 
 @dataclass(frozen=True)
 class MemoryDocument:
-    """One contextual story with its embedding, keyed by a stable doc_id."""
+    """One stored contextual story with its embedding row, keyed by doc_id.
+
+    A plain record: :meth:`StoryIndex.add_many` checks the story and the
+    embedding once, before it builds the document.
+    """
 
     story: Story
     embedding: np.ndarray = field(compare=False, repr=False)
     doc_id: int = 0
-
-    def __post_init__(self):
-        vec = np.asarray(self.embedding, dtype=float)
-        if vec.ndim != 1:
-            raise ValueError("embedding must be one-dimensional")
-        _check_rows([self.story], vec[None, :])
-        object.__setattr__(self, "embedding", vec)
-
-    @classmethod
-    def _checked(cls, story: Story, embedding: np.ndarray, doc_id: int) -> MemoryDocument:
-        """Build a document whose story and embedding :func:`_check_rows` passed."""
-        doc = object.__new__(cls)
-        object.__setattr__(doc, "story", story)
-        object.__setattr__(doc, "embedding", embedding)
-        object.__setattr__(doc, "doc_id", doc_id)
-        return doc
 
 
 def _check_rows(stories: Sequence[Story], matrix: np.ndarray) -> np.ndarray:
@@ -235,12 +223,12 @@ class RetentionPolicy:
 class StoryIndex:
     """Flat cosine index over contextual stories with a strict as-of cutoff.
 
-    Rows (embedding, norm, date ordinal, doc_id) live in capacity-doubling
-    arrays in insertion order. :meth:`add_many` is the one way rows get in:
-    it writes a batch of stories with their embeddings, and a re-added doc_id
-    overwrites its row. ``retrieve`` scores the filled rows as they stand.
-    One writer or many readers at a time. Ties on similarity prefer the more
-    recent story date, then the smaller doc_id.
+    Append-only. Rows (embedding, norm, date ordinal, doc_id) live in
+    capacity-doubling arrays in insertion order and are never rewritten.
+    :meth:`add_many` is the one way rows get in and the one place they are
+    checked; each doc_id is held at most once. ``retrieve`` scores the filled
+    rows as they stand. One writer or many readers at a time. Ties on
+    similarity prefer the more recent story date, then the smaller doc_id.
     """
 
     def __init__(self, provider=None, retention: RetentionPolicy | None = None):
@@ -251,7 +239,6 @@ class StoryIndex:
         self._next_id = 0
         self._newest: Date | None = None
         self._lock = threading.Lock()
-        self._row_of: dict[int, int] = {}
         self._rows = 0
         self._matrix = np.empty((0, 0))
         self._norms = np.empty(0)
@@ -272,12 +259,12 @@ class StoryIndex:
 
     def add_many(self, stories: Sequence[Story], embeddings,
                  doc_ids: Sequence[int] | None = None) -> None:
-        """Insert contextual stories with one embedding row each, in one batch.
+        """Append contextual stories with one embedding row each, in one batch.
 
-        Checks the whole matrix once instead of each document on its own and
-        fills the row arrays directly, in input order. Ids default to the next
-        free ones. A row whose doc_id is already present replaces the earlier
-        entry and keeps its row.
+        The one check rows get: a finite, nonzero row of the index's dim per
+        contextual story, and doc_ids neither repeated in the batch nor held
+        already. A failing batch raises ValueError before anything is written.
+        Ids default to the next free ones.
         """
         if not stories:
             return
@@ -289,21 +276,32 @@ class StoryIndex:
             doc_ids = range(self._next_id, self._next_id + len(stories))
         elif len(doc_ids) != len(stories):
             raise ValueError(f"got {len(doc_ids)} doc_ids for {len(stories)} stories")
+        ids = [int(doc_id) for doc_id in doc_ids]
         dim = matrix.shape[1]
         if self._dim is not None and dim != self._dim:
             raise ValueError(f"embedding dim {dim} does not match index dim {self._dim}")
         norms = _check_rows(stories, matrix)
-        # Keys in first-occurrence order, each mapped to its last occurrence.
-        last = {int(doc_id): i for i, doc_id in enumerate(doc_ids)}
-        keep = list(last.values())
+        dates = [story.date.toordinal() for story in stories]
         with self._lock:
+            seen: set[int] = set()
+            for doc_id in ids:
+                if doc_id in seen or doc_id in self._docs:
+                    raise ValueError(f"doc_id {doc_id} is repeated: an index holds each doc_id once")
+                seen.add(doc_id)
             self._dim = dim
-            for doc_id, i in last.items():
-                self._docs[doc_id] = MemoryDocument._checked(stories[i], matrix[i], doc_id)
-            self._put(list(last), matrix[keep], norms[keep],
-                      [stories[i].date.toordinal() for i in keep])
-            self._next_id = max(self._next_id, max(last) + 1)
-            self._newest = Date.fromordinal(int(self._dates[:self._rows].max()))
+            start, stop = self._rows, self._rows + len(ids)
+            if stop > len(self._ids):
+                self._grow(max(stop, 2 * len(self._ids)))
+            self._matrix[start:stop] = matrix
+            self._norms[start:stop] = norms
+            self._dates[start:stop] = dates
+            self._ids[start:stop] = ids
+            for story, row, doc_id in zip(stories, matrix, ids):
+                self._docs[doc_id] = MemoryDocument(story=story, embedding=row, doc_id=doc_id)
+            self._rows = stop  # readers see the batch only once it is whole
+            self._next_id = max(self._next_id, max(ids) + 1)
+            newest = Date.fromordinal(max(dates))
+            self._newest = newest if self._newest is None else max(self._newest, newest)
 
     def add_story(self, story: Story) -> MemoryDocument:
         """Embed a contextual story with the index's provider and insert it."""
@@ -312,23 +310,6 @@ class StoryIndex:
 
     def documents(self) -> list[MemoryDocument]:
         return [self._docs[i] for i in sorted(self._docs)]
-
-    def _put(self, doc_ids: list[int], block: np.ndarray, norms: np.ndarray,
-             ordinals: list[int]) -> None:
-        """Write rows for distinct doc_ids: a held id keeps its row, a new one appends."""
-        rows = []
-        for doc_id in doc_ids:
-            row = self._row_of.get(doc_id)
-            if row is None:
-                row = self._row_of[doc_id] = self._rows
-                self._rows += 1
-            rows.append(row)
-        if self._rows > len(self._ids):
-            self._grow(max(self._rows, 2 * len(self._ids)))
-        self._matrix[rows] = block
-        self._norms[rows] = norms
-        self._dates[rows] = ordinals
-        self._ids[rows] = doc_ids
 
     def _grow(self, capacity: int) -> None:
         if not len(self._ids):
@@ -386,31 +367,36 @@ class StoryIndex:
 
 def save_index(index: StoryIndex, fp: IO[str]) -> int:
     """Write the index as JSON lines, one document per line, doc_id ascending."""
-    count = 0
-    for doc in index.documents():
+    docs = index.documents()
+    for doc in docs:
         record = story_to_dict(doc.story)
         record["doc_id"] = doc.doc_id
         record["embedding"] = doc.embedding.tolist()
         del record["kind"]  # snapshots hold contextual stories only
         fp.write(json.dumps(record, sort_keys=True) + "\n")
-        count += 1
-    return count
+    return len(docs)
+
+
+def _snapshot_row(record: dict) -> tuple[Story, list, int]:
+    embedding = record.pop("embedding")
+    doc_id = int(record.pop("doc_id"))
+    record["kind"] = "contextual"  # snapshots hold contextual stories only
+    return story_from_dict(record), embedding, doc_id
 
 
 def load_index(fp: IO[str], provider=None, retention: RetentionPolicy | None = None) -> StoryIndex:
-    """Rebuild an index from a JSON-lines snapshot written by :func:`save_index`."""
-    stories, rows, doc_ids = [], [], []
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        rows.append(record.pop("embedding"))
-        doc_ids.append(int(record.pop("doc_id")))
-        record["kind"] = "contextual"
-        stories.append(story_from_dict(record))
+    """Rebuild an index from a JSON-lines snapshot written by :func:`save_index`.
+
+    A malformed line or a doc_id that appears twice raises ValueError naming
+    the file.
+    """
+    rows = parse_jsonl(fp, _snapshot_row, "a snapshot record")
+    stories, embeddings, doc_ids = list(zip(*rows)) or ((), (), ())
     index = StoryIndex(provider=provider, retention=retention)
-    index.add_many(stories, rows, doc_ids)
+    try:
+        index.add_many(stories, embeddings, doc_ids)
+    except ValueError as exc:
+        raise ValueError(f"{getattr(fp, 'name', '<stream>')}: {exc}") from exc
     return index
 
 
@@ -486,9 +472,9 @@ def load_snapshot(path: str, provider=None, retention: RetentionPolicy | None = 
     otherwise parses the JSON lines with :func:`load_index`.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    index = _load_sidecar(path, _sha256(data), provider, retention)
+        digest = _sha256(fh.read())
+    index = _load_sidecar(path, digest, provider, retention)
     if index is None:
-        index = load_index(io.StringIO(data.decode("utf-8"), newline=None),
-                           provider=provider, retention=retention)
+        with open(path, encoding="utf-8") as fh:
+            index = load_index(fh, provider=provider, retention=retention)
     return index

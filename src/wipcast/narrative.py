@@ -185,5 +185,19 @@ def write_stories_jsonl(stories: Iterable[Story], fp: IO[str]) -> int:
     return count
 
 
+def parse_jsonl(fp: IO[str], parse, what: str) -> list:
+    """``parse`` of each JSON line of ``fp``; a bad line raises ValueError naming file and line."""
+    out = []
+    for lineno, line in enumerate(fp, 1):
+        if not line.strip():
+            continue
+        try:
+            out.append(parse(json.loads(line)))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{getattr(fp, 'name', '<stream>')}, line {lineno}: not {what} "
+                             f"({type(exc).__name__}: {exc})") from exc
+    return out
+
+
 def read_stories_jsonl(fp: IO[str]) -> list[Story]:
-    return [story_from_dict(json.loads(line)) for line in fp if line.strip()]
+    return parse_jsonl(fp, story_from_dict, "a story record")

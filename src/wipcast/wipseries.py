@@ -123,14 +123,6 @@ class WipSeries:
     def __len__(self) -> int:
         return len(self.events)
 
-    def closes(self) -> list[int]:
-        return [ev.close for ev in self.events]
-
-    def by_date(self, day: Date) -> WipEvent:
-        for ev in self.events:
-            if ev.date == day:
-                return ev
-        raise KeyError(day)
 
 
 def _case_anchors(

@@ -399,6 +399,36 @@ def test_forecast_falls_back_to_jsonl(tmp_path, snapshot_workspace, jsonl_loads,
     assert len(jsonl_loads) == 1  # only the daily snapshot was parsed
 
 
+@pytest.mark.parametrize("damage", ["no doc_id", "repeated doc_id"])
+def test_forecast_on_a_malformed_snapshot_exits_1_naming_it(tmp_path, snapshot_workspace,
+                                                             capsys, damage):
+    out = tmp_path / "run"
+    shutil.copytree(snapshot_workspace, out)
+    path = out / "index_daily.jsonl"
+    records = [json.loads(line) for line in read_lines(path)]
+    if damage == "no doc_id":
+        del records[3]["doc_id"]
+        want = "index_daily.jsonl, line 4: not a snapshot record (KeyError: 'doc_id')"
+    else:  # a hand-edited snapshot: the line used to replace the earlier one silently
+        records[3]["doc_id"] = records[2]["doc_id"]
+        want = f"index_daily.jsonl: doc_id {records[2]['doc_id']} is repeated"
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    assert main(["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET]) == 1
+    assert want in capsys.readouterr().err
+
+
+def test_index_on_a_malformed_stories_line_exits_1_naming_it(tmp_path, workspace, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(workspace, out)
+    path = out / "stories_daily.jsonl"
+    lines = read_lines(path)
+    lines.insert(2, "42")
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["index", "--out", str(out)]) == 1
+    assert ("stories_daily.jsonl, line 3: not a story record (TypeError:"
+            in capsys.readouterr().err)
+
+
 class EmbeddingSession:
     """Answers embedding POSTs with the deterministic embedder's vectors."""
 

@@ -29,7 +29,7 @@ from wipcast.evaluation import (
     rolling_forecast,
     summarize,
 )
-from wipcast.llm import AGENT_IDS, LoggingBackend, RemoteChatBackend, RunLogger, StubBackend
+from wipcast.llm import AGENT_IDS, RemoteChatBackend, StubBackend
 from wipcast.memory import DeterministicEmbedder, StoryIndex
 from wipcast.synthetic import synthetic_event_log, synthetic_series
 from wipcast.wipseries import WipSeries, wip_event
@@ -381,12 +381,9 @@ class SlowSession:
         return _Completion("PREDICTION: 40.00")
 
 
-@pytest.mark.parametrize("logged", [False, True])
-def test_rolling_remote_backend_fans_predictors_out(logged, tmp_path):
+def test_rolling_remote_backend_fans_predictors_out():
     session = SlowSession()
     backend = RemoteChatBackend("http://llm.test", "m", session=session, backoff=0.0)
-    if logged:
-        backend = LoggingBackend(backend, RunLogger(str(tmp_path / "run.jsonl")))
     series = synthetic_series(17, seed=3)
     result = rolling_forecast(series, split_date=series.events[14].date, backend=backend)
     assert len(result.reports) == 2

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import random
 from datetime import date
 
@@ -12,12 +11,10 @@ from wipcast.llm import (
     BackendUnavailable,
     ChatRequest,
     ChatResponse,
-    LoggingBackend,
     NoNumberError,
     RemoteChatBackend,
     ResponseFormatError,
     RetrievedExample,
-    RunLogger,
     StructuredContext,
     StubBackend,
     TransportError,
@@ -248,29 +245,3 @@ def test_remote_backend_nondeterministic_omits_temperature():
     backend = RemoteChatBackend("http://llm.test", "m", session=session, backoff=0.0)
     backend.chat(ChatRequest(system_text="s", user_text="u", deterministic=False))
     assert "temperature" not in session.calls[0]["json"]
-
-
-def test_run_logger_records_exchanges(tmp_path):
-    log_path = tmp_path / "run.jsonl"
-    run_logger = RunLogger(str(log_path), freeze_timestamps=True)
-    backend = LoggingBackend(StubBackend(), run_logger)
-    req = predictor_request([(71, 1.0)])
-    backend.chat(req)
-    lines = log_path.read_text().splitlines()
-    assert len(lines) == 1
-    record = json.loads(lines[0])
-    assert record["ts"] == "1970-01-01T00:00:00+00:00"
-    assert record["response_text"] == "PREDICTION: 71.00"
-    assert record["structured_context"]["retrieved"][0]["target"] == 71
-    assert record["error"] is None
-
-
-def test_run_logger_records_failures(tmp_path):
-    log_path = tmp_path / "run.jsonl"
-    backend = LoggingBackend(StubBackend(), RunLogger(str(log_path), freeze_timestamps=True))
-    with pytest.raises(ResponseFormatError):
-        backend.chat(ChatRequest(system_text="s", user_text="u"))
-    record = json.loads(log_path.read_text().splitlines()[0])
-    assert record["response_text"] is None
-    assert "structured_context" in record
-    assert record["error"]

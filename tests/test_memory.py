@@ -141,30 +141,26 @@ def test_embed_many_stacks_rows(monday_example):
     assert np.array_equal(matrix[1], emb.embed(texts[1]))
 
 
-def test_document_requires_contextual_story(monday_example):
-    query = render_query_story(monday_example)
-    with pytest.raises(ValueError):
-        MemoryDocument(story=query, embedding=np.ones(4), doc_id=0)
-
-
-def test_document_rejects_degenerate_embeddings(monday_example):
-    story = render_contextual_story(monday_example, 71)
-    with pytest.raises(ValueError):
-        MemoryDocument(story=story, embedding=np.zeros(4), doc_id=0)
-    with pytest.raises(ValueError):
-        MemoryDocument(story=story, embedding=np.array([1.0, np.nan]), doc_id=0)
+def index_state(index, queries):
+    """What a rejected add must leave as it was: size, documents, newest date, retrievals."""
+    return (len(index), index.documents(), index.newest_date,
+            [[(r.document, r.similarity) for r in index.retrieve(qvec, as_of, k=50)]
+             for as_of, qvec in queries])
 
 
 def test_index_add_and_replace(monday_example):
+    """Re-adding a held doc_id is rejected and leaves the index as it was."""
     emb = DeterministicEmbedder()
     story = render_contextual_story(monday_example, 71)
     index = StoryIndex(provider=emb)
     add_docs(index, [MemoryDocument(story=story, embedding=emb.embed(story.text), doc_id=7)])
-    assert len(index) == 1
+    queries = [(date(2024, 4, 1), emb.embed(render_query_story(monday_example).text))]
+    before = index_state(index, queries)
     other = render_contextual_story(monday_example, 40)
-    add_docs(index, [MemoryDocument(story=other, embedding=emb.embed(other.text), doc_id=7)])
-    assert len(index) == 1
-    assert index.documents()[0].story.target == 40.0
+    with pytest.raises(ValueError, match="doc_id 7 "):
+        add_docs(index, [MemoryDocument(story=other, embedding=emb.embed(other.text), doc_id=7)])
+    assert index_state(index, queries) == before
+    assert index.documents()[0].story.target == 71.0
 
 
 def test_index_rejects_dim_mismatch(monday_example):
@@ -257,6 +253,13 @@ def test_index_interleaved_adds_and_queries_match_oracle():
         live[doc.doc_id] = doc
         check()
 
+    def reject(doc):
+        before = index_state(index, queries)
+        with pytest.raises(ValueError, match=f"doc_id {doc.doc_id} "):
+            add_docs(index, [doc])
+        assert index_state(index, queries) == before
+        check()
+
     # add -> retrieve -> add -> retrieve, then several rows in one batch
     for doc in corpus[:6]:
         add(doc)
@@ -264,18 +267,25 @@ def test_index_interleaved_adds_and_queries_match_oracle():
     live.update((doc.doc_id, doc) for doc in corpus[6:10])
     check()
 
-    # replace a doc_id an earlier query returned, moving it to an older date
+    # re-adding a doc_id an earlier query returned is rejected, also with an older date
     as_of, qvec = queries[1]
     returned = index.retrieve(qvec, as_of, k=1)[0].document
     older = render_contextual_story(random_wip_event(rng, date(2023, 12, 1)), 3)
-    add(MemoryDocument(story=older, embedding=emb.embed(older.text), doc_id=returned.doc_id))
-    replaced = [r.document for r in index.retrieve(qvec, as_of, k=len(live))
-                if r.document.doc_id == returned.doc_id]
-    assert [d.story for d in replaced] == [older]
+    reject(MemoryDocument(story=older, embedding=emb.embed(older.text), doc_id=returned.doc_id))
+    assert index.retrieve(qvec, as_of, k=1)[0].document == returned
 
-    # replace the newest story with an older one: the newest date moves back
+    # so is re-adding the newest story's doc_id: the newest date stays
     newest = max(live.values(), key=lambda d: d.story.date)
-    add(MemoryDocument(story=older, embedding=emb.embed(older.text), doc_id=newest.doc_id))
+    reject(MemoryDocument(story=older, embedding=emb.embed(older.text), doc_id=newest.doc_id))
+    assert index.newest_date == newest.story.date
+
+    # a later batch of older stories does not move the newest date back
+    old_batch = [MemoryDocument(story=older, embedding=emb.embed(older.text), doc_id=13),
+                 MemoryDocument(story=corpus[0].story, embedding=corpus[0].embedding, doc_id=14)]
+    add_docs(index, old_batch)
+    live.update((doc.doc_id, doc) for doc in old_batch)
+    check()
+    assert index.newest_date == newest.story.date
 
     # ids out of order
     for i in (30, 12, 25, 11):
@@ -515,25 +525,34 @@ def test_empty_snapshot_round_trips(tmp_path, monkeypatch):
 
 
 def test_add_many_matches_sequential_adds_with_duplicate_ids():
+    """One batch equals single-row adds; a batch that repeats a doc_id, within
+    itself or against the index, is rejected whole and leaves the index as it was."""
     rng = random.Random(23)
     emb = DeterministicEmbedder()
     docs = build_corpus(rng, 30, emb)
-    # ids 3 and 8 recur: the later row wins and keeps the first one's row
-    ids = list(range(20)) + [3, 20, 21, 8, 22, 23, 3, 24, 25, 26]
+    ids = list(range(30))
+    rng.shuffle(ids)
     one_by_one = StoryIndex(provider=emb)
     for doc, doc_id in zip(docs, ids):
         one_by_one.add_many([doc.story], [doc.embedding], [doc_id])
     batched = StoryIndex(provider=emb)
-    add_docs(batched, docs[:1])  # a batch after an earlier one
-    batched.add_many([d.story for d in docs], np.stack([d.embedding for d in docs]), ids)
+    batched.add_many([docs[0].story], [docs[0].embedding], ids[:1])  # a batch after an earlier one
+    batched.add_many([d.story for d in docs[1:]], np.stack([d.embedding for d in docs[1:]]), ids[1:])
     assert_same_index(batched, one_by_one)
-    assert len(batched) == 27
-    assert batched.documents()[3].story == docs[26].story
+
     as_of = date(2024, 2, 15)
-    qvec = emb.embed(render_query_story(random_wip_event(rng, as_of)).text)
-    assert ([(r.document, r.similarity) for r in batched.retrieve(qvec, as_of, k=27)]
-            == [(r.document, r.similarity) for r in one_by_one.retrieve(qvec, as_of, k=27)])
-    assert batched.add_story(docs[1].story).doc_id == 27
+    queries = [(as_of, emb.embed(render_query_story(random_wip_event(rng, as_of)).text))]
+    before = index_state(one_by_one, queries)
+    assert index_state(batched, queries) == before
+    # newer than everything held, so a partial write would move the newest date
+    late = build_corpus(rng, 3, emb, start=date(2024, 6, 1))
+    stories, rows = [d.story for d in late], np.stack([d.embedding for d in late])
+    for bad_ids, repeated in (([40, 41, 40], 40), ([40, ids[7], 41], ids[7])):
+        with pytest.raises(ValueError, match=f"doc_id {repeated} "):
+            batched.add_many(stories, rows, bad_ids)
+        assert index_state(batched, queries) == before
+        assert_same_index(batched, one_by_one)
+    assert batched.add_story(docs[1].story).doc_id == 30
 
 
 def corrupt(embedding, bad):
