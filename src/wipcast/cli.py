@@ -165,12 +165,20 @@ def _build_index(stories, embedder, cfg: PipelineConfig) -> StoryIndex:
     return index
 
 
+def _only_granularity(granularity: str, index: StoryIndex, path: str) -> StoryIndex:
+    """``index``, read from ``path``; ValueError if it holds stories of another granularity."""
+    stray = index.granularities() - {granularity}
+    if stray:
+        raise ValueError(f"{path}: holds {' and '.join(sorted(stray))} stories, not only {granularity}")
+    return index
+
+
 def cmd_index(args, cfg: PipelineConfig) -> int:
     embedder = build_embedder(cfg.embedder)
     for g in GRANULARITIES:
         src = _require(_stories_file(args.out, g), "run `wipcast stories` first")
         with open(src, encoding="utf-8") as fh:
-            index = _build_index(read_stories_jsonl(fh), embedder, cfg)
+            index = _only_granularity(g, _build_index(read_stories_jsonl(fh), embedder, cfg), src)
         path = _index_file(args.out, g)
         count = save_snapshot(index, path)
         print(f"wrote {path}: {count} documents")
@@ -182,7 +190,8 @@ def _load_or_build_indexes(args, cfg: PipelineConfig, series):
     embedder = build_embedder(cfg.embedder)
     snapshots = {g: _index_file(args.out, g) for g in GRANULARITIES}
     if all(os.path.exists(p) for p in snapshots.values()):
-        return {g: load_snapshot(path, provider=embedder, retention=cfg.forecast.retention())
+        retention = cfg.forecast.retention()
+        return {g: _only_granularity(g, load_snapshot(path, embedder, retention), path)
                 for g, path in snapshots.items()}
     return {g: _build_index(contextual_stories(series.events, g, cfg.forecast.window)[1],
                             embedder, cfg)

@@ -23,7 +23,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .llm import RETRYABLE_4XX
-from .narrative import Story, parse_jsonl, story_from_dict, story_numbers, story_to_dict
+from .narrative import GRANULARITIES, Story, parse_jsonl, story_numbers
 
 logger = logging.getLogger(__name__)
 
@@ -181,25 +181,13 @@ class RemoteEmbedder:
 class MemoryDocument:
     """One stored contextual story with its embedding row, keyed by doc_id.
 
-    A plain record: :meth:`StoryIndex.add_many` checks the story and the
-    embedding once, before it builds the document.
+    A plain record that :class:`StoryIndex` builds from its columns only for a
+    row it hands out; ``embedding`` is a read-only view of that row, not a copy.
     """
 
     story: Story
     embedding: np.ndarray = field(compare=False, repr=False)
     doc_id: int = 0
-
-
-def _check_rows(stories: Sequence[Story], matrix: np.ndarray) -> np.ndarray:
-    """Validate one embedding row per contextual story; returns the row norms."""
-    if any(story.kind != "contextual" for story in stories):
-        raise ValueError("memory stores contextual stories only")
-    if not np.isfinite(matrix).all():
-        raise ValueError("embedding entries must be finite")
-    norms = np.linalg.norm(matrix, axis=1)
-    if not norms.all():
-        raise ValueError("embedding must have nonzero norm")
-    return norms
 
 
 @dataclass(frozen=True)
@@ -223,27 +211,28 @@ class RetentionPolicy:
 class StoryIndex:
     """Flat cosine index over contextual stories with a strict as-of cutoff.
 
-    Append-only. Rows (embedding, norm, date ordinal, doc_id) live in
-    capacity-doubling arrays in insertion order and are never rewritten.
-    :meth:`add_many` is the one way rows get in and the one place they are
-    checked; each doc_id is held at most once. ``retrieve`` scores the filled
-    rows as they stand. One writer or many readers at a time. Ties on
-    similarity prefer the more recent story date, then the smaller doc_id.
+    Append-only. Its state is the row columns, in insertion order and never
+    rewritten: embedding, norm, date ordinal, doc_id and target in
+    capacity-doubling arrays, text and granularity in lists. :meth:`_append`
+    is the one way rows get in and the one place they are checked; each doc_id
+    is held at most once. Documents are built on demand, only for the rows
+    handed out. One writer or many readers at a time. Ties on similarity
+    prefer the more recent story date, then the smaller doc_id.
     """
 
     def __init__(self, provider=None, retention: RetentionPolicy | None = None):
         self.provider = provider
         self.retention = retention if retention is not None else RetentionPolicy()
-        self._docs: dict[int, MemoryDocument] = {}
         self._dim: int | None = None
-        self._next_id = 0
-        self._newest: Date | None = None
         self._lock = threading.Lock()
         self._rows = 0
         self._matrix = np.empty((0, 0))
         self._norms = np.empty(0)
         self._dates = np.empty(0, dtype=np.int64)
         self._ids = np.empty(0, dtype=np.int64)
+        self._targets = np.empty(0)
+        self._texts: list[str] = []
+        self._granularities: list[str] = []
 
     @property
     def dim(self) -> int | None:
@@ -252,69 +241,100 @@ class StoryIndex:
     @property
     def newest_date(self) -> Date | None:
         """Date of the newest story held, or None while the index is empty."""
-        return self._newest
+        return Date.fromordinal(int(self._dates[:self._rows].max())) if self._rows else None
 
     def __len__(self) -> int:
-        return len(self._docs)
+        return self._rows
+
+    def granularities(self) -> set[str]:
+        """The granularities of the stories held."""
+        return set(self._granularities[:self._rows])
 
     def add_many(self, stories: Sequence[Story], embeddings,
                  doc_ids: Sequence[int] | None = None) -> None:
-        """Append contextual stories with one embedding row each, in one batch.
+        """Append contextual stories with one embedding row each, in one batch,
+        checked as in :meth:`_append`. Ids default to the next free ones."""
+        if any(story.kind != "contextual" for story in stories):
+            raise ValueError("memory stores contextual stories only")
+        self._append(embeddings, doc_ids, [story.date.toordinal() for story in stories],
+                     [story.target for story in stories], [story.text for story in stories],
+                     [story.granularity for story in stories])
 
-        The one check rows get: a finite, nonzero row of the index's dim per
-        contextual story, and doc_ids neither repeated in the batch nor held
-        already. A failing batch raises ValueError before anything is written.
-        Ids default to the next free ones.
-        """
-        if not stories:
+    def _append(self, embeddings, doc_ids, dates, targets, texts: Sequence[str],
+                granularities: Sequence[str]) -> None:
+        """Append a batch of rows given as columns. Each row needs a finite, nonzero
+        embedding of the index's dim, a known granularity and a doc_id neither
+        repeated in the batch nor held; a failing batch raises ValueError
+        before anything is written."""
+        n = len(texts)
+        if not n:
             return
-        matrix = np.array(embeddings, dtype=float)  # a copy: documents hold its rows
-        if matrix.ndim != 2 or len(matrix) != len(stories):
-            raise ValueError(f"need one embedding row per story, got shape {matrix.shape} "
-                             f"for {len(stories)} stories")
-        if doc_ids is None:
-            doc_ids = range(self._next_id, self._next_id + len(stories))
-        elif len(doc_ids) != len(stories):
-            raise ValueError(f"got {len(doc_ids)} doc_ids for {len(stories)} stories")
-        ids = [int(doc_id) for doc_id in doc_ids]
+        matrix = np.asarray(embeddings, dtype=float)
+        first = int(self._ids[:self._rows].max()) + 1 if self._rows else 0  # the next free id
+        ids = np.asarray(range(first, first + n) if doc_ids is None else doc_ids, dtype=np.int64)
+        dates = np.asarray(dates, dtype=np.int64)
+        if matrix.ndim != 2 or any(len(col) != n for col in (matrix, ids, dates, targets,
+                                                              granularities)):
+            raise ValueError(f"need one embedding row and doc_id per story, got shape "
+                             f"{matrix.shape} and {len(ids)} doc_ids for {n} stories")
         dim = matrix.shape[1]
         if self._dim is not None and dim != self._dim:
             raise ValueError(f"embedding dim {dim} does not match index dim {self._dim}")
-        norms = _check_rows(stories, matrix)
-        dates = [story.date.toordinal() for story in stories]
+        unknown = set(granularities).difference(GRANULARITIES)
+        if unknown:
+            raise ValueError(f"unknown granularity {sorted(unknown)[0]!r}")
+        if not np.isfinite(matrix).all():
+            raise ValueError("embedding entries must be finite")
+        norms = np.linalg.norm(matrix, axis=1)
+        if not norms.all():
+            raise ValueError("embedding must have nonzero norm")
         with self._lock:
-            seen: set[int] = set()
-            for doc_id in ids:
-                if doc_id in seen or doc_id in self._docs:
-                    raise ValueError(f"doc_id {doc_id} is repeated: an index holds each doc_id once")
-                seen.add(doc_id)
+            start, stop = self._rows, self._rows + n
+            held = self._ids[:start]
+            if (ids[1:] <= ids[:-1]).any() or (held >= ids[0]).any():  # else ascending and new
+                both = np.sort(np.concatenate((held, ids)))
+                repeated = both[1:][both[1:] == both[:-1]]
+                if len(repeated):
+                    raise ValueError(f"doc_id {repeated[0]} is repeated: an index holds each doc_id once")
             self._dim = dim
-            start, stop = self._rows, self._rows + len(ids)
             if stop > len(self._ids):
                 self._grow(max(stop, 2 * len(self._ids)))
             self._matrix[start:stop] = matrix
             self._norms[start:stop] = norms
             self._dates[start:stop] = dates
             self._ids[start:stop] = ids
-            for story, row, doc_id in zip(stories, matrix, ids):
-                self._docs[doc_id] = MemoryDocument(story=story, embedding=row, doc_id=doc_id)
+            self._targets[start:stop] = targets
+            self._texts.extend(texts)
+            self._granularities.extend(granularities)
             self._rows = stop  # readers see the batch only once it is whole
-            self._next_id = max(self._next_id, max(ids) + 1)
-            newest = Date.fromordinal(max(dates))
-            self._newest = newest if self._newest is None else max(self._newest, newest)
+
+    def _document(self, row: int) -> MemoryDocument:
+        embedding = self._matrix[row]  # a view: rows are never rewritten
+        embedding.flags.writeable = False
+        story = Story(self._texts[row], "contextual", self._granularities[row],
+                      Date.fromordinal(int(self._dates[row])), float(self._targets[row]))
+        return MemoryDocument(story=story, embedding=embedding, doc_id=int(self._ids[row]))
 
     def add_story(self, story: Story) -> MemoryDocument:
         """Embed a contextual story with the index's provider and insert it."""
         self.add_many([story], [self.provider.embed(story.text)])
-        return self._docs[self._next_id - 1]
+        return self._document(self._rows - 1)
 
     def documents(self) -> list[MemoryDocument]:
-        return [self._docs[i] for i in sorted(self._docs)]
+        """Every document held, doc_id ascending."""
+        return [self._document(row) for row in np.argsort(self._ids[:self._rows]).tolist()]
+
+    def _columns(self) -> tuple:
+        """The filled columns in doc_id order, as :meth:`_append` takes them."""
+        rows = np.argsort(self._ids[:self._rows])
+        return (self._matrix[rows], self._ids[rows], self._dates[rows], self._targets[rows],
+                [self._texts[row] for row in rows.tolist()],
+                [self._granularities[row] for row in rows.tolist()])
 
     def _grow(self, capacity: int) -> None:
         if not len(self._ids):
             self._matrix = np.empty((0, self._dim))
-        for name in ("_matrix", "_norms", "_dates", "_ids"):
+        for name in ("_matrix", "_norms", "_dates", "_ids", "_targets"):
             old = getattr(self, name)
             new = np.empty((capacity, *old.shape[1:]), dtype=old.dtype)
             new[:len(old)] = old
@@ -334,73 +354,74 @@ class StoryIndex:
         qnorm = float(np.linalg.norm(qvec))
         if qnorm == 0.0:
             raise ValueError("cosine undefined for zero-norm query")
-        if not self._docs:
+        n = self._rows
+        if not n:
             return []
         if self._dim is not None and qvec.shape[0] != self._dim:
             raise ValueError(f"query dim {qvec.shape[0]} does not match index dim {self._dim}")
-        n = self._rows
         matrix, norms, dates, ids = self._matrix[:n], self._norms[:n], self._dates[:n], self._ids[:n]
-
-        cutoff = as_of.toordinal()
-        mask = dates < cutoff
+        mask = dates < as_of.toordinal()
         if self.retention.max_age_days is not None:
             oldest = (as_of - timedelta(days=self.retention.max_age_days)).toordinal()
             mask &= dates >= oldest
-        if not mask.any():
-            return []
+        rows = np.flatnonzero(mask)
         # einsum, not BLAS matmul: matmul accumulates differently per row
-        # position, so equal embeddings would not score bit-identically and
-        # the tie rule below would never engage.
-        sims = np.einsum("ij,j->i", matrix[mask], qvec) / (norms[mask] * qnorm)
-        dates = dates[mask]
-        ids = ids[mask]
+        # position, so equal embeddings would not score bit-identically and the
+        # tie rule below would never engage. Rows are gathered only when some
+        # are not eligible: einsum scores a row alike in either layout.
+        scored = matrix if len(rows) == n else matrix[rows]
+        sims = np.einsum("ij,j->i", scored, qvec) / (norms[rows] * qnorm)
         if self.retention.min_similarity is not None:
             keep = sims >= self.retention.min_similarity
-            sims, dates, ids = sims[keep], dates[keep], ids[keep]
+            sims, rows = sims[keep], rows[keep]
         # lexsort uses the last key as primary: similarity desc, then date desc, then id asc.
-        order = np.lexsort((ids, -dates, -sims))[:k]
-        return [
-            RetrievalResult(document=self._docs[int(ids[i])], similarity=float(sims[i]))
-            for i in order
-        ]
+        order = np.lexsort((ids[rows], -dates[rows], -sims))[:k]
+        return [RetrievalResult(document=self._document(int(rows[i])), similarity=float(sims[i]))
+                for i in order]
 
 
 def save_index(index: StoryIndex, fp: IO[str]) -> int:
     """Write the index as JSON lines, one document per line, doc_id ascending."""
-    docs = index.documents()
-    for doc in docs:
-        record = story_to_dict(doc.story)
-        record["doc_id"] = doc.doc_id
-        record["embedding"] = doc.embedding.tolist()
-        del record["kind"]  # snapshots hold contextual stories only
+    columns = index._columns()
+    for embedding, doc_id, ordinal, target, text, granularity in zip(
+            columns[0], *(column.tolist() for column in columns[1:4]), *columns[4:]):
+        record = {"date": Date.fromordinal(ordinal).isoformat(), "doc_id": doc_id,
+                  "embedding": embedding.tolist(), "granularity": granularity,
+                  "target": target, "text": text}
         fp.write(json.dumps(record, sort_keys=True) + "\n")
-    return len(docs)
+    return len(columns[0])
 
 
-def _snapshot_row(record: dict) -> tuple[Story, list, int]:
-    embedding = record.pop("embedding")
-    doc_id = int(record.pop("doc_id"))
-    record["kind"] = "contextual"  # snapshots hold contextual stories only
-    return story_from_dict(record), embedding, doc_id
+def _snapshot_row(record: dict, dims: list[int]) -> tuple:
+    """One snapshot line's row, as :meth:`StoryIndex._append` takes it; ``dims``
+    collects the embedding lengths, which must all be equal."""
+    row = (record["embedding"], int(record["doc_id"]), Date.fromisoformat(record["date"]).toordinal(),
+           float(record["target"]), record["text"], record["granularity"])
+    dims.append(len(row[0]))
+    if dims[-1] != dims[0]:
+        raise ValueError(f"doc_id {row[1]} has {dims[-1]} embedding entries, the first line {dims[0]}")
+    return row
 
 
 def load_index(fp: IO[str], provider=None, retention: RetentionPolicy | None = None) -> StoryIndex:
     """Rebuild an index from a JSON-lines snapshot written by :func:`save_index`.
 
-    A malformed line or a doc_id that appears twice raises ValueError naming
-    the file.
+    A malformed line, an embedding whose length differs from the first line's,
+    or a doc_id that appears twice raises ValueError naming the file.
     """
-    rows = parse_jsonl(fp, _snapshot_row, "a snapshot record")
-    stories, embeddings, doc_ids = list(zip(*rows)) or ((), (), ())
+    dims: list[int] = []
+    rows = parse_jsonl(fp, lambda record: _snapshot_row(record, dims), "a snapshot record")
     index = StoryIndex(provider=provider, retention=retention)
     try:
-        index.add_many(stories, embeddings, doc_ids)
+        index._append(*(list(zip(*rows)) or ((),) * 6))
     except ValueError as exc:
         raise ValueError(f"{getattr(fp, 'name', '<stream>')}: {exc}") from exc
     return index
 
 
-# The sidecar's arrays, beside the sha256 of the JSON lines they mirror.
+# The sidecar's arrays, beside the sha256 of the JSON lines they mirror: the
+# columns as StoryIndex._append takes them, except that the texts are one UTF-8
+# byte array, cut at the character offsets in text_ends.
 _SIDECAR_ARRAYS = ("embeddings", "doc_ids", "dates", "targets", "texts", "granularities")
 
 
@@ -427,38 +448,28 @@ def save_snapshot(index: StoryIndex, path: str) -> int:
     data = buf.getvalue().encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)
-    docs = index.documents()
-    arrays = {
-        "embeddings": (np.stack([d.embedding for d in docs]) if docs
-                       else np.empty((0, index.dim or 0))),
-        "doc_ids": np.array([d.doc_id for d in docs], dtype=np.int64),
-        "dates": np.array([d.story.date.toordinal() for d in docs], dtype=np.int64),
-        "targets": np.array([d.story.target for d in docs], dtype=float),
-        "texts": np.array([d.story.text for d in docs], dtype=str),
-        "granularities": np.array([d.story.granularity for d in docs], dtype=str),
-    }
+    arrays = dict(zip(_SIDECAR_ARRAYS, index._columns()))
+    texts = arrays["texts"]
+    arrays.update(texts=np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8),
+                  text_ends=np.cumsum([len(text) for text in texts], dtype=np.int64))
     with open(_sidecar_path(path), "wb") as fh:
         np.savez(fh, jsonl_sha256=np.array(_sha256(data)), **arrays)
     return count
 
 
 def _load_sidecar(path: str, digest: str, provider, retention) -> StoryIndex | None:
-    """The index held by the sidecar of ``path``; None when it is missing,
-    unreadable or was not written from JSON lines with this sha256."""
+    """The index held by the sidecar of ``path``; None when it is missing, unreadable,
+    of an older layout or not written from JSON lines with this sha256."""
     try:
         with np.load(_sidecar_path(path), allow_pickle=False) as npz:
             if str(npz["jsonl_sha256"]) != digest:
                 return None
-            arrays = {name: npz[name] for name in _SIDECAR_ARRAYS}
-        stories = [
-            Story(text=text, kind="contextual", granularity=granularity,
-                  date=Date.fromordinal(ordinal), target=target)
-            for text, granularity, ordinal, target in zip(
-                arrays["texts"].tolist(), arrays["granularities"].tolist(),
-                arrays["dates"].tolist(), arrays["targets"].tolist(), strict=True)
-        ]
+            arrays = {name: npz[name] for name in (*_SIDECAR_ARRAYS, "text_ends")}
+        text, ends = arrays["texts"].tobytes().decode("utf-8"), arrays["text_ends"].tolist()
+        arrays.update(texts=[text[a:b] for a, b in zip([0, *ends], ends)],
+                      granularities=arrays["granularities"].tolist())
         index = StoryIndex(provider=provider, retention=retention)
-        index.add_many(stories, arrays["embeddings"], arrays["doc_ids"].tolist())
+        index._append(*(arrays[name] for name in _SIDECAR_ARRAYS))
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         logger.debug("not using the sidecar of %s: %s", path, exc)
         return None

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import shutil
+from datetime import date
 
 import numpy as np
 import pytest
@@ -382,7 +383,22 @@ def test_forecast_uses_sidecar(tmp_path, snapshot_workspace, jsonl_loads):
     assert jsonl_loads == []
 
 
-@pytest.mark.parametrize("damage", ["edited jsonl", "deleted sidecar", "truncated sidecar"])
+def write_older_sidecar(out):
+    """The sidecar as written before it held texts as UTF-8 bytes: a fixed-width
+    string array and no text_ends, with the right sha256."""
+    path = out / "index_daily.jsonl"
+    records = [json.loads(line) for line in read_lines(path)]
+    columns = {name: [r[key] for r in records] for name, key in (
+        ("embeddings", "embedding"), ("doc_ids", "doc_id"), ("targets", "target"),
+        ("texts", "text"), ("granularities", "granularity"))}
+    columns["dates"] = [date.fromisoformat(r["date"]).toordinal() for r in records]
+    with open(out / "index_daily.npz", "wb") as fh:
+        np.savez(fh, jsonl_sha256=np.array(hashlib.sha256(path.read_bytes()).hexdigest()),
+                 **{name: np.array(values) for name, values in columns.items()})
+
+
+@pytest.mark.parametrize("damage", ["edited jsonl", "deleted sidecar", "truncated sidecar",
+                                    "older sidecar layout"])
 def test_forecast_falls_back_to_jsonl(tmp_path, snapshot_workspace, jsonl_loads, damage):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
@@ -391,6 +407,10 @@ def test_forecast_falls_back_to_jsonl(tmp_path, snapshot_workspace, jsonl_loads,
         edit_targets(out)
     elif damage == "deleted sidecar":
         sidecar.unlink()
+    elif damage == "older sidecar layout":
+        write_older_sidecar(out)
+        with np.load(sidecar) as npz:
+            assert npz["texts"].dtype.kind == "U" and "text_ends" not in npz
     else:
         data = sidecar.read_bytes()
         sidecar.write_bytes(data[:len(data) // 2])
@@ -399,7 +419,8 @@ def test_forecast_falls_back_to_jsonl(tmp_path, snapshot_workspace, jsonl_loads,
     assert len(jsonl_loads) == 1  # only the daily snapshot was parsed
 
 
-@pytest.mark.parametrize("damage", ["no doc_id", "repeated doc_id"])
+@pytest.mark.parametrize("damage", ["no doc_id", "repeated doc_id", "weekday story",
+                                    "short embedding"])
 def test_forecast_on_a_malformed_snapshot_exits_1_naming_it(tmp_path, snapshot_workspace,
                                                              capsys, damage):
     out = tmp_path / "run"
@@ -409,9 +430,16 @@ def test_forecast_on_a_malformed_snapshot_exits_1_naming_it(tmp_path, snapshot_w
     if damage == "no doc_id":
         del records[3]["doc_id"]
         want = "index_daily.jsonl, line 4: not a snapshot record (KeyError: 'doc_id')"
-    else:  # a hand-edited snapshot: the line used to replace the earlier one silently
+    elif damage == "repeated doc_id":  # the line used to replace the earlier one silently
         records[3]["doc_id"] = records[2]["doc_id"]
         want = f"index_daily.jsonl: doc_id {records[2]['doc_id']} is repeated"
+    elif damage == "weekday story":  # used to serve the daily agent
+        records[3]["granularity"] = "weekday"
+        want = "index_daily.jsonl: holds weekday stories, not only daily"
+    else:  # used to end in numpy's "inhomogeneous shape" message
+        records[3]["embedding"].pop()
+        want = (f"index_daily.jsonl, line 4: not a snapshot record (ValueError: doc_id "
+                f"{records[3]['doc_id']} has 71 embedding entries, the first line 72)")
     path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
     assert main(["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET]) == 1
     assert want in capsys.readouterr().err
@@ -427,6 +455,18 @@ def test_index_on_a_malformed_stories_line_exits_1_naming_it(tmp_path, workspace
     assert main(["index", "--out", str(out)]) == 1
     assert ("stories_daily.jsonl, line 3: not a story record (TypeError:"
             in capsys.readouterr().err)
+
+
+def test_index_on_a_story_of_another_granularity_exits_1_naming_it(tmp_path, workspace, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(workspace, out)
+    path = out / "stories_daily.jsonl"
+    records = [json.loads(line) for line in read_lines(path)]
+    contextual = next(r for r in records if r["kind"] == "contextual")
+    contextual["granularity"] = "weekday"
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    assert main(["index", "--out", str(out)]) == 1
+    assert "stories_daily.jsonl: holds weekday stories, not only daily" in capsys.readouterr().err
 
 
 class EmbeddingSession:

@@ -13,6 +13,7 @@ import random
 import sys
 import threading
 import zlib
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -35,7 +36,7 @@ from wipcast.memory import (
 )
 from wipcast.cli import main
 from wipcast.eventlog import export_csv
-from wipcast.narrative import render_contextual_story, render_query_story
+from wipcast.narrative import Story, render_contextual_story, render_query_story
 from wipcast.synthetic import synthetic_event_log
 
 from conftest import add_docs, random_wip_event
@@ -205,6 +206,31 @@ def test_retrieve_whole_corpus_when_k_exceeds_it():
     assert len(results) == 4
     sims = [r.similarity for r in results]
     assert sims == sorted(sims, reverse=True)
+
+
+def test_retrieve_scores_a_row_alike_whether_or_not_rows_are_gathered():
+    """All rows eligible: scored in place. Some not: the eligible rows are
+    gathered first. Either way a row's similarity is bit-identical, so ties
+    between equal embeddings still engage."""
+    rng = random.Random(12)
+    emb = DeterministicEmbedder()
+    docs = build_corpus(rng, 300, emb)
+    twin = docs[40]  # the same embedding on a later day ties with it
+    docs.append(MemoryDocument(story=replace(twin.story, date=date(2025, 1, 1)),
+                               embedding=twin.embedding, doc_id=300))
+    index = StoryIndex(provider=emb)
+    add_docs(index, docs)
+    qvec = emb.embed(render_query_story(random_wip_event(rng, date(2024, 5, 1))).text)
+    everything = {r.document.doc_id: r.similarity
+                  for r in index.retrieve(qvec, date(2030, 1, 1), k=len(docs))}
+    assert len(everything) == len(docs)
+    assert everything[300] == everything[40]
+    for as_of in (date(2024, 2, 1), date(2024, 7, 1), date(2024, 12, 31)):
+        got = index.retrieve(qvec, as_of, k=len(docs))
+        assert 0 < len(got) < len(docs)
+        assert all(r.similarity == everything[r.document.doc_id] for r in got)
+    ranked = [r.document.doc_id for r in index.retrieve(twin.embedding, date(2030, 1, 1), k=2)]
+    assert ranked == [300, 40]  # equal similarity: the newer story first
 
 
 def test_retrieve_matches_oracle_on_random_corpora():
@@ -510,6 +536,29 @@ def test_sidecar_index_matches_jsonl_index(run_dir, granularity, monkeypatch):
         got = [(r.document, r.similarity) for r in from_sidecar.retrieve(query, as_of, k=k)]
         want = [(r.document, r.similarity) for r in from_jsonl.retrieve(query, as_of, k=k)]
         assert got == want  # similarities compared for equality, not closeness
+
+
+def test_sidecar_load_builds_documents_only_for_the_rows_handed_out(run_dir, monkeypatch):
+    built = []
+    real = Story.__post_init__
+
+    def counted(story):
+        built.append(story)
+        real(story)
+
+    monkeypatch.setattr(Story, "__post_init__", counted)
+    monkeypatch.setattr(memory, "load_index", refuse_jsonl)
+    index = load_snapshot(str(run_dir / "index_daily.jsonl"), provider=DeterministicEmbedder())
+    assert len(index) > 30
+    assert built == []
+    query = "The WiP items opened at 12, reached a high of 14 and a low of 9, before closing at 11."
+    results = index.retrieve(query, index.newest_date + timedelta(days=1), k=5)
+    assert len(results) == 5
+    assert len(built) <= 5
+    for res in results:
+        assert np.shares_memory(res.document.embedding, index._matrix)
+        with pytest.raises(ValueError):
+            res.document.embedding[0] = 1.0  # a view of the row, so read-only
 
 
 def test_empty_snapshot_round_trips(tmp_path, monkeypatch):
