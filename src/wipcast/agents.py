@@ -12,7 +12,6 @@ mode) whose answer must stay near the agent envelope.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
 from typing import Mapping, Sequence
@@ -134,7 +133,7 @@ def _query_story(agent_id: str, current: WipEvent, history: WipSeries, window: i
     if agent_id == "weekday":
         return render_query_story(current, granularity="weekday")
     if agent_id == "windowed":
-        end = bisect_right(history.events, current.date, key=lambda ev: ev.date)
+        end = history.days_through(current.date)
         if not end or history.events[end - 1].date != current.date:
             raise ValueError("history must include the current day for the windowed agent")
         return render_windowed_story(history.events[max(0, end - window):end])

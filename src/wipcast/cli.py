@@ -72,7 +72,10 @@ def _load_series(out_dir: str):
     path = _require(os.path.join(out_dir, SERIES_FILE),
                     "run `wipcast ingest` first or pass --series")
     with open(path, encoding="utf-8") as fh:
-        return load_wip_csv(fh)
+        series = load_wip_csv(fh)
+    if not len(series):
+        raise ValueError(f"{path}: holds no days")
+    return series
 
 
 def _detect_format(path: str, declared: str) -> str:
@@ -174,11 +177,16 @@ def _only_granularity(granularity: str, index: StoryIndex, path: str) -> StoryIn
 
 
 def cmd_index(args, cfg: PipelineConfig) -> int:
+    """Build and check every granularity's index before writing any snapshot,
+    so a failing stories file leaves the earlier snapshots as they were."""
     embedder = build_embedder(cfg.embedder)
+    indexes = {}
     for g in GRANULARITIES:
         src = _require(_stories_file(args.out, g), "run `wipcast stories` first")
         with open(src, encoding="utf-8") as fh:
-            index = _only_granularity(g, _build_index(read_stories_jsonl(fh), embedder, cfg), src)
+            indexes[g] = _only_granularity(g, _build_index(read_stories_jsonl(fh), embedder, cfg),
+                                           src)
+    for g, index in indexes.items():
         path = _index_file(args.out, g)
         count = save_snapshot(index, path)
         print(f"wrote {path}: {count} documents")
@@ -204,9 +212,10 @@ def cmd_forecast(args, cfg: PipelineConfig) -> int:
     if args.date is not None:
         target = Date.fromisoformat(args.date)
         wanted = target - timedelta(days=1)
-        current = next((ev for ev in series.events if ev.date == wanted), None)
-        if current is None:
+        end = series.days_through(wanted)
+        if not end or series.events[end - 1].date != wanted:
             raise ValueError(f"cannot forecast {target}: no series day at {wanted}")
+        current = series.events[end - 1]
 
     indexes = _load_or_build_indexes(args, cfg, series)
     report = forecast_day(current, series, indexes, build_backend(cfg.backend), cfg.forecast)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date as Date
@@ -136,14 +136,13 @@ def default_split_date(series: WipSeries, test_fraction: float = 0.2) -> Date:
 
 
 def _split_index(series: WipSeries, split_date: Date, min_before: int) -> int:
-    dates = [ev.date for ev in series.events]
-    s = sum(1 for d in dates if d <= split_date)
-    before = sum(1 for d in dates if d < split_date)
+    s = series.days_through(split_date)
+    before = s - (s > 0 and series.events[s - 1].date == split_date)
     if before < min_before:
         raise ValueError(f"need at least {min_before} days before the split, have {before}")
     if s < 1:
         raise ValueError("split precedes the series entirely")
-    if s >= len(dates):
+    if s >= len(series):
         raise ValueError("split leaves no test days")
     return s
 
@@ -205,7 +204,7 @@ def forecast_day(current: WipEvent, series: WipSeries, indexes: Mapping[str, Sto
             preds = {aid: fut.result() for aid, fut in futures.items()}
     else:
         preds = {aid: predictor_predict(*call) for aid, call in calls.items()}
-    end = bisect_right(series.events, current.date, key=lambda ev: ev.date)
+    end = series.days_through(current.date)
     closes = [ev.close for ev in series.events[max(0, end - params.trend_lookback):end]]
     trend = trend_analyze(closes, window=params.trend_window, lookback=params.trend_lookback,
                           thresholds=params.trend_thresholds)

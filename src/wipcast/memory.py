@@ -212,8 +212,9 @@ class StoryIndex:
     """Flat cosine index over contextual stories with a strict as-of cutoff.
 
     Append-only. Its state is the row columns, in insertion order and never
-    rewritten: embedding, norm, date ordinal, doc_id and target in
-    capacity-doubling arrays, text and granularity in lists. :meth:`_append`
+    rewritten: embedding, norm, date ordinal, doc_id, target and granularity
+    (as its position in GRANULARITIES) in capacity-doubling arrays, and the
+    texts in a list. :meth:`_append`
     is the one way rows get in and the one place they are checked; each doc_id
     is held at most once. Documents are built on demand, only for the rows
     handed out. One writer or many readers at a time. Ties on similarity
@@ -231,8 +232,8 @@ class StoryIndex:
         self._dates = np.empty(0, dtype=np.int64)
         self._ids = np.empty(0, dtype=np.int64)
         self._targets = np.empty(0)
+        self._codes = np.empty(0, dtype=np.uint8)
         self._texts: list[str] = []
-        self._granularities: list[str] = []
 
     @property
     def dim(self) -> int | None:
@@ -248,7 +249,7 @@ class StoryIndex:
 
     def granularities(self) -> set[str]:
         """The granularities of the stories held."""
-        return set(self._granularities[:self._rows])
+        return {GRANULARITIES[code] for code in set(self._codes[:self._rows].tolist())}
 
     def add_many(self, stories: Sequence[Story], embeddings,
                  doc_ids: Sequence[int] | None = None) -> None:
@@ -258,14 +259,13 @@ class StoryIndex:
             raise ValueError("memory stores contextual stories only")
         self._append(embeddings, doc_ids, [story.date.toordinal() for story in stories],
                      [story.target for story in stories], [story.text for story in stories],
-                     [story.granularity for story in stories])
+                     _granularity_codes(story.granularity for story in stories))
 
-    def _append(self, embeddings, doc_ids, dates, targets, texts: Sequence[str],
-                granularities: Sequence[str]) -> None:
-        """Append a batch of rows given as columns. Each row needs a finite, nonzero
-        embedding of the index's dim, a known granularity and a doc_id neither
-        repeated in the batch nor held; a failing batch raises ValueError
-        before anything is written."""
+    def _append(self, embeddings, doc_ids, dates, targets, texts: Sequence[str], codes) -> None:
+        """Append a batch of rows given as columns, granularities as their positions
+        in GRANULARITIES. Each row needs a finite, nonzero embedding of the
+        index's dim, a known granularity and a doc_id neither repeated in the
+        batch nor held; a failing batch raises ValueError before anything is written."""
         n = len(texts)
         if not n:
             return
@@ -273,16 +273,15 @@ class StoryIndex:
         first = int(self._ids[:self._rows].max()) + 1 if self._rows else 0  # the next free id
         ids = np.asarray(range(first, first + n) if doc_ids is None else doc_ids, dtype=np.int64)
         dates = np.asarray(dates, dtype=np.int64)
-        if matrix.ndim != 2 or any(len(col) != n for col in (matrix, ids, dates, targets,
-                                                              granularities)):
+        codes = np.asarray(codes)
+        if matrix.ndim != 2 or any(len(col) != n for col in (matrix, ids, dates, targets, codes)):
             raise ValueError(f"need one embedding row and doc_id per story, got shape "
                              f"{matrix.shape} and {len(ids)} doc_ids for {n} stories")
         dim = matrix.shape[1]
         if self._dim is not None and dim != self._dim:
             raise ValueError(f"embedding dim {dim} does not match index dim {self._dim}")
-        unknown = set(granularities).difference(GRANULARITIES)
-        if unknown:
-            raise ValueError(f"unknown granularity {sorted(unknown)[0]!r}")
+        if codes.dtype != np.uint8 or codes.max() >= len(GRANULARITIES):
+            raise ValueError(f"granularity codes must be uint8 below {len(GRANULARITIES)}")
         if not np.isfinite(matrix).all():
             raise ValueError("embedding entries must be finite")
         norms = np.linalg.norm(matrix, axis=1)
@@ -304,14 +303,14 @@ class StoryIndex:
             self._dates[start:stop] = dates
             self._ids[start:stop] = ids
             self._targets[start:stop] = targets
+            self._codes[start:stop] = codes
             self._texts.extend(texts)
-            self._granularities.extend(granularities)
             self._rows = stop  # readers see the batch only once it is whole
 
     def _document(self, row: int) -> MemoryDocument:
         embedding = self._matrix[row]  # a view: rows are never rewritten
         embedding.flags.writeable = False
-        story = Story(self._texts[row], "contextual", self._granularities[row],
+        story = Story(self._texts[row], "contextual", GRANULARITIES[self._codes[row]],
                       Date.fromordinal(int(self._dates[row])), float(self._targets[row]))
         return MemoryDocument(story=story, embedding=embedding, doc_id=int(self._ids[row]))
 
@@ -328,13 +327,12 @@ class StoryIndex:
         """The filled columns in doc_id order, as :meth:`_append` takes them."""
         rows = np.argsort(self._ids[:self._rows])
         return (self._matrix[rows], self._ids[rows], self._dates[rows], self._targets[rows],
-                [self._texts[row] for row in rows.tolist()],
-                [self._granularities[row] for row in rows.tolist()])
+                [self._texts[row] for row in rows.tolist()], self._codes[rows])
 
     def _grow(self, capacity: int) -> None:
         if not len(self._ids):
             self._matrix = np.empty((0, self._dim))
-        for name in ("_matrix", "_norms", "_dates", "_ids", "_targets"):
+        for name in ("_matrix", "_norms", "_dates", "_ids", "_targets", "_codes"):
             old = getattr(self, name)
             new = np.empty((capacity, *old.shape[1:]), dtype=old.dtype)
             new[:len(old)] = old
@@ -382,14 +380,14 @@ class StoryIndex:
 
 def save_index(index: StoryIndex, fp: IO[str]) -> int:
     """Write the index as JSON lines, one document per line, doc_id ascending."""
-    columns = index._columns()
-    for embedding, doc_id, ordinal, target, text, granularity in zip(
-            columns[0], *(column.tolist() for column in columns[1:4]), *columns[4:]):
+    matrix, ids, dates, targets, texts, codes = index._columns()
+    for embedding, doc_id, ordinal, target, text, code in zip(
+            matrix, ids.tolist(), dates.tolist(), targets.tolist(), texts, codes.tolist()):
         record = {"date": Date.fromordinal(ordinal).isoformat(), "doc_id": doc_id,
-                  "embedding": embedding.tolist(), "granularity": granularity,
+                  "embedding": embedding.tolist(), "granularity": GRANULARITIES[code],
                   "target": target, "text": text}
         fp.write(json.dumps(record, sort_keys=True) + "\n")
-    return len(columns[0])
+    return len(ids)
 
 
 def _snapshot_row(record: dict, dims: list[int]) -> tuple:
@@ -412,17 +410,31 @@ def load_index(fp: IO[str], provider=None, retention: RetentionPolicy | None = N
     dims: list[int] = []
     rows = parse_jsonl(fp, lambda record: _snapshot_row(record, dims), "a snapshot record")
     index = StoryIndex(provider=provider, retention=retention)
+    embeddings, doc_ids, dates, targets, texts, granularities = list(zip(*rows)) or ((),) * 6
     try:
-        index._append(*(list(zip(*rows)) or ((),) * 6))
+        index._append(embeddings, doc_ids, dates, targets, texts,
+                      _granularity_codes(granularities))
     except ValueError as exc:
         raise ValueError(f"{getattr(fp, 'name', '<stream>')}: {exc}") from exc
     return index
 
 
-# The sidecar's arrays, beside the sha256 of the JSON lines they mirror: the
-# columns as StoryIndex._append takes them, except that the texts are one UTF-8
-# byte array, cut at the character offsets in text_ends.
-_SIDECAR_ARRAYS = ("embeddings", "doc_ids", "dates", "targets", "texts", "granularities")
+# The sidecar's arrays, beside the sha256 of the JSON lines they mirror. The
+# int columns are doc_id, date ordinal and the character offset at which each
+# text ends in ``texts``, one UTF-8 byte array; granularities are codes as
+# StoryIndex._append takes them.
+_SIDECAR_ARRAYS = ("embeddings", "targets", "int_columns", "texts", "granularities")
+
+
+_GRANULARITY_CODES = {g: code for code, g in enumerate(GRANULARITIES)}
+
+
+def _granularity_codes(names: Iterable[str]) -> np.ndarray:
+    """Each granularity's position in GRANULARITIES; ValueError on an unknown one."""
+    try:
+        return np.array([_GRANULARITY_CODES[name] for name in names], dtype=np.uint8)
+    except KeyError as exc:
+        raise ValueError(f"unknown granularity {exc.args[0]!r}") from None
 
 
 def _sidecar_path(path: str) -> str:
@@ -448,12 +460,12 @@ def save_snapshot(index: StoryIndex, path: str) -> int:
     data = buf.getvalue().encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)
-    arrays = dict(zip(_SIDECAR_ARRAYS, index._columns()))
-    texts = arrays["texts"]
-    arrays.update(texts=np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8),
-                  text_ends=np.cumsum([len(text) for text in texts], dtype=np.int64))
+    matrix, ids, dates, targets, texts, codes = index._columns()
+    ends = np.cumsum([len(text) for text in texts], dtype=np.int64)
+    arrays = (matrix, targets, np.stack((ids, dates, ends), axis=1),
+              np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8), codes)
     with open(_sidecar_path(path), "wb") as fh:
-        np.savez(fh, jsonl_sha256=np.array(_sha256(data)), **arrays)
+        np.savez(fh, jsonl_sha256=np.array(_sha256(data)), **dict(zip(_SIDECAR_ARRAYS, arrays)))
     return count
 
 
@@ -464,12 +476,12 @@ def _load_sidecar(path: str, digest: str, provider, retention) -> StoryIndex | N
         with np.load(_sidecar_path(path), allow_pickle=False) as npz:
             if str(npz["jsonl_sha256"]) != digest:
                 return None
-            arrays = {name: npz[name] for name in (*_SIDECAR_ARRAYS, "text_ends")}
-        text, ends = arrays["texts"].tobytes().decode("utf-8"), arrays["text_ends"].tolist()
-        arrays.update(texts=[text[a:b] for a, b in zip([0, *ends], ends)],
-                      granularities=arrays["granularities"].tolist())
+            embeddings, targets, int_columns, texts, codes = map(npz.__getitem__, _SIDECAR_ARRAYS)
+        doc_ids, dates, ends = int_columns.T
+        text, ends = texts.tobytes().decode("utf-8"), ends.tolist()
         index = StoryIndex(provider=provider, retention=retention)
-        index._append(*(arrays[name] for name in _SIDECAR_ARRAYS))
+        index._append(embeddings, doc_ids, dates, targets,
+                      [text[a:b] for a, b in zip([0, *ends], ends)], codes)
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         logger.debug("not using the sidecar of %s: %s", path, exc)
         return None

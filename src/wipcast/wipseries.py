@@ -17,10 +17,14 @@ from __future__ import annotations
 import csv
 import io
 import logging
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import date as Date, datetime, timedelta
-from typing import IO, Callable, Sequence
+from typing import IO, Callable
 from zoneinfo import ZoneInfo
+
+import numpy as np
 
 from .eventlog import EmptyLogError, Event, EventLog
 
@@ -109,20 +113,75 @@ class WipSeries:
     it is True.
     """
 
-    events: tuple[WipEvent, ...]
+    events: Sequence[WipEvent]
     contiguous: bool = True
     lifecycle: LifecycleConfig = field(default=LifecycleConfig(), compare=False)
+    _ordinals: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.events, _CsvDays):  # its rows were checked as load_wip_csv read them
+            if self.contiguous and not self.events.contiguous:
+                raise ValueError("contiguous series has a gap")
+            object.__setattr__(self, "_ordinals", self.events.ordinals)
+            return
         for a, b in zip(self.events, self.events[1:]):
             if b.date <= a.date:
                 raise ValueError(f"dates not strictly increasing at {b.date}")
             if self.contiguous and b.date != a.date + timedelta(days=1):
                 raise ValueError(f"contiguous series has a gap before {b.date}")
+        object.__setattr__(self, "_ordinals", [ev.date.toordinal() for ev in self.events])
 
     def __len__(self) -> int:
         return len(self.events)
 
+    def days_through(self, day: Date) -> int:
+        """How many days of the series are dated on or before ``day``."""
+        return bisect_right(self._ordinals, day.toordinal())
+
+
+class _CsvDays(Sequence):
+    """The days of a series read by :func:`load_wip_csv`, held as its checked
+    columns; a day's :class:`WipEvent` is built the first time it is read.
+
+    Read-only. Indexing, iteration and ``len`` behave as on a tuple of the
+    events, a slice is such a tuple, and it equals the tuple of the same events.
+    """
+
+    def __init__(self, ordinals: list[int], fields: list[int], contiguous: bool):
+        self.ordinals = ordinals
+        self.contiguous = contiguous
+        self._fields = fields  # ten per day, in WIP_CSV_HEADER order after the date
+        self._events: list[WipEvent | None] = [None] * len(ordinals)
+
+    def __len__(self) -> int:
+        return len(self._events)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            part = self._events[i]
+            if not all(part):  # some rows not built yet; a WipEvent is always true
+                part = map(self.__getitem__, range(*i.indices(len(self._events))))
+            return tuple(part)
+        event = self._events[i]
+        if event is None:
+            i %= len(self._events)
+            event = self._events[i] = WipEvent(Date.fromordinal(self.ordinals[i]),
+                                               *self._fields[10 * i:10 * i + 10])
+        return event
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._events)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _CsvDays)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def _case_anchors(
@@ -283,18 +342,59 @@ def export_wip_csv(series: WipSeries) -> str:
 
 
 def load_wip_csv(source: str | IO[str]) -> WipSeries:
-    """Parse the inter-stage CSV back into a series (inverse of :func:`export_wip_csv`)."""
+    """Parse the inter-stage CSV back into a series (inverse of :func:`export_wip_csv`).
+
+    One pass reads the rows into columns and checks them: eleven fields, an ISO
+    date, integer counts, calendar fields that match the date, OHLC order,
+    nonnegative counts and strictly increasing dates. A row that fails raises
+    ValueError naming the file and line. The series is contiguous when no day
+    is missing; a day's :class:`WipEvent` is built only once it is read.
+    """
+    name = getattr(source, "name", "<stream>")
     text = source if isinstance(source, str) else source.read()
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != WIP_CSV_HEADER:
-        raise ValueError(f"unexpected WiP CSV header: {header}")
-    events = []
+        raise ValueError(f"{name}, line 1: unexpected WiP CSV header: {header}")
+    lines: list[int] = []
+    ordinals: list[int] = []
+    fields: list[int] = []
     for row in reader:
         if not row:
             continue
-        day = Date.fromisoformat(row[0])
-        o, h, l, c, new, done, started = (int(v) for v in row[4:11])
-        events.append(wip_event(day, o, h, l, c, new, done, started))
-    contiguous = all(b.date == a.date + timedelta(days=1) for a, b in zip(events, events[1:]))
-    return WipSeries(tuple(events), contiguous=contiguous)
+        try:
+            if len(row) != len(WIP_CSV_HEADER):
+                raise ValueError(f"expected {len(WIP_CSV_HEADER)} fields, got {len(row)}")
+            ordinals.append(Date.fromisoformat(row[0]).toordinal())
+            fields.extend(map(int, row[1:]))
+        except ValueError as exc:
+            raise ValueError(f"{name}, line {reader.line_num}: {exc}") from exc
+        lines.append(reader.line_num)
+    try:
+        table = np.array(fields, dtype=np.int64).reshape(-1, 10)
+    except OverflowError:
+        i = next(k for k, v in enumerate(fields) if not -2**63 <= v < 2**63) // 10
+        raise ValueError(f"{name}, line {lines[i]}: a field is out of the 64-bit range") from None
+    days = np.array(ordinals, dtype=np.int64)
+    dow, dom, doy, o, h, low, c = table.T[:7]
+    # datetime64 counts days from 1970-01-01, which is ordinal 719163
+    stamps = (days - 719163).astype("datetime64[D]")
+    calendar = np.stack(((days - 1) % 7 + 1,
+                         (stamps - stamps.astype("datetime64[M]")).astype(np.int64) + 1,
+                         (stamps - stamps.astype("datetime64[Y]")).astype(np.int64) + 1))
+    faults = (
+        ((calendar != table.T[:3]).any(axis=0), lambda i: (
+            f"dow/dom/doy {dow[i]}/{dom[i]}/{doy[i]} do not match the date "
+            f"(want {'/'.join(map(str, calendar[:, i]))})")),
+        ((low > o) | (o > h) | (low > c) | (c > h),
+         lambda i: f"OHLC out of order (o={o[i]} h={h[i]} l={low[i]} c={c[i]})"),
+        ((table[:, 3:] < 0).any(axis=1), lambda i: "negative count"),
+        (np.diff(days, prepend=days[:1] - 1) <= 0, lambda i: "dates not strictly increasing"),
+    )
+    bad = np.flatnonzero(np.any([mask for mask, _ in faults], axis=0))
+    if len(bad):
+        i = int(bad[0])
+        message = next(describe(i) for mask, describe in faults if mask[i])
+        raise ValueError(f"{name}, line {lines[i]}: {Date.fromordinal(ordinals[i])}: {message}")
+    contiguous = bool((np.diff(days) == 1).all())
+    return WipSeries(_CsvDays(ordinals, fields, contiguous), contiguous=contiguous)

@@ -5,7 +5,7 @@ import hashlib
 import json
 import os
 import shutil
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -13,10 +13,11 @@ import pytest
 from wipcast import memory
 from wipcast.agents import DEFAULT_FUSION_WEIGHTS
 from wipcast.cli import main
+from wipcast.config import ForecastParams
 from wipcast.eventlog import export_csv
 from wipcast.memory import DeterministicEmbedder, RemoteEmbedder
 from wipcast.synthetic import synthetic_event_log
-from wipcast.wipseries import load_wip_csv
+from wipcast.wipseries import WipEvent, load_wip_csv
 
 from conftest import xes_document
 
@@ -173,8 +174,76 @@ def test_forecast_specific_date(workspace):
     assert record["date"] == target.isoformat()
 
 
+# Target days whose previous day is not in the series, from its first and last day.
+OUTSIDE_TARGETS = {
+    "long before": lambda first, last: first - timedelta(days=400),
+    "first day": lambda first, last: first,
+    "two days after": lambda first, last: last + timedelta(days=2),
+    "long after": lambda first, last: last + timedelta(days=400),
+}
+
+
 def test_forecast_date_outside_series_exits_1(workspace):
     assert main(["forecast", "--out", workspace, "--date", "1999-01-01"]) == 1
+
+
+@pytest.mark.parametrize("where", list(OUTSIDE_TARGETS))
+def test_forecast_date_without_its_previous_day_exits_1_naming_it(workspace, capsys, where):
+    with open(os.path.join(workspace, "wip.csv"), encoding="utf-8") as fh:
+        events = load_wip_csv(fh).events
+    target = OUTSIDE_TARGETS[where](events[0].date, events[-1].date)
+    assert main(["forecast", "--out", workspace, "--date", target.isoformat()]) == 1
+    assert f"cannot forecast {target}: no series day at" in capsys.readouterr().err
+
+
+def test_forecast_builds_only_the_days_it_reads(tmp_path, workspace, monkeypatch):
+    out = tmp_path / "run"
+    shutil.copytree(workspace, out)
+    built = []
+    real = WipEvent.__post_init__
+
+    def counted(event):
+        built.append(event.date)
+        real(event)
+
+    monkeypatch.setattr(WipEvent, "__post_init__", counted)
+    with open(out / "wip.csv", encoding="utf-8") as fh:
+        target = load_wip_csv(fh).events[30].date + timedelta(days=1)
+    assert built == [target - timedelta(days=1)]
+    built.clear()
+    argv = ["forecast", "--out", str(out), "--date", target.isoformat(), "--mode", "react"]
+    assert main(argv) == 0
+    params = ForecastParams()
+    assert target - timedelta(days=1) in built
+    assert len(built) == len(set(built)) <= params.window + params.trend_lookback + 2
+
+
+# A wip.csv row edited by a fault, and the message that names it.
+WIP_ROW_FAULTS = {
+    "short row": (lambda fields: fields[:-2], "expected 11 fields, got 9"),
+    "non-integer count": (lambda fields: fields[:7] + ["x"] + fields[8:],
+                          "invalid literal for int() with base 10: 'x'"),
+    "bad date": (lambda fields: ["2024-13-05"] + fields[1:], "month must be in 1..12"),
+    "OHLC out of order": (lambda fields: fields[:5] + [str(int(fields[6]) - 1)] + fields[6:],
+                          "OHLC out of order"),
+    "repeated date": (None, "dates not strictly increasing"),
+    "day of week": (lambda fields: fields[:1] + ["9"] + fields[2:], "do not match the date"),
+    "huge count": (lambda fields: fields[:-1] + ["9" * 20], "out of the 64-bit range"),
+}
+
+
+@pytest.mark.parametrize("fault", list(WIP_ROW_FAULTS))
+def test_forecast_on_a_malformed_wip_csv_row_exits_1_naming_file_and_line(tmp_path, workspace,
+                                                                           capsys, fault):
+    out = tmp_path / "run"
+    shutil.copytree(workspace, out)
+    lines = read_lines(out / "wip.csv")
+    edit, want = WIP_ROW_FAULTS[fault]
+    lines[3] = lines[2] if edit is None else ",".join(edit(lines[3].split(",")))
+    (out / "wip.csv").write_text("\n".join(lines) + "\n")
+    assert main(["forecast", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "wip.csv, line 4: " in err and want in err
 
 
 def test_forecast_without_index_snapshots_embeds_on_the_fly(tmp_path, log_path):
@@ -373,7 +442,7 @@ def test_index_writes_sidecar_beside_each_snapshot(snapshot_workspace):
         jsonl = (snapshot_workspace / f"index_{g}.jsonl").read_bytes()
         with np.load(snapshot_workspace / f"index_{g}.npz", allow_pickle=False) as npz:
             assert str(npz["jsonl_sha256"]) == hashlib.sha256(jsonl).hexdigest()
-            assert len(npz["doc_ids"]) == len(jsonl.splitlines())
+            assert npz["int_columns"].shape == (len(jsonl.splitlines()), 3)
 
 
 def test_forecast_uses_sidecar(tmp_path, snapshot_workspace, jsonl_loads):
@@ -383,22 +452,29 @@ def test_forecast_uses_sidecar(tmp_path, snapshot_workspace, jsonl_loads):
     assert jsonl_loads == []
 
 
-def write_older_sidecar(out):
-    """The sidecar as written before it held texts as UTF-8 bytes: a fixed-width
-    string array and no text_ends, with the right sha256."""
+def write_older_sidecar(out, utf8_texts=False):
+    """The sidecar as written before it held int columns and granularity codes: one
+    array per column, granularities as a fixed-width string array, with the right
+    sha256. Texts are a fixed-width string array too or, with ``utf8_texts``,
+    one UTF-8 byte array cut at the character offsets in text_ends."""
     path = out / "index_daily.jsonl"
     records = [json.loads(line) for line in read_lines(path)]
     columns = {name: [r[key] for r in records] for name, key in (
         ("embeddings", "embedding"), ("doc_ids", "doc_id"), ("targets", "target"),
         ("texts", "text"), ("granularities", "granularity"))}
     columns["dates"] = [date.fromisoformat(r["date"]).toordinal() for r in records]
+    arrays = {name: np.array(values) for name, values in columns.items()}
+    if utf8_texts:
+        texts = columns["texts"]
+        arrays.update(texts=np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8),
+                      text_ends=np.cumsum([len(text) for text in texts], dtype=np.int64))
     with open(out / "index_daily.npz", "wb") as fh:
         np.savez(fh, jsonl_sha256=np.array(hashlib.sha256(path.read_bytes()).hexdigest()),
-                 **{name: np.array(values) for name, values in columns.items()})
+                 **arrays)
 
 
 @pytest.mark.parametrize("damage", ["edited jsonl", "deleted sidecar", "truncated sidecar",
-                                    "older sidecar layout"])
+                                    "older sidecar layout", "text_ends sidecar layout"])
 def test_forecast_falls_back_to_jsonl(tmp_path, snapshot_workspace, jsonl_loads, damage):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
@@ -411,6 +487,10 @@ def test_forecast_falls_back_to_jsonl(tmp_path, snapshot_workspace, jsonl_loads,
         write_older_sidecar(out)
         with np.load(sidecar) as npz:
             assert npz["texts"].dtype.kind == "U" and "text_ends" not in npz
+    elif damage == "text_ends sidecar layout":
+        write_older_sidecar(out, utf8_texts=True)
+        with np.load(sidecar) as npz:
+            assert npz["texts"].dtype == np.uint8 and npz["granularities"].dtype.kind == "U"
     else:
         data = sidecar.read_bytes()
         sidecar.write_bytes(data[:len(data) // 2])
@@ -455,6 +535,30 @@ def test_index_on_a_malformed_stories_line_exits_1_naming_it(tmp_path, workspace
     assert main(["index", "--out", str(out)]) == 1
     assert ("stories_daily.jsonl, line 3: not a story record (TypeError:"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("stage", ["stories", "forecast", "evaluate"])
+def test_a_wip_csv_without_days_exits_1_naming_it(tmp_path, workspace, capsys, stage):
+    out = tmp_path / "run"
+    shutil.copytree(workspace, out)
+    (out / "wip.csv").write_text(read_lines(out / "wip.csv")[0] + "\n")
+    assert main([stage, "--out", str(out)]) == 1
+    assert "wip.csv: holds no days" in capsys.readouterr().err
+
+
+def test_index_that_fails_on_a_later_granularity_writes_no_snapshot(tmp_path, workspace, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(workspace, out)
+    before = {name: (out / name).read_bytes() for name in ("index_daily.jsonl", "index_daily.npz")}
+    daily = out / "stories_daily.jsonl"
+    daily.write_text("\n".join(read_lines(daily)[4:]) + "\n")  # would change index_daily
+    weekday = out / "stories_weekday.jsonl"
+    records = [json.loads(line) for line in read_lines(weekday)]
+    next(r for r in records if r["kind"] == "contextual")["granularity"] = "daily"
+    weekday.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    assert main(["index", "--out", str(out)]) == 1
+    assert "stories_weekday.jsonl: holds daily stories, not only weekday" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in before} == before
 
 
 def test_index_on_a_story_of_another_granularity_exits_1_naming_it(tmp_path, workspace, capsys):

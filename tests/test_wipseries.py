@@ -9,10 +9,12 @@ from datetime import date, datetime, time, timedelta, timezone
 import pytest
 
 from wipcast.eventlog import ColumnMapping, EmptyLogError, parse_csv
+from wipcast.synthetic import synthetic_series
 from wipcast.wipseries import (
     WIP_CSV_HEADER,
     LifecycleConfig,
     WipEvent,
+    WipSeries,
     active_count_at,
     build_wip_series,
     export_wip_csv,
@@ -245,6 +247,38 @@ def test_wip_csv_round_trip(five_case_log):
     assert header == ",".join(WIP_CSV_HEADER)
     back = load_wip_csv(io.StringIO(text))
     assert back.events == series.events
+
+
+def test_loaded_series_reads_like_the_built_one():
+    built = synthetic_series(40, seed=3)
+    loaded = load_wip_csv(io.StringIO(export_wip_csv(built)))
+    got, want = loaded.events, built.events
+    assert len(got) == len(loaded) == 40
+    for part in (slice(3, 9), slice(5, 2), slice(-7, None), slice(None, None, -3), slice(None)):
+        assert type(got[part]) is tuple and got[part] == want[part]  # some rows built, then all
+    assert list(got) == list(want)
+    for i in (0, 1, 17, 39, -1, -2, -40):
+        assert got[i] == want[i]
+    for i in (40, -41):
+        with pytest.raises(IndexError):
+            got[i]
+    assert got == want and want == got and got == loaded.events
+    assert got != want[:-1] and want[1:] != got
+    assert loaded == built and loaded.contiguous
+    assert [loaded.days_through(want[0].date + timedelta(days=d)) for d in (-1, 0, 5, 39, 60)] == [
+        0, 1, 6, 40, 40]
+
+
+def test_loaded_series_with_a_dropped_day_is_not_contiguous():
+    log = make_log([("c1", "open", _utc(2024, 1, 1, 9)), ("c1", "close", _utc(2024, 1, 5, 9))])
+    loaded = load_wip_csv(io.StringIO(export_wip_csv(
+        build_wip_series(log, LifecycleConfig(), gap_policy="drop"))))
+    assert [ev.date for ev in loaded.events] == [date(2024, 1, 1), date(2024, 1, 5)]
+    assert not loaded.contiguous
+    assert [loaded.days_through(date(2024, 1, d)) for d in range(1, 7)] == [1, 1, 1, 1, 2, 2]
+    with pytest.raises(ValueError, match="gap"):
+        WipSeries(loaded.events, contiguous=True)
+    assert fill_gaps(loaded, "carry").events[1] == wip_event(date(2024, 1, 2), 1, 1, 1, 1)
 
 
 def test_randomized_logs_respect_invariants():
