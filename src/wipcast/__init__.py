@@ -74,7 +74,6 @@ from .wipseries import (
     active_count_at,
     build_wip_series,
     export_wip_csv,
-    fill_gaps,
     load_wip_csv,
     wip_event,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "emit_report",
     "export_csv",
     "export_wip_csv",
-    "fill_gaps",
     "fuse",
     "load_config",
     "load_index",

@@ -184,8 +184,12 @@ def cmd_index(args, cfg: PipelineConfig) -> int:
     for g in GRANULARITIES:
         src = _require(_stories_file(args.out, g), "run `wipcast stories` first")
         with open(src, encoding="utf-8") as fh:
-            indexes[g] = _only_granularity(g, _build_index(read_stories_jsonl(fh), embedder, cfg),
-                                           src)
+            stories = read_stories_jsonl(fh)
+        try:
+            index = _build_index(stories, embedder, cfg)
+        except ValueError as exc:
+            raise ValueError(f"{src}: {exc}") from exc
+        indexes[g] = _only_granularity(g, index, src)
     for g, index in indexes.items():
         path = _index_file(args.out, g)
         count = save_snapshot(index, path)

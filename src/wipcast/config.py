@@ -85,6 +85,9 @@ class ForecastParams:
         for name in ("k", "window", "trend_window", "trend_lookback"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.trend_window >= self.trend_lookback:  # the trend compares trend_window + 1 closes
+            raise ValueError(f"forecast.trend_window ({self.trend_window}) must be less than "
+                             f"forecast.trend_lookback ({self.trend_lookback})")
         minor, major = self.trend_thresholds
         if not 0 < minor < major:
             raise ValueError("trend thresholds must satisfy 0 < minor < major")
@@ -92,6 +95,7 @@ class ForecastParams:
             raise ValueError(f"unknown fusion mode: {self.fusion_mode}")
         if self.fusion_weights is not None:
             _check_weights(self.fusion_weights)
+        self.retention()  # checks max_age_days and min_similarity
 
     def retention(self) -> RetentionPolicy:
         return RetentionPolicy(max_age_days=self.max_age_days,

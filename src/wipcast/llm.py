@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import re
 import statistics
-import threading
 import time
 from dataclasses import dataclass
 from datetime import date as Date
@@ -28,6 +27,9 @@ ACTION_RE = re.compile(r"ACTION:\s*(\w+)\(([^)]*)\)")
 
 # Client errors that a later retry can cure: request timeout and rate limiting.
 RETRYABLE_4XX = (408, 429)
+# Both remote clients' default retries after the first attempt, and seconds
+# to wait before the first retry.
+RETRIES, BACKOFF = 2, 1.0
 
 
 class LlmError(Exception):
@@ -157,12 +159,34 @@ class StubBackend:
         return self._answer(statistics.median(ctx.agent_predictions.values()))
 
 
-class RemoteChatBackend:
-    """Chat-completions-compatible HTTP client with retries and a concurrency cap.
+def post_json(session, url: str, payload: dict, *, timeout: float, retries: int,
+              backoff: float, **post_args):
+    """POST ``payload`` as JSON and return the 2xx response. Transport errors
+    (OSError, requests' included), 5xx, 408 and 429 are retried up to ``retries``
+    times, the wait doubling from ``backoff`` seconds; BackendUnavailable once they
+    run out. Any other status raises TransportError at once: resending cannot help."""
+    last_error: Exception | None = None
+    for attempt in range(retries + 1):
+        if attempt:
+            time.sleep(backoff * (2 ** (attempt - 1)))
+        try:
+            resp = session.post(url, json=payload, timeout=timeout, **post_args)
+        except OSError as exc:
+            last_error = TransportError(str(exc))
+            continue
+        status = resp.status_code
+        if 200 <= status < 300:
+            return resp
+        last_error = TransportError(f"status {status}: {resp.text[:200]}")
+        if status < 500 and status not in RETRYABLE_4XX:
+            raise last_error
+    raise BackendUnavailable(str(last_error), retries=retries)
 
-    Transport failures, 5xx, 408 and 429 responses are retried with
-    exponential backoff. Other 4xx statuses and an empty completion fail on
-    the first attempt, since sending the same request again cannot help.
+
+class RemoteChatBackend:
+    """Chat-completions-compatible HTTP client, retrying as :func:`post_json` does.
+
+    An empty or malformed completion fails on the first attempt.
 
     ``io_bound`` tells callers that requests mostly wait on the network, so
     independent calls are worth issuing from several threads.
@@ -171,8 +195,8 @@ class RemoteChatBackend:
     io_bound = True
 
     def __init__(self, endpoint: str, model: str, api_key_env: str = "OPENAI_API_KEY",
-                 timeout: float = 60.0, retries: int = 2, backoff: float = 1.0,
-                 max_concurrency: int = 4, session=None):
+                 timeout: float = 60.0, retries: int = RETRIES, backoff: float = BACKOFF,
+                 session=None):
         import requests
 
         self.endpoint = endpoint
@@ -183,7 +207,6 @@ class RemoteChatBackend:
         self.backoff = backoff
         self.backend_id = f"remote:{model}"
         self._session = session if session is not None else requests.Session()
-        self._gate = threading.BoundedSemaphore(max_concurrency)
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -202,31 +225,12 @@ class RemoteChatBackend:
         }
         if req.deterministic:
             payload["temperature"] = 0
-        last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
-            try:
-                with self._gate:
-                    resp = self._session.post(
-                        self.endpoint, json=payload, headers=self._headers(),
-                        timeout=self.timeout,
-                    )
-                status = resp.status_code
-                ok = 200 <= status < 300
-                if ok:
-                    text = resp.json()["choices"][0]["message"]["content"]
-                else:
-                    detail = resp.text[:200]
-            except Exception as exc:
-                last_error = TransportError(str(exc))
-                continue
-            if not ok:
-                last_error = TransportError(f"status {status}: {detail}")
-                if 400 <= status < 500 and status not in RETRYABLE_4XX:
-                    raise last_error  # resending the same request cannot succeed
-                continue
-            if not text:
-                raise ResponseFormatError("empty completion text")
-            return ChatResponse(text=text, backend_id=self.backend_id)
-        raise BackendUnavailable(str(last_error), retries=self.retries)
+        resp = post_json(self._session, self.endpoint, payload, timeout=self.timeout,
+                         retries=self.retries, backoff=self.backoff, headers=self._headers())
+        try:
+            text = resp.json()["choices"][0]["message"]["content"]
+        except (ValueError, LookupError, TypeError) as exc:
+            raise ResponseFormatError(f"malformed completion: {exc!r}") from exc
+        if not isinstance(text, str) or not text:
+            raise ResponseFormatError(f"completion text is empty or not a string: {text!r}")
+        return ChatResponse(text=text, backend_id=self.backend_id)

@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import threading
-import time
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .llm import RETRYABLE_4XX
+from .llm import BACKOFF, RETRIES, LlmError, post_json
 from .narrative import GRANULARITIES, Story, parse_jsonl, story_numbers
 
 logger = logging.getLogger(__name__)
@@ -102,13 +101,9 @@ class DeterministicEmbedder:
 class RemoteEmbedder:
     """Embedding client for an HTTP endpoint taking {model, input} and returning vectors.
 
-    Transport failures, 5xx, 408 and 429 responses are retried with
-    exponential backoff, as in :class:`~wipcast.llm.RemoteChatBackend`. Other
-    4xx statuses and a malformed payload fail on the first attempt.
+    Requests are retried as :func:`~wipcast.llm.post_json` does, as often as
+    the chat client's default; a malformed payload fails on the first attempt.
     """
-
-    retries = 2  # RemoteChatBackend's defaults
-    backoff = 1.0  # seconds before the first retry; doubles after each
 
     def __init__(self, endpoint: str, model: str = "bge-base-en-v1.5",
                  timeout: float = 30.0, session=None):
@@ -126,38 +121,17 @@ class RemoteEmbedder:
             raise EmbeddingError("remote dimension unknown before the first embed call")
         return self._dim
 
-    def _post(self, batch: list[str]):
-        import requests
-
-        last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
-            try:
-                resp = self._session.post(
-                    self.endpoint,
-                    json={"model": self.model, "input": batch},
-                    timeout=self.timeout,
-                )
-                resp.raise_for_status()
-                return resp
-            except requests.HTTPError as exc:
-                status = exc.response.status_code
-                if 400 <= status < 500 and status not in RETRYABLE_4XX:
-                    # resending the same request cannot succeed
-                    raise EmbeddingError(f"remote embedding failed: {exc}") from exc
-                last_error = exc
-            except OSError as exc:  # connection errors and timeouts, requests' included
-                last_error = exc
-        raise EmbeddingError(f"remote embedding failed after {self.retries + 1} attempts: {last_error}")
-
     def embed_many(self, texts: Iterable[str]) -> np.ndarray:
         batch = list(texts)
         if not batch:
             return np.empty((0, self._dim or 0))
         if any(not t for t in batch):
             raise EmbeddingError("cannot embed empty text")
-        resp = self._post(batch)
+        try:
+            resp = post_json(self._session, self.endpoint, {"model": self.model, "input": batch},
+                             timeout=self.timeout, retries=RETRIES, backoff=BACKOFF)
+        except LlmError as exc:
+            raise EmbeddingError(f"remote embedding failed: {exc}") from exc
         try:
             rows = [np.asarray(item["embedding"], dtype=float) for item in resp.json()["data"]]
         except (ValueError, KeyError, TypeError) as exc:
@@ -206,6 +180,8 @@ class RetentionPolicy:
     def __post_init__(self):
         if self.max_age_days is not None and self.max_age_days < 1:
             raise ValueError("max_age_days must be >= 1")
+        if self.min_similarity is not None and not -1 <= self.min_similarity <= 1:  # NaN too
+            raise ValueError(f"min_similarity must be in [-1, 1], got {self.min_similarity}")
 
 
 class StoryIndex:
@@ -264,15 +240,23 @@ class StoryIndex:
     def _append(self, embeddings, doc_ids, dates, targets, texts: Sequence[str], codes) -> None:
         """Append a batch of rows given as columns, granularities as their positions
         in GRANULARITIES. Each row needs a finite, nonzero embedding of the
-        index's dim, a known granularity and a doc_id neither repeated in the
-        batch nor held; a failing batch raises ValueError before anything is written."""
+        index's dim, a finite target, a known granularity and a 64-bit doc_id
+        neither repeated in the batch nor held; a failing batch raises
+        ValueError before anything is written."""
         n = len(texts)
         if not n:
             return
         matrix = np.asarray(embeddings, dtype=float)
         first = int(self._ids[:self._rows].max()) + 1 if self._rows else 0  # the next free id
-        ids = np.asarray(range(first, first + n) if doc_ids is None else doc_ids, dtype=np.int64)
+        try:
+            ids = np.asarray(range(first, first + n) if doc_ids is None else doc_ids, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("a doc_id is out of the 64-bit range") from None
         dates = np.asarray(dates, dtype=np.int64)
+        try:
+            targets = np.asarray(targets, dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"targets must be numbers: {exc}") from None
         codes = np.asarray(codes)
         if matrix.ndim != 2 or any(len(col) != n for col in (matrix, ids, dates, targets, codes)):
             raise ValueError(f"need one embedding row and doc_id per story, got shape "
@@ -284,6 +268,9 @@ class StoryIndex:
             raise ValueError(f"granularity codes must be uint8 below {len(GRANULARITIES)}")
         if not np.isfinite(matrix).all():
             raise ValueError("embedding entries must be finite")
+        if not np.isfinite(targets).all():
+            i = np.flatnonzero(~np.isfinite(targets))[0]
+            raise ValueError(f"target {targets[i]} of the story dated {Date.fromordinal(dates[i])} is not finite")
         norms = np.linalg.norm(matrix, axis=1)
         if not norms.all():
             raise ValueError("embedding must have nonzero norm")

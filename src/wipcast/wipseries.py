@@ -115,7 +115,6 @@ class WipSeries:
 
     events: Sequence[WipEvent]
     contiguous: bool = True
-    lifecycle: LifecycleConfig = field(default=LifecycleConfig(), compare=False)
     _ordinals: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -282,8 +281,8 @@ def build_wip_series(
     if gap_policy == "drop":
         event_days = {local_day(ev.timestamp) for ev in log.events}
         kept = tuple(ev for ev in days if ev.date in event_days)
-        return WipSeries(kept, contiguous=len(kept) == len(days), lifecycle=cfg)
-    return WipSeries(tuple(days), contiguous=True, lifecycle=cfg)
+        return WipSeries(kept, contiguous=len(kept) == len(days))
+    return WipSeries(tuple(days), contiguous=True)
 
 
 def active_count_at(log: EventLog, cfg: LifecycleConfig | None = None, instant: datetime | None = None) -> int:
@@ -300,32 +299,6 @@ def active_count_at(log: EventLog, cfg: LifecycleConfig | None = None, instant: 
         if opening.timestamp <= instant < closing.timestamp:
             count += 1
     return count
-
-
-def fill_gaps(series: WipSeries, policy: str = "carry") -> WipSeries:
-    """Apply a gap policy to a (possibly non-contiguous) series.
-
-    "carry" inserts a flat day for each missing date: open/high/low/close all
-    equal the previous close, counts zero. "drop" keeps the series as-is and
-    records whether it is contiguous.
-    """
-    if policy not in GAP_POLICIES:
-        raise ValueError(f"unknown gap policy {policy!r}")
-    if not series.events:
-        return series
-    if policy == "drop":
-        gapless = all(b.date == a.date + timedelta(days=1) for a, b in zip(series.events, series.events[1:]))
-        return WipSeries(series.events, contiguous=gapless, lifecycle=series.lifecycle)
-
-    filled: list[WipEvent] = [series.events[0]]
-    for ev in series.events[1:]:
-        day = filled[-1].date + timedelta(days=1)
-        while day < ev.date:
-            prev_close = filled[-1].close
-            filled.append(wip_event(day, prev_close, prev_close, prev_close, prev_close, 0, 0, 0))
-            day += timedelta(days=1)
-        filled.append(ev)
-    return WipSeries(tuple(filled), contiguous=True, lifecycle=series.lifecycle)
 
 
 def export_wip_csv(series: WipSeries) -> str:

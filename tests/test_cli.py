@@ -3,6 +3,7 @@
 import gzip
 import hashlib
 import json
+import math
 import os
 import shutil
 from datetime import date, timedelta
@@ -370,6 +371,20 @@ def test_config_value_of_the_wrong_type_exits_1_naming_the_key(tmp_path, log_pat
     assert not (tmp_path / "wip.csv").exists()
 
 
+@pytest.mark.parametrize("section, want", [
+    ({"trend_window": 14}, "forecast.trend_window (14) must be less than forecast.trend_lookback (14)"),
+    ({"min_similarity": math.nan}, "min_similarity must be in [-1, 1], got nan"),
+    ({"min_similarity": 2.0}, "min_similarity must be in [-1, 1], got 2.0"),
+])
+def test_config_that_would_silently_degrade_forecasts_exits_1(tmp_path, workspace, capsys,
+                                                               section, want):
+    cfg_path = tmp_path / "pipeline.json"
+    cfg_path.write_text(json.dumps({"forecast": section}))  # writes NaN, which json reads back
+    for stage in ("forecast", "evaluate"):
+        assert main([stage, "--out", workspace, "--config", str(cfg_path)]) == 1
+        assert f"error: {want}" in capsys.readouterr().err
+
+
 def test_backend_remote_without_endpoint_exits_1(workspace):
     assert main(["forecast", "--out", workspace, "--backend", "remote"]) == 1
 
@@ -525,6 +540,43 @@ def test_forecast_on_a_malformed_snapshot_exits_1_naming_it(tmp_path, snapshot_w
     assert want in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["doc_id beyond 64 bits", "infinite target"])
+def test_forecast_on_a_snapshot_row_out_of_range_exits_1_naming_it(tmp_path, snapshot_workspace,
+                                                                   capsys, damage):
+    out = tmp_path / "run"
+    shutil.copytree(snapshot_workspace, out)
+    (out / "index_daily.npz").unlink()
+    path = out / "index_daily.jsonl"
+    records = [json.loads(line) for line in read_lines(path)]
+    if damage == "doc_id beyond 64 bits":  # used to end in an OverflowError traceback
+        records[3]["doc_id"] = 2**70
+        want = "index_daily.jsonl: a doc_id is out of the 64-bit range"
+    else:  # used to reach the model and fail on "PREDICTION: inf"
+        records[3]["target"] = math.inf
+        want = f"index_daily.jsonl: target inf of the story dated {records[3]['date']} is not finite"
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    assert main(["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET]) == 1
+    assert want in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, "x", {"a": 1}])
+def test_index_on_a_bad_story_target_exits_1_naming_the_file(tmp_path, workspace, capsys, target):
+    out = tmp_path / "run"
+    shutil.copytree(workspace, out)
+    path = out / "stories_daily.jsonl"
+    records = [json.loads(line) for line in read_lines(path)]
+    story = next(r for r in records if r["kind"] == "contextual")
+    story["target"] = target
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    before = (out / "index_daily.jsonl").read_bytes()
+    assert main(["index", "--out", str(out)]) == 1
+    want = {float: f"target {target} of the story dated {story['date']} is not finite",
+            str: "could not convert string to float: 'x'",
+            dict: "targets must be numbers: float() argument must be"}[type(target)]
+    assert f"stories_daily.jsonl: {want}" in capsys.readouterr().err
+    assert (out / "index_daily.jsonl").read_bytes() == before  # a NaN used to be written as NaN
+
+
 def test_index_on_a_malformed_stories_line_exits_1_naming_it(tmp_path, workspace, capsys):
     out = tmp_path / "run"
     shutil.copytree(workspace, out)
@@ -586,8 +638,8 @@ class EmbeddingSession:
         self.batches.append(json["input"])
         rows = self.embedder.embed_many(json["input"])
         body = {"data": [{"embedding": row.tolist()} for row in rows]}
-        return type("Response", (), {"raise_for_status": lambda self: None,
-                                     "json": lambda self: body})()
+        return type("Response", (), {"raise_for_status": lambda self: None, "status_code": 200,
+                                     "text": "", "json": lambda self: body})()
 
 
 def test_index_embeds_once_per_granularity(tmp_path, workspace, monkeypatch):

@@ -109,6 +109,18 @@ def test_positive_numerics_enforced():
             ForecastParams(**{field: 0})
 
 
+@pytest.mark.parametrize("forecast", [{"trend_window": 14}, {"trend_window": 20},
+                                      {"trend_window": 5, "trend_lookback": 5}])
+def test_trend_window_must_be_below_trend_lookback(forecast):
+    # the trend compares trend_window + 1 of the trend_lookback closes it reads,
+    # so such a config labelled every day stable
+    window, lookback = forecast["trend_window"], forecast.get("trend_lookback", 14)
+    with pytest.raises(ValueError, match=rf"forecast\.trend_window \({window}\) must be less "
+                                         rf"than forecast\.trend_lookback \({lookback}\)"):
+        config_from_dict({"forecast": forecast})
+    assert ForecastParams(trend_window=lookback - 1, trend_lookback=lookback).trend_window < lookback
+
+
 def test_threshold_order_enforced():
     with pytest.raises(ValueError):
         ForecastParams(trend_thresholds=(0.05, 0.01))

@@ -15,6 +15,7 @@ from wipcast.evaluation import (
     MetricsSummary,
     PredictionTrace,
     TraceEntry,
+    contextual_stories,
     default_split_date,
     emit_report,
     forecast_day,
@@ -404,6 +405,37 @@ def test_forecast_day_fans_a_remote_backend_out():
     assert report.date == series.events[-1].date + timedelta(days=1)
     assert session.calls == 3
     assert session.max_in_flight >= 2
+
+
+class PooledStub(StubBackend):
+    """The stub, marked I/O-bound, recording the threads its predictor calls run on."""
+
+    io_bound = True
+
+    def __init__(self):
+        self.predictor_threads = []
+
+    def chat(self, req):
+        if req.structured_context.retrieved is not None:
+            self.predictor_threads.append(threading.get_ident())
+        return super().chat(req)
+
+
+@pytest.mark.parametrize("mode", ["rules", "react"])
+def test_forecast_day_thread_pool_gives_the_inline_report(mode):
+    series = synthetic_series(40, seed=3)
+    embedder = DeterministicEmbedder()
+    indexes = {aid: StoryIndex(provider=embedder) for aid in AGENT_IDS}
+    for aid, index in indexes.items():
+        stories = contextual_stories(series.events, aid, 7)[1]
+        index.add_many(stories, embedder.embed_many(s.text for s in stories))
+    current, params = series.events[30], ForecastParams(fusion_mode=mode)
+    inline = forecast_day(current, series, indexes, StubBackend(), params)
+    backend = PooledStub()
+    assert forecast_day(current, series, indexes, backend, params) == inline
+    assert all(len(pred.retrieved) == params.k for pred in inline.agent_predictions.values())
+    assert len(backend.predictor_threads) == len(AGENT_IDS)
+    assert threading.get_ident() not in backend.predictor_threads
 
 
 def test_forecast_day_trend_reads_only_closes_up_to_the_current_day():

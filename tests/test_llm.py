@@ -194,12 +194,13 @@ def test_remote_backend_exhausts_retries():
     assert len(session.calls) == 3
 
 
-def test_remote_backend_malformed_body_is_unavailable():
+def test_remote_backend_does_not_retry_malformed_body():
     session = FakeSession([FakeResponse(body={"nope": []})] * 2)
     backend = RemoteChatBackend("http://llm.test", "m", session=session, retries=1,
                                 backoff=0.0)
-    with pytest.raises(BackendUnavailable):
+    with pytest.raises(ResponseFormatError):
         backend.chat(ChatRequest(system_text="s", user_text="u"))
+    assert len(session.calls) == 1
 
 
 @pytest.mark.parametrize("status", [400, 401, 404])

@@ -10,8 +10,10 @@ import io
 import json
 import math
 import random
+import re
 import sys
 import threading
+import time
 import zlib
 from dataclasses import replace
 from datetime import date, timedelta
@@ -445,6 +447,14 @@ def test_retention_min_similarity_drops_low_scores(monday_example):
     assert len(loose.retrieve(query, date(2024, 4, 1), k=5)) == 1
 
 
+@pytest.mark.parametrize("value", [math.nan, 2.0, -1.5, math.inf])
+def test_retention_rejects_a_min_similarity_outside_minus_one_to_one(value):
+    # such a floor filtered out every retrieval, so every agent fell back silently
+    with pytest.raises(ValueError, match=r"min_similarity must be in \[-1, 1\]"):
+        RetentionPolicy(min_similarity=value)
+    assert RetentionPolicy(min_similarity=1.0).min_similarity == 1.0
+
+
 def test_retrieve_rejects_bad_k(monday_example):
     index = StoryIndex(provider=DeterministicEmbedder())
     with pytest.raises(ValueError):
@@ -650,6 +660,20 @@ def test_add_many_rejects_query_stories_and_foreign_dims(monday_example):
     assert len(index) == 1
 
 
+@pytest.mark.parametrize("target, doc_id, want", [
+    (math.nan, 1, "target nan of the story dated 2024-03-04 is not finite"),
+    (-math.inf, 1, "target -inf of the story dated 2024-03-04 is not finite"),
+    (71.0, 2**70, "a doc_id is out of the 64-bit range"),  # was an OverflowError
+])
+def test_add_many_rejects_rows_out_of_range(monday_example, target, doc_id, want):
+    index = StoryIndex()
+    index.add_many([render_contextual_story(monday_example, 72)], np.ones((1, 8)))
+    story = replace(render_contextual_story(monday_example, 71), target=target)
+    with pytest.raises(ValueError, match=re.escape(want)):
+        index.add_many([story], np.ones((1, 8)), doc_ids=[doc_id])
+    assert len(index) == 1
+
+
 # --- remote embedder retries ---
 
 
@@ -657,6 +681,7 @@ class EmbedResponse:
     def __init__(self, status_code=200, body=None):
         self.status_code = status_code
         self._body = body
+        self.text = f"{status_code} body"
 
     def raise_for_status(self):
         if self.status_code >= 400:
@@ -688,7 +713,7 @@ class EmbedSession:
 @pytest.fixture
 def sleeps(monkeypatch):
     waited = []
-    monkeypatch.setattr(memory.time, "sleep", waited.append)
+    monkeypatch.setattr(time, "sleep", waited.append)
     return waited
 
 

@@ -18,7 +18,6 @@ from wipcast.wipseries import (
     active_count_at,
     build_wip_series,
     export_wip_csv,
-    fill_gaps,
     first_event,
     last_event,
     load_wip_csv,
@@ -235,11 +234,6 @@ def test_paper_style_day_is_representable():
     assert ev.open + ev.new - ev.done == 69
 
 
-def test_fill_gaps_noop_when_contiguous(five_case_log):
-    series = build_wip_series(five_case_log, LifecycleConfig())
-    assert fill_gaps(series, "carry") == series
-
-
 def test_wip_csv_round_trip(five_case_log):
     series = build_wip_series(five_case_log, LifecycleConfig())
     text = export_wip_csv(series)
@@ -278,7 +272,6 @@ def test_loaded_series_with_a_dropped_day_is_not_contiguous():
     assert [loaded.days_through(date(2024, 1, d)) for d in range(1, 7)] == [1, 1, 1, 1, 2, 2]
     with pytest.raises(ValueError, match="gap"):
         WipSeries(loaded.events, contiguous=True)
-    assert fill_gaps(loaded, "carry").events[1] == wip_event(date(2024, 1, 2), 1, 1, 1, 1)
 
 
 def test_randomized_logs_respect_invariants():
