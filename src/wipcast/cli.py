@@ -17,6 +17,7 @@ import sys
 from dataclasses import replace
 from datetime import date as Date
 from datetime import timedelta
+from functools import cache
 
 from .agents import _query_story
 from .config import (
@@ -32,7 +33,6 @@ from .eventlog import (
     EventLogError,
     parse_csv,
     parse_xes,
-    validate,
 )
 from .evaluation import (
     contextual_stories,
@@ -130,7 +130,7 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
             )
             log = parse_csv(fh, mapping, source_name=os.path.basename(path))
 
-    report = validate(log)
+    cases = len({ev.case_id for ev in log.events})
     series = build_wip_series(log, build_lifecycle(cfg.lifecycle),
                               gap_policy=args.gap_policy or cfg.gap_policy,
                               tz=cfg.input.timezone)
@@ -139,7 +139,7 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
     out_path = os.path.join(args.out, SERIES_FILE)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(export_wip_csv(series))
-    print(f"ingested {report.event_count} events / {report.case_count} cases "
+    print(f"ingested {len(log)} events / {cases} cases "
           f"-> {len(series.events)} days ({series.events[0].date} .. "
           f"{series.events[-1].date})")
     print(f"wrote {out_path}")
@@ -286,6 +286,7 @@ def cmd_plot(args, cfg: PipelineConfig) -> int:
 # --- wiring ---
 
 
+@cache  # one parser per process; main dispatches on args.command, not on a stored function
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="pipeline config JSON file")
@@ -310,31 +311,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timestamp", help="CSV column holding the timestamp")
     p.add_argument("--lifecycle", help="CSV column holding the lifecycle marker")
     p.add_argument("--gap-policy", choices=["carry", "drop"], default=None)
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("stories", parents=[common],
                        help="render query and contextual stories from the series")
-    p.set_defaults(func=cmd_stories)
 
     p = sub.add_parser("index", parents=[common],
                        help="embed contextual stories into retrieval indexes")
-    p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("forecast", parents=[common],
                        help="forecast a single day's closing WiP")
     p.add_argument("--date", help="target day (ISO); default: day after the series ends")
     p.add_argument("--mode", choices=["rules", "react"], default=None)
-    p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("evaluate", parents=[common],
                        help="walk-forward evaluation with ablations and baseline")
     p.add_argument("--split", help="last training day (ISO); default: last 20%% as test")
     p.add_argument("--mode", choices=["rules", "react"], default=None)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("plot", parents=[common],
                        help="re-render report.svg from predictions.csv")
-    p.set_defaults(func=cmd_plot)
 
     return parser
 
@@ -360,11 +355,11 @@ def _effective_config(args) -> PipelineConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _effective_config(args)
-        return args.func(args, cfg)
+        # Looked up on every call, so a rebound cmd_* (as a tracer does) is the one that runs.
+        return globals()[f"cmd_{args.command}"](args, cfg)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

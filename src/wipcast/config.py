@@ -11,6 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import IO, Mapping, Union, get_args, get_origin, get_type_hints
+from urllib.parse import urlsplit
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .agents import _check_weights
@@ -38,6 +39,20 @@ class InputConfig:
             raise ValueError(f"unknown input timezone {self.timezone!r}: {exc}") from exc
 
 
+def _check_endpoint(key: str, endpoint: str) -> None:
+    """ValueError naming ``key`` unless ``endpoint`` is empty or an http(s) URL with a host."""
+    if not endpoint:
+        return
+    try:
+        parts = urlsplit(endpoint)
+        ok = parts.scheme in ("http", "https") and bool(parts.hostname)
+    except ValueError:  # e.g. an unclosed IPv6 bracket
+        ok = False
+    if not ok:
+        raise ValueError(f"config key {key} must be an http:// or https:// URL with a host, "
+                         f"got {endpoint!r}")
+
+
 @dataclass(frozen=True)
 class EmbedderConfig:
     kind: str = "deterministic"  # deterministic | remote
@@ -49,6 +64,7 @@ class EmbedderConfig:
             raise ValueError(f"unknown embedder kind: {self.kind}")
         if self.kind == "remote" and not self.endpoint:
             raise ValueError("remote embedder needs an endpoint")
+        _check_endpoint("embedder.endpoint", self.endpoint)
 
 
 @dataclass(frozen=True)
@@ -65,6 +81,7 @@ class BackendConfig:
             raise ValueError(f"unknown backend kind: {self.kind}")
         if self.kind == "remote" and not self.endpoint:
             raise ValueError("remote backend needs an endpoint")
+        _check_endpoint("backend.endpoint", self.endpoint)
         if self.timeout <= 0 or self.retries < 0:
             raise ValueError("timeout must be positive and retries nonnegative")
 

@@ -5,6 +5,13 @@ carrying a case id, an activity name, a UTC timestamp, an optional lifecycle
 marker, and any further attributes found in the source. Individually malformed
 events are skipped with a diagnostic rather than aborting the whole file, since
 real-world logs routinely contain sporadic defects.
+
+A log is held lean: events are slotted, and each parse keeps a table of the
+strings it has stored (activity, lifecycle, attribute keys and string values,
+the case id), so every event carrying an equal string shares one object. The
+table lives only as long as the parse, so strings that never repeat cost
+nothing once it returns. :func:`validate` is a separate summary that
+ingestion does not run.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ class MappingError(EventLogError):
     """The CSV column mapping does not match the file header."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One process event: who (case), what (activity), when (UTC timestamp)."""
 
@@ -249,6 +256,7 @@ def parse_xes(stream: bytes | IO[bytes], source_name: str = "<xes>") -> EventLog
     trace_attrs: dict[str, Scalar] | None = None  # None outside a trace
     trace_events: list[dict[str, Scalar]] = []  # the open trace's events, as attributes
     event_attrs: dict[str, Scalar] | None = None  # None outside an event
+    share = {}.setdefault  # share(s, s): the first equal string this parse stored
 
     def start(name: str, attrs: dict[str, str]) -> None:
         nonlocal depth, trace_attrs, trace_events, event_attrs
@@ -277,9 +285,12 @@ def parse_xes(stream: bytes | IO[bytes], source_name: str = "<xes>") -> EventLog
         if convert is None or key is None or value is None:
             return
         try:
-            out[key] = convert(value)
+            parsed = convert(value)
         except (ValueError, TypeError):
-            out[key] = value  # a value that does not parse stays a string
+            parsed = value  # a value that does not parse stays a string
+        if isinstance(parsed, str):
+            parsed = share(parsed, parsed)
+        out[share(key, key)] = parsed
 
     def end(name: str) -> None:
         nonlocal depth, seen
@@ -332,7 +343,9 @@ def parse_csv(
             if missing:
                 raise MappingError(f"{source_name}: mapped column(s) not in header: {', '.join(missing)}")
 
-            core = {mapping.case, mapping.activity, mapping.timestamp, mapping.lifecycle}
+            # None keys a row's cells beyond the header; like the mapped columns, no attribute.
+            core = {None, mapping.case, mapping.activity, mapping.timestamp, mapping.lifecycle}
+            share = {}.setdefault  # share(s, s): the first equal string this parse stored
             events: list[Event] = []
             diagnostics: list[str] = []
             seen = 0
@@ -351,11 +364,12 @@ def parse_csv(
                     continue
                 lifecycle = None
                 if mapping.lifecycle:
-                    lifecycle = (row.get(mapping.lifecycle) or "").strip() or None
+                    lifecycle = (row.get(mapping.lifecycle) or "").strip()
+                    lifecycle = share(lifecycle, lifecycle) or None
                 attrs: dict[str, Scalar] = {
-                    k: v for k, v in row.items() if k not in core and v is not None and v != ""
+                    k: share(v, v) for k, v in row.items() if k not in core and v is not None and v != ""
                 }
-                events.append(Event(case_id, activity, ts, lifecycle, attrs))
+                events.append(Event(share(case_id, case_id), share(activity, activity), ts, lifecycle, attrs))
         except UnicodeDecodeError as exc:
             # The text layer decodes ahead of the rows: lines the reader has
             # taken, plus the line breaks before the bad byte in this chunk.

@@ -164,7 +164,9 @@ def post_json(session, url: str, payload: dict, *, timeout: float, retries: int,
     """POST ``payload`` as JSON and return the 2xx response. Transport errors
     (OSError, requests' included), 5xx, 408 and 429 are retried up to ``retries``
     times, the wait doubling from ``backoff`` seconds; BackendUnavailable once they
-    run out. Any other status raises TransportError at once: resending cannot help."""
+    run out. Any other status, and a request that cannot be sent at all (requests'
+    MissingSchema, InvalidSchema, InvalidURL: an OSError that is also a
+    ValueError), raise TransportError at once: resending cannot help."""
     last_error: Exception | None = None
     for attempt in range(retries + 1):
         if attempt:
@@ -172,6 +174,8 @@ def post_json(session, url: str, payload: dict, *, timeout: float, retries: int,
         try:
             resp = session.post(url, json=payload, timeout=timeout, **post_args)
         except OSError as exc:
+            if isinstance(exc, ValueError):
+                raise TransportError(f"invalid request to {url!r}: {exc}") from exc
             last_error = TransportError(str(exc))
             continue
         status = resp.status_code

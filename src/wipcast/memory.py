@@ -67,19 +67,22 @@ class DeterministicEmbedder:
             raise ValueError("buckets must be >= 1 and numeric_slots >= 0")
         self.buckets = buckets
         self.numeric_slots = numeric_slots
-        # trigram -> bucket; story templates repeat a small trigram vocabulary
-        self._bucket_of: dict[str, int] = {}
+        # trigram, as a tuple of its characters -> bucket; story templates
+        # repeat a small trigram vocabulary
+        self._bucket_of: dict[tuple[str, str, str], int] = {}
 
     @property
     def dim(self) -> int:
         return self.buckets + self.numeric_slots
 
     def _buckets(self, padded: str) -> list[int]:
-        trigrams = [padded[i : i + 3] for i in range(len(padded) - 2)]
         memo = self._bucket_of
-        for trigram in set(trigrams).difference(memo):
-            memo[trigram] = zlib.crc32(trigram.encode("utf-8")) % self.buckets
-        return list(map(memo.__getitem__, trigrams))
+        try:
+            return list(map(memo.__getitem__, zip(padded, padded[1:], padded[2:])))
+        except KeyError:  # some trigram is new: hash every new one, then look up again
+            for trigram in set(zip(padded, padded[1:], padded[2:])).difference(memo):
+                memo[trigram] = zlib.crc32("".join(trigram).encode("utf-8")) % self.buckets
+            return self._buckets(padded)
 
     def embed(self, text: str) -> np.ndarray:
         if not text:

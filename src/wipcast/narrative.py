@@ -153,7 +153,7 @@ def parse_story(text: str) -> StoryNumbers:
 
 def story_numbers(text: str) -> list[float]:
     """All numbers appearing in ``text``, in order. Works on arbitrary text."""
-    return [float(m.group()) for m in _NUMBER_RE.finditer(text)]
+    return list(map(float, _NUMBER_RE.findall(text)))
 
 
 def story_to_dict(story: Story) -> dict:

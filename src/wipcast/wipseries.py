@@ -20,8 +20,8 @@ import logging
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from datetime import date as Date, datetime, timedelta
-from typing import IO, Callable
+from datetime import date as Date, datetime, timedelta, timezone
+from typing import IO, Callable, Iterator
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -35,6 +35,9 @@ WIP_CSV_HEADER = ["date", "dow", "dom", "doy", "open", "high", "low", "close", "
 GAP_POLICIES = ("carry", "drop")
 
 CaseRule = Callable[[Sequence[Event]], Event]
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 
 def first_event(case_events: Sequence[Event]) -> Event:
@@ -185,12 +188,11 @@ class _CsvDays(Sequence):
 
 def _case_anchors(
     log: EventLog, cfg: LifecycleConfig
-) -> list[tuple[str, Event, Event, Event]]:
-    """Resolve (case_id, opening, closing, started) per case; drop inverted cases."""
+) -> Iterator[tuple[str, Event, Event, Event]]:
+    """Yield (case_id, opening, closing, started) per case; drop inverted cases."""
     by_case: dict[str, list[Event]] = {}
     for ev in log.events:
         by_case.setdefault(ev.case_id, []).append(ev)
-    anchors = []
     for case_id, evts in by_case.items():
         opening = cfg.new_rule(evts)
         closing = cfg.done_rule(evts)
@@ -198,8 +200,13 @@ def _case_anchors(
         if closing.timestamp < opening.timestamp:
             logger.warning("case %r: closing precedes opening under rules %r, case dropped", case_id, cfg.name)
             continue
-        anchors.append((case_id, opening, closing, started))
-    return anchors
+        yield case_id, opening, closing, started
+
+
+def _per_day(days: np.ndarray, first: int, n_days: int) -> np.ndarray:
+    """How many of ``days`` (ordinals) fall on each of the ``n_days`` days from ``first``."""
+    i = days - first
+    return np.bincount(i[(i >= 0) & (i < n_days)], minlength=n_days)
 
 
 def build_wip_series(
@@ -223,64 +230,57 @@ def build_wip_series(
     cfg = cfg or LifecycleConfig()
     zone = ZoneInfo(tz)
 
-    def local_day(ts: datetime) -> Date:
-        return ts.astimezone(zone).date()
+    def local_day(ts: datetime) -> int:
+        return ts.astimezone(zone).toordinal()
 
-    anchors = _case_anchors(log, cfg)
-    if not anchors:
-        raise EmptyLogError("no usable cases after lifecycle-rule filtering")
-
-    # (instant, its local day, +1 opening / -1 closing)
-    transitions: list[tuple[datetime, Date, int]] = []
-    new_per_day: dict[Date, int] = {}
-    done_per_day: dict[Date, int] = {}
-    started_per_day: dict[Date, int] = {}
-    for _case_id, opening, closing, started in anchors:
+    def case_row(opening: Event, closing: Event, started: Event) -> tuple[int, ...]:
         open_day = local_day(opening.timestamp)
-        close_day = local_day(closing.timestamp)
-        transitions.append((opening.timestamp, open_day, +1))
-        transitions.append((closing.timestamp, close_day, -1))
-        new_per_day[open_day] = new_per_day.get(open_day, 0) + 1
-        done_per_day[close_day] = done_per_day.get(close_day, 0) + 1
-        d = open_day if started is opening else local_day(started.timestamp)
-        started_per_day[d] = started_per_day.get(d, 0) + 1
-    transitions.sort(key=lambda t: t[0])
+        return ((opening.timestamp - _EPOCH) // _MICROSECOND,
+                (closing.timestamp - _EPOCH) // _MICROSECOND,
+                open_day, local_day(closing.timestamp),
+                open_day if started is opening else local_day(started.timestamp))
 
-    first_day = local_day(log.events[0].timestamp)
-    last_day = local_day(log.events[-1].timestamp)
+    # One row per case: the instants (microseconds since the epoch) of its
+    # opening and closing, and the local days (ordinals) of its opening,
+    # closing and start.
+    cases = np.fromiter((case_row(o, c, s) for _, o, c, s in _case_anchors(log, cfg)),
+                        dtype=np.dtype((np.int64, 5)))
+    if not len(cases):
+        raise EmptyLogError("no usable cases after lifecycle-rule filtering")
+    open_at, close_at, open_days, close_days, started_days = cases.T
 
-    days: list[WipEvent] = []
-    running = 0
-    ti = 0
-    n = len(transitions)
-    day = first_day
-    while day <= last_day:
-        open_count = running
-        high = low = running
-        while ti < n and transitions[ti][1] <= day:
-            ts = transitions[ti][0]
-            while ti < n and transitions[ti][0] == ts:
-                running += transitions[ti][2]
-                ti += 1
-            high = max(high, running)
-            low = min(low, running)
-        days.append(
-            wip_event(
-                day,
-                open=open_count,
-                high=high,
-                low=low,
-                close=running,
-                new=new_per_day.get(day, 0),
-                done=done_per_day.get(day, 0),
-                started=started_per_day.get(day, 0),
-            )
-        )
-        day += timedelta(days=1)
+    first = local_day(log.events[0].timestamp)
+    n_days = local_day(log.events[-1].timestamp) - first + 1
+    # Transitions in time order; openings (+1) are the first len(cases).
+    at = np.concatenate((open_at, close_at))
+    order = np.argsort(at, kind="stable")
+    at = at[order]
+    running = np.cumsum(np.where(order < len(cases), 1, -1))
+    # Sample the count after the last transition of each instant. An instant
+    # counts towards its local day, or towards the latest day already counted
+    # if that is later (local dates can step back where a zone's offset does);
+    # instants past the last day are never counted.
+    last_of_instant = np.append(at[1:] != at[:-1], True)
+    sampled = running[last_of_instant]
+    day_of = np.concatenate((open_days, close_days))[order][last_of_instant]
+    pos = np.maximum.accumulate(np.maximum(day_of, first)) - first
+    counted = np.searchsorted(pos, n_days)
+    sampled, pos = sampled[:counted], pos[:counted]
+
+    taken = np.searchsorted(pos, np.arange(n_days), side="right")  # samples by each day's end
+    close = np.concatenate(([0], sampled))[taken]
+    open_ = np.concatenate(([0], close))[:-1]
+    high, low = open_.copy(), open_.copy()
+    np.maximum.at(high, pos, sampled)
+    np.minimum.at(low, pos, sampled)
+    columns = (open_, high, low, close, *(_per_day(d, first, n_days)
+                                          for d in (open_days, close_days, started_days)))
+    days = [wip_event(Date.fromordinal(first + j), *counts)
+            for j, counts in enumerate(zip(*(c.tolist() for c in columns)))]
 
     if gap_policy == "drop":
         event_days = {local_day(ev.timestamp) for ev in log.events}
-        kept = tuple(ev for ev in days if ev.date in event_days)
+        kept = tuple(ev for ev in days if ev.date.toordinal() in event_days)
         return WipSeries(kept, contiguous=len(kept) == len(days))
     return WipSeries(tuple(days), contiguous=True)
 

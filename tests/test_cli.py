@@ -11,11 +11,11 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from wipcast import memory
+from wipcast import cli, memory
 from wipcast.agents import DEFAULT_FUSION_WEIGHTS
 from wipcast.cli import main
 from wipcast.config import ForecastParams
-from wipcast.eventlog import export_csv
+from wipcast.eventlog import ColumnMapping, export_csv, parse_csv, validate
 from wipcast.memory import DeterministicEmbedder, RemoteEmbedder
 from wipcast.synthetic import synthetic_event_log
 from wipcast.wipseries import WipEvent, load_wip_csv
@@ -103,6 +103,22 @@ def test_ingest_is_idempotent(tmp_path, log_path):
     first = read_lines(os.path.join(out, "wip.csv"))
     assert main(["ingest", log_path, "--out", out]) == 0
     assert read_lines(os.path.join(out, "wip.csv")) == first
+
+
+def test_ingest_prints_the_event_and_case_counts(tmp_path, nine_event_xes, capsys):
+    path = tmp_path / "nine.xes"
+    path.write_text(nine_event_xes)
+    assert main(["ingest", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "ingested 9 events / 3 cases -> 4 days (2024-03-01 .. 2024-03-04)")
+
+
+def test_ingest_counts_match_validate(tmp_path, log_path, capsys):
+    with open(log_path, "rb") as fh:
+        report = validate(parse_csv(fh, ColumnMapping("case", "activity", "timestamp")))
+    assert main(["ingest", log_path, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"ingested {report.event_count} events / {report.case_count} cases -> ")
 
 
 # --- stories ---
@@ -387,6 +403,30 @@ def test_config_that_would_silently_degrade_forecasts_exits_1(tmp_path, workspac
 
 def test_backend_remote_without_endpoint_exits_1(workspace):
     assert main(["forecast", "--out", workspace, "--backend", "remote"]) == 1
+
+
+def test_scheme_less_endpoint_in_config_exits_1_naming_the_key(tmp_path, log_path, capsys):
+    cfg_path = tmp_path / "pipeline.json"
+    cfg_path.write_text(json.dumps({"backend": {"kind": "remote",
+                                                "endpoint": "llm.example/v1/chat"}}))
+    assert main(["ingest", log_path, "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert "error: config key backend.endpoint must be an http:// or https:// URL" in (
+        capsys.readouterr().err)
+
+
+def test_parser_is_built_once(tmp_path):
+    assert main(["stories", "--out", str(tmp_path)]) == 2
+    built = cli.build_parser.cache_info().misses
+    assert main(["stories", "--out", str(tmp_path)]) == 2
+    assert cli.build_parser.cache_info().misses == built == 1
+
+
+def test_a_rebound_command_decides_what_the_next_call_runs(tmp_path, monkeypatch):
+    assert main(["stories", "--out", str(tmp_path)]) == 2
+    calls = []
+    monkeypatch.setattr(cli, "cmd_forecast", lambda args, cfg: calls.append(args.date) or 0)
+    assert main(["forecast", "--out", str(tmp_path), "--date", "2024-01-02"]) == 0
+    assert calls == ["2024-01-02"]
 
 
 def test_no_subcommand_exits_2():

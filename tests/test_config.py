@@ -182,6 +182,18 @@ def test_remote_sections_need_endpoints():
     EmbedderConfig(kind="remote", endpoint="https://api.example/v1/embed")
 
 
+@pytest.mark.parametrize("endpoint", ["llm.example/v1/chat", "localhost:8080/v1",
+                                      "ftp://llm.example/v1", "http://", "https:///v1",
+                                      "http://[::1/v1"])
+def test_remote_endpoint_needs_an_http_scheme_and_a_host(endpoint):
+    with pytest.raises(ValueError, match="config key backend.endpoint must be"):
+        BackendConfig(kind="remote", endpoint=endpoint)
+    with pytest.raises(ValueError, match="config key embedder.endpoint must be"):
+        EmbedderConfig(kind="remote", endpoint=endpoint)
+    with pytest.raises(ValueError, match="backend.endpoint"):
+        config_from_dict({"backend": {"kind": "remote", "endpoint": endpoint}})
+
+
 def test_input_timezone_validated():
     assert InputConfig(timezone="Asia/Tokyo").timezone == "Asia/Tokyo"
     for zone in ("Mars/Olympus_Mons", "", "../etc/passwd"):

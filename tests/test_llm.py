@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import time
 from datetime import date
 
 import pytest
+import requests
 
 from wipcast.llm import (
     BackendUnavailable,
@@ -246,3 +248,31 @@ def test_remote_backend_nondeterministic_omits_temperature():
     backend = RemoteChatBackend("http://llm.test", "m", session=session, backoff=0.0)
     backend.chat(ChatRequest(system_text="s", user_text="u", deterministic=False))
     assert "temperature" not in session.calls[0]["json"]
+
+
+INVALID_REQUESTS = [requests.exceptions.MissingSchema("No scheme supplied"),
+                    requests.exceptions.InvalidSchema("No connection adapters"),
+                    requests.exceptions.InvalidURL("No host supplied")]
+
+
+@pytest.mark.parametrize("error", INVALID_REQUESTS, ids=lambda e: type(e).__name__)
+def test_remote_backend_does_not_retry_a_request_that_cannot_be_sent(error, monkeypatch):
+    waited = []
+    monkeypatch.setattr(time, "sleep", waited.append)
+    session = FakeSession([error] * 3)
+    backend = RemoteChatBackend("http://llm.test", "m", session=session)
+    with pytest.raises(TransportError, match="invalid request") as exc:
+        backend.chat(ChatRequest(system_text="s", user_text="u"))
+    assert not isinstance(exc.value, BackendUnavailable)
+    assert len(session.calls) == 1
+    assert waited == []
+
+
+def test_scheme_less_endpoint_fails_before_any_wait(monkeypatch):
+    # requests rejects the URL while preparing the request, before any connection
+    waited = []
+    monkeypatch.setattr(time, "sleep", waited.append)
+    backend = RemoteChatBackend("llm.example/v1/chat", "m")
+    with pytest.raises(TransportError, match="No scheme supplied"):
+        backend.chat(ChatRequest(system_text="s", user_text="u"))
+    assert waited == []

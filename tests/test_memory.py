@@ -126,6 +126,31 @@ def test_embedder_distinguishes_single_number_change(monday_example):
     assert not np.array_equal(a, b)
 
 
+def _slice_oracle_embed(text: str, buckets: int = 64, slots: int = 8) -> np.ndarray:
+    """The offline embedding computed the plain way: one slice per trigram,
+    every trigram hashed, numbers found one match at a time."""
+    padded = f"##{text}##"
+    trigrams = [padded[i:i + 3] for i in range(len(padded) - 2)]
+    counts = np.bincount([zlib.crc32(t.encode("utf-8")) % buckets for t in trigrams],
+                         minlength=buckets).astype(float)
+    counts /= np.linalg.norm(counts)
+    numeric = np.zeros(slots, dtype=float)
+    numbers = [float(m.group()) for m in re.finditer(r"-?\d+(?:\.\d+)?", text)]
+    for slot, value in zip(range(slots), numbers):
+        numeric[slot] = (1.0 + value / (1.0 + abs(value))) / 2.0
+    vec = np.concatenate([counts, numeric])
+    return vec / np.linalg.norm(vec)
+
+
+def test_embedder_matches_the_slice_based_oracle_bit_for_bit(monday_example):
+    texts = ["Überstunden: 12.5 Fälle am Montag, −3 offen; 東京 ٣ 件 😀 -4.25 ##x##",
+             "Montag: 55 offen, 70 hoch, ١٢ Fälle 😀",
+             render_contextual_story(monday_example, 71).text, "ab", "é"]
+    emb = DeterministicEmbedder()
+    for text in texts + texts:  # the second round reads every trigram from the memo
+        assert np.array_equal(emb.embed(text), _slice_oracle_embed(text)), text
+
+
 def test_embedder_rejects_empty_text():
     with pytest.raises(EmbeddingError):
         DeterministicEmbedder().embed("")
@@ -741,6 +766,18 @@ def test_remote_embedder_gives_up_after_bounded_retries(status, sleeps):
 def test_remote_embedder_does_not_retry_client_errors(status, sleeps):
     session = EmbedSession([EmbedResponse(status), _vectors(1)])
     with pytest.raises(EmbeddingError, match=str(status)):
+        RemoteEmbedder("http://embed.test", session=session).embed_many(["a"])
+    assert session.posts == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("error", [requests.exceptions.MissingSchema("No scheme supplied"),
+                                   requests.exceptions.InvalidSchema("No connection adapters"),
+                                   requests.exceptions.InvalidURL("No host supplied")],
+                         ids=lambda e: type(e).__name__)
+def test_remote_embedder_does_not_retry_a_request_that_cannot_be_sent(error, sleeps):
+    session = EmbedSession([error, _vectors(1)])
+    with pytest.raises(EmbeddingError, match="invalid request"):
         RemoteEmbedder("http://embed.test", session=session).embed_many(["a"])
     assert session.posts == 1
     assert sleeps == []

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import io
 import random
+from collections import Counter
 from datetime import date, datetime, time, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import pytest
 
@@ -19,6 +21,7 @@ from wipcast.wipseries import (
     build_wip_series,
     export_wip_csv,
     first_event,
+    first_start_marked,
     last_event,
     load_wip_csv,
     wip_event,
@@ -298,3 +301,81 @@ def test_randomized_logs_respect_invariants():
         day = rng.choice(series.events)
         instant = datetime.combine(day.date, time(rng.randint(0, 23)), tzinfo=timezone.utc)
         assert day.low <= active_count_at(log, cfg, instant) <= day.high
+
+
+def _sweep_oracle(log, cfg, tz):
+    """Each day's (date, open, high, low, close, new, done, started) by a plain
+    sweep: transitions sorted by instant, the ones at one instant applied
+    together, each taken on the first day not before its local day."""
+    zone = ZoneInfo(tz)
+
+    def day_of(ts):
+        return ts.astimezone(zone).date()
+
+    by_case = {}
+    for ev in log.events:
+        by_case.setdefault(ev.case_id, []).append(ev)
+    transitions, new, done, started = [], Counter(), Counter(), Counter()
+    for evts in by_case.values():
+        opening, closing = cfg.new_rule(evts), cfg.done_rule(evts)
+        if closing.timestamp < opening.timestamp:
+            continue
+        transitions += [(opening.timestamp, day_of(opening.timestamp), 1),
+                        (closing.timestamp, day_of(closing.timestamp), -1)]
+        new[day_of(opening.timestamp)] += 1
+        done[day_of(closing.timestamp)] += 1
+        started[day_of(cfg.started_rule(evts).timestamp)] += 1
+    transitions.sort(key=lambda t: t[0])
+    rows, running, ti = [], 0, 0
+    day, last = day_of(log.events[0].timestamp), day_of(log.events[-1].timestamp)
+    while day <= last:
+        open_count = high = low = running
+        while ti < len(transitions) and transitions[ti][1] <= day:
+            instant = transitions[ti][0]
+            while ti < len(transitions) and transitions[ti][0] == instant:
+                running += transitions[ti][2]
+                ti += 1
+            high, low = max(high, running), min(low, running)
+        rows.append((day, open_count, high, low, running, new[day], done[day], started[day]))
+        day += timedelta(days=1)
+    return rows
+
+
+# Zones whose offset changes at midnight (America/Sao_Paulo in 2016), by half
+# an hour (Australia/Lord_Howe), skip a whole day (Pacific/Apia in 2011) or
+# step the local date back (America/Sitka in 1867). From the later Sitka
+# bases, later events fall on the day before the first event's, and in the
+# last one the latest event can fall before the days already counted.
+ORACLE_ZONES = [("UTC", datetime(2024, 6, 1, tzinfo=timezone.utc), 240),
+                ("America/Sao_Paulo", datetime(2016, 10, 10, tzinfo=timezone.utc), 240),
+                ("Australia/Lord_Howe", datetime(2024, 3, 30, tzinfo=timezone.utc), 240),
+                ("Pacific/Apia", datetime(2011, 12, 25, tzinfo=timezone.utc), 240),
+                ("America/Sitka", datetime(1867, 10, 15, tzinfo=timezone.utc), 240),
+                ("America/Sitka", datetime(1867, 10, 18, 9, 30, tzinfo=timezone.utc), 240),
+                ("America/Sitka", datetime(1867, 10, 18, 8, tzinfo=timezone.utc), 20)]
+
+
+@pytest.mark.parametrize("tz, base, hours", ORACLE_ZONES,
+                         ids=[f"{z}-{b:%Y-%m-%dT%H}-{h}h" for z, b, h in ORACLE_ZONES])
+def test_replay_matches_the_sweep_oracle(tz, base, hours):
+    rng = random.Random(f"{tz} {base} {hours}")
+    start_marked = LifecycleConfig(new_rule=first_start_marked, name="start-marked")
+    for trial in range(40):
+        rows = []
+        for c in range(rng.randint(1, 30)):
+            at = base + timedelta(minutes=rng.randint(0, 60 * hours))
+            for _ in range(rng.randint(1, 4)):
+                rows.append((f"c{c}", rng.choice(["start", "complete"]), at))
+                at += timedelta(minutes=rng.choice([0, 30, 60 * rng.randint(0, hours // 5)]))
+            if rng.random() < 0.1:  # opens after it closes under the start-marked rule
+                rows.append((f"c{c}", "start", base))
+        log = parse_csv(io.StringIO(csv_document(rows)),
+                        ColumnMapping("case", "activity", "ts", lifecycle="activity"),
+                        source_name=f"oracle{trial}.csv")
+        event_days = {ev.timestamp.astimezone(ZoneInfo(tz)).date() for ev in log.events}
+        for cfg in (LifecycleConfig(), start_marked):
+            want = _sweep_oracle(log, cfg, tz)
+            for policy, kept in (("carry", want), ("drop", [r for r in want if r[0] in event_days])):
+                got = build_wip_series(log, cfg, gap_policy=policy, tz=tz).events
+                assert [(e.date, e.open, e.high, e.low, e.close, e.new, e.done, e.started)
+                        for e in got] == kept, (tz, trial, cfg.name, policy)
