@@ -27,7 +27,7 @@ from .llm import (
     extract_prediction,
     parse_action,
 )
-from .memory import RetrievalResult, StoryIndex
+from .memory import StoryIndex
 from .narrative import Story, render_query_story, render_windowed_story
 from .wipseries import WipEvent, WipSeries
 
@@ -81,7 +81,7 @@ class Prediction:
 
     agent_id: str
     value: float
-    retrieved: tuple[RetrievalResult, ...]
+    retrieved: tuple[RetrievedExample, ...]
     prompt_ref: str
 
     def __post_init__(self):
@@ -180,7 +180,7 @@ def predictor_predict(agent_id: str, current: WipEvent, history: WipSeries,
     return Prediction(
         agent_id=agent_id,
         value=max(0.0, value),
-        retrieved=tuple(results),
+        retrieved=examples,
         prompt_ref=f"{agent_id}:{forecast_date.isoformat()}",
     )
 

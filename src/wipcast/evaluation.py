@@ -23,7 +23,7 @@ from datetime import date as Date
 from datetime import datetime, timedelta, timezone
 from typing import Mapping
 
-from .agents import ForecastReport, fuse, predictor_predict, trend_analyze
+from .agents import ForecastReport, _query_story, fuse, predictor_predict, trend_analyze
 from .config import ForecastParams
 from .llm import AGENT_IDS, StubBackend
 from .memory import DeterministicEmbedder, StoryIndex
@@ -213,6 +213,20 @@ def forecast_day(current: WipEvent, series: WipSeries, indexes: Mapping[str, Sto
                 weights=params.fusion_weights, k=params.k)
 
 
+class _Prefetched:
+    """Embedding provider serving rows embedded in advance: a text it holds
+    gets its row, any other (such as a react ``retrieve`` argument) is
+    embedded by ``embedder``."""
+
+    def __init__(self, embedder, rows: dict):
+        self.embedder = embedder
+        self.rows = rows
+
+    def embed(self, text: str):
+        row = self.rows.get(text)
+        return self.embedder.embed(text) if row is None else row
+
+
 def rolling_forecast(series: WipSeries, split_date: Date | None = None,
                      params: ForecastParams | None = None,
                      backend=None, embedder=None) -> RollingForecastResult:
@@ -221,6 +235,9 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
     Each granularity's contextual stories are embedded up front in one call;
     before the step that forecasts day j, one ``add_many`` per index adds the
     rows of the days before j that it lacks, so doc ids follow day order.
+    Each agent's query stories for every step are likewise embedded up front in
+    one call (so a remote embedder gets one query request per agent, not one
+    per step), and the indexes look their rows up instead of embedding again.
     Each step is one :func:`forecast_day`; each predictor's own value is
     recorded as an ablation trace, from the same Prediction objects that fed
     fusion. An index may be empty early on (e.g. a window longer than the
@@ -240,7 +257,13 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
     events = series.events
     s = _split_index(series, split_date, min_before=14)
 
-    indexes = {g: StoryIndex(provider=embedder, retention=params.retention())
+    queries = {}
+    for g in AGENT_IDS:
+        texts = list(dict.fromkeys(_query_story(g, events[j - 1], series, params.window).text
+                                   for j in range(s, len(events))))
+        queries.update(zip(texts, embedder.embed_many(texts)))
+    provider = _Prefetched(embedder, queries)
+    indexes = {g: StoryIndex(provider=provider, retention=params.retention())
                for g in AGENT_IDS}
 
     rows = {}

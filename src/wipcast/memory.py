@@ -22,12 +22,13 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .llm import BACKOFF, RETRIES, LlmError, post_json
-from .narrative import GRANULARITIES, Story, parse_jsonl, story_numbers
+from .narrative import GRANULARITIES, Story, _check_number, parse_jsonl, story_numbers
 
 logger = logging.getLogger(__name__)
 
 TRIGRAM_BUCKETS = 64
 NUMERIC_SLOTS = 8
+EMBED_CHUNK = 32  # texts per array pass: larger chunks raise peak memory, not speed
 
 
 class EmbeddingError(Exception):
@@ -60,6 +61,10 @@ class DeterministicEmbedder:
     first few numbers appearing in the text squashed into (0, 1). The trigram
     block is unit-normalized before concatenation so long stories do not drown
     the numeric features, then the whole vector is normalized again.
+
+    :meth:`embed_many` works on chunks of EMBED_CHUNK texts in array passes, so
+    a batch costs far less per text than one :meth:`embed` call each; ``embed``
+    is its one-row case, and every row is the same bit for bit either way.
     """
 
     def __init__(self, buckets: int = TRIGRAM_BUCKETS, numeric_slots: int = NUMERIC_SLOTS):
@@ -67,38 +72,68 @@ class DeterministicEmbedder:
             raise ValueError("buckets must be >= 1 and numeric_slots >= 0")
         self.buckets = buckets
         self.numeric_slots = numeric_slots
-        # trigram, as a tuple of its characters -> bucket; story templates
-        # repeat a small trigram vocabulary
-        self._bucket_of: dict[tuple[str, str, str], int] = {}
+        # sorted trigram codes (three code points packed into an int64) and
+        # their buckets; story templates repeat a small trigram vocabulary, so
+        # each trigram is hashed once. Replaced whole, never edited, so
+        # concurrent callers read a consistent pair.
+        self._table = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
     @property
     def dim(self) -> int:
         return self.buckets + self.numeric_slots
 
-    def _buckets(self, padded: str) -> list[int]:
-        memo = self._bucket_of
-        try:
-            return list(map(memo.__getitem__, zip(padded, padded[1:], padded[2:])))
-        except KeyError:  # some trigram is new: hash every new one, then look up again
-            for trigram in set(zip(padded, padded[1:], padded[2:])).difference(memo):
-                memo[trigram] = zlib.crc32("".join(trigram).encode("utf-8")) % self.buckets
-            return self._buckets(padded)
+    def _trigram_buckets(self, padded: str) -> np.ndarray:
+        """The bucket of each trigram of ``padded``, in order."""
+        # each code point goes into the low half of a zeroed little-endian
+        # int64: an integer astype, and the default argsort below, would each
+        # page in numpy code that nothing else here runs (64 and 192 KB resident)
+        points = np.zeros((len(padded), 2), dtype="<u4")
+        # "utf-32" has a fast path in CPython; "utf-32-le" would import a codec
+        # module mid-run. Its BOM is skipped and its native order read as such
+        points[:, 0] = np.frombuffer(padded.encode("utf-32"), dtype=np.uint32, offset=4)
+        points = points.view("<i8")[:, 0]
+        codes = points[:-2] * (1 << 42) + points[1:-1] * (1 << 21) + points[2:]  # 21 bits hold a code point
+        known, buckets = self._table
+        at = np.searchsorted(known, codes)
+        missing = known.take(at, mode="clip") != codes if len(known) else np.ones(len(codes), bool)
+        if not missing.any():
+            return buckets[at]
+        new = dict(zip(codes[missing].tolist(), np.flatnonzero(missing).tolist()))  # code -> a position
+        known = np.concatenate((known, list(new)))
+        order = np.argsort(known, kind="stable")
+        hashed = [zlib.crc32(padded[i:i + 3].encode("utf-8")) % self.buckets for i in new.values()]
+        self._table = known, buckets = known[order], np.concatenate((buckets, hashed))[order]
+        return buckets[np.searchsorted(known, codes)]
+
+    def _embed_chunk(self, texts: Sequence[str], out: np.ndarray) -> None:
+        """Embed ``texts`` into the rows of ``out``, zeros before, in one pass over all their trigrams."""
+        if not all(texts):
+            raise EmbeddingError("cannot embed empty text")
+        n, buckets = len(texts), self.buckets
+        # boundary padding guarantees each text at least one trigram
+        trigrams = self._trigram_buckets("##" + "####".join(texts) + "##")
+        # each trigram counts in the row of its first character; the two that
+        # span a text and the next are both "###", taken off again below
+        rows = np.repeat(np.arange(0, n * buckets, buckets), [len(text) + 4 for text in texts])
+        counts = np.bincount(rows[:-2] + trigrams, minlength=n * buckets).reshape(n, buckets)
+        if n > 1:
+            counts[:-1, trigrams[len(texts[0]) + 2]] -= 2
+        # counts are integers, so their squared norms are exact in any order
+        out[:, :buckets] = counts / np.sqrt((counts * counts).sum(axis=1))[:, None]
+        for row, text in zip(out, texts):
+            values = story_numbers(text)[:self.numeric_slots]
+            row[buckets:buckets + len(values)] = [_squash(value) for value in values]
+        out /= np.sqrt([row.dot(row) for row in out])[:, None]  # np.linalg.norm's sum, row by row
 
     def embed(self, text: str) -> np.ndarray:
-        if not text:
-            raise EmbeddingError("cannot embed empty text")
-        padded = f"##{text}##"  # boundary padding guarantees at least one trigram
-        counts = np.bincount(self._buckets(padded), minlength=self.buckets).astype(float)
-        counts /= np.linalg.norm(counts)
-        numeric = np.zeros(self.numeric_slots, dtype=float)
-        for slot, value in zip(range(self.numeric_slots), story_numbers(text)):
-            numeric[slot] = _squash(value)
-        vec = np.concatenate([counts, numeric])
-        return vec / np.linalg.norm(vec)
+        return self.embed_many([text])[0]
 
     def embed_many(self, texts: Iterable[str]) -> np.ndarray:
-        rows = [self.embed(t) for t in texts]
-        return np.stack(rows) if rows else np.empty((0, self.dim))
+        texts = list(texts)
+        out = np.zeros((len(texts), self.dim))
+        for start in range(0, len(texts), EMBED_CHUNK):
+            self._embed_chunk(texts[start:start + EMBED_CHUNK], out[start:start + EMBED_CHUNK])
+        return out
 
 
 class RemoteEmbedder:
@@ -382,9 +417,14 @@ def save_index(index: StoryIndex, fp: IO[str]) -> int:
 
 def _snapshot_row(record: dict, dims: list[int]) -> tuple:
     """One snapshot line's row, as :meth:`StoryIndex._append` takes it; ``dims``
-    collects the embedding lengths, which must all be equal."""
-    row = (record["embedding"], int(record["doc_id"]), Date.fromisoformat(record["date"]).toordinal(),
-           float(record["target"]), record["text"], record["granularity"])
+    collects the embedding lengths, which must all be equal. The doc_id must be
+    a JSON integer and the target a JSON number, so neither is rounded or
+    parsed from a string on the way in."""
+    doc_id, target = record["doc_id"], record["target"]
+    if type(doc_id) is not int:  # a bool is an int too
+        raise TypeError(f"doc_id must be an integer, got {doc_id!r}")
+    row = (record["embedding"], doc_id, Date.fromisoformat(record["date"]).toordinal(),
+           float(_check_number("target", target)), record["text"], record["granularity"])
     dims.append(len(row[0]))
     if dims[-1] != dims[0]:
         raise ValueError(f"doc_id {row[1]} has {dims[-1]} embedding entries, the first line {dims[0]}")

@@ -166,14 +166,24 @@ def story_to_dict(story: Story) -> dict:
     }
 
 
+def _check_number(name: str, value):
+    """``value`` if it is an int or a float, not a bool; TypeError otherwise."""
+    if type(value) not in (int, float):  # a bool is an int too; a string is not parsed
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def story_from_dict(obj: dict) -> Story:
-    return Story(
+    story = Story(
         text=obj["text"],
         kind=obj["kind"],
         granularity=obj["granularity"],
         date=Date.fromisoformat(obj["date"]),
         target=obj.get("target"),
     )
+    if story.target is not None:
+        _check_number("target", story.target)
+    return story
 
 
 def write_stories_jsonl(stories: Iterable[Story], fp: IO[str]) -> int:

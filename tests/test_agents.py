@@ -290,7 +290,7 @@ def test_predictor_paper_day_unanimous_archive(monday_example):
     history = make_history(monday_example.date, 10, rng_seed=rng.randint(0, 99))
     pred = predictor_predict("daily", monday_example, history, index, StubBackend())
     assert pred.value == 71.0
-    assert all(r.document.story.target == 71.0 for r in pred.retrieved)
+    assert all(r.target == 71.0 for r in pred.retrieved)
 
 
 def test_predictor_respects_causality(monday_example):
@@ -309,7 +309,7 @@ def test_predictor_respects_causality(monday_example):
     assert pred.retrieved
     assert len(pred.retrieved) == 4  # days -3..0 relative to the current day
     for res in pred.retrieved:
-        assert res.document.story.date < forecast_date
+        assert res.date < forecast_date
 
 
 def test_predictor_deterministic(monday_example):

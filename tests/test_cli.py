@@ -580,7 +580,8 @@ def test_forecast_on_a_malformed_snapshot_exits_1_naming_it(tmp_path, snapshot_w
     assert want in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["doc_id beyond 64 bits", "infinite target"])
+@pytest.mark.parametrize("damage", ["doc_id beyond 64 bits", "infinite target", "fractional doc_id",
+                                    "boolean doc_id", "string target", "boolean target"])
 def test_forecast_on_a_snapshot_row_out_of_range_exits_1_naming_it(tmp_path, snapshot_workspace,
                                                                    capsys, damage):
     out = tmp_path / "run"
@@ -591,15 +592,22 @@ def test_forecast_on_a_snapshot_row_out_of_range_exits_1_naming_it(tmp_path, sna
     if damage == "doc_id beyond 64 bits":  # used to end in an OverflowError traceback
         records[3]["doc_id"] = 2**70
         want = "index_daily.jsonl: a doc_id is out of the 64-bit range"
-    else:  # used to reach the model and fail on "PREDICTION: inf"
+    elif damage == "infinite target":  # used to reach the model and fail on "PREDICTION: inf"
         records[3]["target"] = math.inf
         want = f"index_daily.jsonl: target inf of the story dated {records[3]['date']} is not finite"
+    else:  # each used to load silently as doc_id 3 or 1, or as target 72.0 or 1.0
+        key, value = {"fractional doc_id": ("doc_id", 3.7), "boolean doc_id": ("doc_id", True),
+                      "string target": ("target", "72"), "boolean target": ("target", True)}[damage]
+        records[3][key] = value
+        kind = "an integer" if key == "doc_id" else "a number"
+        want = (f"index_daily.jsonl, line 4: not a snapshot record "
+                f"(TypeError: {key} must be {kind}, got {value!r})")
     path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
     assert main(["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET]) == 1
     assert want in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("target", [math.nan, math.inf, "x", {"a": 1}])
+@pytest.mark.parametrize("target", [math.nan, math.inf, "x", {"a": 1}, "72", True])
 def test_index_on_a_bad_story_target_exits_1_naming_the_file(tmp_path, workspace, capsys, target):
     out = tmp_path / "run"
     shutil.copytree(workspace, out)
@@ -610,10 +618,12 @@ def test_index_on_a_bad_story_target_exits_1_naming_the_file(tmp_path, workspace
     path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
     before = (out / "index_daily.jsonl").read_bytes()
     assert main(["index", "--out", str(out)]) == 1
-    want = {float: f"target {target} of the story dated {story['date']} is not finite",
-            str: "could not convert string to float: 'x'",
-            dict: "targets must be numbers: float() argument must be"}[type(target)]
-    assert f"stories_daily.jsonl: {want}" in capsys.readouterr().err
+    if isinstance(target, float):
+        want = f"stories_daily.jsonl: target {target} of the story dated {story['date']} is not finite"
+    else:  # "72" and True used to be indexed as 72.0 and 1.0
+        want = (f"stories_daily.jsonl, line {records.index(story) + 1}: not a story record "
+                f"(TypeError: target must be a number, got {target!r})")
+    assert want in capsys.readouterr().err
     assert (out / "index_daily.jsonl").read_bytes() == before  # a NaN used to be written as NaN
 
 
@@ -711,9 +721,18 @@ def test_evaluate_embeds_each_contextual_story_once(tmp_path, workspace, monkeyp
                   if json.loads(line)["kind"] == "contextual"]
     posted = [text for batch in session.batches for text in batch]
     assert sorted(t for t in posted if t in set(contextual)) == sorted(contextual)
-    batches = [batch for batch in session.batches if len(batch) > 1]
-    assert len(batches) == 3  # one per granularity; query embeds post one text each
-    assert sorted(t for batch in batches for t in batch) == sorted(contextual)
+    stories = [batch for batch in session.batches if set(batch) <= set(contextual)]
+    assert len(stories) == 3  # one per granularity
+    assert sorted(t for batch in stories for t in batch) == sorted(contextual)
+    # one batch per agent holds every step's query story, so no step posts its own
+    queries = [batch for batch in session.batches if not set(batch) & set(contextual)]
+    assert session.posts == len(stories) + len(queries) == 6
+    starts = ("The WiP items ", "On ", "Over the past ")  # daily, weekday, windowed queries
+    kinds = [start for batch in queries
+             for start in {next(s for s in starts if text.startswith(s)) for text in batch}]
+    assert sorted(kinds) == sorted(starts)  # each batch holds one agent's queries
+    queried = [text for batch in queries for text in batch]
+    assert len(queried) == len(set(queried)) > 3  # each query text posted exactly once
     for name in ("predictions.csv", "forecast_reports.jsonl"):  # same vectors, same outputs
         assert read_lines(remote / name) == read_lines(local / name)
 

@@ -300,6 +300,46 @@ def test_rolling_respects_custom_k(twenty_day_run):
     assert len(result.reports[0].agent_predictions["daily"].retrieved) == 1
 
 
+class CountingEmbedder:
+    """The offline embedder, recording each batch and each single-text call."""
+
+    def __init__(self):
+        self.inner = DeterministicEmbedder()
+        self.batches = []
+        self.singles = []
+
+    def embed_many(self, texts):
+        self.batches.append(list(texts))
+        return self.inner.embed_many(self.batches[-1])
+
+    def embed(self, text):
+        self.singles.append(text)
+        return self.inner.embed(text)
+
+
+def test_rolling_embeds_each_agents_queries_in_one_batch(twenty_day_run):
+    series, split, baseline = twenty_day_run
+    embedder = CountingEmbedder()
+    result = rolling_forecast(series, split_date=split, embedder=embedder)
+    assert (result.trace, result.reports) == (baseline.trace, baseline.reports)
+    assert embedder.singles == []  # no step embeds its own query
+    stories = {s.text for g in AGENT_IDS for s in contextual_stories(series.events, g, 7)[1]}
+    queries = [batch for batch in embedder.batches if not set(batch) & stories]
+    assert len(embedder.batches) == 6 and len(queries) == 3
+    for batch in queries:  # one agent's distinct query texts, one per step at most
+        assert len(set(batch)) == len(batch) <= len(result.reports)
+
+
+def test_prefetched_rows_serve_known_texts_and_embed_the_rest():
+    embedder = CountingEmbedder()
+    row = embedder.inner.embed("a known story of 12 items")
+    provider = evaluation._Prefetched(embedder, {"a known story of 12 items": row})
+    assert provider.embed("a known story of 12 items") is row
+    other = provider.embed("a react retrieve argument, 40")
+    assert other.tobytes() == DeterministicEmbedder().embed("a react retrieve argument, 40").tobytes()
+    assert embedder.singles == ["a react retrieve argument, 40"]
+
+
 
 def test_rolling_window_longer_than_history_starts_with_empty_index():
     # a 20-day window with 14 days before the split: no windowed story exists

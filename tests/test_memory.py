@@ -11,6 +11,7 @@ import json
 import math
 import random
 import re
+import shutil
 import sys
 import threading
 import time
@@ -149,6 +150,8 @@ def test_embedder_matches_the_slice_based_oracle_bit_for_bit(monday_example):
     emb = DeterministicEmbedder()
     for text in texts + texts:  # the second round reads every trigram from the memo
         assert np.array_equal(emb.embed(text), _slice_oracle_embed(text)), text
+    oracle = np.stack([_slice_oracle_embed(text) for text in texts])
+    assert np.array_equal(DeterministicEmbedder().embed_many(texts), oracle)
 
 
 def test_embedder_rejects_empty_text():
@@ -167,6 +170,71 @@ def test_embed_many_stacks_rows(monday_example):
     matrix = emb.embed_many(texts)
     assert matrix.shape == (3, emb.dim)
     assert np.array_equal(matrix[1], emb.embed(texts[1]))
+
+
+def test_embed_many_rows_are_embed_bit_for_bit_across_chunks():
+    """A batch spans chunks; each row is what embed gives the text alone, and
+    what the slice-based oracle gives, however the texts are batched."""
+    rng = random.Random(21)
+    unusual = ["x", "é", "😀", "東京 ٣ 件 😀 Fälle", "##", "###x###",
+               " ".join(str(i * 1.5) for i in range(3 * memory.NUMERIC_SLOTS))]
+    texts = [render_query_story(random_wip_event(rng, date(2024, 1, 1) + timedelta(days=i))).text
+             for i in range(2 * memory.EMBED_CHUNK)]
+    texts[memory.EMBED_CHUNK - 3:memory.EMBED_CHUNK - 3] = unusual  # across the first boundary
+    texts += unusual
+    matrix = DeterministicEmbedder().embed_many(texts)
+    alone = DeterministicEmbedder()
+    for i, text in enumerate(texts):
+        assert matrix[i].tobytes() == alone.embed(text).tobytes(), (i, text)
+        assert matrix[i].tobytes() == _slice_oracle_embed(text).tobytes(), (i, text)
+    assert DeterministicEmbedder().embed_many(texts[::-1])[::-1].tobytes() == matrix.tobytes()
+
+
+def test_embedder_shared_by_threads_gives_each_text_its_oracle_row():
+    # threads that find new trigrams at once each replace the code table; a
+    # lost update only means hashing a trigram again, never a wrong bucket
+    texts = [f"{chr(0x4E00 + i)}{chr(0x1F600 + i % 50)} story {i} of {i * 7}" for i in range(400)]
+    emb, rows, errors = DeterministicEmbedder(), {}, []
+    start = threading.Barrier(4)
+
+    def work(part):
+        start.wait()
+        try:
+            for text in part:
+                rows[text] = emb.embed(text)
+        except Exception as exc:  # reported below; a thread cannot fail the test
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(texts[i::4],)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+    assert all(rows[text].tobytes() == _slice_oracle_embed(text).tobytes() for text in texts)
+
+
+def test_embed_many_rejects_an_empty_text_in_any_chunk():
+    texts = ["a story"] * (memory.EMBED_CHUNK + 5)
+    texts[memory.EMBED_CHUNK + 2] = ""
+    with pytest.raises(EmbeddingError, match="empty"):
+        DeterministicEmbedder().embed_many(texts)
+    assert DeterministicEmbedder().embed_many([]).shape == (0, DeterministicEmbedder().dim)
+
+
+def test_embedder_rejects_a_lone_surrogate_on_both_paths(run_dir, tmp_path, capsys):
+    with pytest.raises(UnicodeEncodeError):
+        DeterministicEmbedder().embed("WiP \ud800 opened")
+    with pytest.raises(UnicodeEncodeError):
+        DeterministicEmbedder().embed_many(["a story", "WiP \ud800 opened"])
+    out = tmp_path / "run"
+    shutil.copytree(run_dir, out)
+    path = out / "stories_daily.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    next(r for r in records if r["kind"] == "contextual")["text"] += " \ud800"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["index", "--out", str(out)]) == 1
+    assert "surrogates not allowed" in capsys.readouterr().err
 
 
 def index_state(index, queries):
