@@ -20,7 +20,7 @@ events = series.events
 index = StoryIndex(provider=DeterministicEmbedder())
 for i in range(len(events) - 1):
     index.add_story(render_contextual_story(events[i], events[i + 1].close))
-print(f"indexed {len(index.documents())} contextual stories")
+print(f"indexed {len(index)} contextual stories")
 
 # forecast the day after events[40]: query with day 40, retrieve as of day 41
 current = events[40]
@@ -31,11 +31,10 @@ print(f"\nquery ({current.date}):\n  {query.text}")
 results = index.retrieve(query, as_of=forecast_date, k=5)
 print(f"\ntop {len(results)} similar past days (as of {forecast_date}):")
 for r in results:
-    s = r.document.story
-    print(f"  sim={r.similarity:.4f}  {s.date}  next close was {s.target:.0f}")
+    print(f"  sim={r.similarity:.4f}  {r.date}  next close was {r.target:.0f}")
 
 # every retrieved story predates the forecast day
-assert all(r.document.story.date < forecast_date for r in results)
+assert all(r.date < forecast_date for r in results)
 print("\ncausality holds: every match is dated before the forecast day")
 
 # shrink the as_of cutoff and the newest stories disappear from view
@@ -43,4 +42,4 @@ early = index.retrieve(query, as_of=events[10].date, k=5)
 print(f"with an early cutoff ({events[10].date}) only "
       f"{len(early)} early stories are eligible:")
 for r in early:
-    print(f"  sim={r.similarity:.4f}  {r.document.story.date}")
+    print(f"  sim={r.similarity:.4f}  {r.date}")

@@ -51,10 +51,8 @@ from .evaluation import (
 from .llm import ChatRequest, ChatResponse, RemoteChatBackend, StubBackend
 from .memory import (
     DeterministicEmbedder,
-    MemoryDocument,
     RemoteEmbedder,
     RetentionPolicy,
-    RetrievalResult,
     StoryIndex,
     load_index,
     save_index,
@@ -95,7 +93,6 @@ __all__ = [
     "ForecastReport",
     "InputConfig",
     "LifecycleConfig",
-    "MemoryDocument",
     "MetricsSummary",
     "PipelineConfig",
     "Prediction",
@@ -103,7 +100,6 @@ __all__ = [
     "RemoteChatBackend",
     "RemoteEmbedder",
     "RetentionPolicy",
-    "RetrievalResult",
     "Story",
     "StoryIndex",
     "StubBackend",

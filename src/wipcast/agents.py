@@ -151,21 +151,11 @@ def predictor_predict(agent_id: str, current: WipEvent, history: WipSeries,
     """
     forecast_date = current.date + timedelta(days=1)
     query = _query_story(agent_id, current, history, window)
-    results = index.retrieve(query, as_of=forecast_date, k=k)
-
-    examples = tuple(
-        RetrievedExample(
-            date=res.document.story.date,
-            target=float(res.document.story.target),
-            similarity=res.similarity,
-        )
-        for res in results
-    )
+    results = tuple(index.retrieve(query, as_of=forecast_date, k=k))
     lines = [f"Current situation: {query.text}"]
     if results:
         lines.append("Similar past situations and what followed:")
-        for res in results:
-            lines.append(f"- {res.document.story.text} (similarity {res.similarity:.4f})")
+        lines.extend(f"- {res.text} (similarity {res.similarity:.4f})" for res in results)
     else:
         lines.append("No historical examples available.")
     lines.append("Predict the next day's closing WiP.")
@@ -173,14 +163,14 @@ def predictor_predict(agent_id: str, current: WipEvent, history: WipSeries,
         system_text=PREDICTOR_SYSTEM,
         user_text="\n".join(lines),
         structured_context=StructuredContext(
-            retrieved=examples, current_close=float(current.close)
+            retrieved=results, current_close=float(current.close)
         ),
     )
     value = extract_prediction(backend.chat(req).text)
     return Prediction(
         agent_id=agent_id,
         value=max(0.0, value),
-        retrieved=examples,
+        retrieved=results,
         prompt_ref=f"{agent_id}:{forecast_date.isoformat()}",
     )
 
@@ -220,16 +210,18 @@ def trend_analyze(closes: Sequence[float], window: int = 7, lookback: int = 14,
                         relative_change=rc, text=TREND_TEXTS[label])
 
 
-def _check_weights(weights: Mapping[str, Mapping[str, float]]) -> None:
+def _check_weights(weights: Mapping[str, Mapping[str, float]], key: str = "weights") -> None:
+    """ValueError naming ``key`` and the trend label unless every row gives each
+    agent a nonnegative weight and sums to 1."""
     for label, row in weights.items():
         if label not in TREND_LABELS:
-            raise ValueError(f"unknown trend label in weights: {label}")
+            raise ValueError(f"unknown trend label in {key}: {label}")
         if set(row) != set(AGENT_IDS):
-            raise ValueError(f"weights for {label} must cover exactly {AGENT_IDS}")
-        if any(w < 0 for w in row.values()):
-            raise ValueError(f"weights for {label} must be nonnegative")
+            raise ValueError(f"{key}.{label} must cover exactly {AGENT_IDS}")
+        if not all(w >= 0 for w in row.values()):  # NaN too
+            raise ValueError(f"{key}.{label} must be nonnegative, got {dict(row)}")
         if abs(sum(row.values()) - 1.0) > 1e-9:
-            raise ValueError(f"weights for {label} must sum to 1")
+            raise ValueError(f"{key}.{label} must sum to 1")
 
 
 def _rules_fuse(preds: dict[str, Prediction], trend: TrendInsight, forecast_date: Date,
@@ -266,12 +258,8 @@ def _react_tool(name: str, arg: str, preds: dict[str, Prediction], trend: TrendI
         results = index.retrieve(arg.strip(), as_of=forecast_date, k=k)
         if not results:
             return "no stories found", {}
-        lines = [
-            f"{res.document.story.date.isoformat()}: next value {res.document.story.target}"
-            f" (similarity {res.similarity:.4f})"
-            for res in results
-        ]
-        return "; ".join(lines), {}
+        return "; ".join(f"{res.date.isoformat()}: next value {res.target}"
+                         f" (similarity {res.similarity:.4f})" for res in results), {}
     return f"unknown tool '{name}'", {}
 
 

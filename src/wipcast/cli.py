@@ -39,10 +39,8 @@ from .evaluation import (
     default_split_date,
     emit_report,
     forecast_day,
-    load_predictions_csv,
     merge_traces,
     persistence_baseline,
-    render_report_svg,
     rolling_forecast,
     summarize,
 )
@@ -269,20 +267,6 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def cmd_plot(args, cfg: PipelineConfig) -> int:
-    src = _require(os.path.join(args.out, "predictions.csv"),
-                   "run `wipcast evaluate` first")
-    with open(src, encoding="utf-8") as fh:
-        trace = load_predictions_csv(fh)
-    svg = render_report_svg(trace, rolling_window=cfg.forecast.trend_window,
-                            freeze_timestamps=cfg.freeze_timestamps)
-    path = os.path.join(args.out, "report.svg")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(svg)
-    print(f"wrote {path}")
-    return 0
-
-
 # --- wiring ---
 
 
@@ -327,9 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="walk-forward evaluation with ablations and baseline")
     p.add_argument("--split", help="last training day (ISO); default: last 20%% as test")
     p.add_argument("--mode", choices=["rules", "react"], default=None)
-
-    p = sub.add_parser("plot", parents=[common],
-                       help="re-render report.svg from predictions.csv")
 
     return parser
 

@@ -82,8 +82,10 @@ class BackendConfig:
         if self.kind == "remote" and not self.endpoint:
             raise ValueError("remote backend needs an endpoint")
         _check_endpoint("backend.endpoint", self.endpoint)
-        if self.timeout <= 0 or self.retries < 0:
-            raise ValueError("timeout must be positive and retries nonnegative")
+        if not self.timeout > 0:  # NaN too
+            raise ValueError(f"config key backend.timeout must be positive, got {self.timeout}")
+        if self.retries < 0:
+            raise ValueError(f"config key backend.retries must be nonnegative, got {self.retries}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ class ForecastParams:
         if self.fusion_mode not in ("rules", "react"):
             raise ValueError(f"unknown fusion mode: {self.fusion_mode}")
         if self.fusion_weights is not None:
-            _check_weights(self.fusion_weights)
+            _check_weights(self.fusion_weights, "forecast.fusion_weights")
         self.retention()  # checks max_age_days and min_similarity
 
     def retention(self) -> RetentionPolicy:

@@ -465,20 +465,6 @@ def metrics_csv(trace: PredictionTrace) -> str:
     return buf.getvalue()
 
 
-def load_predictions_csv(fp) -> PredictionTrace:
-    reader = csv.DictReader(fp)
-    missing = set(PREDICTIONS_HEADER) - set(reader.fieldnames or ())
-    if missing:
-        raise ValueError(f"predictions csv missing columns: {sorted(missing)}")
-    entries = [
-        TraceEntry(Date.fromisoformat(row["date"]), row["source"],
-                   float(row["actual"]), float(row["predicted"]))
-        for row in reader
-    ]
-    entries.sort(key=lambda e: (_source_rank(e.source), e.date))
-    return PredictionTrace(entries=tuple(entries))
-
-
 def emit_report(trace: PredictionTrace, out_dir: str, rolling_window: int = 7,
                 freeze_timestamps: bool = False, split_note: str = "") -> dict[str, str]:
     """Write predictions.csv, metrics.csv, and report.svg under out_dir."""

@@ -56,18 +56,22 @@ class NoNumberError(LlmError):
     """Model text contained no extractable number."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # a walk-forward keeps ~14,000 of them
 class RetrievedExample:
-    """One retrieved story as the prompt sees it: when, what happened next, how close."""
+    """One story retrieved from memory, as the prompt sees it: which one and when,
+    its text, what happened next, how close."""
 
+    doc_id: int
     date: Date
+    text: str
     target: float
     similarity: float
 
 
 @dataclass(frozen=True)
 class StructuredContext:
-    """Machine-readable mirror of the prompt. Exactly the values the prose states."""
+    """Machine-readable mirror of the prompt: the values the prose states, plus
+    each retrieved story's doc_id."""
 
     retrieved: tuple[RetrievedExample, ...] | None = None
     current_close: float | None = None

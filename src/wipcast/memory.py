@@ -15,13 +15,13 @@ import os
 import threading
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date, timedelta
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .llm import BACKOFF, RETRIES, LlmError, post_json
+from .llm import BACKOFF, RETRIES, LlmError, RetrievedExample, post_json
 from .narrative import GRANULARITIES, Story, _check_number, parse_jsonl, story_numbers
 
 logger = logging.getLogger(__name__)
@@ -190,25 +190,6 @@ class RemoteEmbedder:
 
 
 @dataclass(frozen=True)
-class MemoryDocument:
-    """One stored contextual story with its embedding row, keyed by doc_id.
-
-    A plain record that :class:`StoryIndex` builds from its columns only for a
-    row it hands out; ``embedding`` is a read-only view of that row, not a copy.
-    """
-
-    story: Story
-    embedding: np.ndarray = field(compare=False, repr=False)
-    doc_id: int = 0
-
-
-@dataclass(frozen=True)
-class RetrievalResult:
-    document: MemoryDocument
-    similarity: float
-
-
-@dataclass(frozen=True)
 class RetentionPolicy:
     """What stays eligible at retrieval time. Defaults keep everything."""
 
@@ -230,9 +211,10 @@ class StoryIndex:
     (as its position in GRANULARITIES) in capacity-doubling arrays, and the
     texts in a list. :meth:`_append`
     is the one way rows get in and the one place they are checked; each doc_id
-    is held at most once. Documents are built on demand, only for the rows
-    handed out. One writer or many readers at a time. Ties on similarity
-    prefer the more recent story date, then the smaller doc_id.
+    is held at most once. :meth:`retrieve` reads each hit straight off the
+    columns into one :class:`~wipcast.llm.RetrievedExample`. One writer or many
+    readers at a time. Ties on similarity prefer the more recent story date,
+    then the smaller doc_id.
     """
 
     def __init__(self, provider=None, retention: RetentionPolicy | None = None):
@@ -332,21 +314,17 @@ class StoryIndex:
             self._texts.extend(texts)
             self._rows = stop  # readers see the batch only once it is whole
 
-    def _document(self, row: int) -> MemoryDocument:
-        embedding = self._matrix[row]  # a view: rows are never rewritten
-        embedding.flags.writeable = False
-        story = Story(self._texts[row], "contextual", GRANULARITIES[self._codes[row]],
-                      Date.fromordinal(int(self._dates[row])), float(self._targets[row]))
-        return MemoryDocument(story=story, embedding=embedding, doc_id=int(self._ids[row]))
-
-    def add_story(self, story: Story) -> MemoryDocument:
-        """Embed a contextual story with the index's provider and insert it."""
+    def add_story(self, story: Story) -> int:
+        """Embed a contextual story with the index's provider, insert it and return its doc_id."""
         self.add_many([story], [self.provider.embed(story.text)])
-        return self._document(self._rows - 1)
+        return int(self._ids[self._rows - 1])
 
-    def documents(self) -> list[MemoryDocument]:
-        """Every document held, doc_id ascending."""
-        return [self._document(row) for row in np.argsort(self._ids[:self._rows]).tolist()]
+    def documents(self) -> dict[int, Story]:
+        """Every story held by its doc_id, doc_id ascending."""
+        _, ids, dates, targets, texts, codes = self._columns()
+        return {doc_id: Story(text, "contextual", GRANULARITIES[code], Date.fromordinal(day), target)
+                for doc_id, day, target, text, code
+                in zip(ids.tolist(), dates.tolist(), targets.tolist(), texts, codes.tolist())}
 
     def _columns(self) -> tuple:
         """The filled columns in doc_id order, as :meth:`_append` takes them."""
@@ -363,8 +341,9 @@ class StoryIndex:
             new[:len(old)] = old
             setattr(self, name, new)
 
-    def retrieve(self, query: Story | str | np.ndarray, as_of: Date, k: int = 5) -> list[RetrievalResult]:
-        """Top-k most similar documents dated strictly before as_of."""
+    def retrieve(self, query: Story | str | np.ndarray, as_of: Date,
+                 k: int = 5) -> list[RetrievedExample]:
+        """Up to k stories dated strictly before as_of, most similar to ``query`` first."""
         if k < 1:
             raise ValueError("k must be >= 1")
         if isinstance(query, np.ndarray):
@@ -399,8 +378,11 @@ class StoryIndex:
             sims, rows = sims[keep], rows[keep]
         # lexsort uses the last key as primary: similarity desc, then date desc, then id asc.
         order = np.lexsort((ids[rows], -dates[rows], -sims))[:k]
-        return [RetrievalResult(document=self._document(int(rows[i])), similarity=float(sims[i]))
-                for i in order]
+        hits = rows[order]
+        return [RetrievedExample(doc_id, Date.fromordinal(day), self._texts[row], target, sim)
+                for row, doc_id, day, target, sim in zip(
+                    hits.tolist(), ids[hits].tolist(), dates[hits].tolist(),
+                    self._targets[hits].tolist(), sims[order].tolist())]
 
 
 def save_index(index: StoryIndex, fp: IO[str]) -> int:

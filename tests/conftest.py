@@ -5,10 +5,13 @@ from __future__ import annotations
 import io
 import random
 from datetime import date, datetime, timezone
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from wipcast.eventlog import ColumnMapping, Event, EventLog, SourceMeta, parse_csv, parse_xes
+from wipcast.narrative import Story
 from wipcast.wipseries import WipEvent, wip_event
 
 
@@ -142,7 +145,16 @@ def make_event(case_id: str, activity: str, ts: datetime) -> Event:
     return Event(case_id=case_id, activity=activity, timestamp=ts)
 
 
+class Doc(NamedTuple):
+    """A contextual story with its embedding row and doc_id, as a test inserts it
+    into a StoryIndex and as a brute-force retrieval oracle scores it."""
+
+    story: Story
+    embedding: np.ndarray
+    doc_id: int
+
+
 def add_docs(index, docs) -> None:
-    """Insert MemoryDocuments into a StoryIndex in one add_many, keeping their doc_ids."""
+    """Insert Docs into a StoryIndex in one add_many, keeping their doc_ids."""
     docs = list(docs)
     index.add_many([d.story for d in docs], [d.embedding for d in docs], [d.doc_id for d in docs])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from datetime import date, timedelta
 
@@ -17,12 +18,17 @@ from wipcast.agents import (
     predictor_predict,
     trend_analyze,
 )
-from wipcast.llm import BackendUnavailable, ChatResponse, StubBackend
-from wipcast.memory import DeterministicEmbedder, MemoryDocument, StoryIndex
-from wipcast.narrative import Story, render_contextual_story
+from wipcast.llm import AGENT_IDS, BackendUnavailable, ChatResponse, StubBackend
+from wipcast.memory import DeterministicEmbedder, StoryIndex
+from wipcast.narrative import (
+    Story,
+    render_contextual_story,
+    render_query_story,
+    render_windowed_story,
+)
 from wipcast.wipseries import WipSeries, wip_event
 
-from conftest import add_docs, random_wip_event
+from conftest import Doc, add_docs, random_wip_event
 
 
 class ScriptedBackend:
@@ -226,6 +232,14 @@ def test_fuse_custom_weights_validated():
         fuse(three_preds(1, 2, 3), STABLE, date(2024, 3, 5), weights=negative)
 
 
+@pytest.mark.parametrize("row", [{"daily": math.nan, "weekday": math.nan, "windowed": math.nan},
+                                 {"daily": math.nan, "weekday": 0.5, "windowed": 0.5}])
+def test_fuse_rejects_nan_weights(row):
+    # NaN fails every comparison; a NaN weight made rules fusion forecast nan
+    with pytest.raises(ValueError, match=r"weights\.stable must be nonnegative"):
+        fuse(three_preds(10, 12, 20), STABLE, date(2024, 3, 5), weights={"stable": row})
+
+
 def test_fuse_custom_weights_applied():
     table = {label: {"daily": 1.0, "weekday": 0.0, "windowed": 0.0}
              for label in DEFAULT_FUSION_WEIGHTS}
@@ -259,8 +273,7 @@ def test_predictor_equal_similarities_mean(monday_example):
     for i, target in enumerate(targets):
         story = Story(text=base.text, kind="contextual", granularity="daily",
                       date=date(2024, 2, 1) + timedelta(days=i), target=float(target))
-        add_docs(index, [MemoryDocument(story=story, embedding=provider.embed(story.text),
-                                        doc_id=i)])
+        add_docs(index, [Doc(story, provider.embed(story.text), i)])
     history = make_history(monday_example.date, 10)
     pred = predictor_predict("daily", monday_example, history, index, StubBackend())
     assert pred.value == pytest.approx(70.0, abs=1e-9)
@@ -368,6 +381,89 @@ def test_prediction_validates_fields():
         make_prediction("monthly", 5.0)
     with pytest.raises(ValueError):
         make_prediction("daily", -1.0)
+
+
+# --- the text a remote backend sees ---
+
+PINNED_CURRENT = ("The WiP items opened at 43, reached a high of 58 and a low of 6, before "
+                  "closing at 19, with 30 items completed, 1 new items added, and 21 items started.")
+
+PINNED_PROMPTS = {
+    "daily": (
+        f"Current situation: {PINNED_CURRENT}\n"
+        "Similar past situations and what followed:\n"
+        "- The WiP items opened at 58, reached a high of 67 and a low of 39, before closing at 46, "
+        "with 5 items completed, 25 new items added, and 22 items started, while the next WiP was "
+        "expected to remain at 10. (similarity 0.9353)\n"
+        "- The WiP items opened at 12, reached a high of 47 and a low of 6, before closing at 46, "
+        "with 2 items completed, 1 new items added, and 13 items started, while the next WiP was "
+        "expected to remain at 8. (similarity 0.9341)\n"
+        "Predict the next day's closing WiP."
+    ),
+    "weekday": (
+        "Current situation: On Sunday, the WiP items opened at 43, reached a high of 58 and a low "
+        "of 6, before closing at 19, with 30 items completed, 1 new items added, and 21 items "
+        "started.\n"
+        "Similar past situations and what followed:\n"
+        "- On Thursday, the WiP items opened at 58, reached a high of 67 and a low of 39, before "
+        "closing at 46, with 5 items completed, 25 new items added, and 22 items started, while "
+        "the next WiP was expected to remain at 10. (similarity 0.9353)\n"
+        "- On Thursday, the WiP items opened at 12, reached a high of 47 and a low of 6, before "
+        "closing at 46, with 2 items completed, 1 new items added, and 13 items started, while "
+        "the next WiP was expected to remain at 8. (similarity 0.9336)\n"
+        "Predict the next day's closing WiP."
+    ),
+    "windowed": (
+        "Current situation: Over the past 7 days, WiP opened at 69, ranged between a low of 0 and "
+        "a high of 78, and closed at 19, with 95 items completed, 105 new items added, and 137 "
+        "items started.\n"
+        "Similar past situations and what followed:\n"
+        "- Over the past 7 days, WiP opened at 72, ranged between a low of 0 and a high of 79, and "
+        "closed at 10, with 83 items completed, 115 new items added, and 127 items started, while "
+        "the next WiP was expected to remain at 36. (similarity 0.9949)\n"
+        "- Over the past 7 days, WiP opened at 53, ranged between a low of 2 and a high of 79, and "
+        "closed at 46, with 86 items completed, 104 new items added, and 105 items started, while "
+        "the next WiP was expected to remain at 10. (similarity 0.9892)\n"
+        "Predict the next day's closing WiP."
+    ),
+}
+
+
+def pinned_indexes():
+    """Twelve seeded days ending 2024-03-10 and one small index per agent."""
+    history = make_history(date(2024, 3, 10), 12, rng_seed=7)
+    events, emb = history.events, DeterministicEmbedder()
+    indexes = {}
+    for g in AGENT_IDS:
+        if g == "windowed":
+            stories = [render_windowed_story(events[i - 6:i + 1], next_close=events[i + 1].close)
+                       for i in range(6, 10)]
+        else:
+            stories = [render_contextual_story(events[i], events[i + 1].close, g) for i in range(10)]
+        indexes[g] = StoryIndex(provider=emb)
+        indexes[g].add_many(stories, emb.embed_many(s.text for s in stories))
+    return history, indexes
+
+
+@pytest.mark.parametrize("agent_id", AGENT_IDS)
+def test_predictor_prompt_text_is_pinned(agent_id):
+    history, indexes = pinned_indexes()
+    backend = ScriptedBackend(["PREDICTION: 1.00"])
+    predictor_predict(agent_id, history.events[-1], history, indexes[agent_id], backend, k=2)
+    assert backend.requests[0].user_text == PINNED_PROMPTS[agent_id]
+
+
+def test_react_retrieve_observation_text_is_pinned():
+    history, indexes = pinned_indexes()
+    query = render_query_story(history.events[-1]).text
+    assert query == PINNED_CURRENT
+    backend = ScriptedBackend([f"ACTION: retrieve({query})", "PREDICTION: 12.00"])
+    fuse(three_preds(10, 12, 20), STABLE, date(2024, 3, 11), index=indexes["daily"],
+         backend=backend, mode="react", k=2)
+    assert backend.requests[1].user_text.splitlines()[-1] == (
+        f"OBSERVATION retrieve({PINNED_CURRENT}): "
+        "2024-03-07: next value 10.0 (similarity 0.9353); "
+        "2024-02-29: next value 8.0 (similarity 0.9341)")
 
 
 # --- react fusion ---

@@ -270,7 +270,7 @@ def test_forecast_without_index_snapshots_embeds_on_the_fly(tmp_path, log_path):
     assert os.path.exists(os.path.join(out, "forecast.jsonl"))
 
 
-# --- evaluate / plot ---
+# --- evaluate ---
 
 
 @pytest.fixture(scope="module")
@@ -330,28 +330,6 @@ def test_evaluate_explicit_split(workspace):
 
 def test_evaluate_split_too_early_exits_1(workspace):
     assert main(["evaluate", "--out", workspace, "--split", "2024-01-02"]) == 1
-
-
-def plotted_data(svg: str) -> list[str]:
-    return [line for line in svg.splitlines()
-            if line.startswith(("<polyline", "<path"))]
-
-
-def test_plot_round_trips_report(evaluated):
-    # plot rebuilds the same curves from predictions.csv; only the header
-    # subtitle (which carries the split note) may differ
-    report = os.path.join(evaluated, "report.svg")
-    assert main(["evaluate", "--out", evaluated, "--freeze-timestamps"]) == 0
-    original = open(report, encoding="utf-8").read()
-    os.remove(report)
-    assert main(["plot", "--out", evaluated, "--freeze-timestamps"]) == 0
-    regenerated = open(report, encoding="utf-8").read()
-    assert plotted_data(regenerated) == plotted_data(original)
-    assert plotted_data(regenerated)  # non-empty: curves actually present
-
-
-def test_plot_without_predictions_exits_2(tmp_path):
-    assert main(["plot", "--out", str(tmp_path)]) == 2
 
 
 # --- config and global flags ---

@@ -1,10 +1,12 @@
 """Config parsing, validation, and round-trip serialization."""
 
 import io
+import re
 
 import pytest
 
 from wipcast.agents import DEFAULT_FUSION_WEIGHTS, TREND_LABELS
+from wipcast.cli import main
 from wipcast.config import (
     BackendConfig,
     EmbedderConfig,
@@ -171,6 +173,24 @@ def test_test_fraction_validated():
         PipelineConfig(test_fraction=0.0)
     with pytest.raises(ValueError):
         PipelineConfig(test_fraction=1.0)
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"forecast": {"fusion_weights": {"stable": {"daily": NaN, "weekday": NaN, "windowed": NaN}}}}',
+     "forecast.fusion_weights.stable"),
+    ('{"forecast": {"fusion_weights": {"stable": {"daily": NaN, "weekday": 0.5, "windowed": 0.5}}}}',
+     "forecast.fusion_weights.stable"),
+    ('{"backend": {"timeout": NaN}}', "backend.timeout"),
+], ids=["nan-weights", "one-nan-weight", "nan-timeout"])
+def test_nan_values_rejected_naming_the_key(text, key, tmp_path, capsys):
+    # NaN fails every comparison, so a check written as `value < 0` lets it
+    # through; a NaN weight made rules fusion forecast nan
+    with pytest.raises(ValueError, match=re.escape(key)):
+        load_config(text)
+    path = tmp_path / "nan.json"
+    path.write_text(text)
+    assert main(["ingest", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert key in capsys.readouterr().err
 
 
 def test_remote_sections_need_endpoints():

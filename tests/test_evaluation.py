@@ -19,7 +19,6 @@ from wipcast.evaluation import (
     default_split_date,
     emit_report,
     forecast_day,
-    load_predictions_csv,
     mae,
     mape,
     merge_traces,
@@ -530,30 +529,6 @@ def test_report_svg_flat_series_does_not_divide_by_zero():
     trace = PredictionTrace(entries=entries_for([10, 10, 10], [10, 10, 10]))
     svg = render_report_svg(trace, freeze_timestamps=True)
     assert "<polyline" in svg
-
-
-def test_predictions_csv_round_trip(tmp_path, twenty_day_run):
-    series, split, result = twenty_day_run
-    merged = merge_traces(result.trace, persistence_baseline(series, split_date=split))
-    path = tmp_path / "predictions.csv"
-    path.write_text(predictions_csv(merged))
-    with open(path) as fh:
-        loaded = load_predictions_csv(fh)
-    assert loaded.sources() == merged.sources()
-    assert len(loaded.entries) == len(merged.entries)
-    for got, want in zip(loaded.entries, merged.entries):
-        assert got.date == want.date
-        assert got.source == want.source
-        assert got.actual == pytest.approx(want.actual, abs=1e-6)
-        assert got.predicted == pytest.approx(want.predicted, abs=1e-6)
-
-
-def test_load_predictions_csv_rejects_missing_columns(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("date,source,actual\n2024-01-01,x,1\n")
-    with open(path) as fh:
-        with pytest.raises(ValueError):
-            load_predictions_csv(fh)
 
 
 # --- synthetic generators ---

@@ -26,7 +26,8 @@ from wipcast.llm import (
 
 
 def _ex(target, similarity, day=date(2024, 1, 1)):
-    return RetrievedExample(date=day, target=target, similarity=similarity)
+    return RetrievedExample(doc_id=0, date=day, text="a past story", target=target,
+                            similarity=similarity)
 
 
 def predictor_request(targets_sims, current_close=None):

@@ -27,7 +27,6 @@ from wipcast import memory
 from wipcast.memory import (
     DeterministicEmbedder,
     EmbeddingError,
-    MemoryDocument,
     RemoteEmbedder,
     RetentionPolicy,
     StoryIndex,
@@ -42,7 +41,7 @@ from wipcast.eventlog import export_csv
 from wipcast.narrative import Story, render_contextual_story, render_query_story
 from wipcast.synthetic import synthetic_event_log
 
-from conftest import add_docs, random_wip_event
+from conftest import Doc, add_docs, random_wip_event
 
 
 def oracle_retrieve(docs, query_vec, as_of, k, retention=None):
@@ -70,7 +69,7 @@ def build_corpus(rng: random.Random, n: int, embedder: DeterministicEmbedder,
         day = start + timedelta(days=i)
         ev = random_wip_event(rng, day)
         story = render_contextual_story(ev, rng.randint(0, 90))
-        docs.append(MemoryDocument(story=story, embedding=embedder.embed(story.text), doc_id=i))
+        docs.append(Doc(story, embedder.embed(story.text), i))
     return docs
 
 
@@ -238,10 +237,9 @@ def test_embedder_rejects_a_lone_surrogate_on_both_paths(run_dir, tmp_path, caps
 
 
 def index_state(index, queries):
-    """What a rejected add must leave as it was: size, documents, newest date, retrievals."""
+    """What a rejected add must leave as it was: size, stories, newest date, retrievals."""
     return (len(index), index.documents(), index.newest_date,
-            [[(r.document, r.similarity) for r in index.retrieve(qvec, as_of, k=50)]
-             for as_of, qvec in queries])
+            [index.retrieve(qvec, as_of, k=50) for as_of, qvec in queries])
 
 
 def test_index_add_and_replace(monday_example):
@@ -249,22 +247,22 @@ def test_index_add_and_replace(monday_example):
     emb = DeterministicEmbedder()
     story = render_contextual_story(monday_example, 71)
     index = StoryIndex(provider=emb)
-    add_docs(index, [MemoryDocument(story=story, embedding=emb.embed(story.text), doc_id=7)])
+    add_docs(index, [Doc(story, emb.embed(story.text), 7)])
     queries = [(date(2024, 4, 1), emb.embed(render_query_story(monday_example).text))]
     before = index_state(index, queries)
     other = render_contextual_story(monday_example, 40)
     with pytest.raises(ValueError, match="doc_id 7 "):
-        add_docs(index, [MemoryDocument(story=other, embedding=emb.embed(other.text), doc_id=7)])
+        add_docs(index, [Doc(other, emb.embed(other.text), 7)])
     assert index_state(index, queries) == before
-    assert index.documents()[0].story.target == 71.0
+    assert index.documents()[7].target == 71.0
 
 
 def test_index_rejects_dim_mismatch(monday_example):
     story = render_contextual_story(monday_example, 71)
     index = StoryIndex()
-    add_docs(index, [MemoryDocument(story=story, embedding=np.ones(8), doc_id=0)])
+    add_docs(index, [Doc(story, np.ones(8), 0)])
     with pytest.raises(ValueError):
-        add_docs(index, [MemoryDocument(story=story, embedding=np.ones(9), doc_id=1)])
+        add_docs(index, [Doc(story, np.ones(9), 1)])
 
 
 def test_retrieve_respects_causality_everywhere():
@@ -278,7 +276,7 @@ def test_retrieve_respects_causality_everywhere():
         ev = random_wip_event(rng, as_of)
         results = index.retrieve(render_query_story(ev), as_of, k=10)
         for res in results:
-            assert res.document.story.date < as_of
+            assert res.date < as_of
 
 
 def test_retrieve_empty_when_all_future(monday_example):
@@ -311,20 +309,19 @@ def test_retrieve_scores_a_row_alike_whether_or_not_rows_are_gathered():
     emb = DeterministicEmbedder()
     docs = build_corpus(rng, 300, emb)
     twin = docs[40]  # the same embedding on a later day ties with it
-    docs.append(MemoryDocument(story=replace(twin.story, date=date(2025, 1, 1)),
-                               embedding=twin.embedding, doc_id=300))
+    docs.append(Doc(replace(twin.story, date=date(2025, 1, 1)), twin.embedding, 300))
     index = StoryIndex(provider=emb)
     add_docs(index, docs)
     qvec = emb.embed(render_query_story(random_wip_event(rng, date(2024, 5, 1))).text)
-    everything = {r.document.doc_id: r.similarity
+    everything = {r.doc_id: r.similarity
                   for r in index.retrieve(qvec, date(2030, 1, 1), k=len(docs))}
     assert len(everything) == len(docs)
     assert everything[300] == everything[40]
     for as_of in (date(2024, 2, 1), date(2024, 7, 1), date(2024, 12, 31)):
         got = index.retrieve(qvec, as_of, k=len(docs))
         assert 0 < len(got) < len(docs)
-        assert all(r.similarity == everything[r.document.doc_id] for r in got)
-    ranked = [r.document.doc_id for r in index.retrieve(twin.embedding, date(2030, 1, 1), k=2)]
+        assert all(r.similarity == everything[r.doc_id] for r in got)
+    ranked = [r.doc_id for r in index.retrieve(twin.embedding, date(2030, 1, 1), k=2)]
     assert ranked == [300, 40]  # equal similarity: the newer story first
 
 
@@ -339,7 +336,7 @@ def test_retrieve_matches_oracle_on_random_corpora():
             as_of = date(2024, 1, 1) + timedelta(days=rng.randint(0, 130))
             qvec = emb.embed(render_query_story(random_wip_event(rng, as_of)).text)
             k = rng.choice((1, 3, 5, 8))
-            got = [(r.document.doc_id, r.similarity) for r in index.retrieve(qvec, as_of, k=k)]
+            got = [(r.doc_id, r.similarity) for r in index.retrieve(qvec, as_of, k=k)]
             want = oracle_retrieve(docs, qvec, as_of, k)
             assert [g[0] for g in got] == [w[0] for w in want]
             for (_, gs), (_, ws) in zip(got, want):
@@ -352,7 +349,7 @@ def test_index_interleaved_adds_and_queries_match_oracle():
     emb = DeterministicEmbedder()
     corpus = build_corpus(rng, 40, emb)
     index = StoryIndex(provider=emb)
-    live: dict[int, MemoryDocument] = {}
+    live: dict[int, Doc] = {}
     queries = [
         (date(2024, 1, 1) + timedelta(days=d),
          emb.embed(render_query_story(random_wip_event(rng, date(2024, 3, 1))).text))
@@ -362,9 +359,9 @@ def test_index_interleaved_adds_and_queries_match_oracle():
     def check():
         assert len(index) == len(live)
         assert index.newest_date == max(d.story.date for d in live.values())
-        assert [d.doc_id for d in index.documents()] == sorted(live)
+        assert list(index.documents().items()) == [(i, live[i].story) for i in sorted(live)]
         for as_of, qvec in queries:
-            got = [(r.document.doc_id, r.similarity) for r in index.retrieve(qvec, as_of, k=6)]
+            got = [(r.doc_id, r.similarity) for r in index.retrieve(qvec, as_of, k=6)]
             want = oracle_retrieve(live.values(), qvec, as_of, 6)
             assert [g[0] for g in got] == [w[0] for w in want]
             assert [g[1] for g in got] == pytest.approx([w[1] for w in want], abs=1e-9)
@@ -390,19 +387,19 @@ def test_index_interleaved_adds_and_queries_match_oracle():
 
     # re-adding a doc_id an earlier query returned is rejected, also with an older date
     as_of, qvec = queries[1]
-    returned = index.retrieve(qvec, as_of, k=1)[0].document
+    returned = index.retrieve(qvec, as_of, k=1)[0]
     older = render_contextual_story(random_wip_event(rng, date(2023, 12, 1)), 3)
-    reject(MemoryDocument(story=older, embedding=emb.embed(older.text), doc_id=returned.doc_id))
-    assert index.retrieve(qvec, as_of, k=1)[0].document == returned
+    reject(Doc(older, emb.embed(older.text), returned.doc_id))
+    assert index.retrieve(qvec, as_of, k=1)[0] == returned
 
     # so is re-adding the newest story's doc_id: the newest date stays
     newest = max(live.values(), key=lambda d: d.story.date)
-    reject(MemoryDocument(story=older, embedding=emb.embed(older.text), doc_id=newest.doc_id))
+    reject(Doc(older, emb.embed(older.text), newest.doc_id))
     assert index.newest_date == newest.story.date
 
     # a later batch of older stories does not move the newest date back
-    old_batch = [MemoryDocument(story=older, embedding=emb.embed(older.text), doc_id=13),
-                 MemoryDocument(story=corpus[0].story, embedding=corpus[0].embedding, doc_id=14)]
+    old_batch = [Doc(older, emb.embed(older.text), 13),
+                 Doc(corpus[0].story, corpus[0].embedding, 14)]
     add_docs(index, old_batch)
     live.update((doc.doc_id, doc) for doc in old_batch)
     check()
@@ -415,9 +412,9 @@ def test_index_interleaved_adds_and_queries_match_oracle():
     # add_story continues after the largest id ever added
     fresh = StoryIndex(provider=emb)
     add_docs(fresh, [corpus[7], corpus[3]])
-    assert fresh.add_story(corpus[20].story).doc_id == 8
-    assert index.add_story(corpus[39].story).doc_id == 31
-    live[31] = MemoryDocument(story=corpus[39].story, embedding=corpus[39].embedding, doc_id=31)
+    assert fresh.add_story(corpus[20].story) == 8
+    assert index.add_story(corpus[39].story) == 31
+    live[31] = Doc(corpus[39].story, corpus[39].embedding, 31)
     check()
 
 
@@ -441,7 +438,7 @@ def test_index_concurrent_readers_get_the_oracle_results():
             def read():
                 try:
                     start.wait(timeout=10)
-                    results.append([r.document.doc_id for r in index.retrieve(qvec, as_of, k=10)])
+                    results.append([r.doc_id for r in index.retrieve(qvec, as_of, k=10)])
                 except Exception as exc:  # reported below; a thread cannot fail the test
                     errors.append(exc)
 
@@ -492,7 +489,7 @@ def test_retrieve_prefix_consistency():
     qvec = emb.embed(render_query_story(random_wip_event(rng, date(2024, 2, 20))).text)
     long = index.retrieve(qvec, date(2024, 2, 20), k=12)
     short = index.retrieve(qvec, date(2024, 2, 20), k=4)
-    assert [r.document.doc_id for r in short] == [r.document.doc_id for r in long[:4]]
+    assert [r.doc_id for r in short] == [r.doc_id for r in long[:4]]
 
 
 def test_exact_ties_prefer_recent_then_small_id(monday_example):
@@ -503,10 +500,9 @@ def test_exact_ties_prefer_recent_then_small_id(monday_example):
     for doc_id, day in [(4, date(2024, 1, 1)), (1, date(2024, 1, 3)), (2, date(2024, 1, 3))]:
         story = type(base)(text=base.text, kind=base.kind, granularity=base.granularity,
                            date=day, target=base.target)
-        add_docs(index, [MemoryDocument(story=story, embedding=emb.embed(story.text),
-                                        doc_id=doc_id)])
+        add_docs(index, [Doc(story, emb.embed(story.text), doc_id)])
     results = index.retrieve(render_query_story(monday_example), date(2024, 2, 1), k=3)
-    assert [r.document.doc_id for r in results] == [1, 2, 4]
+    assert [r.doc_id for r in results] == [1, 2, 4]
 
 
 def test_retention_max_age_filters_old_docs():
@@ -521,9 +517,9 @@ def test_retention_max_age_filters_old_docs():
     results = index.retrieve(qvec, as_of, k=30)
     assert results
     for res in results:
-        assert as_of - timedelta(days=7) <= res.document.story.date < as_of
+        assert as_of - timedelta(days=7) <= res.date < as_of
     want = oracle_retrieve(docs, qvec, as_of, 30, policy)
-    assert [r.document.doc_id for r in results] == [doc_id for doc_id, _ in want]
+    assert [r.doc_id for r in results] == [doc_id for doc_id, _ in want]
     assert [r.similarity for r in results] == pytest.approx([sim for _, sim in want], abs=1e-9)
 
 
@@ -531,12 +527,12 @@ def test_retention_min_similarity_drops_low_scores(monday_example):
     emb = DeterministicEmbedder()
     index = StoryIndex(provider=emb, retention=RetentionPolicy(min_similarity=0.999))
     near = render_contextual_story(monday_example, 71)
-    add_docs(index, [MemoryDocument(story=near, embedding=emb.embed(near.text), doc_id=0)])
+    add_docs(index, [Doc(near, emb.embed(near.text), 0)])
     query = render_query_story(monday_example)
     hits = index.retrieve(query, date(2024, 4, 1), k=5)
     assert len(hits) <= 1
     loose = StoryIndex(provider=emb, retention=RetentionPolicy(min_similarity=-1.0))
-    add_docs(loose, [MemoryDocument(story=near, embedding=emb.embed(near.text), doc_id=0)])
+    add_docs(loose, [Doc(near, emb.embed(near.text), 0)])
     assert len(loose.retrieve(query, date(2024, 4, 1), k=5)) == 1
 
 
@@ -564,7 +560,7 @@ def test_hundred_docs_all_retrievable():
     qvec = emb.embed("The WiP items opened at 1.")
     results = index.retrieve(qvec, date(2030, 1, 1), k=1000)
     assert len(results) == 100
-    assert {r.document.doc_id for r in results} == set(range(100))
+    assert {r.doc_id for r in results} == set(range(100))
 
 
 def test_snapshot_round_trip():
@@ -583,8 +579,8 @@ def test_snapshot_round_trip():
     loaded = load_index(buf, provider=emb)
     assert len(loaded) == 12
     qvec = emb.embed(render_query_story(random_wip_event(rng, date(2024, 1, 20))).text)
-    a = [(r.document.doc_id, r.similarity) for r in index.retrieve(qvec, date(2024, 1, 9), k=5)]
-    b = [(r.document.doc_id, r.similarity) for r in loaded.retrieve(qvec, date(2024, 1, 9), k=5)]
+    a = [(r.doc_id, r.similarity) for r in index.retrieve(qvec, date(2024, 1, 9), k=5)]
+    b = [(r.doc_id, r.similarity) for r in loaded.retrieve(qvec, date(2024, 1, 9), k=5)]
     assert a == b
 
 
@@ -595,9 +591,7 @@ def rows_of(index):
 
 
 def assert_same_index(a, b):
-    assert a.documents() == b.documents()
-    for da, db in zip(a.documents(), b.documents()):
-        assert np.array_equal(da.embedding, db.embedding)
+    assert list(a.documents().items()) == list(b.documents().items())
     for ra, rb in zip(rows_of(a), rows_of(b)):
         assert np.array_equal(ra, rb)
     assert (len(a), a.dim, a.newest_date) == (len(b), b.dim, b.newest_date)
@@ -636,12 +630,13 @@ def test_sidecar_index_matches_jsonl_index(run_dir, granularity, monkeypatch):
         as_of = from_jsonl.newest_date - timedelta(days=rng.randint(-1, 40))
         query = render_query_story(random_wip_event(rng, as_of))
         k = rng.choice((1, 5, 12))
-        got = [(r.document, r.similarity) for r in from_sidecar.retrieve(query, as_of, k=k)]
-        want = [(r.document, r.similarity) for r in from_jsonl.retrieve(query, as_of, k=k)]
-        assert got == want  # similarities compared for equality, not closeness
+        got = from_sidecar.retrieve(query, as_of, k=k)
+        assert got == from_jsonl.retrieve(query, as_of, k=k)  # similarities equal, not close
 
 
-def test_sidecar_load_builds_documents_only_for_the_rows_handed_out(run_dir, monkeypatch):
+def test_sidecar_load_and_retrieve_build_no_story(run_dir, monkeypatch):
+    """A hit is read straight off the columns: neither loading a snapshot nor
+    retrieving from it builds a Story."""
     built = []
     real = Story.__post_init__
 
@@ -657,11 +652,7 @@ def test_sidecar_load_builds_documents_only_for_the_rows_handed_out(run_dir, mon
     query = "The WiP items opened at 12, reached a high of 14 and a low of 9, before closing at 11."
     results = index.retrieve(query, index.newest_date + timedelta(days=1), k=5)
     assert len(results) == 5
-    assert len(built) <= 5
-    for res in results:
-        assert np.shares_memory(res.document.embedding, index._matrix)
-        with pytest.raises(ValueError):
-            res.document.embedding[0] = 1.0  # a view of the row, so read-only
+    assert built == []
 
 
 def test_empty_snapshot_round_trips(tmp_path, monkeypatch):
@@ -704,7 +695,7 @@ def test_add_many_matches_sequential_adds_with_duplicate_ids():
             batched.add_many(stories, rows, bad_ids)
         assert index_state(batched, queries) == before
         assert_same_index(batched, one_by_one)
-    assert batched.add_story(docs[1].story).doc_id == 30
+    assert batched.add_story(docs[1].story) == 30
 
 
 def corrupt(embedding, bad):
@@ -732,7 +723,7 @@ def test_load_index_rejects_bad_embeddings(bad):
         lines.append(json.dumps(record))
     with pytest.raises(ValueError):
         load_index(io.StringIO("\n".join(lines)))
-    stories = [d.story for d in index.documents()]
+    stories = list(index.documents().values())
     rows = [json.loads(line)["embedding"] for line in lines]
     with pytest.raises(ValueError):
         StoryIndex().add_many(stories, rows)
