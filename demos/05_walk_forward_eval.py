@@ -2,9 +2,10 @@
 Walk-forward evaluation
 =======================
 
-The harness replays history day by day: memory only ever contains stories
-dated before the day being forecast, and grows by one story per granularity
-per step. Besides the fused forecast it records each agent alone (ablations)
+The harness moves the forecast origin day by day over one memory: each index
+holds the whole series' stories, and every retrieval is cut off at the day
+being forecast, so no agent ever sees a story dated on or after it. Besides
+the fused forecast it records each agent alone (ablations)
 and a persistence baseline, then writes predictions.csv, metrics.csv, and a
 two-panel SVG report.
 """
@@ -23,13 +24,13 @@ result = rolling_forecast(series, split_date=split)
 baseline = persistence_baseline(series, split_date=split)
 trace = merge_traces(result.trace, baseline)
 
-# the corpus audit: memory grew by exactly one daily story per step and
-# never contained anything dated at or past the forecast day
+# the retrieval audit: the newest story each agent retrieved, step by step,
+# is always dated before the day it forecast
 first, last = result.audit[0], result.audit[-1]
-print(f"\ndaily corpus grew {first.corpus_sizes['daily']} -> "
-      f"{last.corpus_sizes['daily']} stories across {len(result.audit)} steps")
-assert all(a.max_story_dates["daily"] < a.date for a in result.audit)
-print("corpus audit: no story ever dated at/after its forecast day")
+print(f"\ndaily agent's newest retrieved story: {first.newest_retrieved['daily']} "
+      f"for {first.date} ... {last.newest_retrieved['daily']} for {last.date}")
+assert all(day < a.date for a in result.audit for day in a.newest_retrieved.values())
+print(f"retrieval audit: no story dated at/after its forecast day in {len(result.audit)} steps")
 
 print(f"\n{'source':<16} {'mape':>8} {'mae':>8} {'n':>4} {'skipped':>8}")
 for s in summarize(trace):

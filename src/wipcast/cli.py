@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from dataclasses import replace
-from datetime import date as Date
 from datetime import timedelta
 from functools import cache
 
@@ -25,6 +24,7 @@ from .config import (
     build_backend,
     build_embedder,
     build_lifecycle,
+    iso_date,
     load_config,
 )
 from .eventlog import (
@@ -35,6 +35,7 @@ from .eventlog import (
     parse_xes,
 )
 from .evaluation import (
+    build_index,
     contextual_stories,
     default_split_date,
     emit_report,
@@ -67,8 +68,7 @@ def _require(path: str, hint: str) -> str:
 
 
 def _load_series(out_dir: str):
-    path = _require(os.path.join(out_dir, SERIES_FILE),
-                    "run `wipcast ingest` first or pass --series")
+    path = _require(os.path.join(out_dir, SERIES_FILE), "run `wipcast ingest` first")
     with open(path, encoding="utf-8") as fh:
         series = load_wip_csv(fh)
     if not len(series):
@@ -158,14 +158,6 @@ def cmd_stories(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _build_index(stories, embedder, cfg: PipelineConfig) -> StoryIndex:
-    """Index the contextual stories among ``stories``, embedded in one call."""
-    contextual = [s for s in stories if s.kind == "contextual"]
-    index = StoryIndex(provider=embedder, retention=cfg.forecast.retention())
-    index.add_many(contextual, embedder.embed_many(s.text for s in contextual))
-    return index
-
-
 def _only_granularity(granularity: str, index: StoryIndex, path: str) -> StoryIndex:
     """``index``, read from ``path``; ValueError if it holds stories of another granularity."""
     stray = index.granularities() - {granularity}
@@ -184,7 +176,8 @@ def cmd_index(args, cfg: PipelineConfig) -> int:
         with open(src, encoding="utf-8") as fh:
             stories = read_stories_jsonl(fh)
         try:
-            index = _build_index(stories, embedder, cfg)
+            index = build_index([s for s in stories if s.kind == "contextual"], embedder,
+                                cfg.forecast.retention())
         except ValueError as exc:
             raise ValueError(f"{src}: {exc}") from exc
         indexes[g] = _only_granularity(g, index, src)
@@ -203,8 +196,8 @@ def _load_or_build_indexes(args, cfg: PipelineConfig, series):
         retention = cfg.forecast.retention()
         return {g: _only_granularity(g, load_snapshot(path, embedder, retention), path)
                 for g, path in snapshots.items()}
-    return {g: _build_index(contextual_stories(series.events, g, cfg.forecast.window)[1],
-                            embedder, cfg)
+    return {g: build_index(contextual_stories(series.events, g, cfg.forecast.window)[1],
+                           embedder, cfg.forecast.retention())
             for g in GRANULARITIES}
 
 
@@ -212,7 +205,7 @@ def cmd_forecast(args, cfg: PipelineConfig) -> int:
     series = _load_series(args.out)
     current = series.events[-1]
     if args.date is not None:
-        target = Date.fromisoformat(args.date)
+        target = iso_date("--date", args.date)
         wanted = target - timedelta(days=1)
         end = series.days_through(wanted)
         if not end or series.events[end - 1].date != wanted:
@@ -236,9 +229,9 @@ def cmd_forecast(args, cfg: PipelineConfig) -> int:
 def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     series = _load_series(args.out)
     if args.split:
-        split = Date.fromisoformat(args.split)
+        split = iso_date("--split", args.split)
     elif cfg.split_date:
-        split = Date.fromisoformat(cfg.split_date)
+        split = iso_date("config key split_date", cfg.split_date)
     else:
         split = default_split_date(series, cfg.test_fraction)
 

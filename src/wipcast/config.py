@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from datetime import date as Date
 from types import UnionType
 from typing import IO, Mapping, Union, get_args, get_origin, get_type_hints
 from urllib.parse import urlsplit
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .agents import _check_weights
-from .memory import DeterministicEmbedder, RemoteEmbedder, RetentionPolicy
+from .llm import API_KEY_ENV, CHAT_TIMEOUT, RETRIES
+from .memory import EMBED_MODEL, DeterministicEmbedder, RemoteEmbedder, RetentionPolicy
 from .wipseries import GAP_POLICIES, LifecycleConfig
 
 
@@ -39,6 +41,14 @@ class InputConfig:
             raise ValueError(f"unknown input timezone {self.timezone!r}: {exc}") from exc
 
 
+def iso_date(name: str, text: str) -> Date:
+    """``text`` as a date; ValueError naming ``name`` unless it is an ISO date."""
+    try:
+        return Date.fromisoformat(text)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an ISO date, got {text!r}") from None
+
+
 def _check_endpoint(key: str, endpoint: str) -> None:
     """ValueError naming ``key`` unless ``endpoint`` is empty or an http(s) URL with a host."""
     if not endpoint:
@@ -57,7 +67,7 @@ def _check_endpoint(key: str, endpoint: str) -> None:
 class EmbedderConfig:
     kind: str = "deterministic"  # deterministic | remote
     endpoint: str = ""
-    model: str = "bge-base-en-v1.5"
+    model: str = EMBED_MODEL
 
     def __post_init__(self):
         if self.kind not in ("deterministic", "remote"):
@@ -72,9 +82,9 @@ class BackendConfig:
     kind: str = "stub"  # stub | remote
     endpoint: str = ""
     model: str = "o3-mini"
-    api_key_env: str = "OPENAI_API_KEY"
-    timeout: float = 60.0
-    retries: int = 2
+    api_key_env: str = API_KEY_ENV
+    timeout: float = CHAT_TIMEOUT
+    retries: int = RETRIES
 
     def __post_init__(self):
         if self.kind not in ("stub", "remote"):
@@ -139,6 +149,8 @@ class PipelineConfig:
             raise ValueError(f"unknown gap policy: {self.gap_policy}")
         if not 0 < self.test_fraction < 1:
             raise ValueError("test_fraction must be in (0, 1)")
+        if self.split_date:  # empty: the default split, as None
+            iso_date("config key split_date", self.split_date)
 
 
 def _matches(value, hint) -> bool:

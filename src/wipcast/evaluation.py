@@ -1,10 +1,12 @@
 """Walk-forward evaluation of the forecasting pipeline.
 
-The rolling harness replays history day by day: before forecasting day d the
-story indexes hold contextual stories for days strictly before d, the agents
-forecast d's close, and only then does d's own story become part of memory.
-Cutoff is by story date, so yesterday's contextual story (whose realized
-target is today's close) is in the corpus, mirroring date-bounded retrieval.
+The rolling harness moves the forecast origin over one fixed memory: each
+granularity's index holds every contextual story of the series, built once,
+and each agent retrieves as of the day d it forecasts, so only stories dated
+strictly before d can reach that forecast. That as-of cutoff is the one
+causal rule, as in ``forecast``; yesterday's contextual story (whose realized
+target is today's close) is dated before d, so it is eligible. Each step
+audits what the agents actually retrieved against the cutoff.
 
 Alongside the fused multi-agent trace the harness records each predictor's
 own value as an ablation trace. All four share the same per-day retrievals,
@@ -16,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date as Date
@@ -149,11 +150,10 @@ def _split_index(series: WipSeries, split_date: Date, min_before: int) -> int:
 
 @dataclass(frozen=True)
 class StepAudit:
-    """Corpus state observed immediately before one forecast step."""
+    """What one forecast step retrieved: each agent's newest retrieved story date."""
 
     date: Date
-    corpus_sizes: dict[str, int] = field(compare=False)
-    max_story_dates: dict[str, Date | None] = field(compare=False)  # None: empty index
+    newest_retrieved: dict[str, Date | None] = field(compare=False)  # None: retrieved nothing
 
 
 @dataclass(frozen=True)
@@ -183,6 +183,14 @@ def contextual_stories(events, granularity: str, window: int):
             days.append(i)
             stories.append(story)
     return days, stories
+
+
+def build_index(stories, embedder, retention=None, provider=None) -> StoryIndex:
+    """An index over contextual ``stories``, embedded in one ``embed_many`` call.
+    Queries are embedded by ``provider``, by default ``embedder``."""
+    index = StoryIndex(provider=embedder if provider is None else provider, retention=retention)
+    index.add_many(stories, embedder.embed_many([s.text for s in stories]))
+    return index
 
 
 def forecast_day(current: WipEvent, series: WipSeries, indexes: Mapping[str, StoryIndex],
@@ -230,18 +238,17 @@ class _Prefetched:
 def rolling_forecast(series: WipSeries, split_date: Date | None = None,
                      params: ForecastParams | None = None,
                      backend=None, embedder=None) -> RollingForecastResult:
-    """Forecast every day after split_date with memory grown walk-forward.
+    """Forecast every day after split_date, origin by origin, over one memory.
 
-    Each granularity's contextual stories are embedded up front in one call;
-    before the step that forecasts day j, one ``add_many`` per index adds the
-    rows of the days before j that it lacks, so doc ids follow day order.
-    Each agent's query stories for every step are likewise embedded up front in
-    one call (so a remote embedder gets one query request per agent, not one
-    per step), and the indexes look their rows up instead of embedding again.
-    Each step is one :func:`forecast_day`; each predictor's own value is
-    recorded as an ablation trace, from the same Prediction objects that fed
-    fusion. An index may be empty early on (e.g. a window longer than the
-    history before the split); its agent then gets no examples.
+    Each granularity's index is built once over all its contextual stories,
+    as ``forecast`` builds it; the as-of cutoff of :meth:`StoryIndex.retrieve`
+    keeps each step's future out. Each agent's query stories for every step
+    are embedded up front in one call (one remote query request per agent,
+    not per step), and the indexes look their rows up. Each step is one
+    :func:`forecast_day`, audited: RuntimeError if an agent retrieved a story
+    dated on or after the day it forecast. Each predictor's own value is an
+    ablation trace, from the Prediction objects that fed fusion; an agent
+    with nothing eligible yet gets no examples.
     """
     if params is None:
         params = ForecastParams()
@@ -263,35 +270,23 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
                                    for j in range(s, len(events))))
         queries.update(zip(texts, embedder.embed_many(texts)))
     provider = _Prefetched(embedder, queries)
-    indexes = {g: StoryIndex(provider=provider, retention=params.retention())
+    indexes = {g: build_index(contextual_stories(events, g, params.window)[1], embedder,
+                              params.retention(), provider)
                for g in AGENT_IDS}
-
-    rows = {}
-    for g in AGENT_IDS:
-        days, stories = contextual_stories(events, g, params.window)
-        rows[g] = days, stories, embedder.embed_many([s.text for s in stories])
     entries: list[TraceEntry] = []
     reports: list[ForecastReport] = []
     audit: list[StepAudit] = []
 
     for j in range(s, len(events)):
-        for g, (days, stories, matrix) in rows.items():
-            held, end = len(indexes[g]), bisect_left(days, j)
-            indexes[g].add_many(stories[held:end], matrix[held:end])
-
         target_day = events[j].date
-        sizes = {g: len(indexes[g]) for g in AGENT_IDS}
-        max_dates = {g: indexes[g].newest_date for g in AGENT_IDS}
-        for g, newest in max_dates.items():
-            if newest is not None and newest >= target_day:
-                raise RuntimeError(
-                    f"memory leak: {g} index holds a story dated {newest} "
-                    f"while forecasting {target_day}"
-                )
-        audit.append(StepAudit(date=target_day, corpus_sizes=sizes,
-                               max_story_dates=max_dates))
-
         report = forecast_day(events[j - 1], series, indexes, backend, params)
+        newest = {aid: max((r.date for r in pred.retrieved), default=None)
+                  for aid, pred in report.agent_predictions.items()}
+        for aid, day in newest.items():
+            if day is not None and day >= target_day:
+                raise RuntimeError(f"memory leak: {aid} retrieved a story dated {day} "
+                                   f"while forecasting {target_day}")
+        audit.append(StepAudit(date=target_day, newest_retrieved=newest))
         reports.append(report)
 
         actual = float(events[j].close)

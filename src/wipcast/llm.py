@@ -30,6 +30,8 @@ RETRYABLE_4XX = (408, 429)
 # Both remote clients' default retries after the first attempt, and seconds
 # to wait before the first retry.
 RETRIES, BACKOFF = 2, 1.0
+# The chat client's default request timeout (s) and API-key environment variable.
+CHAT_TIMEOUT, API_KEY_ENV = 60.0, "OPENAI_API_KEY"
 
 
 class LlmError(Exception):
@@ -202,8 +204,8 @@ class RemoteChatBackend:
 
     io_bound = True
 
-    def __init__(self, endpoint: str, model: str, api_key_env: str = "OPENAI_API_KEY",
-                 timeout: float = 60.0, retries: int = RETRIES, backoff: float = BACKOFF,
+    def __init__(self, endpoint: str, model: str, api_key_env: str = API_KEY_ENV,
+                 timeout: float = CHAT_TIMEOUT, retries: int = RETRIES, backoff: float = BACKOFF,
                  session=None):
         import requests
 

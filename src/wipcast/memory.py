@@ -29,6 +29,7 @@ logger = logging.getLogger(__name__)
 TRIGRAM_BUCKETS = 64
 NUMERIC_SLOTS = 8
 EMBED_CHUNK = 32  # texts per array pass: larger chunks raise peak memory, not speed
+EMBED_MODEL = "bge-base-en-v1.5"  # the remote embedder's default model
 
 
 class EmbeddingError(Exception):
@@ -143,7 +144,7 @@ class RemoteEmbedder:
     the chat client's default; a malformed payload fails on the first attempt.
     """
 
-    def __init__(self, endpoint: str, model: str = "bge-base-en-v1.5",
+    def __init__(self, endpoint: str, model: str = EMBED_MODEL,
                  timeout: float = 30.0, session=None):
         import requests
 
@@ -234,11 +235,6 @@ class StoryIndex:
     @property
     def dim(self) -> int | None:
         return self._dim
-
-    @property
-    def newest_date(self) -> Date | None:
-        """Date of the newest story held, or None while the index is empty."""
-        return Date.fromordinal(int(self._dates[:self._rows].max())) if self._rows else None
 
     def __len__(self) -> int:
         return self._rows

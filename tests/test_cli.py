@@ -200,6 +200,21 @@ OUTSIDE_TARGETS = {
 }
 
 
+def test_forecast_in_an_empty_directory_exits_2_naming_the_stage_to_run(tmp_path, capsys):
+    assert main(["forecast", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "run `wipcast ingest` first" in err
+    assert "--series" not in err  # no subcommand has that flag
+
+
+@pytest.mark.parametrize("argv", [["evaluate", "--split", "nope"],
+                                  ["evaluate", "--split", "2024-13-01"],
+                                  ["forecast", "--date", "2024-02-30"]])
+def test_a_date_flag_that_is_not_an_iso_date_exits_1_naming_it(workspace, capsys, argv):
+    assert main([*argv, "--out", workspace]) == 1
+    assert f"{argv[1]} must be an ISO date, got {argv[2]!r}" in capsys.readouterr().err
+
+
 def test_forecast_date_outside_series_exits_1(workspace):
     assert main(["forecast", "--out", workspace, "--date", "1999-01-01"]) == 1
 

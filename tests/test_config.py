@@ -1,6 +1,8 @@
 """Config parsing, validation, and round-trip serialization."""
 
+import inspect
 import io
+import json
 import re
 
 import pytest
@@ -21,7 +23,7 @@ from wipcast.config import (
     load_config,
     save_config,
 )
-from wipcast.llm import StubBackend
+from wipcast.llm import RemoteChatBackend, StubBackend
 from wipcast.memory import DeterministicEmbedder, RemoteEmbedder
 
 
@@ -191,6 +193,27 @@ def test_nan_values_rejected_naming_the_key(text, key, tmp_path, capsys):
     path.write_text(text)
     assert main(["ingest", "--config", str(path), "--out", str(tmp_path)]) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("split_date", ["2024-13-01", "nope", "2024-02-30"])
+def test_split_date_must_be_an_iso_date(split_date, tmp_path, capsys):
+    # it used to fail only once evaluate parsed it, with a bare "month must be in 1..12"
+    want = f"config key split_date must be an ISO date, got {split_date!r}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        config_from_dict({"split_date": split_date})
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({"split_date": split_date}))
+    assert main(["ingest", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert want in capsys.readouterr().err
+    assert config_from_dict({"split_date": "2024-02-29"}).split_date == "2024-02-29"
+
+
+def test_config_defaults_are_the_remote_clients_defaults():
+    chat = inspect.signature(RemoteChatBackend).parameters
+    backend = BackendConfig()
+    assert (backend.api_key_env, backend.timeout, backend.retries) == (
+        chat["api_key_env"].default, chat["timeout"].default, chat["retries"].default)
+    assert EmbedderConfig().model == inspect.signature(RemoteEmbedder).parameters["model"].default
 
 
 def test_remote_sections_need_endpoints():

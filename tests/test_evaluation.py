@@ -1,6 +1,5 @@
-"""Walk-forward evaluation: metric oracles, corpus growth, determinism."""
+"""Walk-forward evaluation: metric oracles, the causal cutoff and its audit, determinism."""
 
-import dataclasses
 import math
 import threading
 import time
@@ -15,6 +14,7 @@ from wipcast.evaluation import (
     MetricsSummary,
     PredictionTrace,
     TraceEntry,
+    build_index,
     contextual_stories,
     default_split_date,
     emit_report,
@@ -217,28 +217,41 @@ def test_rolling_produces_all_ablation_sources(twenty_day_run):
         assert len(result.trace.for_source(src)) == 5
 
 
-def test_rolling_corpus_grows_one_story_per_day(twenty_day_run):
-    # forecasting day d (1-based), the daily corpus holds stories for days 1..d-1
-    _, _, result = twenty_day_run
-    assert [a.corpus_sizes["daily"] for a in result.audit] == [15, 16, 17, 18, 19]
-    assert [a.corpus_sizes["weekday"] for a in result.audit] == [15, 16, 17, 18, 19]
-    # windowed stories need a full 7-day window, so six early days never render
-    assert [a.corpus_sizes["windowed"] for a in result.audit] == [9, 10, 11, 12, 13]
-
-
 def test_rolling_memory_is_causal(twenty_day_run):
     _, _, result = twenty_day_run
-    for step in result.audit:
-        for granularity, newest in step.max_story_dates.items():
-            assert newest < step.date, granularity
+    for step, report in zip(result.audit, result.reports):
+        assert step.date == report.date
+        for aid, pred in report.agent_predictions.items():
+            assert len(pred.retrieved) == 5
+            assert step.newest_retrieved[aid] == max(r.date for r in pred.retrieved) < step.date
 
 
 def test_rolling_newest_story_is_yesterdays(twenty_day_run):
-    # date-bounded memory: the story for day d-1 (targeting day d's close) is in
-    # the corpus when day d is forecast
-    _, _, result = twenty_day_run
-    for step in result.audit:
-        assert step.max_story_dates["daily"] == step.date - timedelta(days=1)
+    # one memory, one cutoff: the shared builder indexes the whole series, and
+    # as of each forecast day d the story for day d-1 (targeting day d's close)
+    # is the newest one retrievable, whatever the similarity ranking
+    series, _, result = twenty_day_run
+    embedder = DeterministicEmbedder()
+    for g in AGENT_IDS:
+        index = build_index(contextual_stories(series.events, g, 7)[1], embedder)
+        for step in result.audit:
+            hits = index.retrieve("WiP closed at 12.", as_of=step.date, k=len(index))
+            assert max(r.date for r in hits) == step.date - timedelta(days=1), g
+
+
+def test_rolling_builds_each_index_once(monkeypatch):
+    calls = []
+    real = StoryIndex.add_many
+
+    def counting(self, stories, embeddings, doc_ids=None):
+        calls.append({s.granularity for s in stories})
+        return real(self, stories, embeddings, doc_ids)
+
+    monkeypatch.setattr(StoryIndex, "add_many", counting)
+    series = synthetic_series(20, seed=3)
+    result = rolling_forecast(series, split_date=series.events[14].date)
+    assert len(result.reports) == 5
+    assert calls == [{g} for g in AGENT_IDS]
 
 
 def test_rolling_actuals_match_series(twenty_day_run):
@@ -341,15 +354,16 @@ def test_prefetched_rows_serve_known_texts_and_embed_the_rest():
 
 
 def test_rolling_window_longer_than_history_starts_with_empty_index():
-    # a 20-day window with 14 days before the split: no windowed story exists
-    # until day 20 has a next-day close, so that index starts empty
+    # a 20-day window with 14 days before the split: no windowed story is
+    # dated before the forecast day until day 20 has a next-day close, so the
+    # windowed agent first retrieves nothing, then fewer than k stories
     series = synthetic_series(40, seed=1)
     result = rolling_forecast(series, split_date=series.events[14].date,
                               params=ForecastParams(window=20))
-    sizes = [a.corpus_sizes["windowed"] for a in result.audit]
-    assert sizes[:7] == [0, 0, 0, 0, 0, 1, 2]
-    assert [a.max_story_dates["windowed"] for a in result.audit[:5]] == [None] * 5
-    assert result.audit[5].max_story_dates["windowed"] == series.events[19].date
+    counts = [len(r.agent_predictions["windowed"].retrieved) for r in result.reports]
+    assert counts[:7] == [0, 0, 0, 0, 0, 1, 2]
+    assert [a.newest_retrieved["windowed"] for a in result.audit[:5]] == [None] * 5
+    assert result.audit[5].newest_retrieved["windowed"] == series.events[19].date
     # with nothing retrieved the stub answers with the current close
     closes = {ev.date: float(ev.close) for ev in series.events}
     for entry in result.trace.for_source("windowed_only")[:5]:
@@ -357,17 +371,18 @@ def test_rolling_window_longer_than_history_starts_with_empty_index():
 
 
 def test_rolling_audit_raises_on_a_story_from_the_forecast_day(monkeypatch):
-    real = evaluation._contextual_story
+    # the weekday agent's retrievals ignore the as-of cutoff; the audit of what
+    # each agent retrieved names it
+    real = StoryIndex.retrieve
 
-    def leaky(events, i, granularity, window):
-        story = real(events, i, granularity, window)
-        if granularity == "weekday":
-            story = dataclasses.replace(story, date=story.date + timedelta(days=1))
-        return story
+    def leaky(self, query, as_of, k=5):
+        if self.granularities() == {"weekday"}:
+            as_of = date.max
+        return real(self, query, as_of, k)
 
-    monkeypatch.setattr(evaluation, "_contextual_story", leaky)
+    monkeypatch.setattr(StoryIndex, "retrieve", leaky)
     series = synthetic_series(20, seed=3)
-    with pytest.raises(RuntimeError, match="weekday index holds a story dated"):
+    with pytest.raises(RuntimeError, match="weekday retrieved a story dated"):
         rolling_forecast(series, split_date=series.events[14].date)
 
 
