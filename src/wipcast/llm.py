@@ -9,6 +9,7 @@ number.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import statistics
@@ -21,8 +22,9 @@ from .narrative import GRANULARITIES
 # One predictor agent per story granularity, named after it.
 AGENT_IDS = GRANULARITIES
 
-PREDICTION_RE = re.compile(r"PREDICTION:\s*(-?\d+(?:\.\d+)?)")
-NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
+# a decimal with optional comma thousands groups and exponent: 42, -3.25, 1,234.5, 1.2e3
+NUMBER_RE = re.compile(r"-?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?(?:[eE][-+]?\d+)?")
+PREDICTION_RE = re.compile(rf"PREDICTION:\s*({NUMBER_RE.pattern})")
 ACTION_RE = re.compile(r"ACTION:\s*(\w+)\(([^)]*)\)")
 
 # Client errors that a later retry can cure: request timeout and rate limiting.
@@ -101,14 +103,12 @@ class ChatResponse:
 
 
 def extract_prediction(text: str) -> float:
-    """Number after the last "PREDICTION:" marker, else the last number in the text."""
-    markers = PREDICTION_RE.findall(text)
-    if markers:
-        return float(markers[-1])
-    numbers = NUMBER_RE.findall(text)
-    if numbers:
-        return float(numbers[-1])
-    raise NoNumberError(f"no number found in model output: {text!r}")
+    """Number after the last "PREDICTION:", else the text's last number; NoNumberError if none or not finite."""
+    found = PREDICTION_RE.findall(text) or NUMBER_RE.findall(text)
+    value = float(found[-1].replace(",", "")) if found else math.nan
+    if not math.isfinite(value):
+        raise NoNumberError(f"no finite number found in model output: {text!r}")
+    return value
 
 
 def parse_action(text: str) -> tuple[str, str] | None:

@@ -3,7 +3,8 @@
 The index is an exhaustive-scan store. Corpora are a few thousand stories at
 most (one per day per granularity), so exact scoring is cheap and keeps
 retrieval trivially auditable. Retrieval never returns a story dated on or
-after the query day: downstream forecasting depends on that cutoff.
+after the query day: downstream forecasting depends on that cutoff. Rows are
+kept in date order, so the cutoff is one binary search and one slice.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import threading
 import zipfile
 import zlib
 from dataclasses import dataclass
-from datetime import date as Date, timedelta
+from datetime import date as Date
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -207,41 +208,36 @@ class RetentionPolicy:
 class StoryIndex:
     """Flat cosine index over contextual stories with a strict as-of cutoff.
 
-    Append-only. Its state is the row columns, in insertion order and never
-    rewritten: embedding, norm, date ordinal, doc_id, target and granularity
-    (as its position in GRANULARITIES) in capacity-doubling arrays, and the
-    texts in a list. :meth:`_append`
-    is the one way rows get in and the one place they are checked; each doc_id
-    is held at most once. :meth:`retrieve` reads each hit straight off the
-    columns into one :class:`~wipcast.llm.RetrievedExample`. One writer or many
-    readers at a time. Ties on similarity prefer the more recent story date,
-    then the smaller doc_id.
+    Append-only. Its state is one tuple of seven columns: embedding, norm,
+    date ordinal, doc_id, target, granularity (as its position in
+    GRANULARITIES) and text. The rows are sorted by (date, doc_id), so those
+    dated before a day are a prefix and those inside a retention window one
+    slice. :meth:`_append` is the one way rows get in and the one place they
+    are checked; each doc_id is held at most once. It publishes the next
+    tuple whole, and readers read the tuple once, so a reader sees a batch
+    whole or not at all. :meth:`retrieve` reads each hit straight off the
+    columns into one :class:`~wipcast.llm.RetrievedExample`. One writer or
+    many readers at a time. Ties on similarity prefer the more recent story
+    date, then the smaller doc_id.
     """
 
     def __init__(self, provider=None, retention: RetentionPolicy | None = None):
         self.provider = provider
         self.retention = retention if retention is not None else RetentionPolicy()
-        self._dim: int | None = None
         self._lock = threading.Lock()
-        self._rows = 0
-        self._matrix = np.empty((0, 0))
-        self._norms = np.empty(0)
-        self._dates = np.empty(0, dtype=np.int64)
-        self._ids = np.empty(0, dtype=np.int64)
-        self._targets = np.empty(0)
-        self._codes = np.empty(0, dtype=np.uint8)
-        self._texts: list[str] = []
+        self._state = (np.empty((0, 0)), np.empty(0), np.empty(0, dtype=np.int64),
+                       np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.uint8), [])
 
     @property
     def dim(self) -> int | None:
-        return self._dim
+        return self._state[0].shape[1] or None  # an empty index has a (0, 0) matrix
 
     def __len__(self) -> int:
-        return self._rows
+        return len(self._state[3])
 
     def granularities(self) -> set[str]:
         """The granularities of the stories held."""
-        return {GRANULARITIES[code] for code in set(self._codes[:self._rows].tolist())}
+        return {GRANULARITIES[code] for code in set(self._state[5].tolist())}
 
     def add_many(self, stories: Sequence[Story], embeddings,
                  doc_ids: Sequence[int] | None = None) -> None:
@@ -263,7 +259,7 @@ class StoryIndex:
         if not n:
             return
         matrix = np.asarray(embeddings, dtype=float)
-        first = int(self._ids[:self._rows].max()) + 1 if self._rows else 0  # the next free id
+        first = int(self._state[3].max()) + 1 if len(self) else 0  # the next free id
         try:
             ids = np.asarray(range(first, first + n) if doc_ids is None else doc_ids, dtype=np.int64)
         except OverflowError:
@@ -277,9 +273,6 @@ class StoryIndex:
         if matrix.ndim != 2 or any(len(col) != n for col in (matrix, ids, dates, targets, codes)):
             raise ValueError(f"need one embedding row and doc_id per story, got shape "
                              f"{matrix.shape} and {len(ids)} doc_ids for {n} stories")
-        dim = matrix.shape[1]
-        if self._dim is not None and dim != self._dim:
-            raise ValueError(f"embedding dim {dim} does not match index dim {self._dim}")
         if codes.dtype != np.uint8 or codes.max() >= len(GRANULARITIES):
             raise ValueError(f"granularity codes must be uint8 below {len(GRANULARITIES)}")
         if not np.isfinite(matrix).all():
@@ -291,29 +284,34 @@ class StoryIndex:
         if not norms.all():
             raise ValueError("embedding must have nonzero norm")
         with self._lock:
-            start, stop = self._rows, self._rows + n
-            held = self._ids[:start]
-            if (ids[1:] <= ids[:-1]).any() or (held >= ids[0]).any():  # else ascending and new
+            state = self._state
+            held = state[3]
+            if len(held) and matrix.shape[1] != state[0].shape[1]:
+                raise ValueError(f"embedding dim {matrix.shape[1]} does not match index dim {state[0].shape[1]}")
+            ascending = not (ids[1:] <= ids[:-1]).any()
+            if not ascending or (held >= ids[0]).any():  # else ascending and new
                 both = np.sort(np.concatenate((held, ids)))
                 repeated = both[1:][both[1:] == both[:-1]]
                 if len(repeated):
                     raise ValueError(f"doc_id {repeated[0]} is repeated: an index holds each doc_id once")
-            self._dim = dim
-            if stop > len(self._ids):
-                self._grow(max(stop, 2 * len(self._ids)))
-            self._matrix[start:stop] = matrix
-            self._norms[start:stop] = norms
-            self._dates[start:stop] = dates
-            self._ids[start:stop] = ids
-            self._targets[start:stop] = targets
-            self._codes[start:stop] = codes
-            self._texts.extend(texts)
-            self._rows = stop  # readers see the batch only once it is whole
+            batch = (matrix, norms, dates, ids, targets, codes)
+            columns = [np.concatenate(pair) for pair in zip(state, batch)] if len(held) else [
+                np.array(column) for column in batch]
+            texts = state[6] + list(texts)
+            # build_index and both snapshot readers hand rows over in
+            # (date, doc_id) order, after any rows held; only others are reordered
+            in_order = ascending and (dates[1:] >= dates[:-1]).all() and (
+                not len(held) or (state[2][-1], held[-1]) < (dates[0], ids[0]))
+            if not in_order:
+                order = np.lexsort((columns[3], columns[2]))
+                columns = [column[order] for column in columns]
+                texts = [texts[row] for row in order.tolist()]
+            self._state = (*columns, texts)
 
     def add_story(self, story: Story) -> int:
         """Embed a contextual story with the index's provider, insert it and return its doc_id."""
         self.add_many([story], [self.provider.embed(story.text)])
-        return int(self._ids[self._rows - 1])
+        return int(self._state[3].max())  # the next free id was the largest
 
     def documents(self) -> dict[int, Story]:
         """Every story held by its doc_id, doc_id ascending."""
@@ -323,19 +321,11 @@ class StoryIndex:
                 in zip(ids.tolist(), dates.tolist(), targets.tolist(), texts, codes.tolist())}
 
     def _columns(self) -> tuple:
-        """The filled columns in doc_id order, as :meth:`_append` takes them."""
-        rows = np.argsort(self._ids[:self._rows])
-        return (self._matrix[rows], self._ids[rows], self._dates[rows], self._targets[rows],
-                [self._texts[row] for row in rows.tolist()], self._codes[rows])
-
-    def _grow(self, capacity: int) -> None:
-        if not len(self._ids):
-            self._matrix = np.empty((0, self._dim))
-        for name in ("_matrix", "_norms", "_dates", "_ids", "_targets", "_codes"):
-            old = getattr(self, name)
-            new = np.empty((capacity, *old.shape[1:]), dtype=old.dtype)
-            new[:len(old)] = old
-            setattr(self, name, new)
+        """The columns in doc_id order, as :meth:`_append` takes them."""
+        matrix, _, dates, ids, targets, codes, texts = self._state
+        rows = np.argsort(ids)
+        return (matrix[rows], ids[rows], dates[rows], targets[rows],
+                [texts[row] for row in rows.tolist()], codes[rows])
 
     def retrieve(self, query: Story | str | np.ndarray, as_of: Date,
                  k: int = 5) -> list[RetrievedExample]:
@@ -352,33 +342,30 @@ class StoryIndex:
         qnorm = float(np.linalg.norm(qvec))
         if qnorm == 0.0:
             raise ValueError("cosine undefined for zero-norm query")
-        n = self._rows
-        if not n:
+        matrix, norms, dates, ids, targets, _, texts = self._state
+        if not len(ids):
             return []
-        if self._dim is not None and qvec.shape[0] != self._dim:
-            raise ValueError(f"query dim {qvec.shape[0]} does not match index dim {self._dim}")
-        matrix, norms, dates, ids = self._matrix[:n], self._norms[:n], self._dates[:n], self._ids[:n]
-        mask = dates < as_of.toordinal()
-        if self.retention.max_age_days is not None:
-            oldest = (as_of - timedelta(days=self.retention.max_age_days)).toordinal()
-            mask &= dates >= oldest
-        rows = np.flatnonzero(mask)
+        if qvec.shape[0] != matrix.shape[1]:
+            raise ValueError(f"query dim {qvec.shape[0]} does not match index dim {matrix.shape[1]}")
+        # the eligible rows, dated before as_of and inside max_age_days, are one
+        # slice; ordinals start at 1, so an age beyond the calendar keeps them all
+        cutoff, age = as_of.toordinal(), self.retention.max_age_days
+        lo, hi = np.searchsorted(dates, (0 if age is None else max(cutoff - age, 0), cutoff))
+        rows = np.arange(lo, hi)
         # einsum, not BLAS matmul: matmul accumulates differently per row
         # position, so equal embeddings would not score bit-identically and the
-        # tie rule below would never engage. Rows are gathered only when some
-        # are not eligible: einsum scores a row alike in either layout.
-        scored = matrix if len(rows) == n else matrix[rows]
-        sims = np.einsum("ij,j->i", scored, qvec) / (norms[rows] * qnorm)
+        # tie rule below would never engage.
+        sims = np.einsum("ij,j->i", matrix[lo:hi], qvec) / (norms[lo:hi] * qnorm)
         if self.retention.min_similarity is not None:
             keep = sims >= self.retention.min_similarity
             sims, rows = sims[keep], rows[keep]
         # lexsort uses the last key as primary: similarity desc, then date desc, then id asc.
         order = np.lexsort((ids[rows], -dates[rows], -sims))[:k]
         hits = rows[order]
-        return [RetrievedExample(doc_id, Date.fromordinal(day), self._texts[row], target, sim)
+        return [RetrievedExample(doc_id, Date.fromordinal(day), texts[row], target, sim)
                 for row, doc_id, day, target, sim in zip(
                     hits.tolist(), ids[hits].tolist(), dates[hits].tolist(),
-                    self._targets[hits].tolist(), sims[order].tolist())]
+                    targets[hits].tolist(), sims[order].tolist())]
 
 
 def save_index(index: StoryIndex, fp: IO[str]) -> int:

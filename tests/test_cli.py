@@ -394,6 +394,23 @@ def test_config_that_would_silently_degrade_forecasts_exits_1(tmp_path, workspac
         assert f"error: {want}" in capsys.readouterr().err
 
 
+def test_a_max_age_beyond_the_calendar_keeps_every_story(tmp_path, workspace):
+    # an age reaching back before year 1 must not overflow date arithmetic
+    # into a traceback; it keeps every story, as no limit does
+    outputs = {}
+    for name, section in (("unbounded", {}), ("beyond", {"max_age_days": 1_000_000})):
+        out = tmp_path / name
+        shutil.copytree(workspace, out)
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps({"forecast": section}))
+        for stage in ("forecast", "evaluate"):
+            assert main([stage, "--out", str(out), "--config", str(cfg_path),
+                         "--freeze-timestamps"]) == 0
+        outputs[name] = [(out / f).read_bytes() for f in ("forecast.jsonl", "forecast_reports.jsonl",
+                                                          "predictions.csv")]
+    assert outputs["beyond"] == outputs["unbounded"]
+
+
 def test_backend_remote_without_endpoint_exits_1(workspace):
     assert main(["forecast", "--out", workspace, "--backend", "remote"]) == 1
 

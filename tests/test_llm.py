@@ -71,6 +71,25 @@ def test_extract_prediction_round_trip():
         assert extract_prediction(f"PREDICTION: {x}") == x
 
 
+@pytest.mark.parametrize("text, want", [
+    ("PREDICTION: 1,234", 1234.0),  # a thousands group, not 1 and 234
+    ("PREDICTION: -1,234,567.5", -1234567.5),
+    ("PREDICTION: 1.2e3", 1200.0),  # the exponent is part of the number
+    ("PREDICTION: 5E-1", 0.5),
+    ("PREDICTION: 12, give or take", 12.0),
+    ("about 2,500 open items tomorrow", 2500.0),
+    ("somewhere in 10,20,30", 30.0),  # not thousands groups: three numbers
+])
+def test_extract_prediction_number_forms(text, want):
+    assert extract_prediction(text) == want
+
+
+@pytest.mark.parametrize("text", ["PREDICTION: 1e999", "PREDICTION: -1e999", "maybe 9e400"])
+def test_extract_prediction_rejects_a_number_that_is_not_finite(text):
+    with pytest.raises(NoNumberError, match="no finite number"):
+        extract_prediction(text)
+
+
 def test_parse_action_forms():
     assert parse_action("ACTION: get_prediction(daily)") == ("get_prediction", "daily")
     assert parse_action("ACTION: get_trend()") == ("get_trend", "")

@@ -307,9 +307,9 @@ def test_retrieve_whole_corpus_when_k_exceeds_it():
 
 
 def test_retrieve_scores_a_row_alike_whether_or_not_rows_are_gathered():
-    """All rows eligible: scored in place. Some not: the eligible rows are
-    gathered first. Either way a row's similarity is bit-identical, so ties
-    between equal embeddings still engage."""
+    """All rows eligible or only some: either way the eligible rows are scored
+    as one slice, at whatever offset, and a row's similarity is bit-identical
+    in every slice, so ties between equal embeddings still engage."""
     rng = random.Random(12)
     emb = DeterministicEmbedder()
     docs = build_corpus(rng, 300, emb)
@@ -459,6 +459,130 @@ def test_index_concurrent_readers_get_the_oracle_results():
     assert results == [[doc_id for doc_id, _ in want]] * 160
 
 
+def shuffled_corpus(rng: random.Random, emb: DeterministicEmbedder, n: int, days: int = 30):
+    """n stories on ``days`` days, so dates repeat, with random distinct doc_ids,
+    in random order. Some are twins of another story: the same embedding on
+    another day or under another doc_id, so similarities tie exactly."""
+    start, docs = date(2024, 1, 1), []
+    for doc_id in rng.sample(range(10_000), n):
+        day = start + timedelta(days=rng.randrange(days))
+        if docs and rng.random() < 0.2:
+            twin = rng.choice(docs)
+            docs.append(Doc(replace(twin.story, date=rng.choice((day, twin.story.date))),
+                            twin.embedding, doc_id))
+        else:
+            story = render_contextual_story(random_wip_event(rng, day), rng.randint(0, 90))
+            docs.append(Doc(story, emb.embed(story.text), doc_id))
+    return docs
+
+
+def in_batches(rng: random.Random, docs, count: int):
+    """``docs`` cut into ``count`` nonempty batches, in order."""
+    cuts = [0, *sorted(rng.sample(range(1, len(docs)), count - 1)), len(docs)]
+    return [docs[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def test_date_ordered_index_matches_oracle_over_batches_out_of_order():
+    """Batches arrive out of date and doc_id order, then add_story adds one
+    more; the rows stay sorted by (date, doc_id), and every retrieval, as of a
+    stored date, a day between or a day before or after them all, with or
+    without max_age_days and min_similarity, is the oracle's."""
+    emb = DeterministicEmbedder()
+    for trial in range(12):
+        rng = random.Random(3000 + trial)
+        docs = shuffled_corpus(rng, emb, rng.randint(20, 90))
+        index = StoryIndex(provider=emb)
+        for batch in in_batches(rng, docs, rng.randint(2, 6)):
+            add_docs(index, batch)
+        extra = render_contextual_story(random_wip_event(rng, date(2024, 1, 15)), 12)
+        docs.append(Doc(extra, emb.embed(extra.text), index.add_story(extra)))
+        assert docs[-1].doc_id == max(doc.doc_id for doc in docs[:-1]) + 1
+
+        _, _, dates, ids = rows_of(index)
+        rows = list(zip(dates.tolist(), ids.tolist()))
+        assert rows == sorted((doc.story.date.toordinal(), doc.doc_id) for doc in docs)
+        stored = sorted({doc.story.date for doc in docs})
+        days = {stored[0] - timedelta(days=1), stored[-1] + timedelta(days=1),
+                date(2030, 1, 1), *rng.sample(stored, 4),
+                *(stored[0] + timedelta(days=rng.randrange(40)) for _ in range(4))}
+        policies = [RetentionPolicy(), RetentionPolicy(max_age_days=rng.randint(1, 12)),
+                    RetentionPolicy(min_similarity=rng.uniform(0.9, 1.0)),
+                    RetentionPolicy(max_age_days=rng.randint(1, 12),
+                                    min_similarity=rng.uniform(0.9, 1.0))]
+        for as_of in sorted(days):
+            qvec = emb.embed(render_query_story(random_wip_event(rng, as_of)).text)
+            for policy in policies:
+                index.retention = policy
+                k = rng.choice((1, 4, len(docs)))
+                got = index.retrieve(qvec, as_of, k=k)
+                want = oracle_retrieve(docs, qvec, as_of, k, policy)
+                assert [r.doc_id for r in got] == [doc_id for doc_id, _ in want]
+                assert [r.similarity for r in got] == pytest.approx([s for _, s in want], abs=1e-9)
+
+
+def test_retention_max_age_beyond_the_calendar_keeps_every_story():
+    # an age reaching back before year 1 keeps every story, without overflowing
+    rng = random.Random(5)
+    emb = DeterministicEmbedder()
+    docs = build_corpus(rng, 25, emb)
+    unbounded, beyond = StoryIndex(provider=emb), StoryIndex(
+        provider=emb, retention=RetentionPolicy(max_age_days=10**30))
+    add_docs(unbounded, docs)
+    add_docs(beyond, docs)
+    qvec = emb.embed(render_query_story(random_wip_event(rng, date(2024, 1, 20))).text)
+    for as_of in (date.min, date(2024, 1, 1), date(2024, 1, 20), date.max):
+        assert beyond.retrieve(qvec, as_of, k=30) == unbounded.retrieve(qvec, as_of, k=30)
+    assert len(beyond.retrieve(qvec, date.max, k=30)) == 25
+
+
+def test_readers_beside_a_writer_see_whole_batches():
+    """While one thread adds batches out of date order, each concurrent
+    retrieve is the oracle's over the docs of some whole prefix of the batches."""
+    rng = random.Random(23)
+    emb = DeterministicEmbedder()
+    docs = shuffled_corpus(rng, emb, 240)
+    batches = in_batches(rng, docs, 24)
+    # as of a day after every story each prefix retrieves differently; as of a
+    # day inside them, only rows kept in date order retrieve right
+    days = (date(2024, 12, 31), date(2024, 1, 16))
+    qvec = emb.embed(render_query_story(random_wip_event(rng, days[1])).text)
+    prefixes = [sum(batches[:i], []) for i in range(len(batches) + 1)]
+    allowed = {(as_of, tuple(doc_id for doc_id, _ in oracle_retrieve(prefix, qvec, as_of, len(docs))))
+               for as_of in days for prefix in prefixes}
+    assert len({hits for as_of, hits in allowed if as_of == days[0]}) == len(prefixes)
+    live = [StoryIndex(provider=emb)]  # the index being written, a fresh one each round
+    done, seen, errors = threading.Event(), [], []
+
+    def read():
+        try:
+            while not done.is_set():
+                for as_of in days:
+                    hits = live[0].retrieve(qvec, as_of, k=len(docs))
+                    seen.append((as_of, tuple(r.doc_id for r in hits)))
+        except Exception as exc:  # reported below; a thread cannot fail the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    readers = [threading.Thread(target=read) for _ in range(3)]
+    try:
+        for t in readers:
+            t.start()
+        for _ in range(10):
+            live[0] = StoryIndex(provider=emb)
+            for batch in batches:
+                add_docs(live[0], batch)
+                time.sleep(0)
+    finally:
+        done.set()
+        for t in readers:
+            t.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers)
+    assert errors == []
+    assert seen and set(seen) <= allowed
+
+
 def trigram_shares(text, buckets):
     """Share of the text's trigrams in each crc32 bucket, hashed afresh."""
     padded = f"##{text}##"
@@ -591,8 +715,7 @@ def test_snapshot_round_trip():
 
 def rows_of(index):
     """The index's row arrays, in row order: embeddings, norms, date ordinals, ids."""
-    n = index._rows
-    return index._matrix[:n], index._norms[:n], index._dates[:n], index._ids[:n]
+    return index._state[:4]
 
 
 def assert_same_index(a, b):
