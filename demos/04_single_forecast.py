@@ -13,36 +13,33 @@ from datetime import timedelta
 
 from wipcast import (
     DeterministicEmbedder,
-    StoryIndex,
     StubBackend,
     fuse,
     predictor_predict,
     trend_analyze,
 )
-from wipcast.narrative import render_contextual_story, render_windowed_story
+from wipcast.memory import build_indexes
+from wipcast.narrative import query_story
 from wipcast.synthetic import synthetic_series
 
 series = synthetic_series(n_days=50, seed=5)
 events = series.events
-current = events[-1]
+today = len(events) - 1
+current = events[today]
 forecast_date = current.date + timedelta(days=1)
 
 # one index per granularity, filled with everything known so far
 embedder = DeterministicEmbedder()
-daily_ix, weekday_ix, windowed_ix = (StoryIndex(provider=embedder) for _ in range(3))
-for i in range(len(events) - 1):
-    nxt = events[i + 1].close
-    daily_ix.add_story(render_contextual_story(events[i], nxt))
-    weekday_ix.add_story(render_contextual_story(events[i], nxt, "weekday"))
-    if i >= 6:
-        windowed_ix.add_story(render_windowed_story(events[i - 6:i + 1], next_close=nxt))
+indexes = build_indexes(events, embedder, window=7)
 
+# each agent frames today as its own query story and retrieves from its own
+# index, as of the forecast day
 backend = StubBackend()
-preds = {
-    "daily": predictor_predict("daily", current, series, daily_ix, backend),
-    "weekday": predictor_predict("weekday", current, series, weekday_ix, backend),
-    "windowed": predictor_predict("windowed", current, series, windowed_ix, backend),
-}
+preds = {}
+for agent_id, index in indexes.items():
+    query = query_story(events, today, agent_id, window=7).text
+    retrieved = index.retrieve(query, as_of=forecast_date)
+    preds[agent_id] = predictor_predict(agent_id, query, retrieved, float(current.close), backend)
 print(f"forecasting {forecast_date} (today closed at {current.close})")
 for name, p in preds.items():
     print(f"  {name:>8} agent: {p.value:.2f}  "
@@ -58,7 +55,7 @@ rules = fuse(preds, trend, forecast_date)
 print(f"\nrules fusion: {rules.final_value:.2f}")
 print(f"  rationale: {rules.rationale}")
 
-react = fuse(preds, trend, forecast_date, index=daily_ix, backend=backend,
+react = fuse(preds, trend, forecast_date, index=indexes["daily"], backend=backend,
              mode="react")
 print(f"\nreact fusion: {react.final_value:.2f} (mode={react.mode})")
 print(f"  rationale: {react.rationale}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from datetime import date as Date, timedelta
+from datetime import date as Date
 from typing import Mapping, Sequence
 
 from .llm import (
@@ -27,9 +27,7 @@ from .llm import (
     extract_prediction,
     parse_action,
 )
-from .memory import StoryIndex
-from .narrative import Story, render_query_story, render_windowed_story
-from .wipseries import WipEvent, WipSeries
+from .memory import TOP_K, StoryIndex
 
 logger = logging.getLogger(__name__)
 
@@ -59,6 +57,10 @@ DEFAULT_FUSION_WEIGHTS: dict[str, dict[str, float]] = {
     "decreasing_significantly": {"daily": 0.6, "weekday": 0.2, "windowed": 0.2},
 }
 
+TREND_WINDOW = 7  # trend_analyze's defaults
+TREND_LOOKBACK = 14
+TREND_THRESHOLDS = (0.01, 0.05)
+
 REACT_TOOLS = ("get_prediction", "get_trend", "retrieve")
 
 PREDICTOR_SYSTEM = (
@@ -82,7 +84,6 @@ class Prediction:
     agent_id: str
     value: float
     retrieved: tuple[RetrievedExample, ...]
-    prompt_ref: str
 
     def __post_init__(self):
         if self.agent_id not in AGENT_IDS:
@@ -127,56 +128,34 @@ class ForecastReport:
         }
 
 
-def _query_story(agent_id: str, current: WipEvent, history: WipSeries, window: int) -> Story:
-    if agent_id == "daily":
-        return render_query_story(current, granularity="daily")
-    if agent_id == "weekday":
-        return render_query_story(current, granularity="weekday")
-    if agent_id == "windowed":
-        end = history.days_through(current.date)
-        if not end or history.events[end - 1].date != current.date:
-            raise ValueError("history must include the current day for the windowed agent")
-        return render_windowed_story(history.events[max(0, end - window):end])
-    raise ValueError(f"unknown agent_id: {agent_id}")
+def predictor_predict(agent_id: str, query: str, retrieved: Sequence[RetrievedExample],
+                      current_close: float, backend) -> Prediction:
+    """One agent's forecast of the next day's close: prompt, chat, parse.
 
-
-def predictor_predict(agent_id: str, current: WipEvent, history: WipSeries,
-                      index: StoryIndex, backend, k: int = 5, window: int = 7) -> Prediction:
-    """One agent's forecast of the next day's close.
-
-    Renders the agent's query story, retrieves up to k similar prior stories
-    (as of the forecast day, so nothing current or future leaks in), asks the
-    backend, and parses the answer. Negative model answers clamp to zero since
-    WiP counts cannot go below it.
+    ``query`` is the agent's rendered query story and ``retrieved`` the prior
+    stories retrieved for it. Negative model answers clamp to zero since WiP
+    counts cannot go below it.
     """
-    forecast_date = current.date + timedelta(days=1)
-    query = _query_story(agent_id, current, history, window)
-    results = tuple(index.retrieve(query, as_of=forecast_date, k=k))
-    lines = [f"Current situation: {query.text}"]
-    if results:
+    retrieved = tuple(retrieved)
+    lines = [f"Current situation: {query}"]
+    if retrieved:
         lines.append("Similar past situations and what followed:")
-        lines.extend(f"- {res.text} (similarity {res.similarity:.4f})" for res in results)
+        lines.extend(f"- {res.text} (similarity {res.similarity:.4f})" for res in retrieved)
     else:
         lines.append("No historical examples available.")
     lines.append("Predict the next day's closing WiP.")
     req = ChatRequest(
         system_text=PREDICTOR_SYSTEM,
         user_text="\n".join(lines),
-        structured_context=StructuredContext(
-            retrieved=results, current_close=float(current.close)
-        ),
+        structured_context=StructuredContext(retrieved=retrieved, current_close=current_close),
     )
     value = extract_prediction(backend.chat(req).text)
-    return Prediction(
-        agent_id=agent_id,
-        value=max(0.0, value),
-        retrieved=results,
-        prompt_ref=f"{agent_id}:{forecast_date.isoformat()}",
-    )
+    return Prediction(agent_id=agent_id, value=max(0.0, value), retrieved=retrieved)
 
 
-def trend_analyze(closes: Sequence[float], window: int = 7, lookback: int = 14,
-                  thresholds: tuple[float, float] = (0.01, 0.05)) -> TrendInsight:
+def trend_analyze(closes: Sequence[float], window: int = TREND_WINDOW,
+                  lookback: int = TREND_LOOKBACK,
+                  thresholds: tuple[float, float] = TREND_THRESHOLDS) -> TrendInsight:
     """Label the recent close trajectory by comparing two moving averages.
 
     Uses the last `lookback` closes; the first and last `window`-wide means
@@ -266,7 +245,7 @@ def _react_tool(name: str, arg: str, preds: dict[str, Prediction], trend: TrendI
 def fuse(preds: Sequence[Prediction] | Mapping[str, Prediction], trend: TrendInsight,
          forecast_date: Date, index: StoryIndex | None = None, backend=None,
          mode: str = "rules", weights: Mapping[str, Mapping[str, float]] | None = None,
-         max_steps: int = 4, k: int = 5) -> ForecastReport:
+         max_steps: int = 4, k: int = TOP_K) -> ForecastReport:
     """Combine the three agent predictions into the final forecast.
 
     ``weights`` maps trend labels to per-agent weights; a label it does not

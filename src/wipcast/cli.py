@@ -1,8 +1,10 @@
-"""Command-line pipeline: event log -> WiP series -> stories -> index -> forecast.
+"""Command-line pipeline: event log -> WiP series -> index -> forecast.
 
-Each subcommand reads the previous stage's files from the output directory and
-overwrites its own, so re-running any stage with the same inputs reproduces
-the same files (timestamps in the SVG report can be frozen with a flag).
+Every stage after `ingest` reads its ``wip.csv`` from the output directory
+(`forecast` also the snapshots `index` writes) and overwrites its own files,
+so re-running any stage with the same inputs reproduces the same files
+(timestamps in the SVG report can be frozen with a flag). `stories` writes
+out the stories the other stages render, to read; no stage reads them back.
 
 Exit codes: 0 success, 1 processing error, 2 missing/invalid path or usage,
 3 empty event log.
@@ -18,7 +20,6 @@ from dataclasses import replace
 from datetime import timedelta
 from functools import cache
 
-from .agents import _query_story
 from .config import (
     PipelineConfig,
     build_backend,
@@ -35,9 +36,8 @@ from .eventlog import (
     parse_xes,
 )
 from .evaluation import (
-    build_index,
-    contextual_stories,
     default_split_date,
+    embed_queries,
     emit_report,
     forecast_day,
     merge_traces,
@@ -46,8 +46,8 @@ from .evaluation import (
     summarize,
 )
 from .llm import LlmError
-from .memory import EmbeddingError, StoryIndex, load_snapshot, save_snapshot
-from .narrative import GRANULARITIES, read_stories_jsonl, write_stories_jsonl
+from .memory import EmbeddingError, StoryIndex, build_indexes, load_snapshot, save_snapshot
+from .narrative import GRANULARITIES, contextual_story, query_story, write_stories_jsonl
 from .wipseries import build_wip_series, export_wip_csv, load_wip_csv
 
 SERIES_FILE = "wip.csv"
@@ -87,16 +87,15 @@ def _detect_format(path: str, declared: str) -> str:
     raise ValueError(f"cannot infer log format from {path!r}; pass --format")
 
 
-def _day_stories(series, window: int):
-    """Each day's query story and contextual story, per granularity, for days
-    with a known next-day close. Windowed stories require a full window, so
-    that file starts at the window-th day."""
-    out = {}
-    for g in GRANULARITIES:
-        days, contextual = contextual_stories(series.events, g, window)
-        out[g] = [story for i, ctx in zip(days, contextual)
-                  for story in (_query_story(g, series.events[i], series, window), ctx)]
-    return out
+def _day_stories(events, granularity: str, window: int):
+    """Each day's query story and contextual story, for days with a known
+    next-day close. Windowed stories require a full window, so they start at
+    the window-th day."""
+    for i in range(len(events) - 1):
+        contextual = contextual_story(events, i, granularity, window)
+        if contextual is not None:
+            yield query_story(events, i, granularity, window)
+            yield contextual
 
 
 def _write_reports(path: str, reports) -> None:
@@ -145,16 +144,14 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_stories(args, cfg: PipelineConfig) -> int:
-    series = _load_series(args.out)
-    if len(series.events) < 2:
+    events = _load_series(args.out).events
+    if len(events) < 2:
         raise ValueError("need at least two days to render contextual stories")
-    stories = _day_stories(series, cfg.forecast.window)
     for g in GRANULARITIES:
         path = _stories_file(args.out, g)
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            count = write_stories_jsonl(stories[g], fh)
-        contextual = sum(1 for s in stories[g] if s.kind == "contextual")
-        print(f"wrote {path}: {count} stories ({contextual} contextual)")
+            count = write_stories_jsonl(_day_stories(events, g, cfg.forecast.window), fh)
+        print(f"wrote {path}: {count} stories ({count // 2} contextual)")
     return 0
 
 
@@ -167,20 +164,10 @@ def _only_granularity(granularity: str, index: StoryIndex, path: str) -> StoryIn
 
 
 def cmd_index(args, cfg: PipelineConfig) -> int:
-    """Build and check every granularity's index before writing any snapshot,
-    so a failing stories file leaves the earlier snapshots as they were."""
-    embedder = build_embedder(cfg.embedder)
-    indexes = {}
-    for g in GRANULARITIES:
-        src = _require(_stories_file(args.out, g), "run `wipcast stories` first")
-        with open(src, encoding="utf-8") as fh:
-            stories = read_stories_jsonl(fh)
-        try:
-            index = build_index([s for s in stories if s.kind == "contextual"], embedder,
-                                cfg.forecast.retention())
-        except ValueError as exc:
-            raise ValueError(f"{src}: {exc}") from exc
-        indexes[g] = _only_granularity(g, index, src)
+    """Build every granularity's index from the series before writing any
+    snapshot, so a failing embedder leaves the earlier snapshots as they were."""
+    indexes = build_indexes(_load_series(args.out).events, build_embedder(cfg.embedder),
+                            cfg.forecast.window, cfg.forecast.retention())
     for g, index in indexes.items():
         path = _index_file(args.out, g)
         count = save_snapshot(index, path)
@@ -188,32 +175,31 @@ def cmd_index(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _load_or_build_indexes(args, cfg: PipelineConfig, series):
+def _load_or_build_indexes(out_dir: str, cfg: PipelineConfig, series, embedder):
     """Prefer snapshots from `wipcast index`; otherwise embed on the fly."""
-    embedder = build_embedder(cfg.embedder)
-    snapshots = {g: _index_file(args.out, g) for g in GRANULARITIES}
+    snapshots = {g: _index_file(out_dir, g) for g in GRANULARITIES}
+    retention = cfg.forecast.retention()
     if all(os.path.exists(p) for p in snapshots.values()):
-        retention = cfg.forecast.retention()
         return {g: _only_granularity(g, load_snapshot(path, embedder, retention), path)
                 for g, path in snapshots.items()}
-    return {g: build_index(contextual_stories(series.events, g, cfg.forecast.window)[1],
-                           embedder, cfg.forecast.retention())
-            for g in GRANULARITIES}
+    return build_indexes(series.events, embedder, cfg.forecast.window, retention)
 
 
 def cmd_forecast(args, cfg: PipelineConfig) -> int:
     series = _load_series(args.out)
-    current = series.events[-1]
+    i = len(series.events) - 1
     if args.date is not None:
         target = iso_date("--date", args.date)
         wanted = target - timedelta(days=1)
-        end = series.days_through(wanted)
-        if not end or series.events[end - 1].date != wanted:
+        i = series.days_through(wanted) - 1
+        if i < 0 or series.events[i].date != wanted:
             raise ValueError(f"cannot forecast {target}: no series day at {wanted}")
-        current = series.events[end - 1]
 
-    indexes = _load_or_build_indexes(args, cfg, series)
-    report = forecast_day(current, series, indexes, build_backend(cfg.backend), cfg.forecast)
+    embedder = build_embedder(cfg.embedder)
+    indexes = _load_or_build_indexes(args.out, cfg, series, embedder)
+    queries = embed_queries(series.events, [i], embedder, cfg.forecast.window)
+    report = forecast_day(series.events, i, {g: rows[0] for g, rows in queries.items()},
+                          indexes, build_backend(cfg.backend), cfg.forecast)
 
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "forecast.jsonl")

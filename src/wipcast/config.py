@@ -1,8 +1,9 @@
 """Pipeline configuration: one JSON-serializable object covering every stage.
 
-The config is the single source of defaults (k=5 retrievals, 7-day windows,
-14-day trend lookback, rules fusion). Credentials never live here; remote
-backends read their API key from an environment variable named in the config.
+The config gathers every stage's defaults (k=5 retrievals, 7-day windows,
+14-day trend lookback, rules fusion); one a lower module also uses is named
+there and imported here. Credentials never live here; remote backends read
+their API key from an environment variable named in the config.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import IO, Mapping, Union, get_args, get_origin, get_type_hints
 from urllib.parse import urlsplit
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
-from .agents import _check_weights
+from .agents import TREND_LOOKBACK, TREND_THRESHOLDS, TREND_WINDOW, _check_weights
 from .llm import API_KEY_ENV, CHAT_TIMEOUT, RETRIES
-from .memory import EMBED_MODEL, DeterministicEmbedder, RemoteEmbedder, RetentionPolicy
+from .memory import EMBED_MODEL, TOP_K, DeterministicEmbedder, RemoteEmbedder, RetentionPolicy
 from .wipseries import GAP_POLICIES, LifecycleConfig
 
 
@@ -100,11 +101,11 @@ class BackendConfig:
 
 @dataclass(frozen=True)
 class ForecastParams:
-    k: int = 5
+    k: int = TOP_K
     window: int = 7
-    trend_window: int = 7
-    trend_lookback: int = 14
-    trend_thresholds: tuple[float, float] = (0.01, 0.05)
+    trend_window: int = TREND_WINDOW
+    trend_lookback: int = TREND_LOOKBACK
+    trend_thresholds: tuple[float, float] = TREND_THRESHOLDS
     fusion_mode: str = "rules"  # rules | react
     fusion_weights: dict[str, dict[str, float]] | None = None
     max_age_days: int | None = None

@@ -24,14 +24,16 @@ from datetime import date as Date
 from datetime import datetime, timedelta, timezone
 from typing import Mapping
 
-from .agents import ForecastReport, _query_story, fuse, predictor_predict, trend_analyze
+from .agents import ForecastReport, fuse, predictor_predict, trend_analyze
 from .config import ForecastParams
 from .llm import AGENT_IDS, StubBackend
-from .memory import DeterministicEmbedder, StoryIndex
-from .narrative import render_contextual_story, render_windowed_story
-from .wipseries import WipEvent, WipSeries
+from .memory import DeterministicEmbedder, StoryIndex, build_indexes
+from .narrative import query_story
+from .wipseries import WipSeries
 
 SOURCES = ("multi_agent", "daily_only", "weekday_only", "windowed_only", "persistence")
+
+ROLLING_WINDOW = 7  # days in the report's rolling MAPE
 
 PREDICTIONS_HEADER = ["date", "source", "actual", "predicted"]
 METRICS_HEADER = ["source", "mape", "mae", "n", "skipped"]
@@ -163,76 +165,49 @@ class RollingForecastResult:
     audit: tuple[StepAudit, ...]
 
 
-def _contextual_story(events, i: int, granularity: str, window: int):
-    """Day i's contextual story, targeting day i+1's close. Windowed stories
-    only exist once a full window is available."""
-    next_close = float(events[i + 1].close)
-    if granularity == "windowed":
-        if i < window - 1:
-            return None
-        return render_windowed_story(events[i - window + 1:i + 1], next_close=next_close)
-    return render_contextual_story(events[i], next_close, granularity)
+def embed_queries(events, days, embedder, window: int) -> dict[str, list[tuple]]:
+    """Each agent's query text and vector for each of ``days``, in order: each
+    story rendered once, each agent's distinct texts embedded in one call."""
+    out = {}
+    for g in AGENT_IDS:
+        texts = [query_story(events, i, g, window).text for i in days]
+        distinct = list(dict.fromkeys(texts))
+        rows = dict(zip(distinct, embedder.embed_many(distinct)))
+        out[g] = [(text, rows[text]) for text in texts]
+    return out
 
 
-def contextual_stories(events, granularity: str, window: int):
-    """Day indexes and contextual stories of one granularity, days ``0..n-2``."""
-    days, stories = [], []
-    for i in range(len(events) - 1):
-        story = _contextual_story(events, i, granularity, window)
-        if story is not None:
-            days.append(i)
-            stories.append(story)
-    return days, stories
-
-
-def build_index(stories, embedder, retention=None, provider=None) -> StoryIndex:
-    """An index over contextual ``stories``, embedded in one ``embed_many`` call.
-    Queries are embedded by ``provider``, by default ``embedder``."""
-    index = StoryIndex(provider=embedder if provider is None else provider, retention=retention)
-    index.add_many(stories, embedder.embed_many([s.text for s in stories]))
-    return index
-
-
-def forecast_day(current: WipEvent, series: WipSeries, indexes: Mapping[str, StoryIndex],
+def forecast_day(events, i: int, queries: Mapping[str, tuple], indexes: Mapping[str, StoryIndex],
                  backend, params: ForecastParams) -> ForecastReport:
-    """Forecast the close of the day after ``current``.
+    """Forecast the close of the day after ``events[i]``.
 
-    Each predictor queries its own granularity's index as of the forecast
-    day, so the indexes may also hold later stories. The trend analyst reads
-    the last ``trend_lookback`` closes up to ``current``, and fusion combines
-    the three values. Predictors run inline, in AGENT_IDS order, unless the
-    backend says it is I/O-bound (``io_bound``, as RemoteChatBackend does);
-    only then do they fan out to a short-lived thread pool.
+    ``queries`` maps each agent to its query story's text and vector for day
+    i, as :func:`embed_queries` gives them. Each agent retrieves from its own
+    granularity's index as of the forecast day, so the indexes may also hold
+    later stories. The trend analyst reads the last ``trend_lookback`` closes
+    up to day i, and fusion combines the three values. Predictors run
+    inline, in AGENT_IDS order, unless the backend says it is I/O-bound
+    (``io_bound``, as RemoteChatBackend does); only then do they fan out to a
+    short-lived thread pool.
     """
-    calls = {aid: (aid, current, series, indexes[aid], backend, params.k, params.window)
-             for aid in AGENT_IDS}
+    forecast_date = events[i].date + timedelta(days=1)
+    calls = {}
+    for aid in AGENT_IDS:
+        text, vector = queries[aid]
+        retrieved = indexes[aid].retrieve(vector, as_of=forecast_date, k=params.k)
+        calls[aid] = (aid, text, retrieved, float(events[i].close), backend)
     if getattr(backend, "io_bound", False):
         with ThreadPoolExecutor(max_workers=len(AGENT_IDS)) as pool:
             futures = {aid: pool.submit(predictor_predict, *call) for aid, call in calls.items()}
             preds = {aid: fut.result() for aid, fut in futures.items()}
     else:
         preds = {aid: predictor_predict(*call) for aid, call in calls.items()}
-    end = series.days_through(current.date)
-    closes = [ev.close for ev in series.events[max(0, end - params.trend_lookback):end]]
+    closes = [ev.close for ev in events[max(0, i + 1 - params.trend_lookback):i + 1]]
     trend = trend_analyze(closes, window=params.trend_window, lookback=params.trend_lookback,
                           thresholds=params.trend_thresholds)
-    return fuse(preds, trend, forecast_date=current.date + timedelta(days=1),
-                index=indexes["daily"], backend=backend, mode=params.fusion_mode,
-                weights=params.fusion_weights, k=params.k)
-
-
-class _Prefetched:
-    """Embedding provider serving rows embedded in advance: a text it holds
-    gets its row, any other (such as a react ``retrieve`` argument) is
-    embedded by ``embedder``."""
-
-    def __init__(self, embedder, rows: dict):
-        self.embedder = embedder
-        self.rows = rows
-
-    def embed(self, text: str):
-        row = self.rows.get(text)
-        return self.embedder.embed(text) if row is None else row
+    return fuse(preds, trend, forecast_date=forecast_date, index=indexes["daily"],
+                backend=backend, mode=params.fusion_mode, weights=params.fusion_weights,
+                k=params.k)
 
 
 def rolling_forecast(series: WipSeries, split_date: Date | None = None,
@@ -240,15 +215,15 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
                      backend=None, embedder=None) -> RollingForecastResult:
     """Forecast every day after split_date, origin by origin, over one memory.
 
-    Each granularity's index is built once over all its contextual stories,
-    as ``forecast`` builds it; the as-of cutoff of :meth:`StoryIndex.retrieve`
-    keeps each step's future out. Each agent's query stories for every step
-    are embedded up front in one call (one remote query request per agent,
-    not per step), and the indexes look their rows up. Each step is one
-    :func:`forecast_day`, audited: RuntimeError if an agent retrieved a story
-    dated on or after the day it forecast. Each predictor's own value is an
-    ablation trace, from the Prediction objects that fed fusion; an agent
-    with nothing eligible yet gets no examples.
+    The indexes are built once over the whole series by
+    :func:`~wipcast.memory.build_indexes`, as ``forecast`` builds them; the
+    as-of cutoff of :meth:`StoryIndex.retrieve` keeps each step's future out.
+    Every step's query stories are rendered and embedded up front by
+    :func:`embed_queries`. Each step is one :func:`forecast_day`, audited:
+    RuntimeError if an agent retrieved a story dated on or after the day it
+    forecast. Each predictor's own value is an ablation trace, from the
+    Prediction objects that fed fusion; an agent with nothing eligible yet
+    gets no examples.
     """
     if params is None:
         params = ForecastParams()
@@ -264,22 +239,16 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
     events = series.events
     s = _split_index(series, split_date, min_before=14)
 
-    queries = {}
-    for g in AGENT_IDS:
-        texts = list(dict.fromkeys(_query_story(g, events[j - 1], series, params.window).text
-                                   for j in range(s, len(events))))
-        queries.update(zip(texts, embedder.embed_many(texts)))
-    provider = _Prefetched(embedder, queries)
-    indexes = {g: build_index(contextual_stories(events, g, params.window)[1], embedder,
-                              params.retention(), provider)
-               for g in AGENT_IDS}
+    queries = embed_queries(events, range(s - 1, len(events) - 1), embedder, params.window)
+    indexes = build_indexes(events, embedder, params.window, params.retention())
     entries: list[TraceEntry] = []
     reports: list[ForecastReport] = []
     audit: list[StepAudit] = []
 
-    for j in range(s, len(events)):
+    for step, j in enumerate(range(s, len(events))):
         target_day = events[j].date
-        report = forecast_day(events[j - 1], series, indexes, backend, params)
+        report = forecast_day(events, j - 1, {g: queries[g][step] for g in AGENT_IDS},
+                              indexes, backend, params)
         newest = {aid: max((r.date for r in pred.retrieved), default=None)
                   for aid, pred in report.agent_predictions.items()}
         for aid, day in newest.items():
@@ -361,7 +330,7 @@ def _polyline(xs, ys, color: str, width: float = 1.6) -> str:
             f'stroke-width="{width}" points="{pts}" />')
 
 
-def render_report_svg(trace: PredictionTrace, rolling_window: int = 7,
+def render_report_svg(trace: PredictionTrace, rolling_window: int = ROLLING_WINDOW,
                       freeze_timestamps: bool = False, split_note: str = "") -> str:
     """Two-panel SVG: actuals with per-source predictions on top, per-source
     rolling MAPE below. Exactly one polyline per panel per source; the actual
@@ -460,7 +429,7 @@ def metrics_csv(trace: PredictionTrace) -> str:
     return buf.getvalue()
 
 
-def emit_report(trace: PredictionTrace, out_dir: str, rolling_window: int = 7,
+def emit_report(trace: PredictionTrace, out_dir: str, rolling_window: int = ROLLING_WINDOW,
                 freeze_timestamps: bool = False, split_note: str = "") -> dict[str, str]:
     """Write predictions.csv, metrics.csv, and report.svg under out_dir."""
     os.makedirs(out_dir, exist_ok=True)

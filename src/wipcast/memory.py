@@ -23,7 +23,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .llm import BACKOFF, RETRIES, LlmError, RetrievedExample, post_json
-from .narrative import GRANULARITIES, Story, _check_number, parse_jsonl, story_numbers
+from .narrative import GRANULARITIES, Story, _check_number, contextual_story, parse_jsonl, story_numbers
 
 logger = logging.getLogger(__name__)
 
@@ -31,6 +31,7 @@ TRIGRAM_BUCKETS = 64
 NUMERIC_SLOTS = 8
 EMBED_CHUNK = 32  # texts per array pass: larger chunks raise peak memory, not speed
 EMBED_MODEL = "bge-base-en-v1.5"  # the remote embedder's default model
+TOP_K = 5  # stories retrieved per query
 
 
 class EmbeddingError(Exception):
@@ -298,7 +299,7 @@ class StoryIndex:
             columns = [np.concatenate(pair) for pair in zip(state, batch)] if len(held) else [
                 np.array(column) for column in batch]
             texts = state[6] + list(texts)
-            # build_index and both snapshot readers hand rows over in
+            # build_indexes and both snapshot readers hand rows over in
             # (date, doc_id) order, after any rows held; only others are reordered
             in_order = ascending and (dates[1:] >= dates[:-1]).all() and (
                 not len(held) or (state[2][-1], held[-1]) < (dates[0], ids[0]))
@@ -328,7 +329,7 @@ class StoryIndex:
                 [texts[row] for row in rows.tolist()], codes[rows])
 
     def retrieve(self, query: Story | str | np.ndarray, as_of: Date,
-                 k: int = 5) -> list[RetrievedExample]:
+                 k: int = TOP_K) -> list[RetrievedExample]:
         """Up to k stories dated strictly before as_of, most similar to ``query`` first."""
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -366,6 +367,20 @@ class StoryIndex:
                 for row, doc_id, day, target, sim in zip(
                     hits.tolist(), ids[hits].tolist(), dates[hits].tolist(),
                     targets[hits].tolist(), sims[order].tolist())]
+
+
+def build_indexes(events, embedder, window: int,
+                  retention: RetentionPolicy | None = None) -> dict[str, StoryIndex]:
+    """One index per granularity over the contextual story of each day with a
+    next-day close, its stories embedded in one ``embed_many`` call and its
+    queries by ``embedder``. A one-day series gives empty indexes."""
+    indexes = {}
+    for g in GRANULARITIES:
+        stories = [story for story in (contextual_story(events, i, g, window)
+                                       for i in range(len(events) - 1)) if story is not None]
+        indexes[g] = StoryIndex(provider=embedder, retention=retention)
+        indexes[g].add_many(stories, embedder.embed_many([story.text for story in stories]))
+    return indexes
 
 
 def save_index(index: StoryIndex, fp: IO[str]) -> int:
@@ -467,8 +482,8 @@ def save_snapshot(index: StoryIndex, path: str) -> int:
 def _load_sidecar(path: str, digest: str, provider, retention) -> StoryIndex | None:
     """The index held by the sidecar of ``path``; None when it is missing, unreadable,
     of an older layout or not written from JSON lines with this sha256."""
-    try:
-        with np.load(_sidecar_path(path), allow_pickle=False) as npz:
+    try:  # np.load given a path would leave it open when the archive is unreadable
+        with open(_sidecar_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             if str(npz["jsonl_sha256"]) != digest:
                 return None
             embeddings, targets, int_columns, texts, codes = map(npz.__getitem__, _SIDECAR_ARRAYS)

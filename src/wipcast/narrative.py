@@ -106,6 +106,26 @@ def render_windowed_story(window: Sequence[WipEvent], next_close: float | None =
     return Story(text=text, kind="contextual", granularity="windowed", date=window[-1].date, target=float(next_close))
 
 
+def query_story(events: Sequence[WipEvent], i: int, granularity: str, window: int) -> Story:
+    """Day i's query story. A windowed one covers up to ``window`` days ending on day i."""
+    if not 0 <= i < len(events):
+        raise ValueError(f"day {i} is not in a series of {len(events)} days")
+    if granularity == "windowed":
+        return render_windowed_story(events[max(0, i - window + 1):i + 1])
+    return render_query_story(events[i], granularity)
+
+
+def contextual_story(events: Sequence[WipEvent], i: int, granularity: str, window: int) -> Story | None:
+    """Day i's contextual story, targeting day i+1's close; None for a windowed
+    story before a full window."""
+    next_close = float(events[i + 1].close)
+    if granularity == "windowed":
+        if i < window - 1:
+            return None
+        return render_windowed_story(events[i - window + 1:i + 1], next_close=next_close)
+    return render_contextual_story(events[i], next_close, granularity)
+
+
 @dataclass(frozen=True)
 class StoryNumbers:
     """Numbers recovered from a rendered story by :func:`parse_story`."""

@@ -249,8 +249,7 @@ def test_acceptance_5_deterministic_pipeline(tmp_path):
 
 
 def _pred(agent_id: str, value: float) -> Prediction:
-    return Prediction(agent_id=agent_id, value=value, retrieved=(),
-                      prompt_ref=f"{agent_id}:test")
+    return Prediction(agent_id=agent_id, value=value, retrieved=())
 
 
 def _trend(label: str) -> TrendInsight:

@@ -22,6 +22,7 @@ from wipcast.llm import AGENT_IDS, BackendUnavailable, ChatResponse, StubBackend
 from wipcast.memory import DeterministicEmbedder, StoryIndex
 from wipcast.narrative import (
     Story,
+    query_story,
     render_contextual_story,
     render_query_story,
     render_windowed_story,
@@ -69,13 +70,23 @@ def make_history(end_day, n, rng_seed=3):
     return WipSeries(events=tuple(events))
 
 
+def predict(agent_id, current, history, index, backend, k=5):
+    """``predictor_predict`` on ``current``, the last day of ``history``, with
+    the stories ``index`` gives its query as of the next day, as forecast_day
+    retrieves them."""
+    events = (*history.events[:-1], current)
+    query = query_story(events, len(events) - 1, agent_id, 7).text
+    retrieved = index.retrieve(query, as_of=current.date + timedelta(days=1), k=k)
+    return predictor_predict(agent_id, query, retrieved, float(current.close), backend)
+
+
 def dated_story(base: Story, day) -> Story:
     return Story(text=base.text, kind=base.kind, granularity=base.granularity,
                  date=day, target=base.target)
 
 
 def make_prediction(agent_id, value):
-    return Prediction(agent_id=agent_id, value=value, retrieved=(), prompt_ref="t")
+    return Prediction(agent_id=agent_id, value=value, retrieved=())
 
 
 def three_preds(daily, weekday, windowed):
@@ -275,7 +286,7 @@ def test_predictor_equal_similarities_mean(monday_example):
                       date=date(2024, 2, 1) + timedelta(days=i), target=float(target))
         add_docs(index, [Doc(story, provider.embed(story.text), i)])
     history = make_history(monday_example.date, 10)
-    pred = predictor_predict("daily", monday_example, history, index, StubBackend())
+    pred = predict("daily", monday_example, history, index, StubBackend())
     assert pred.value == pytest.approx(70.0, abs=1e-9)
     assert len(pred.retrieved) == 5
 
@@ -283,7 +294,7 @@ def test_predictor_equal_similarities_mean(monday_example):
 def test_predictor_empty_index_is_persistence(monday_example):
     index = StoryIndex(provider=DeterministicEmbedder())
     history = make_history(monday_example.date, 10)
-    pred = predictor_predict("daily", monday_example, history, index, StubBackend())
+    pred = predict("daily", monday_example, history, index, StubBackend())
     assert pred.value == float(monday_example.close)
     assert pred.retrieved == ()
 
@@ -301,7 +312,7 @@ def test_predictor_paper_day_unanimous_archive(monday_example):
     for i in range(3):
         index.add_story(dated_story(decoy, date(2024, 1, 10) + timedelta(days=i)))
     history = make_history(monday_example.date, 10, rng_seed=rng.randint(0, 99))
-    pred = predictor_predict("daily", monday_example, history, index, StubBackend())
+    pred = predict("daily", monday_example, history, index, StubBackend())
     assert pred.value == 71.0
     assert all(r.target == 71.0 for r in pred.retrieved)
 
@@ -317,7 +328,7 @@ def test_predictor_respects_causality(monday_example):
     ):
         index.add_story(dated_story(base, day))
     history = make_history(monday_example.date, 10)
-    pred = predictor_predict("daily", monday_example, history, index, StubBackend(), k=10)
+    pred = predict("daily", monday_example, history, index, StubBackend(), k=10)
     forecast_date = monday_example.date + timedelta(days=1)
     assert pred.retrieved
     assert len(pred.retrieved) == 4  # days -3..0 relative to the current day
@@ -333,16 +344,15 @@ def test_predictor_deterministic(monday_example):
         ev = random_wip_event(rng, date(2024, 1, 1) + timedelta(days=i))
         index.add_story(render_contextual_story(ev, rng.randint(0, 80)))
     history = make_history(monday_example.date, 10)
-    a = predictor_predict("weekday", monday_example, history, index, StubBackend())
-    b = predictor_predict("weekday", monday_example, history, index, StubBackend())
+    a = predict("weekday", monday_example, history, index, StubBackend())
+    b = predict("weekday", monday_example, history, index, StubBackend())
     assert a == b
 
 
 def test_predictor_windowed_needs_current_day(monday_example):
-    index = StoryIndex(provider=DeterministicEmbedder())
     history = make_history(monday_example.date - timedelta(days=1), 10)
-    with pytest.raises(ValueError):
-        predictor_predict("windowed", monday_example, history, index, StubBackend())
+    with pytest.raises(ValueError, match="day 10 is not in a series of 10 days"):
+        query_story(history.events, len(history.events), "windowed", 7)
 
 
 def test_predictor_windowed_uses_trailing_week(monday_example):
@@ -350,7 +360,7 @@ def test_predictor_windowed_uses_trailing_week(monday_example):
     index = StoryIndex(provider=emb)
     history = make_history(monday_example.date, 12)
     backend = ScriptedBackend(["PREDICTION: 33.00"])
-    pred = predictor_predict("windowed", monday_example, history, index, backend)
+    pred = predict("windowed", monday_example, history, index, backend)
     assert pred.value == 33.0
     user_text = backend.requests[0].user_text
     assert "Over the past 7 days" in user_text
@@ -360,7 +370,7 @@ def test_predictor_clamps_negative_answers(monday_example):
     index = StoryIndex(provider=DeterministicEmbedder())
     history = make_history(monday_example.date, 10)
     backend = ScriptedBackend(["PREDICTION: -5.00"])
-    pred = predictor_predict("daily", monday_example, history, index, backend)
+    pred = predict("daily", monday_example, history, index, backend)
     assert pred.value == 0.0
 
 
@@ -368,7 +378,7 @@ def test_predictor_prompt_carries_context(monday_example):
     index = StoryIndex(provider=DeterministicEmbedder())
     history = make_history(monday_example.date, 10)
     backend = ScriptedBackend(["PREDICTION: 1.00"])
-    predictor_predict("daily", monday_example, history, index, backend)
+    predict("daily", monday_example, history, index, backend)
     req = backend.requests[0]
     assert "The WiP items opened at 55" in req.user_text
     assert "No historical examples available." in req.user_text
@@ -449,7 +459,7 @@ def pinned_indexes():
 def test_predictor_prompt_text_is_pinned(agent_id):
     history, indexes = pinned_indexes()
     backend = ScriptedBackend(["PREDICTION: 1.00"])
-    predictor_predict(agent_id, history.events[-1], history, indexes[agent_id], backend, k=2)
+    predict(agent_id, history.events[-1], history, indexes[agent_id], backend, k=2)
     assert backend.requests[0].user_text == PINNED_PROMPTS[agent_id]
 
 

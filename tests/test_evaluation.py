@@ -1,22 +1,22 @@
 """Walk-forward evaluation: metric oracles, the causal cutoff and its audit, determinism."""
 
 import math
+import sys
 import threading
 import time
 from datetime import date, timedelta
 
 import pytest
 
-from wipcast import evaluation
+from wipcast import narrative
 from wipcast.agents import trend_analyze
 from wipcast.config import ForecastParams
 from wipcast.evaluation import (
     MetricsSummary,
     PredictionTrace,
     TraceEntry,
-    build_index,
-    contextual_stories,
     default_split_date,
+    embed_queries,
     emit_report,
     forecast_day,
     mae,
@@ -30,7 +30,7 @@ from wipcast.evaluation import (
     summarize,
 )
 from wipcast.llm import AGENT_IDS, RemoteChatBackend, StubBackend
-from wipcast.memory import DeterministicEmbedder, StoryIndex
+from wipcast.memory import DeterministicEmbedder, StoryIndex, build_indexes
 from wipcast.synthetic import synthetic_event_log, synthetic_series
 from wipcast.wipseries import WipSeries, wip_event
 
@@ -231,9 +231,7 @@ def test_rolling_newest_story_is_yesterdays(twenty_day_run):
     # as of each forecast day d the story for day d-1 (targeting day d's close)
     # is the newest one retrievable, whatever the similarity ranking
     series, _, result = twenty_day_run
-    embedder = DeterministicEmbedder()
-    for g in AGENT_IDS:
-        index = build_index(contextual_stories(series.events, g, 7)[1], embedder)
+    for g, index in build_indexes(series.events, DeterministicEmbedder(), 7).items():
         for step in result.audit:
             hits = index.retrieve("WiP closed at 12.", as_of=step.date, k=len(index))
             assert max(r.date for r in hits) == step.date - timedelta(days=1), g
@@ -335,22 +333,40 @@ def test_rolling_embeds_each_agents_queries_in_one_batch(twenty_day_run):
     result = rolling_forecast(series, split_date=split, embedder=embedder)
     assert (result.trace, result.reports) == (baseline.trace, baseline.reports)
     assert embedder.singles == []  # no step embeds its own query
-    stories = {s.text for g in AGENT_IDS for s in contextual_stories(series.events, g, 7)[1]}
+    stories = {s.text for index in build_indexes(series.events, DeterministicEmbedder(), 7).values()
+               for s in index.documents().values()}
     queries = [batch for batch in embedder.batches if not set(batch) & stories]
     assert len(embedder.batches) == 6 and len(queries) == 3
     for batch in queries:  # one agent's distinct query texts, one per step at most
         assert len(set(batch)) == len(batch) <= len(result.reports)
 
 
-def test_prefetched_rows_serve_known_texts_and_embed_the_rest():
-    embedder = CountingEmbedder()
-    row = embedder.inner.embed("a known story of 12 items")
-    provider = evaluation._Prefetched(embedder, {"a known story of 12 items": row})
-    assert provider.embed("a known story of 12 items") is row
-    other = provider.embed("a react retrieve argument, 40")
-    assert other.tobytes() == DeterministicEmbedder().embed("a react retrieve argument, 40").tobytes()
-    assert embedder.singles == ["a react retrieve argument, 40"]
+def test_rolling_renders_each_query_story_once(monkeypatch):
+    # top-level render calls, as the benchmark counts them: a contextual story
+    # rendered from a query story counts once, as contextual
+    rendered, depth = [], [0]
 
+    def counting(render):
+        def wrapper(*args, **kwargs):
+            depth[0] += 1
+            try:
+                story = render(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0 and story.kind == "query":
+                rendered.append((story.granularity, story.date))
+            return story
+        return wrapper
+
+    for name in ("render_query_story", "render_contextual_story", "render_windowed_story"):
+        real = getattr(narrative, name)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("wipcast") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(real))
+    series = synthetic_series(20, seed=3)
+    result = rolling_forecast(series, split_date=series.events[14].date)
+    days = [r.date - timedelta(days=1) for r in result.reports]
+    assert sorted(rendered) == sorted((g, day) for g in AGENT_IDS for day in days)
 
 
 def test_rolling_window_longer_than_history_starts_with_empty_index():
@@ -450,12 +466,18 @@ def _empty_indexes():
     return {aid: StoryIndex(provider=DeterministicEmbedder()) for aid in AGENT_IDS}
 
 
+def _queries(events, i):
+    """Each agent's query text and vector for day i, as forecast takes them."""
+    return {g: rows[0] for g, rows in embed_queries(events, [i], DeterministicEmbedder(), 7).items()}
+
+
 def test_forecast_day_fans_a_remote_backend_out():
     session = SlowSession()
     backend = RemoteChatBackend("http://llm.test", "m", session=session, backoff=0.0)
     series = synthetic_series(20, seed=3)
-    report = forecast_day(series.events[-1], series, _empty_indexes(), backend,
-                          ForecastParams())
+    events = series.events
+    report = forecast_day(events, len(events) - 1, _queries(events, len(events) - 1),
+                          _empty_indexes(), backend, ForecastParams())
     assert report.date == series.events[-1].date + timedelta(days=1)
     assert session.calls == 3
     assert session.max_in_flight >= 2
@@ -478,15 +500,12 @@ class PooledStub(StubBackend):
 @pytest.mark.parametrize("mode", ["rules", "react"])
 def test_forecast_day_thread_pool_gives_the_inline_report(mode):
     series = synthetic_series(40, seed=3)
-    embedder = DeterministicEmbedder()
-    indexes = {aid: StoryIndex(provider=embedder) for aid in AGENT_IDS}
-    for aid, index in indexes.items():
-        stories = contextual_stories(series.events, aid, 7)[1]
-        index.add_many(stories, embedder.embed_many(s.text for s in stories))
-    current, params = series.events[30], ForecastParams(fusion_mode=mode)
-    inline = forecast_day(current, series, indexes, StubBackend(), params)
+    events = series.events
+    indexes = build_indexes(events, DeterministicEmbedder(), 7)
+    queries, params = _queries(events, 30), ForecastParams(fusion_mode=mode)
+    inline = forecast_day(events, 30, queries, indexes, StubBackend(), params)
     backend = PooledStub()
-    assert forecast_day(current, series, indexes, backend, params) == inline
+    assert forecast_day(events, 30, queries, indexes, backend, params) == inline
     assert all(len(pred.retrieved) == params.k for pred in inline.agent_predictions.values())
     assert len(backend.predictor_threads) == len(AGENT_IDS)
     assert threading.get_ident() not in backend.predictor_threads
@@ -496,7 +515,8 @@ def test_forecast_day_trend_reads_only_closes_up_to_the_current_day():
     series = synthetic_series(40, seed=2)
     params = ForecastParams(trend_lookback=10, trend_window=3)
     for i in (0, 5, 20, 39):
-        report = forecast_day(series.events[i], series, _empty_indexes(), StubBackend(), params)
+        report = forecast_day(series.events, i, _queries(series.events, i), _empty_indexes(),
+                              StubBackend(), params)
         closes = [ev.close for ev in series.events[:i + 1]]
         assert report.trend == trend_analyze(closes, window=3, lookback=10)
 

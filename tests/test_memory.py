@@ -6,15 +6,16 @@ document in a plain Python loop and sorts with the documented tie rule.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import math
 import random
 import re
-import shutil
 import sys
 import threading
 import time
+import warnings
 import zlib
 from dataclasses import replace
 from datetime import date, timedelta
@@ -221,19 +222,11 @@ def test_embed_many_rejects_an_empty_text_in_any_chunk():
     assert DeterministicEmbedder().embed_many([]).shape == (0, DeterministicEmbedder().dim)
 
 
-def test_embedder_rejects_a_lone_surrogate_on_both_paths(run_dir, tmp_path, capsys):
+def test_embedder_rejects_a_lone_surrogate_on_both_paths():
     with pytest.raises(UnicodeEncodeError):
         DeterministicEmbedder().embed("WiP \ud800 opened")
     with pytest.raises(UnicodeEncodeError):
         DeterministicEmbedder().embed_many(["a story", "WiP \ud800 opened"])
-    out = tmp_path / "run"
-    shutil.copytree(run_dir, out)
-    path = out / "stories_daily.jsonl"
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    next(r for r in records if r["kind"] == "contextual")["text"] += " \ud800"
-    path.write_text("".join(json.dumps(r) + "\n" for r in records))
-    assert main(["index", "--out", str(out)]) == 1
-    assert "surrogates not allowed" in capsys.readouterr().err
 
 
 def newest_date(index):
@@ -793,6 +786,24 @@ def test_empty_snapshot_round_trips(tmp_path, monkeypatch):
     loaded = load_snapshot(str(path), provider=DeterministicEmbedder())
     assert (len(loaded), loaded.dim, newest_date(loaded)) == (0, None, None)
     assert loaded.retrieve("The WiP items opened at 3.", date(2030, 1, 1), k=5) == []
+
+
+def test_a_truncated_sidecar_is_closed_before_the_jsonl_is_read(tmp_path):
+    rng, emb = random.Random(8), DeterministicEmbedder()
+    stories = [render_contextual_story(random_wip_event(rng, date(2024, 1, 1) + timedelta(days=i)), i)
+               for i in range(6)]
+    index = StoryIndex()
+    index.add_many(stories, emb.embed_many(s.text for s in stories))
+    path = tmp_path / "index_daily.jsonl"
+    save_snapshot(index, str(path))
+    sidecar = tmp_path / "index_daily.npz"
+    sidecar.write_bytes(sidecar.read_bytes()[:100])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        loaded = load_snapshot(str(path), provider=emb)
+        gc.collect()
+    assert_same_index(loaded, index)
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_add_many_matches_sequential_adds_with_duplicate_ids():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import random
 from datetime import date, timedelta
 
@@ -208,6 +209,21 @@ def test_stories_jsonl_round_trip(tmp_path, monday_example):
     with open(path, encoding="utf-8") as fh:
         back = read_stories_jsonl(fh)
     assert back == stories
+
+
+@pytest.mark.parametrize("bad, want", [
+    ('"target": "72"', "(TypeError: target must be a number, got '72')"),
+    ('"target": true', "(TypeError: target must be a number, got True)"),
+    ('"target": {"a": 1}', "(TypeError: target must be a number, got {'a': 1})"),
+    (None, "(TypeError:"),  # a line that is not an object
+])
+def test_read_stories_jsonl_names_the_line_of_a_bad_record(tmp_path, monday_example, bad, want):
+    good = json.dumps(story_to_dict(render_contextual_story(monday_example, 71)), sort_keys=True)
+    path = tmp_path / "stories_daily.jsonl"
+    path.write_text(good + "\n" + ("42" if bad is None else good.replace('"target": 71.0', bad)) + "\n")
+    with open(path, encoding="utf-8") as fh, pytest.raises(ValueError) as caught:
+        read_stories_jsonl(fh)
+    assert f"stories_daily.jsonl, line 2: not a story record {want}" in str(caught.value)
 
 
 def test_story_dict_round_trip(monday_example):
