@@ -16,6 +16,7 @@ import os
 import threading
 import zipfile
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass
 from datetime import date as Date
 from typing import IO, Iterable, Sequence
@@ -215,10 +216,11 @@ class StoryIndex:
     dated before a day are a prefix and those inside a retention window one
     slice. :meth:`_append` is the one way rows get in and the one place they
     are checked; each doc_id is held at most once. It publishes the next
-    tuple whole, and readers read the tuple once, so a reader sees a batch
-    whole or not at all. :meth:`retrieve` reads each hit straight off the
-    columns into one :class:`~wipcast.llm.RetrievedExample`. One writer or
-    many readers at a time. Ties on similarity prefer the more recent story
+    tuple whole and never writes into one it published, so indexes may share
+    a state (:func:`load_snapshot` does). Readers read the tuple once, so a
+    reader sees a batch whole or not at all. :meth:`retrieve` reads each hit
+    straight off the columns into one :class:`~wipcast.llm.RetrievedExample`.
+    One writer or many readers at a time. Ties on similarity prefer the more recent story
     date, then the smaller doc_id.
     """
 
@@ -227,7 +229,7 @@ class StoryIndex:
         self.retention = retention if retention is not None else RetentionPolicy()
         self._lock = threading.Lock()
         self._state = (np.empty((0, 0)), np.empty(0), np.empty(0, dtype=np.int64),
-                       np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.uint8), [])
+                       np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.uint8), ())
 
     @property
     def dim(self) -> int | None:
@@ -298,7 +300,7 @@ class StoryIndex:
             batch = (matrix, norms, dates, ids, targets, codes)
             columns = [np.concatenate(pair) for pair in zip(state, batch)] if len(held) else [
                 np.array(column) for column in batch]
-            texts = state[6] + list(texts)
+            texts = (*state[6], *texts)
             # build_indexes and both snapshot readers hand rows over in
             # (date, doc_id) order, after any rows held; only others are reordered
             in_order = ascending and (dates[1:] >= dates[:-1]).all() and (
@@ -306,7 +308,7 @@ class StoryIndex:
             if not in_order:
                 order = np.lexsort((columns[3], columns[2]))
                 columns = [column[order] for column in columns]
-                texts = [texts[row] for row in order.tolist()]
+                texts = tuple(texts[row] for row in order.tolist())
             self._state = (*columns, texts)
 
     def add_story(self, story: Story) -> int:
@@ -479,7 +481,7 @@ def save_snapshot(index: StoryIndex, path: str) -> int:
     return count
 
 
-def _load_sidecar(path: str, digest: str, provider, retention) -> StoryIndex | None:
+def _load_sidecar(path: str, digest: str) -> StoryIndex | None:
     """The index held by the sidecar of ``path``; None when it is missing, unreadable,
     of an older layout or not written from JSON lines with this sha256."""
     try:  # np.load given a path would leave it open when the archive is unreadable
@@ -489,7 +491,7 @@ def _load_sidecar(path: str, digest: str, provider, retention) -> StoryIndex | N
             embeddings, targets, int_columns, texts, codes = map(npz.__getitem__, _SIDECAR_ARRAYS)
         doc_ids, dates, ends = int_columns.T
         text, ends = texts.tobytes().decode("utf-8"), ends.tolist()
-        index = StoryIndex(provider=provider, retention=retention)
+        index = StoryIndex()
         index._append(embeddings, doc_ids, dates, targets,
                       [text[a:b] for a, b in zip([0, *ends], ends)], codes)
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
@@ -498,16 +500,48 @@ def _load_sidecar(path: str, digest: str, provider, retention) -> StoryIndex | N
     return index
 
 
+# The column state of the snapshots loaded last, at most one per granularity,
+# by (path, sha256 of the JSON lines it was read from), least recent first.
+_held: OrderedDict[tuple[str, str], tuple] = OrderedDict()
+_held_lock = threading.Lock()
+
+
+def _snapshot_state(path: str, data: bytes) -> tuple:
+    """The :attr:`StoryIndex._state` that ``data``, the JSON lines read from
+    ``path``, yield: the sidecar's rows when it was written from these bytes,
+    else these bytes parsed. Held read-only by path and sha256; a snapshot that
+    fails to load is not held, so it fails again on the next call."""
+    key = (path, _sha256(data))
+    with _held_lock:
+        if key in _held:
+            _held.move_to_end(key)
+            return _held[key]
+    index = _load_sidecar(path, key[1])
+    if index is None:
+        raw = io.BytesIO(data)
+        raw.name = path  # so an error names the file
+        index = load_index(io.TextIOWrapper(raw, encoding="utf-8"))
+    for column in index._state[:6]:
+        column.flags.writeable = False
+    with _held_lock:
+        _held[key] = index._state
+        if len(_held) > len(GRANULARITIES):
+            _held.popitem(last=False)
+    return index._state
+
+
 def load_snapshot(path: str, provider=None, retention: RetentionPolicy | None = None) -> StoryIndex:
     """Load an index written by :func:`save_snapshot`.
 
-    Uses the sidecar when it matches the sha256 of the JSON lines at ``path``;
-    otherwise parses the JSON lines with :func:`load_index`.
+    Every call reads and hashes the JSON lines at ``path``. It uses the sidecar
+    when that was written from JSON lines with this sha256; otherwise it parses
+    the bytes it read with :func:`load_index`. The resulting columns are reused,
+    read-only, by the next call on the same path with the same sha256, for the
+    last three snapshots loaded; each call wraps them in a new index with its
+    own ``provider`` and ``retention``.
     """
     with open(path, "rb") as fh:
-        digest = _sha256(fh.read())
-    index = _load_sidecar(path, digest, provider, retention)
-    if index is None:
-        with open(path, encoding="utf-8") as fh:
-            index = load_index(fh, provider=provider, retention=retention)
+        data = fh.read()
+    index = StoryIndex(provider=provider, retention=retention)
+    index._state = _snapshot_state(path, data)
     return index

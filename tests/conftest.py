@@ -10,9 +10,16 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from wipcast import memory
 from wipcast.eventlog import ColumnMapping, Event, EventLog, SourceMeta, parse_csv, parse_xes
 from wipcast.narrative import Story
 from wipcast.wipseries import WipEvent, wip_event
+
+
+@pytest.fixture(autouse=True)
+def no_held_snapshots():
+    """Each test starts with no snapshot columns held by an earlier test's loads."""
+    memory._held.clear()
 
 
 def _utc(y: int, mo: int, d: int, h: int, mi: int = 0) -> datetime:

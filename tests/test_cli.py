@@ -18,6 +18,7 @@ from wipcast.cli import main
 from wipcast.config import ForecastParams
 from wipcast.eventlog import ColumnMapping, export_csv, parse_csv, validate
 from wipcast.memory import DeterministicEmbedder, RemoteEmbedder
+from wipcast.narrative import Story
 from wipcast.synthetic import synthetic_event_log
 from wipcast.wipseries import WipEvent, load_wip_csv
 
@@ -602,6 +603,121 @@ def test_forecast_falls_back_to_jsonl(tmp_path, snapshot_workspace, jsonl_loads,
     want = JSONL_FORECAST_SHA256["edited" if damage == "edited jsonl" else "as indexed"]
     assert forecast_sha256(out) == want
     assert len(jsonl_loads) == 1  # only the daily snapshot was parsed
+
+
+# --- snapshots held across forecasts in one process ---
+SNAPSHOTS = [f"index_{g}.jsonl" for g in ("daily", "weekday", "windowed")]
+
+
+@pytest.fixture
+def sidecar_loads(monkeypatch):
+    """Records the JSON-lines path of every snapshot whose sidecar is opened."""
+    opened = []
+    real = memory._load_sidecar
+
+    def spy(path, *args):
+        opened.append(path)
+        return real(path, *args)
+
+    monkeypatch.setattr(memory, "_load_sidecar", spy)
+    return opened
+
+
+def test_forecasts_in_one_process_open_each_sidecar_once(tmp_path, snapshot_workspace,
+                                                         sidecar_loads, jsonl_loads):
+    run, copy = tmp_path / "run", tmp_path / "copy"
+    for out in (run, copy):
+        shutil.copytree(snapshot_workspace, out)
+    outputs = []
+    for _ in range(2):
+        assert forecast_sha256(run) == JSONL_FORECAST_SHA256["as indexed"]
+        outputs.append((run / "forecast.jsonl").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert sorted(sidecar_loads) == [str(run / name) for name in SNAPSHOTS]
+    # the same bytes in another run directory are that directory's own snapshots
+    assert forecast_sha256(copy) == JSONL_FORECAST_SHA256["as indexed"]
+    assert sorted(sidecar_loads[3:]) == [str(copy / name) for name in SNAPSHOTS]
+    assert jsonl_loads == []
+
+
+def test_a_snapshot_edited_between_forecasts_is_read_again(tmp_path, snapshot_workspace,
+                                                           jsonl_loads):
+    out = tmp_path / "run"
+    shutil.copytree(snapshot_workspace, out)
+    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+    edit_targets(out)
+    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["edited"]
+    assert len(jsonl_loads) == 1  # only the edited daily snapshot was parsed
+
+
+def test_a_snapshot_broken_between_forecasts_fails_on_every_call(tmp_path, snapshot_workspace,
+                                                                 capsys):
+    out = tmp_path / "run"
+    shutil.copytree(snapshot_workspace, out)
+    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+    path = out / "index_daily.jsonl"
+    good = path.read_bytes()
+    lines = good.splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:3] + [lines[3][:40] + b"\n"] + lines[4:]))
+    for _ in range(2):  # a failed load is not held
+        assert main(["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET]) == 1
+        assert (f"error: {path}, line 4: not a snapshot record (JSONDecodeError"
+                in capsys.readouterr().err)
+    path.write_bytes(good)
+    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+
+
+def test_held_snapshots_take_each_calls_retention(tmp_path, snapshot_workspace):
+    out = tmp_path / "run"
+    shutil.copytree(snapshot_workspace, out)
+    cfg_path = tmp_path / "pipeline.json"
+    cfg_path.write_text(json.dumps({"forecast": {"max_age_days": 10}}))
+    argv = ["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET, "--mode", "react",
+            "--config", str(cfg_path)]
+    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]  # now held
+    assert main(argv) == 0
+    from_held = (out / "forecast.jsonl").read_bytes()
+    memory._held.clear()
+    assert main(argv) == 0
+    assert (out / "forecast.jsonl").read_bytes() == from_held
+    assert hashlib.sha256(from_held).hexdigest() != JSONL_FORECAST_SHA256["as indexed"]
+
+
+def test_held_snapshot_columns_are_read_only(tmp_path, snapshot_workspace):
+    out = tmp_path / "run"
+    shutil.copytree(snapshot_workspace, out)
+    path = str(out / "index_daily.jsonl")
+    index = memory.load_snapshot(path)
+    for column in index._state[:6]:
+        with pytest.raises(ValueError, match="read-only"):
+            column[:1] = column[:1]
+    assert isinstance(index._state[6], tuple)  # the texts
+    size = len(index)
+    story = Story("The WiP items opened at 3.", "contextual", "daily", date(2030, 1, 1), 4.0)
+    index.add_many([story], [np.ones(index.dim)])  # builds new columns
+    assert (len(index), len(memory.load_snapshot(path))) == (size + 1, size)
+
+
+def test_a_snapshot_replaced_after_it_was_hashed_is_parsed_as_hashed(tmp_path, snapshot_workspace,
+                                                                     monkeypatch):
+    out = tmp_path / "run"
+    shutil.copytree(snapshot_workspace, out)
+    (out / "index_daily.npz").unlink()
+    path = out / "index_daily.jsonl"
+    targets = [json.loads(line)["target"] for line in read_lines(path)]
+    real, edited = memory._sha256, []
+
+    def hash_then_edit(data):
+        if not edited:
+            edit_targets(out)
+            edited.append(path)
+        return real(data)
+
+    monkeypatch.setattr(memory, "_sha256", hash_then_edit)
+    as_hashed = memory.load_snapshot(str(path))
+    assert [story.target for story in as_hashed.documents().values()] == targets
+    as_edited = memory.load_snapshot(str(path))
+    assert [story.target for story in as_edited.documents().values()] == [t + 5 for t in targets]
 
 
 @pytest.mark.parametrize("damage", ["no doc_id", "repeated doc_id", "weekday story",

@@ -17,6 +17,7 @@ import threading
 import time
 import warnings
 import zlib
+from collections import OrderedDict
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -804,6 +805,57 @@ def test_a_truncated_sidecar_is_closed_before_the_jsonl_is_read(tmp_path):
         gc.collect()
     assert_same_index(loaded, index)
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+class YieldingDict(OrderedDict):
+    """Yields to other threads inside each membership test, where a check and
+    the act on it would race without a lock."""
+
+    def __contains__(self, key):
+        found = super().__contains__(key)
+        time.sleep(0.0002)
+        return found
+
+
+def test_concurrent_snapshot_loads_hold_at_most_three(tmp_path, monkeypatch):
+    """Threads loading more snapshots than are held, so held ones are evicted
+    while others are reused, each get the rows of the file they asked for."""
+    monkeypatch.setattr(memory, "_held", YieldingDict())
+    rng, emb = random.Random(4), DeterministicEmbedder()
+    sizes = {}
+    for n in range(1, 6):
+        stories = [render_contextual_story(random_wip_event(rng, date(2024, 1, 1) + timedelta(days=i)), i)
+                   for i in range(n)]
+        index = StoryIndex()
+        index.add_many(stories, emb.embed_many(story.text for story in stories))
+        path = str(tmp_path / f"index_{n}.jsonl")
+        save_snapshot(index, path)
+        sizes[path] = n
+    wrong, errors = [], []
+
+    def load(seed):
+        pick = random.Random(seed)
+        try:
+            for _ in range(60):
+                path = pick.choice(sorted(sizes))
+                if len(load_snapshot(path)) != sizes[path]:
+                    wrong.append(path)
+        except Exception as exc:  # reported below; a thread cannot fail the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=load, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (errors, wrong) == ([], [])
+    assert len(memory._held) == 3
 
 
 def test_add_many_matches_sequential_adds_with_duplicate_ids():
