@@ -148,6 +148,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.gap_policy not in GAP_POLICIES:
             raise ValueError(f"unknown gap policy: {self.gap_policy}")
+        build_lifecycle(self.lifecycle)
         if not 0 < self.test_fraction < 1:
             raise ValueError("test_fraction must be in (0, 1)")
         if self.split_date:  # empty: the default split, as None

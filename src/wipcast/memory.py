@@ -19,7 +19,7 @@ import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from datetime import date as Date
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -500,33 +500,42 @@ def _load_sidecar(path: str, digest: str) -> StoryIndex | None:
     return index
 
 
-# The column state of the snapshots loaded last, at most one per granularity,
-# by (path, sha256 of the JSON lines it was read from), least recent first.
-_held: OrderedDict[tuple[str, str], tuple] = OrderedDict()
+# What the run files read last yield: at most one snapshot per granularity and
+# the series, by (path, sha256 of the bytes read), least recent first.
+_held: OrderedDict[tuple[str, str], object] = OrderedDict()
 _held_lock = threading.Lock()
 
 
-def _snapshot_state(path: str, data: bytes) -> tuple:
-    """The :attr:`StoryIndex._state` that ``data``, the JSON lines read from
-    ``path``, yield: the sidecar's rows when it was written from these bytes,
-    else these bytes parsed. Held read-only by path and sha256; a snapshot that
-    fails to load is not held, so it fails again on the next call."""
+def _hold(path: str, data: bytes, load: Callable[[str, bytes, str], object]):
+    """``load(path, data, digest)``, where ``data`` are the bytes just read from
+    ``path`` and ``digest`` their sha256; held by path and sha256, so the next
+    call with the same file and bytes reuses it. ``load`` returns something
+    nothing writes into. A load that raises is not held, so it fails again on
+    the next call."""
     key = (path, _sha256(data))
     with _held_lock:
         if key in _held:
             _held.move_to_end(key)
             return _held[key]
-    index = _load_sidecar(path, key[1])
+    value = load(path, data, key[1])
+    with _held_lock:
+        _held[key] = value
+        if len(_held) > len(GRANULARITIES) + 1:
+            _held.popitem(last=False)
+    return value
+
+
+def _snapshot_state(path: str, data: bytes, digest: str) -> tuple:
+    """The read-only :attr:`StoryIndex._state` that ``data``, the JSON lines read
+    from ``path`` with sha256 ``digest``, yield: the sidecar's rows when it was
+    written from these bytes, else these bytes parsed."""
+    index = _load_sidecar(path, digest)
     if index is None:
         raw = io.BytesIO(data)
         raw.name = path  # so an error names the file
         index = load_index(io.TextIOWrapper(raw, encoding="utf-8"))
     for column in index._state[:6]:
         column.flags.writeable = False
-    with _held_lock:
-        _held[key] = index._state
-        if len(_held) > len(GRANULARITIES):
-            _held.popitem(last=False)
     return index._state
 
 
@@ -535,13 +544,14 @@ def load_snapshot(path: str, provider=None, retention: RetentionPolicy | None = 
 
     Every call reads and hashes the JSON lines at ``path``. It uses the sidecar
     when that was written from JSON lines with this sha256; otherwise it parses
-    the bytes it read with :func:`load_index`. The resulting columns are reused,
-    read-only, by the next call on the same path with the same sha256, for the
-    last three snapshots loaded; each call wraps them in a new index with its
-    own ``provider`` and ``retention``.
+    the bytes it read with :func:`load_index`. The resulting columns are held,
+    read-only, by path and sha256, and reused by the next call on the same
+    bytes; the hold keeps the last ``len(GRANULARITIES) + 1`` run files read
+    (the snapshots and ``wip.csv``). Each call wraps the columns in a new index
+    with its own ``provider`` and ``retention``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     index = StoryIndex(provider=provider, retention=retention)
-    index._state = _snapshot_state(path, data)
+    index._state = _hold(path, data, _snapshot_state)
     return index

@@ -118,7 +118,7 @@ class WipSeries:
 
     events: Sequence[WipEvent]
     contiguous: bool = True
-    _ordinals: list[int] = field(init=False, repr=False, compare=False)
+    _ordinals: Sequence[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.events, _CsvDays):  # its rows were checked as load_wip_csv read them
@@ -147,12 +147,14 @@ class _CsvDays(Sequence):
 
     Read-only. Indexing, iteration and ``len`` behave as on a tuple of the
     events, a slice is such a tuple, and it equals the tuple of the same events.
+    The columns are read-only views of int64 arrays, read as Python ints, so
+    several instances can share them.
     """
 
-    def __init__(self, ordinals: list[int], fields: list[int], contiguous: bool):
+    def __init__(self, ordinals: memoryview, fields: memoryview, contiguous: bool):
         self.ordinals = ordinals
+        self.fields = fields  # ten per day, in WIP_CSV_HEADER order after the date
         self.contiguous = contiguous
-        self._fields = fields  # ten per day, in WIP_CSV_HEADER order after the date
         self._events: list[WipEvent | None] = [None] * len(ordinals)
 
     def __len__(self) -> int:
@@ -168,7 +170,7 @@ class _CsvDays(Sequence):
         if event is None:
             i %= len(self._events)
             event = self._events[i] = WipEvent(Date.fromordinal(self.ordinals[i]),
-                                               *self._fields[10 * i:10 * i + 10])
+                                               *self.fields[10 * i:10 * i + 10])
         return event
 
     def __iter__(self):
@@ -370,4 +372,6 @@ def load_wip_csv(source: str | IO[str]) -> WipSeries:
         message = next(describe(i) for mask, describe in faults if mask[i])
         raise ValueError(f"{name}, line {lines[i]}: {Date.fromordinal(ordinals[i])}: {message}")
     contiguous = bool((np.diff(days) == 1).all())
-    return WipSeries(_CsvDays(ordinals, fields, contiguous), contiguous=contiguous)
+    days.flags.writeable = table.flags.writeable = False
+    return WipSeries(_CsvDays(memoryview(days), memoryview(table.reshape(-1)), contiguous),
+                     contiguous=contiguous)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import shutil
 from datetime import date, timedelta
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wipcast import cli, memory
+from wipcast import cli, memory, wipseries
 from wipcast.agents import DEFAULT_FUSION_WEIGHTS
 from wipcast.cli import main
 from wipcast.config import ForecastParams
@@ -20,9 +21,9 @@ from wipcast.eventlog import ColumnMapping, export_csv, parse_csv, validate
 from wipcast.memory import DeterministicEmbedder, RemoteEmbedder
 from wipcast.narrative import Story
 from wipcast.synthetic import synthetic_event_log
-from wipcast.wipseries import WipEvent, load_wip_csv
+from wipcast.wipseries import WipEvent, WipSeries, export_wip_csv, load_wip_csv
 
-from conftest import xes_document
+from conftest import random_wip_event, xes_document
 
 
 @pytest.fixture(scope="module")
@@ -452,6 +453,16 @@ def test_a_max_age_beyond_the_calendar_keeps_every_story(tmp_path, workspace):
     assert outputs["beyond"] == outputs["unbounded"]
 
 
+def test_an_unknown_lifecycle_in_config_exits_1_naming_it(tmp_path, workspace, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(workspace, out)
+    cfg_path = tmp_path / "pipeline.json"
+    cfg_path.write_text(json.dumps({"lifecycle": "nope"}))
+    for stage in ("forecast", "evaluate"):  # forecast used to run, ignoring the key
+        assert main([stage, "--out", str(out), "--config", str(cfg_path)]) == 1
+        assert "error: unknown lifecycle ruleset: nope" in capsys.readouterr().err
+
+
 def test_backend_remote_without_endpoint_exits_1(workspace):
     assert main(["forecast", "--out", workspace, "--backend", "remote"]) == 1
 
@@ -720,6 +731,106 @@ def test_a_snapshot_replaced_after_it_was_hashed_is_parsed_as_hashed(tmp_path, s
     assert [story.target for story in as_edited.documents().values()] == [t + 5 for t in targets]
 
 
+# --- wip.csv held with the snapshots ---
+
+
+@pytest.fixture
+def wip_csv_parses(monkeypatch):
+    """Records the file name of every wip.csv that is parsed."""
+    parsed = []
+    real = wipseries.load_wip_csv
+
+    def spy(source):
+        parsed.append(source.name)
+        return real(source)
+
+    monkeypatch.setattr(wipseries, "load_wip_csv", spy)
+    return parsed
+
+
+def edit_wip_day(out):
+    """Count one more new item on the day before SNAPSHOT_TARGET, which its query stories tell."""
+    path = out / "wip.csv"
+    day = (date.fromisoformat(SNAPSHOT_TARGET) - timedelta(days=1)).isoformat()
+    lines = read_lines(path)
+    (i, fields), = [(i, line.split(",")) for i, line in enumerate(lines) if line.startswith(day)]
+    fields[8] = str(int(fields[8]) + 1)
+    lines[i] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_forecasts_in_one_process_parse_wip_csv_once(tmp_path, snapshot_workspace, sidecar_loads,
+                                                      wip_csv_parses):
+    out = tmp_path / "run"
+    shutil.copytree(snapshot_workspace, out)
+    outputs = []
+    for _ in range(2):
+        assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+        outputs.append((out / "forecast.jsonl").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert wip_csv_parses == [str(out / "wip.csv")]
+    assert sorted(sidecar_loads) == [str(out / name) for name in SNAPSHOTS]
+
+
+def test_a_wip_csv_edited_between_forecasts_is_read_again(tmp_path, snapshot_workspace,
+                                                          wip_csv_parses):
+    out = tmp_path / "run"
+    shutil.copytree(snapshot_workspace, out)
+    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+    edit_wip_day(out)
+    edited = forecast_sha256(out)
+    memory._held.clear()
+    assert forecast_sha256(out) == edited != JSONL_FORECAST_SHA256["as indexed"]
+    assert wip_csv_parses == [str(out / "wip.csv")] * 3
+
+
+def test_a_wip_csv_broken_between_forecasts_fails_on_every_call(tmp_path, snapshot_workspace,
+                                                                capsys):
+    out = tmp_path / "run"
+    shutil.copytree(snapshot_workspace, out)
+    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+    path = out / "wip.csv"
+    good = path.read_bytes()
+    lines = good.splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:3] + [lines[3][:20] + b"\n"] + lines[4:]))
+    for _ in range(2):  # a failed parse is not held
+        assert main(["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET]) == 1
+        assert f"error: {path}, line 4: expected 11 fields" in capsys.readouterr().err
+    path.write_bytes(good)
+    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+
+
+def test_a_wip_csv_rewritten_after_it_was_hashed_is_parsed_as_hashed(tmp_path, snapshot_workspace,
+                                                                     monkeypatch):
+    out = tmp_path / "run"
+    shutil.copytree(snapshot_workspace, out)
+    with open(out / "wip.csv", encoding="utf-8") as fh:
+        days = tuple(load_wip_csv(fh).events)
+    real, edited = memory._sha256, []
+
+    def hash_then_edit(data):
+        if not edited:
+            edit_wip_day(out)
+            edited.append(out)
+        return real(data)
+
+    monkeypatch.setattr(memory, "_sha256", hash_then_edit)
+    assert cli._load_series(str(out)).events == days
+    as_edited = cli._load_series(str(out)).events
+    assert len(as_edited) == len(days) and as_edited != days
+
+
+def test_held_wip_csv_columns_are_read_only(tmp_path, snapshot_workspace):
+    out = tmp_path / "run"
+    shutil.copytree(snapshot_workspace, out)
+    days, again = (cli._load_series(str(out)).events for _ in range(2))
+    assert (days.ordinals, days.fields) == (again.ordinals, again.fields)
+    for column in (days.ordinals, days.fields):
+        with pytest.raises(TypeError):
+            column[0] = column[0]
+    assert days[5] == again[5] and days[5] is not again[5]  # each call builds its own days
+
+
 @pytest.mark.parametrize("damage", ["no doc_id", "repeated doc_id", "weekday story",
                                     "short embedding"])
 def test_forecast_on_a_malformed_snapshot_exits_1_naming_it(tmp_path, snapshot_workspace,
@@ -780,6 +891,28 @@ def test_a_wip_csv_without_days_exits_1_naming_it(tmp_path, workspace, capsys, s
     (out / "wip.csv").write_text(read_lines(out / "wip.csv")[0] + "\n")
     assert main([stage, "--out", str(out)]) == 1
     assert "wip.csv: holds no days" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["stories", "forecast"])
+@pytest.mark.parametrize("line", [2, 300])
+def test_a_wip_csv_that_is_not_utf8_exits_1_naming_file_and_line(tmp_path, capsys, stage, line):
+    rng, first = random.Random(3), date(2024, 1, 1)
+    series = WipSeries(tuple(random_wip_event(rng, first + timedelta(days=i)) for i in range(400)))
+    lines = export_wip_csv(series).encode("utf-8").splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].replace(b",", b",\xff", 1)  # 16 KB in, at line 300
+    path = tmp_path / "wip.csv"
+    path.write_bytes(b"".join(lines))
+    assert main([stage, "--out", str(tmp_path)]) == 1
+    assert f"error: {path}, line {line}: not valid UTF-8 (invalid start byte)" in (
+        capsys.readouterr().err)
+
+
+def test_a_crlf_wip_csv_forecasts_as_the_lf_one(tmp_path, snapshot_workspace):
+    out = tmp_path / "run"
+    shutil.copytree(snapshot_workspace, out)
+    path = out / "wip.csv"
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
 
 
 class EmbeddingSession:

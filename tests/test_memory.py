@@ -40,7 +40,7 @@ from wipcast.memory import (
 )
 from wipcast.cli import main
 from wipcast.eventlog import export_csv
-from wipcast.narrative import Story, render_contextual_story, render_query_story
+from wipcast.narrative import GRANULARITIES, Story, render_contextual_story, render_query_story
 from wipcast.synthetic import synthetic_event_log
 
 from conftest import Doc, add_docs, random_wip_event
@@ -817,9 +817,10 @@ class YieldingDict(OrderedDict):
         return found
 
 
-def test_concurrent_snapshot_loads_hold_at_most_three(tmp_path, monkeypatch):
-    """Threads loading more snapshots than are held, so held ones are evicted
-    while others are reused, each get the rows of the file they asked for."""
+def test_concurrent_snapshot_loads_hold_at_most_four(tmp_path, monkeypatch):
+    """Threads loading more snapshots than are held (one per granularity and the
+    series), so held ones are evicted while others are reused, each get the rows
+    of the file they asked for."""
     monkeypatch.setattr(memory, "_held", YieldingDict())
     rng, emb = random.Random(4), DeterministicEmbedder()
     sizes = {}
@@ -855,7 +856,7 @@ def test_concurrent_snapshot_loads_hold_at_most_three(tmp_path, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert (errors, wrong) == ([], [])
-    assert len(memory._held) == 3
+    assert len(memory._held) == len(GRANULARITIES) + 1 == 4
 
 
 def test_add_many_matches_sequential_adds_with_duplicate_ids():
