@@ -6,8 +6,8 @@ so re-running any stage with the same inputs reproduces the same files
 (timestamps in the SVG report can be frozen with a flag). `stories` writes
 out the stories the other stages render, to read; no stage reads them back.
 Each stage reads and hashes every run file it uses on every call; what an
-unchanged file yields is parsed and checked once per process and then reused
-(see :func:`memory.load_snapshot`).
+unchanged file yields (a snapshot's columns, or the series itself) is parsed
+and checked once per process and then reused (see :func:`memory.load_snapshot`).
 
 Exit codes: 0 success, 1 processing error, 2 missing/invalid path or usage,
 3 empty event log.
@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 processing error, 2 missing/invalid path or usage,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -51,9 +50,9 @@ from .evaluation import (
     summarize,
 )
 from .llm import LlmError
-from .memory import EmbeddingError, StoryIndex, _hold, build_indexes, load_snapshot, save_snapshot
+from .memory import EmbeddingError, StoryIndex, _decoded, _hold, build_indexes, load_snapshot, save_snapshot
 from .narrative import GRANULARITIES, contextual_story, query_story, write_stories_jsonl
-from .wipseries import WipSeries, _CsvDays, build_wip_series, export_wip_csv
+from .wipseries import WipSeries, build_wip_series, export_wip_csv
 
 SERIES_FILE = "wip.csv"
 
@@ -72,29 +71,22 @@ def _require(path: str, hint: str) -> str:
     return path
 
 
-def _series_columns(path: str, data: bytes, digest: str) -> tuple:
-    """The checked columns of the series in ``data``, the bytes read from ``path``."""
-    raw = io.BytesIO(data)
-    raw.name = path  # so an error names the file
-    try:  # decoded in one piece, so exc.start is a file offset; newlines as open() reads them
-        days = wipseries.load_wip_csv(io.TextIOWrapper(raw, encoding="utf-8")).events
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}, line {line}: not valid UTF-8 ({exc.reason})") from exc
-    return days.ordinals, days.fields, days.contiguous
+def _checked_series(path: str, data: bytes, digest: str) -> WipSeries:
+    """The series in ``data``, the bytes read from ``path``; ValueError if it holds no days."""
+    series = wipseries.load_wip_csv(_decoded(path, data))
+    if not series.events:
+        raise ValueError(f"{path}: holds no days")
+    return series
 
 
 def _load_series(out_dir: str) -> WipSeries:
     """The series in the run's ``wip.csv``. Every call reads and hashes the file;
-    the columns its bytes yield are held with the snapshots, by path and sha256,
-    so each call builds its own days from columns checked once per process."""
+    the series its bytes yield is held with the snapshots, so every call on
+    unchanged bytes returns the same series, checked once per process."""
     path = _require(os.path.join(out_dir, SERIES_FILE), "run `wipcast ingest` first")
     with open(path, "rb") as fh:
         data = fh.read()
-    days = _CsvDays(*_hold(path, data, _series_columns))
-    if not len(days):
-        raise ValueError(f"{path}: holds no days")
-    return WipSeries(days, contiguous=days.contiguous)
+    return _hold(path, data, _checked_series)
 
 
 def _detect_format(path: str, declared: str) -> str:

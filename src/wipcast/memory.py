@@ -454,9 +454,23 @@ def _sidecar_path(path: str) -> str:
 
 
 def _sha256(data: bytes) -> str:
-    import hashlib  # loads OpenSSL, so only the snapshot stages pay for it, not every CLI start
+    import hashlib  # loads OpenSSL, which `ingest`, the one stage that hashes nothing, need not
 
     return hashlib.sha256(data).hexdigest()
+
+
+def _decoded(path: str, data: bytes) -> IO[str]:
+    """``data``, the bytes read from ``path``, as the text open() would read:
+    UTF-8 with universal newlines, named after the file. Bytes that are not
+    UTF-8 raise ValueError naming the file and line."""
+    try:  # in one piece, so exc.start is a file offset
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: not valid UTF-8 ({exc.reason})") from exc
+    fp = io.StringIO(text, newline=None)
+    fp.name = path  # so an error names the file
+    return fp
 
 
 def save_snapshot(index: StoryIndex, path: str) -> int:
@@ -501,18 +515,18 @@ def _load_sidecar(path: str, digest: str) -> StoryIndex | None:
 
 
 # What the run files read last yield: at most one snapshot per granularity and
-# the series, by (path, sha256 of the bytes read), least recent first.
+# the series, by (real path, sha256 of the bytes read), least recent first.
 _held: OrderedDict[tuple[str, str], object] = OrderedDict()
 _held_lock = threading.Lock()
 
 
 def _hold(path: str, data: bytes, load: Callable[[str, bytes, str], object]):
     """``load(path, data, digest)``, where ``data`` are the bytes just read from
-    ``path`` and ``digest`` their sha256; held by path and sha256, so the next
-    call with the same file and bytes reuses it. ``load`` returns something
-    nothing writes into. A load that raises is not held, so it fails again on
-    the next call."""
-    key = (path, _sha256(data))
+    ``path`` and ``digest`` their sha256; held by the file's real path and
+    sha256, so the next call with the same file, however its path is spelled,
+    and the same bytes reuses it. ``load`` returns something nothing writes
+    into. A load that raises is not held, so it fails again on the next call."""
+    key = (os.path.realpath(path), _sha256(data))
     with _held_lock:
         if key in _held:
             _held.move_to_end(key)
@@ -531,9 +545,7 @@ def _snapshot_state(path: str, data: bytes, digest: str) -> tuple:
     written from these bytes, else these bytes parsed."""
     index = _load_sidecar(path, digest)
     if index is None:
-        raw = io.BytesIO(data)
-        raw.name = path  # so an error names the file
-        index = load_index(io.TextIOWrapper(raw, encoding="utf-8"))
+        index = load_index(_decoded(path, data))
     for column in index._state[:6]:
         column.flags.writeable = False
     return index._state
@@ -545,10 +557,11 @@ def load_snapshot(path: str, provider=None, retention: RetentionPolicy | None = 
     Every call reads and hashes the JSON lines at ``path``. It uses the sidecar
     when that was written from JSON lines with this sha256; otherwise it parses
     the bytes it read with :func:`load_index`. The resulting columns are held,
-    read-only, by path and sha256, and reused by the next call on the same
-    bytes; the hold keeps the last ``len(GRANULARITIES) + 1`` run files read
-    (the snapshots and ``wip.csv``). Each call wraps the columns in a new index
-    with its own ``provider`` and ``retention``.
+    read-only, by real path and sha256, and reused by the next call on the same
+    bytes; the hold keeps what the last ``len(GRANULARITIES) + 1`` run files
+    read yield (the snapshots' columns and the series of ``wip.csv``). Each
+    call wraps the columns in a new index with its own ``provider`` and
+    ``retention``.
     """
     with open(path, "rb") as fh:
         data = fh.read()

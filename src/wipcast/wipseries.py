@@ -19,8 +19,9 @@ import io
 import logging
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date, datetime, timedelta, timezone
+from operator import attrgetter
 from typing import IO, Callable, Iterator
 from zoneinfo import ZoneInfo
 
@@ -109,7 +110,8 @@ def wip_event(day: Date, open: int, high: int, low: int, close: int,
 
 @dataclass(frozen=True)
 class WipSeries:
-    """Daily WiP vectors with strictly increasing dates.
+    """Daily WiP vectors with strictly increasing dates, as built by
+    :func:`build_wip_series` or read back by :func:`load_wip_csv`.
 
     ``contiguous`` is False when gap days were dropped; the adjacency property
     (next day's open equals the previous day's close) is only guaranteed when
@@ -118,74 +120,20 @@ class WipSeries:
 
     events: Sequence[WipEvent]
     contiguous: bool = True
-    _ordinals: Sequence[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.events, _CsvDays):  # its rows were checked as load_wip_csv read them
-            if self.contiguous and not self.events.contiguous:
-                raise ValueError("contiguous series has a gap")
-            object.__setattr__(self, "_ordinals", self.events.ordinals)
-            return
         for a, b in zip(self.events, self.events[1:]):
             if b.date <= a.date:
                 raise ValueError(f"dates not strictly increasing at {b.date}")
             if self.contiguous and b.date != a.date + timedelta(days=1):
                 raise ValueError(f"contiguous series has a gap before {b.date}")
-        object.__setattr__(self, "_ordinals", [ev.date.toordinal() for ev in self.events])
 
     def __len__(self) -> int:
         return len(self.events)
 
     def days_through(self, day: Date) -> int:
         """How many days of the series are dated on or before ``day``."""
-        return bisect_right(self._ordinals, day.toordinal())
-
-
-class _CsvDays(Sequence):
-    """The days of a series read by :func:`load_wip_csv`, held as its checked
-    columns; a day's :class:`WipEvent` is built the first time it is read.
-
-    Read-only. Indexing, iteration and ``len`` behave as on a tuple of the
-    events, a slice is such a tuple, and it equals the tuple of the same events.
-    The columns are read-only views of int64 arrays, read as Python ints, so
-    several instances can share them.
-    """
-
-    def __init__(self, ordinals: memoryview, fields: memoryview, contiguous: bool):
-        self.ordinals = ordinals
-        self.fields = fields  # ten per day, in WIP_CSV_HEADER order after the date
-        self.contiguous = contiguous
-        self._events: list[WipEvent | None] = [None] * len(ordinals)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            part = self._events[i]
-            if not all(part):  # some rows not built yet; a WipEvent is always true
-                part = map(self.__getitem__, range(*i.indices(len(self._events))))
-            return tuple(part)
-        event = self._events[i]
-        if event is None:
-            i %= len(self._events)
-            event = self._events[i] = WipEvent(Date.fromordinal(self.ordinals[i]),
-                                               *self.fields[10 * i:10 * i + 10])
-        return event
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self._events)))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (tuple, _CsvDays)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
+        return bisect_right(self.events, day, key=attrgetter("date"))
 
 
 def _case_anchors(
@@ -319,11 +267,11 @@ def export_wip_csv(series: WipSeries) -> str:
 def load_wip_csv(source: str | IO[str]) -> WipSeries:
     """Parse the inter-stage CSV back into a series (inverse of :func:`export_wip_csv`).
 
-    One pass reads the rows into columns and checks them: eleven fields, an ISO
-    date, integer counts, calendar fields that match the date, OHLC order,
-    nonnegative counts and strictly increasing dates. A row that fails raises
-    ValueError naming the file and line. The series is contiguous when no day
-    is missing; a day's :class:`WipEvent` is built only once it is read.
+    Each row is checked as its :class:`WipEvent` is built: eleven fields, an
+    ISO date, integers inside 64 bits, calendar fields that match the date,
+    OHLC order, nonnegative counts and strictly increasing dates. A row that
+    fails raises ValueError naming the file and line. The series is contiguous
+    when no day is missing.
     """
     name = getattr(source, "name", "<stream>")
     text = source if isinstance(source, str) else source.read()
@@ -331,47 +279,26 @@ def load_wip_csv(source: str | IO[str]) -> WipSeries:
     header = next(reader, None)
     if header != WIP_CSV_HEADER:
         raise ValueError(f"{name}, line 1: unexpected WiP CSV header: {header}")
-    lines: list[int] = []
-    ordinals: list[int] = []
-    fields: list[int] = []
+    events: list[WipEvent] = []
     for row in reader:
         if not row:
             continue
         try:
             if len(row) != len(WIP_CSV_HEADER):
                 raise ValueError(f"expected {len(WIP_CSV_HEADER)} fields, got {len(row)}")
-            ordinals.append(Date.fromisoformat(row[0]).toordinal())
-            fields.extend(map(int, row[1:]))
+            day = Date.fromisoformat(row[0])
+            fields = [int(value) for value in row[1:]]
+            if not -2**63 <= min(fields) <= max(fields) < 2**63:
+                raise ValueError("a field is out of the 64-bit range")
+            calendar = (day.isoweekday(), day.day, day.timetuple().tm_yday)
+            if tuple(fields[:3]) != calendar:
+                raise ValueError(f"{day}: dow/dom/doy {'/'.join(map(str, fields[:3]))} do not "
+                                 f"match the date (want {'/'.join(map(str, calendar))})")
+            event = WipEvent(day, *fields)  # checks OHLC order and nonnegative counts
+            if events and day <= events[-1].date:
+                raise ValueError(f"{day}: dates not strictly increasing")
         except ValueError as exc:
             raise ValueError(f"{name}, line {reader.line_num}: {exc}") from exc
-        lines.append(reader.line_num)
-    try:
-        table = np.array(fields, dtype=np.int64).reshape(-1, 10)
-    except OverflowError:
-        i = next(k for k, v in enumerate(fields) if not -2**63 <= v < 2**63) // 10
-        raise ValueError(f"{name}, line {lines[i]}: a field is out of the 64-bit range") from None
-    days = np.array(ordinals, dtype=np.int64)
-    dow, dom, doy, o, h, low, c = table.T[:7]
-    # datetime64 counts days from 1970-01-01, which is ordinal 719163
-    stamps = (days - 719163).astype("datetime64[D]")
-    calendar = np.stack(((days - 1) % 7 + 1,
-                         (stamps - stamps.astype("datetime64[M]")).astype(np.int64) + 1,
-                         (stamps - stamps.astype("datetime64[Y]")).astype(np.int64) + 1))
-    faults = (
-        ((calendar != table.T[:3]).any(axis=0), lambda i: (
-            f"dow/dom/doy {dow[i]}/{dom[i]}/{doy[i]} do not match the date "
-            f"(want {'/'.join(map(str, calendar[:, i]))})")),
-        ((low > o) | (o > h) | (low > c) | (c > h),
-         lambda i: f"OHLC out of order (o={o[i]} h={h[i]} l={low[i]} c={c[i]})"),
-        ((table[:, 3:] < 0).any(axis=1), lambda i: "negative count"),
-        (np.diff(days, prepend=days[:1] - 1) <= 0, lambda i: "dates not strictly increasing"),
-    )
-    bad = np.flatnonzero(np.any([mask for mask, _ in faults], axis=0))
-    if len(bad):
-        i = int(bad[0])
-        message = next(describe(i) for mask, describe in faults if mask[i])
-        raise ValueError(f"{name}, line {lines[i]}: {Date.fromordinal(ordinals[i])}: {message}")
-    contiguous = bool((np.diff(days) == 1).all())
-    days.flags.writeable = table.flags.writeable = False
-    return WipSeries(_CsvDays(memoryview(days), memoryview(table.reshape(-1)), contiguous),
-                     contiguous=contiguous)
+        events.append(event)
+    contiguous = not events or (events[-1].date - events[0].date).days == len(events) - 1
+    return WipSeries(tuple(events), contiguous=contiguous)

@@ -18,7 +18,7 @@ from wipcast.wipseries import WipEvent, wip_event
 
 @pytest.fixture(autouse=True)
 def no_held_snapshots():
-    """Each test starts with no snapshot or wip.csv columns held by an earlier test's loads."""
+    """Each test starts with no snapshot columns or wip.csv series held by an earlier test's loads."""
     memory._held.clear()
 
 

@@ -1,5 +1,6 @@
 """CLI pipeline: subcommands, file products, exit codes, idempotency."""
 
+import dataclasses
 import gzip
 import hashlib
 import json
@@ -16,7 +17,6 @@ import pytest
 from wipcast import cli, memory, wipseries
 from wipcast.agents import DEFAULT_FUSION_WEIGHTS
 from wipcast.cli import main
-from wipcast.config import ForecastParams
 from wipcast.eventlog import ColumnMapping, export_csv, parse_csv, validate
 from wipcast.memory import DeterministicEmbedder, RemoteEmbedder
 from wipcast.narrative import Story
@@ -270,7 +270,7 @@ def test_forecast_date_without_its_previous_day_exits_1_naming_it(workspace, cap
     assert f"cannot forecast {target}: no series day at" in capsys.readouterr().err
 
 
-def test_forecast_builds_only_the_days_it_reads(tmp_path, workspace, monkeypatch):
+def test_a_second_forecast_in_one_process_builds_no_days(tmp_path, workspace, monkeypatch):
     out = tmp_path / "run"
     shutil.copytree(workspace, out)
     built = []
@@ -281,15 +281,12 @@ def test_forecast_builds_only_the_days_it_reads(tmp_path, workspace, monkeypatch
         real(event)
 
     monkeypatch.setattr(WipEvent, "__post_init__", counted)
-    with open(out / "wip.csv", encoding="utf-8") as fh:
-        target = load_wip_csv(fh).events[30].date + timedelta(days=1)
-    assert built == [target - timedelta(days=1)]
-    built.clear()
-    argv = ["forecast", "--out", str(out), "--date", target.isoformat(), "--mode", "react"]
+    argv = ["forecast", "--out", str(out), "--mode", "react"]
     assert main(argv) == 0
-    params = ForecastParams()
-    assert target - timedelta(days=1) in built
-    assert len(built) == len(set(built)) <= params.window + params.trend_lookback + 2
+    assert built  # the first forecast read the series
+    built.clear()
+    assert main(argv) == 0
+    assert built == []
 
 
 # A wip.csv row edited by a fault, and the message that names it.
@@ -820,15 +817,30 @@ def test_a_wip_csv_rewritten_after_it_was_hashed_is_parsed_as_hashed(tmp_path, s
     assert len(as_edited) == len(days) and as_edited != days
 
 
-def test_held_wip_csv_columns_are_read_only(tmp_path, snapshot_workspace):
+def test_unchanged_wip_csv_loads_as_one_frozen_series(tmp_path, snapshot_workspace):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
-    days, again = (cli._load_series(str(out)).events for _ in range(2))
-    assert (days.ordinals, days.fields) == (again.ordinals, again.fields)
-    for column in (days.ordinals, days.fields):
-        with pytest.raises(TypeError):
-            column[0] = column[0]
-    assert days[5] == again[5] and days[5] is not again[5]  # each call builds its own days
+    series = cli._load_series(str(out))
+    assert cli._load_series(str(out)) is series
+    assert type(series.events) is tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        series.events[5].close = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        series.contiguous = False
+
+
+def test_forecasts_on_one_run_spelled_three_ways_load_it_once(tmp_path, snapshot_workspace,
+                                                              monkeypatch, sidecar_loads,
+                                                              wip_csv_parses):
+    shutil.copytree(snapshot_workspace, tmp_path / "run")
+    monkeypatch.chdir(tmp_path)
+    outputs = set()
+    for out in ("run", "./run", "run/"):
+        assert main(["forecast", "--out", out, "--date", SNAPSHOT_TARGET, "--mode", "react"]) == 0
+        outputs.add((tmp_path / "run" / "forecast.jsonl").read_bytes())
+    assert [hashlib.sha256(b).hexdigest() for b in outputs] == [JSONL_FORECAST_SHA256["as indexed"]]
+    assert sorted(sidecar_loads) == [os.path.join("run", name) for name in SNAPSHOTS]
+    assert wip_csv_parses == [os.path.join("run", "wip.csv")]
 
 
 @pytest.mark.parametrize("damage", ["no doc_id", "repeated doc_id", "weekday story",
@@ -904,6 +916,19 @@ def test_a_wip_csv_that_is_not_utf8_exits_1_naming_file_and_line(tmp_path, capsy
     path.write_bytes(b"".join(lines))
     assert main([stage, "--out", str(tmp_path)]) == 1
     assert f"error: {path}, line {line}: not valid UTF-8 (invalid start byte)" in (
+        capsys.readouterr().err)
+
+
+def test_a_snapshot_that_is_not_utf8_exits_1_naming_file_and_line(tmp_path, snapshot_workspace,
+                                                                    capsys):
+    out = tmp_path / "run"
+    shutil.copytree(snapshot_workspace, out)
+    path = out / "index_daily.jsonl"  # its sidecar no longer matches, so it is parsed
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[5] = lines[5].replace(b",", b",\xff", 1)
+    path.write_bytes(b"".join(lines))
+    assert main(["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET]) == 1
+    assert f"error: {path}, line 6: not valid UTF-8 (invalid start byte)" in (
         capsys.readouterr().err)
 
 

@@ -252,7 +252,7 @@ def test_loaded_series_reads_like_the_built_one():
     got, want = loaded.events, built.events
     assert len(got) == len(loaded) == 40
     for part in (slice(3, 9), slice(5, 2), slice(-7, None), slice(None, None, -3), slice(None)):
-        assert type(got[part]) is tuple and got[part] == want[part]  # some rows built, then all
+        assert type(got[part]) is tuple and got[part] == want[part]
     assert list(got) == list(want)
     for i in (0, 1, 17, 39, -1, -2, -40):
         assert got[i] == want[i]
