@@ -66,7 +66,6 @@ from .narrative import (
 )
 from .synthetic import synthetic_event_log, synthetic_series
 from .wipseries import (
-    LifecycleConfig,
     WipEvent,
     WipSeries,
     active_count_at,
@@ -92,7 +91,6 @@ __all__ = [
     "ForecastParams",
     "ForecastReport",
     "InputConfig",
-    "LifecycleConfig",
     "MetricsSummary",
     "PipelineConfig",
     "Prediction",

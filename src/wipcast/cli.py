@@ -28,7 +28,6 @@ from .config import (
     PipelineConfig,
     build_backend,
     build_embedder,
-    build_lifecycle,
     iso_date,
     load_config,
 )
@@ -141,8 +140,7 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
             log = parse_csv(fh, mapping, source_name=os.path.basename(path))
 
     cases = len({ev.case_id for ev in log.events})
-    series = build_wip_series(log, build_lifecycle(cfg.lifecycle),
-                              gap_policy=args.gap_policy or cfg.gap_policy,
+    series = build_wip_series(log, gap_policy=args.gap_policy or cfg.gap_policy,
                               tz=cfg.input.timezone)
 
     os.makedirs(args.out, exist_ok=True)

@@ -19,7 +19,7 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 from .agents import TREND_LOOKBACK, TREND_THRESHOLDS, TREND_WINDOW, _check_weights
 from .llm import API_KEY_ENV, CHAT_TIMEOUT, RETRIES
 from .memory import EMBED_MODEL, TOP_K, DeterministicEmbedder, RemoteEmbedder, RetentionPolicy
-from .wipseries import GAP_POLICIES, LifecycleConfig
+from .wipseries import GAP_POLICIES
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,6 @@ class ForecastParams:
 @dataclass(frozen=True)
 class PipelineConfig:
     input: InputConfig = field(default_factory=InputConfig)
-    lifecycle: str = "default"
     gap_policy: str = "carry"
     forecast: ForecastParams = field(default_factory=ForecastParams)
     embedder: EmbedderConfig = field(default_factory=EmbedderConfig)
@@ -148,7 +147,6 @@ class PipelineConfig:
     def __post_init__(self):
         if self.gap_policy not in GAP_POLICIES:
             raise ValueError(f"unknown gap policy: {self.gap_policy}")
-        build_lifecycle(self.lifecycle)
         if not 0 < self.test_fraction < 1:
             raise ValueError("test_fraction must be in (0, 1)")
         if self.split_date:  # empty: the default split, as None
@@ -213,15 +211,6 @@ def load_config(fp: IO[str] | str) -> PipelineConfig:
 def save_config(cfg: PipelineConfig, fp: IO[str]) -> None:
     json.dump(config_to_dict(cfg), fp, indent=2, sort_keys=True)
     fp.write("\n")
-
-
-LIFECYCLES = {"default": LifecycleConfig()}
-
-
-def build_lifecycle(name: str) -> LifecycleConfig:
-    if name not in LIFECYCLES:
-        raise ValueError(f"unknown lifecycle ruleset: {name} (have: {sorted(LIFECYCLES)})")
-    return LIFECYCLES[name]
 
 
 def build_embedder(cfg: EmbedderConfig):

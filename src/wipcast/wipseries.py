@@ -5,66 +5,34 @@ Each calendar day gets a ten-field vector: three calendar components
 active cases moved through the day (open, high, low, close) plus how many
 cases finished, appeared, or were start-marked that day.
 
-A case is considered active from its opening event (inclusive) up to, but not
-including, its closing event. Which events open and close a case is policy,
-not data: the default treats a case's first event as its opening and its last
-event as its closing, and :class:`LifecycleConfig` lets callers swap in other
-rules (e.g. logs where completion is a specific activity).
+A case is active from its first event (inclusive) up to, but not including,
+its last event. It counts as new on the day of its first event, done on the
+day of its last, and started on the day of its first event whose lifecycle is
+``start`` in any letter case (``START`` too), else on the day of its first.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import logging
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from datetime import date as Date, datetime, timedelta, timezone
 from operator import attrgetter
-from typing import IO, Callable, Iterator
+from typing import IO
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .eventlog import EmptyLogError, Event, EventLog
-
-logger = logging.getLogger(__name__)
+from .eventlog import EmptyLogError, EventLog
 
 WIP_CSV_HEADER = ["date", "dow", "dom", "doy", "open", "high", "low", "close", "new", "done", "started"]
 
 GAP_POLICIES = ("carry", "drop")
 
-CaseRule = Callable[[Sequence[Event]], Event]
-
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
-
-
-def first_event(case_events: Sequence[Event]) -> Event:
-    return case_events[0]
-
-
-def last_event(case_events: Sequence[Event]) -> Event:
-    return case_events[-1]
-
-
-def first_start_marked(case_events: Sequence[Event]) -> Event:
-    """First event with lifecycle "start"; the case's first event when none is marked."""
-    for ev in case_events:
-        if ev.lifecycle == "start":
-            return ev
-    return case_events[0]
-
-
-@dataclass(frozen=True)
-class LifecycleConfig:
-    """Rules mapping a case's events onto its opening, closing, and start markers."""
-
-    new_rule: CaseRule = first_event
-    done_rule: CaseRule = last_event
-    started_rule: CaseRule = first_start_marked
-    name: str = "default"
 
 
 @dataclass(frozen=True)
@@ -136,38 +104,49 @@ class WipSeries:
         return bisect_right(self.events, day, key=attrgetter("date"))
 
 
-def _case_anchors(
-    log: EventLog, cfg: LifecycleConfig
-) -> Iterator[tuple[str, Event, Event, Event]]:
-    """Yield (case_id, opening, closing, started) per case; drop inverted cases."""
-    by_case: dict[str, list[Event]] = {}
-    for ev in log.events:
-        by_case.setdefault(ev.case_id, []).append(ev)
-    for case_id, evts in by_case.items():
-        opening = cfg.new_rule(evts)
-        closing = cfg.done_rule(evts)
-        started = cfg.started_rule(evts)
-        if closing.timestamp < opening.timestamp:
-            logger.warning("case %r: closing precedes opening under rules %r, case dropped", case_id, cfg.name)
-            continue
-        yield case_id, opening, closing, started
-
-
 def _per_day(days: np.ndarray, first: int, n_days: int) -> np.ndarray:
     """How many of ``days`` (ordinals) fall on each of the ``n_days`` days from ``first``."""
     i = days - first
     return np.bincount(i[(i >= 0) & (i < n_days)], minlength=n_days)
 
 
-def build_wip_series(
-    log: EventLog,
-    cfg: LifecycleConfig | None = None,
-    gap_policy: str = "carry",
-    tz: str = "UTC",
-) -> WipSeries:
+def _case_rows(log: EventLog, local_day: Callable[[datetime], int]) -> np.ndarray:
+    """One row per case: the instants (microseconds since the epoch) of its
+    first and last events, and the local days (ordinals) of its first event,
+    its last event and its start.
+
+    One pass over the events, which are in time order, keeps each case's
+    first and last timestamps and its first ``start``-marked one, if any.
+    The per-case dict is freed on return, before the replay's arrays exist.
+    """
+    anchors: dict[str, list] = {}
+    for ev in log.events:
+        ts = ev.timestamp
+        marked = ev.lifecycle is not None and ev.lifecycle.lower() == "start"
+        case = anchors.get(ev.case_id)
+        if case is None:
+            anchors[ev.case_id] = [ts, ts, ts if marked else None]
+        else:
+            case[1] = ts
+            if marked and case[2] is None:
+                case[2] = ts
+
+    def row(opened: datetime, closed: datetime, started: datetime | None) -> tuple[int, ...]:
+        open_day = local_day(opened)
+        return ((opened - _EPOCH) // _MICROSECOND, (closed - _EPOCH) // _MICROSECOND,
+                open_day, local_day(closed),
+                open_day if started in (None, opened) else local_day(started))
+
+    return np.fromiter((row(*case) for case in anchors.values()),
+                       dtype=np.dtype((np.int64, 5)), count=len(anchors))
+
+
+def build_wip_series(log: EventLog, gap_policy: str = "carry", tz: str = "UTC") -> WipSeries:
     """Replay a log's case openings and closings into a daily WiP series.
 
-    Day boundaries are midnights in the reporting timezone ``tz``. The running
+    A case opens at its first event, closes at its last and starts at its
+    first ``start``-marked event (any letter case), else at its first. Day
+    boundaries are midnights in the reporting timezone ``tz``. The running
     active count is sampled after every instant at which cases open or close
     (simultaneous transitions are applied together), which yields each day's
     high and low; the day's open is the count carried in from the previous
@@ -177,26 +156,12 @@ def build_wip_series(
         raise ValueError(f"unknown gap policy {gap_policy!r}")
     if not log.events:
         raise EmptyLogError("cannot build a WiP series from an empty log")
-    cfg = cfg or LifecycleConfig()
     zone = ZoneInfo(tz)
 
     def local_day(ts: datetime) -> int:
         return ts.astimezone(zone).toordinal()
 
-    def case_row(opening: Event, closing: Event, started: Event) -> tuple[int, ...]:
-        open_day = local_day(opening.timestamp)
-        return ((opening.timestamp - _EPOCH) // _MICROSECOND,
-                (closing.timestamp - _EPOCH) // _MICROSECOND,
-                open_day, local_day(closing.timestamp),
-                open_day if started is opening else local_day(started.timestamp))
-
-    # One row per case: the instants (microseconds since the epoch) of its
-    # opening and closing, and the local days (ordinals) of its opening,
-    # closing and start.
-    cases = np.fromiter((case_row(o, c, s) for _, o, c, s in _case_anchors(log, cfg)),
-                        dtype=np.dtype((np.int64, 5)))
-    if not len(cases):
-        raise EmptyLogError("no usable cases after lifecycle-rule filtering")
+    cases = _case_rows(log, local_day)
     open_at, close_at, open_days, close_days, started_days = cases.T
 
     first = local_day(log.events[0].timestamp)
@@ -235,20 +200,18 @@ def build_wip_series(
     return WipSeries(tuple(days), contiguous=True)
 
 
-def active_count_at(log: EventLog, cfg: LifecycleConfig | None = None, instant: datetime | None = None) -> int:
-    """Number of cases open at ``instant``: opening event at or before it, closing event after it.
+def active_count_at(log: EventLog, instant: datetime) -> int:
+    """Number of cases open at ``instant``: first event at or before it, last event after it.
 
-    Deliberately brute force (one pass over cases per call) so it can serve as
-    an independent oracle for the replay in :func:`build_wip_series`.
+    Deliberately brute force (each case's earliest and latest timestamps, found
+    without relying on the log's order) so it can serve as an independent
+    oracle for the replay in :func:`build_wip_series`.
     """
-    if instant is None:
-        raise ValueError("instant is required")
-    cfg = cfg or LifecycleConfig()
-    count = 0
-    for _case_id, opening, closing, _started in _case_anchors(log, cfg):
-        if opening.timestamp <= instant < closing.timestamp:
-            count += 1
-    return count
+    bounds: dict[str, tuple[datetime, datetime]] = {}
+    for ev in log.events:
+        lo, hi = bounds.get(ev.case_id, (ev.timestamp, ev.timestamp))
+        bounds[ev.case_id] = (min(lo, ev.timestamp), max(hi, ev.timestamp))
+    return sum(lo <= instant < hi for lo, hi in bounds.values())
 
 
 def export_wip_csv(series: WipSeries) -> str:

@@ -457,7 +457,7 @@ def test_an_unknown_lifecycle_in_config_exits_1_naming_it(tmp_path, workspace, c
     cfg_path.write_text(json.dumps({"lifecycle": "nope"}))
     for stage in ("forecast", "evaluate"):  # forecast used to run, ignoring the key
         assert main([stage, "--out", str(out), "--config", str(cfg_path)]) == 1
-        assert "error: unknown lifecycle ruleset: nope" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown config keys: ['lifecycle']\n"
 
 
 def test_backend_remote_without_endpoint_exits_1(workspace):

@@ -17,7 +17,6 @@ from wipcast.config import (
     PipelineConfig,
     build_backend,
     build_embedder,
-    build_lifecycle,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -253,9 +252,6 @@ def test_build_helpers():
     assert isinstance(build_backend(BackendConfig()), StubBackend)
     chat = build_backend(BackendConfig(kind="remote", endpoint="https://e/c", model="m1"))
     assert chat.backend_id == "remote:m1"
-    assert build_lifecycle("default").name == "default"
-    with pytest.raises(ValueError):
-        build_lifecycle("exotic")
 
 
 def test_retention_built_from_params():

@@ -10,19 +10,15 @@ from zoneinfo import ZoneInfo
 
 import pytest
 
-from wipcast.eventlog import ColumnMapping, EmptyLogError, parse_csv
+from wipcast.eventlog import ColumnMapping, parse_csv
 from wipcast.synthetic import synthetic_series
 from wipcast.wipseries import (
     WIP_CSV_HEADER,
-    LifecycleConfig,
     WipEvent,
     WipSeries,
     active_count_at,
     build_wip_series,
     export_wip_csv,
-    first_event,
-    first_start_marked,
-    last_event,
     load_wip_csv,
     wip_event,
 )
@@ -42,7 +38,7 @@ def _utc(y, mo, d, h, mi=0):
 
 def test_single_case_same_day():
     log = make_log([("c1", "open", _utc(2024, 1, 1, 9)), ("c1", "close", _utc(2024, 1, 1, 17))])
-    series = build_wip_series(log, LifecycleConfig())
+    series = build_wip_series(log)
     assert len(series.events) == 1
     ev = series.events[0]
     assert (ev.open, ev.high, ev.low, ev.close) == (0, 1, 0, 0)
@@ -51,15 +47,15 @@ def test_single_case_same_day():
 
 def test_single_event_case_never_counts_as_active():
     log = make_log([("c1", "solo", _utc(2024, 1, 1, 9))])
-    series = build_wip_series(log, LifecycleConfig())
+    series = build_wip_series(log)
     ev = series.events[0]
     assert (ev.open, ev.high, ev.low, ev.close) == (0, 0, 0, 0)
     assert (ev.new, ev.done) == (1, 1)
-    assert active_count_at(log, LifecycleConfig(), _utc(2024, 1, 1, 9)) == 0
+    assert active_count_at(log, _utc(2024, 1, 1, 9)) == 0
 
 
 def test_five_case_fixture_matches_hand_simulation(five_case_log):
-    series = build_wip_series(five_case_log, LifecycleConfig())
+    series = build_wip_series(five_case_log)
     got = [
         (ev.date, ev.open, ev.high, ev.low, ev.close, ev.new, ev.done, ev.started)
         for ev in series.events
@@ -68,7 +64,7 @@ def test_five_case_fixture_matches_hand_simulation(five_case_log):
 
 
 def test_five_case_calendar_fields(five_case_log):
-    series = build_wip_series(five_case_log, LifecycleConfig())
+    series = build_wip_series(five_case_log)
     first = series.events[0]
     # 2024-05-01 was a Wednesday, day 122 of a leap year.
     assert first.day_of_week == 3
@@ -77,13 +73,13 @@ def test_five_case_calendar_fields(five_case_log):
 
 
 def test_adjacency_open_equals_previous_close(five_case_log):
-    series = build_wip_series(five_case_log, LifecycleConfig())
+    series = build_wip_series(five_case_log)
     for prev, cur in zip(series.events, series.events[1:]):
         assert cur.open == prev.close
 
 
 def test_flow_conservation(five_case_log):
-    series = build_wip_series(five_case_log, LifecycleConfig())
+    series = build_wip_series(five_case_log)
     net = sum(ev.new - ev.done for ev in series.events)
     assert net == series.events[-1].close - series.events[0].open
     for ev in series.events:
@@ -91,29 +87,26 @@ def test_flow_conservation(five_case_log):
 
 
 def test_oracle_agrees_with_bounds(five_case_log):
-    cfg = LifecycleConfig()
-    series = build_wip_series(five_case_log, cfg)
+    series = build_wip_series(five_case_log)
     for ev in series.events:
         for hour in range(0, 24, 3):
             instant = datetime.combine(ev.date, time(hour), tzinfo=timezone.utc)
-            count = active_count_at(five_case_log, cfg, instant)
+            count = active_count_at(five_case_log, instant)
             assert ev.low <= count <= ev.high
 
 
 def test_oracle_hand_counts(five_case_log):
-    cfg = LifecycleConfig()
-    assert active_count_at(five_case_log, cfg, _utc(2024, 4, 30, 12)) == 0
-    assert active_count_at(five_case_log, cfg, _utc(2024, 5, 1, 10)) == 2
-    assert active_count_at(five_case_log, cfg, _utc(2024, 5, 2, 11, 30)) == 4
-    assert active_count_at(five_case_log, cfg, _utc(2024, 5, 4, 0)) == 0
+    assert active_count_at(five_case_log, _utc(2024, 4, 30, 12)) == 0
+    assert active_count_at(five_case_log, _utc(2024, 5, 1, 10)) == 2
+    assert active_count_at(five_case_log, _utc(2024, 5, 2, 11, 30)) == 4
+    assert active_count_at(five_case_log, _utc(2024, 5, 4, 0)) == 0
 
 
 def test_open_matches_oracle_at_day_start(five_case_log):
-    cfg = LifecycleConfig()
-    series = build_wip_series(five_case_log, cfg)
+    series = build_wip_series(five_case_log)
     for ev in series.events:
         start = datetime.combine(ev.date, time(0), tzinfo=timezone.utc)
-        assert ev.open == active_count_at(five_case_log, cfg, start)
+        assert ev.open == active_count_at(five_case_log, start)
 
 
 def test_build_invariant_to_input_order(five_case_log):
@@ -124,8 +117,8 @@ def test_build_invariant_to_input_order(five_case_log):
     rng = random.Random(11)
     rng.shuffle(rows)
     shuffled = make_log(rows, name="shuffled.csv")
-    a = build_wip_series(five_case_log, LifecycleConfig())
-    b = build_wip_series(shuffled, LifecycleConfig())
+    a = build_wip_series(five_case_log)
+    b = build_wip_series(shuffled)
     assert a.events == b.events
 
 
@@ -138,7 +131,7 @@ def test_gap_carry_inserts_flat_day():
             ("c2", "close", _utc(2024, 1, 3, 10)),
         ]
     )
-    series = build_wip_series(log, LifecycleConfig(), gap_policy="carry")
+    series = build_wip_series(log, gap_policy="carry")
     assert [ev.date for ev in series.events] == [date(2024, 1, j) for j in (1, 2, 3)]
     middle = series.events[1]
     assert (middle.open, middle.high, middle.low, middle.close) == (2, 2, 2, 2)
@@ -153,14 +146,14 @@ def test_gap_drop_keeps_event_days_only():
             ("c1", "close", _utc(2024, 1, 5, 9)),
         ]
     )
-    series = build_wip_series(log, LifecycleConfig(), gap_policy="drop")
+    series = build_wip_series(log, gap_policy="drop")
     assert [ev.date for ev in series.events] == [date(2024, 1, 1), date(2024, 1, 5)]
     assert not series.contiguous
 
 
 def test_unknown_gap_policy_rejected(five_case_log):
     with pytest.raises(ValueError):
-        build_wip_series(five_case_log, LifecycleConfig(), gap_policy="interpolate")
+        build_wip_series(five_case_log, gap_policy="interpolate")
 
 
 def test_multi_day_gap_carry_adjacency():
@@ -172,24 +165,26 @@ def test_multi_day_gap_carry_adjacency():
             ("c2", "close", _utc(2024, 1, 7, 9)),
         ]
     )
-    series = build_wip_series(log, LifecycleConfig(), gap_policy="carry")
+    series = build_wip_series(log, gap_policy="carry")
     assert len(series.events) == 7
     for prev, cur in zip(series.events, series.events[1:]):
         assert cur.open == prev.close
         assert cur.date == prev.date + timedelta(days=1)
 
 
-def test_start_marker_shifts_started_day():
-    # With lifecycle "start" markers present, "started" follows the marker day.
+@pytest.mark.parametrize("marker", ["start", "START"])
+def test_start_marker_shifts_started_day(marker):
+    # With lifecycle "start" markers present, in any letter case, "started"
+    # follows the marker day.
     text = (
         "case,activity,ts,lc\n"
         "c1,queued,2024-01-01T09:00:00Z,schedule\n"
-        "c1,work,2024-01-02T09:00:00Z,start\n"
+        f"c1,work,2024-01-02T09:00:00Z,{marker}\n"
         "c1,finish,2024-01-03T09:00:00Z,complete\n"
     )
     mapping = ColumnMapping(case="case", activity="activity", timestamp="ts", lifecycle="lc")
     log = parse_csv(io.StringIO(text), mapping, source_name="lc.csv")
-    series = build_wip_series(log, LifecycleConfig())
+    series = build_wip_series(log)
     by_date = {ev.date: ev for ev in series.events}
     assert by_date[date(2024, 1, 1)].started == 0
     assert by_date[date(2024, 1, 2)].started == 1
@@ -197,22 +192,13 @@ def test_start_marker_shifts_started_day():
     assert by_date[date(2024, 1, 3)].done == 1
 
 
-def test_inverted_case_dropped():
-    # Swapping rules so closing precedes opening invalidates the only case.
-    rows = [("c1", "A", _utc(2024, 1, 1, 9)), ("c1", "B", _utc(2024, 1, 2, 9))]
-    log = make_log(rows)
-    cfg = LifecycleConfig(new_rule=last_event, done_rule=first_event, name="swapped")
-    with pytest.raises(EmptyLogError):
-        build_wip_series(log, cfg)
-
-
 def test_timezone_changes_day_attribution():
     # 23:30 UTC on Jan 1 is already Jan 2 in UTC+1.
     log = make_log(
         [("c1", "open", _utc(2024, 1, 1, 23, 30)), ("c1", "close", _utc(2024, 1, 2, 4))]
     )
-    utc_series = build_wip_series(log, LifecycleConfig(), tz="UTC")
-    shifted = build_wip_series(log, LifecycleConfig(), tz="Etc/GMT-1")
+    utc_series = build_wip_series(log, tz="UTC")
+    shifted = build_wip_series(log, tz="Etc/GMT-1")
     assert utc_series.events[0].date == date(2024, 1, 1)
     assert shifted.events[0].date == date(2024, 1, 2)
     assert len(shifted.events) == 1
@@ -238,7 +224,7 @@ def test_paper_style_day_is_representable():
 
 
 def test_wip_csv_round_trip(five_case_log):
-    series = build_wip_series(five_case_log, LifecycleConfig())
+    series = build_wip_series(five_case_log)
     text = export_wip_csv(series)
     header = text.splitlines()[0]
     assert header == ",".join(WIP_CSV_HEADER)
@@ -269,7 +255,7 @@ def test_loaded_series_reads_like_the_built_one():
 def test_loaded_series_with_a_dropped_day_is_not_contiguous():
     log = make_log([("c1", "open", _utc(2024, 1, 1, 9)), ("c1", "close", _utc(2024, 1, 5, 9))])
     loaded = load_wip_csv(io.StringIO(export_wip_csv(
-        build_wip_series(log, LifecycleConfig(), gap_policy="drop"))))
+        build_wip_series(log, gap_policy="drop"))))
     assert [ev.date for ev in loaded.events] == [date(2024, 1, 1), date(2024, 1, 5)]
     assert not loaded.contiguous
     assert [loaded.days_through(date(2024, 1, d)) for d in range(1, 7)] == [1, 1, 1, 1, 2, 2]
@@ -289,8 +275,7 @@ def test_randomized_logs_respect_invariants():
             if end != start:
                 rows.append((f"c{i}", "close", end))
         log = make_log(rows, name=f"rand{trial}.csv")
-        cfg = LifecycleConfig()
-        series = build_wip_series(log, cfg)
+        series = build_wip_series(log)
         for prev, cur in zip(series.events, series.events[1:]):
             assert cur.open == prev.close
             assert cur.date == prev.date + timedelta(days=1)
@@ -300,12 +285,14 @@ def test_randomized_logs_respect_invariants():
         assert net == series.events[-1].close - series.events[0].open
         day = rng.choice(series.events)
         instant = datetime.combine(day.date, time(rng.randint(0, 23)), tzinfo=timezone.utc)
-        assert day.low <= active_count_at(log, cfg, instant) <= day.high
+        assert day.low <= active_count_at(log, instant) <= day.high
 
 
-def _sweep_oracle(log, cfg, tz):
+def _sweep_oracle(log, tz):
     """Each day's (date, open, high, low, close, new, done, started) by a plain
-    sweep: transitions sorted by instant, the ones at one instant applied
+    sweep: each case opens at its first event, closes at its last and starts at
+    its first event marked start in any letter case (else its first); the
+    transitions are sorted by instant, the ones at one instant applied
     together, each taken on the first day not before its local day."""
     zone = ZoneInfo(tz)
 
@@ -317,14 +304,13 @@ def _sweep_oracle(log, cfg, tz):
         by_case.setdefault(ev.case_id, []).append(ev)
     transitions, new, done, started = [], Counter(), Counter(), Counter()
     for evts in by_case.values():
-        opening, closing = cfg.new_rule(evts), cfg.done_rule(evts)
-        if closing.timestamp < opening.timestamp:
-            continue
+        opening, closing = evts[0], evts[-1]
+        marked = [ev for ev in evts if (ev.lifecycle or "").lower() == "start"]
         transitions += [(opening.timestamp, day_of(opening.timestamp), 1),
                         (closing.timestamp, day_of(closing.timestamp), -1)]
         new[day_of(opening.timestamp)] += 1
         done[day_of(closing.timestamp)] += 1
-        started[day_of(cfg.started_rule(evts).timestamp)] += 1
+        started[day_of((marked or evts)[0].timestamp)] += 1
     transitions.sort(key=lambda t: t[0])
     rows, running, ti = [], 0, 0
     day, last = day_of(log.events[0].timestamp), day_of(log.events[-1].timestamp)
@@ -359,23 +345,21 @@ ORACLE_ZONES = [("UTC", datetime(2024, 6, 1, tzinfo=timezone.utc), 240),
                          ids=[f"{z}-{b:%Y-%m-%dT%H}-{h}h" for z, b, h in ORACLE_ZONES])
 def test_replay_matches_the_sweep_oracle(tz, base, hours):
     rng = random.Random(f"{tz} {base} {hours}")
-    start_marked = LifecycleConfig(new_rule=first_start_marked, name="start-marked")
     for trial in range(40):
         rows = []
         for c in range(rng.randint(1, 30)):
             at = base + timedelta(minutes=rng.randint(0, 60 * hours))
             for _ in range(rng.randint(1, 4)):
-                rows.append((f"c{c}", rng.choice(["start", "complete"]), at))
+                rows.append((f"c{c}", rng.choice(["start", "START", "complete"]), at))
                 at += timedelta(minutes=rng.choice([0, 30, 60 * rng.randint(0, hours // 5)]))
-            if rng.random() < 0.1:  # opens after it closes under the start-marked rule
+            if rng.random() < 0.1:  # a start-marked first event far before the others
                 rows.append((f"c{c}", "start", base))
         log = parse_csv(io.StringIO(csv_document(rows)),
                         ColumnMapping("case", "activity", "ts", lifecycle="activity"),
                         source_name=f"oracle{trial}.csv")
         event_days = {ev.timestamp.astimezone(ZoneInfo(tz)).date() for ev in log.events}
-        for cfg in (LifecycleConfig(), start_marked):
-            want = _sweep_oracle(log, cfg, tz)
-            for policy, kept in (("carry", want), ("drop", [r for r in want if r[0] in event_days])):
-                got = build_wip_series(log, cfg, gap_policy=policy, tz=tz).events
-                assert [(e.date, e.open, e.high, e.low, e.close, e.new, e.done, e.started)
-                        for e in got] == kept, (tz, trial, cfg.name, policy)
+        want = _sweep_oracle(log, tz)
+        for policy, kept in (("carry", want), ("drop", [r for r in want if r[0] in event_days])):
+            got = build_wip_series(log, gap_policy=policy, tz=tz).events
+            assert [(e.date, e.open, e.high, e.low, e.close, e.new, e.done, e.started)
+                    for e in got] == kept, (tz, trial, policy)
