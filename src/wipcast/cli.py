@@ -331,7 +331,8 @@ def main(argv=None) -> int:
         cfg = _effective_config(args)
         # Looked up on every call, so a rebound cmd_* (as a tracer does) is the one that runs.
         return globals()[f"cmd_{args.command}"](args, cfg)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EmptyLogError as exc:

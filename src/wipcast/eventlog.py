@@ -1,17 +1,16 @@
 """Event log ingestion: XES (XML) and CSV parsers producing a normalized event sequence.
 
 Both parsers emit the same structure: a timestamp-sorted sequence of events, each
-carrying a case id, an activity name, a UTC timestamp, an optional lifecycle
-marker, and any further attributes found in the source. Individually malformed
+carrying a case id, an activity name, a UTC timestamp and an optional lifecycle
+marker; no other attribute or column of the source is kept. Individually malformed
 events are skipped with a diagnostic rather than aborting the whole file, since
 real-world logs routinely contain sporadic defects.
 
 A log is held lean: events are slotted, and each parse keeps a table of the
-strings it has stored (activity, lifecycle, attribute keys and string values,
-the case id), so every event carrying an equal string shares one object. The
-table lives only as long as the parse, so strings that never repeat cost
-nothing once it returns. :func:`validate` is a separate summary that
-ingestion does not run.
+strings it has stored (activity, lifecycle, case id), so every event carrying
+an equal string shares one object. The table lives only as long as the parse,
+so strings that never repeat cost nothing once it returns. :func:`validate` is
+a separate summary that ingestion does not run.
 """
 
 from __future__ import annotations
@@ -22,15 +21,13 @@ import io
 import logging
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
-from typing import IO, Iterator, Union
+from typing import IO, Iterator
 from xml.parsers import expat
 
 logger = logging.getLogger(__name__)
-
-Scalar = Union[str, int, float, bool, datetime]
 
 _GZIP_MAGIC = b"\x1f\x8b"
 _CHUNK_BYTES = 1 << 16
@@ -58,13 +55,12 @@ class MappingError(EventLogError):
 
 @dataclass(frozen=True, slots=True)
 class Event:
-    """One process event: who (case), what (activity), when (UTC timestamp)."""
+    """One process event: who (case), what (activity), when (UTC timestamp), and its lifecycle."""
 
     case_id: str
     activity: str
     timestamp: datetime
     lifecycle: str | None = None
-    attributes: dict[str, Scalar] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.case_id:
@@ -102,7 +98,7 @@ class ColumnMapping:
     """Names the CSV columns holding the core event fields.
 
     ``timestamp_format`` is a ``strptime`` pattern; ``None`` means ISO 8601.
-    Columns not mentioned here are ingested as string attributes.
+    Columns not mentioned here are ignored.
     """
 
     case: str
@@ -202,6 +198,8 @@ _XES_VALUE_PARSERS = {
     "boolean": lambda v: v.strip().lower() == "true",
     "date": parse_timestamp,
 }
+# The only attribute keys parse_xes converts and keeps; it skips every other one unconverted.
+_XES_KEYS = frozenset({"concept:name", "time:timestamp", "lifecycle:transition"})
 
 
 @lru_cache(maxsize=256)
@@ -210,7 +208,7 @@ def _local_name(name: str) -> str:
     return name[name.rfind("}") + 1:]
 
 
-def _emit_trace(trace_attrs: dict[str, Scalar], event_attrs: list[dict[str, Scalar]],
+def _emit_trace(trace_attrs: dict[str, object], event_attrs: list[dict[str, object]],
                 events: list[Event], diagnostics: list[str]) -> None:
     """Turn one closed trace's collected attributes into events or diagnostics."""
     case_id = trace_attrs.get("concept:name")
@@ -218,18 +216,18 @@ def _emit_trace(trace_attrs: dict[str, Scalar], event_attrs: list[dict[str, Scal
         diagnostics.append(f"trace without concept:name skipped ({len(event_attrs)} events)")
         return
     for attrs in event_attrs:
-        activity = attrs.pop("concept:name", None)
-        ts = attrs.pop("time:timestamp", None)
+        activity = attrs.get("concept:name")
+        ts = attrs.get("time:timestamp")
         if not isinstance(activity, str) or not activity:
             diagnostics.append(f"case {case_id!r}: event without concept:name skipped")
             continue
         if not isinstance(ts, datetime):
             diagnostics.append(f"case {case_id!r}: event {activity!r} without parseable time:timestamp skipped")
             continue
-        lifecycle = attrs.pop("lifecycle:transition", None)
+        lifecycle = attrs.get("lifecycle:transition")
         if lifecycle is not None and not isinstance(lifecycle, str):
             lifecycle = str(lifecycle)
-        events.append(Event(case_id, activity, ts, lifecycle, attrs))
+        events.append(Event(case_id, activity, ts, lifecycle))
 
 
 def parse_xes(stream: bytes | IO[bytes], source_name: str = "<xes>") -> EventLog:
@@ -241,6 +239,8 @@ def parse_xes(stream: bytes | IO[bytes], source_name: str = "<xes>") -> EventLog
     children of a ``trace`` under the root element, or of an ``event`` directly
     inside such a trace, are read; everything else (log-level attributes,
     extensions, globals, classifiers, nested lists and containers) is skipped.
+    Of those, only ``concept:name``, ``time:timestamp`` and ``lifecycle:transition``
+    are converted and kept; other keys are skipped unconverted.
 
     The case id comes from the trace-level ``concept:name``, wherever it sits
     in the trace; each event needs ``concept:name`` and ``time:timestamp``.
@@ -253,9 +253,9 @@ def parse_xes(stream: bytes | IO[bytes], source_name: str = "<xes>") -> EventLog
     diagnostics: list[str] = []
     seen = 0
     depth = 0  # of the innermost open element; the root is 1
-    trace_attrs: dict[str, Scalar] | None = None  # None outside a trace
-    trace_events: list[dict[str, Scalar]] = []  # the open trace's events, as attributes
-    event_attrs: dict[str, Scalar] | None = None  # None outside an event
+    trace_attrs: dict[str, object] | None = None  # None outside a trace
+    trace_events: list[dict[str, object]] = []  # the open trace's events, as attributes
+    event_attrs: dict[str, object] | None = None  # None outside an event
     share = {}.setdefault  # share(s, s): the first equal string this parse stored
 
     def start(name: str, attrs: dict[str, str]) -> None:
@@ -279,10 +279,12 @@ def parse_xes(stream: bytes | IO[bytes], source_name: str = "<xes>") -> EventLog
             out = event_attrs
         else:
             return
-        convert = _XES_VALUE_PARSERS.get(local)
         key = attrs.get("key")
+        if key not in _XES_KEYS:
+            return
+        convert = _XES_VALUE_PARSERS.get(local)
         value = attrs.get("value")
-        if convert is None or key is None or value is None:
+        if convert is None or value is None:
             return
         try:
             parsed = convert(value)
@@ -290,7 +292,7 @@ def parse_xes(stream: bytes | IO[bytes], source_name: str = "<xes>") -> EventLog
             parsed = value  # a value that does not parse stays a string
         if isinstance(parsed, str):
             parsed = share(parsed, parsed)
-        out[share(key, key)] = parsed
+        out[key] = parsed
 
     def end(name: str) -> None:
         nonlocal depth, seen
@@ -328,9 +330,9 @@ def parse_csv(
 
     Bytes may be gzip; they are decompressed and decoded as rows are read,
     and bytes that are not UTF-8 raise :class:`EventLogError` naming the
-    line. Unmapped columns become string attributes; empty cells are dropped. Rows
-    with an unparseable timestamp or a blank case/activity are skipped with a
-    diagnostic.
+    line. Only the mapped columns are read; any other column, and any cell
+    beyond the header, is ignored. Rows with an unparseable timestamp or a
+    blank case/activity are skipped with a diagnostic.
     """
     with _open_text(stream, source_name) as text:
         reader = csv.DictReader(text)
@@ -343,8 +345,6 @@ def parse_csv(
             if missing:
                 raise MappingError(f"{source_name}: mapped column(s) not in header: {', '.join(missing)}")
 
-            # None keys a row's cells beyond the header; like the mapped columns, no attribute.
-            core = {None, mapping.case, mapping.activity, mapping.timestamp, mapping.lifecycle}
             share = {}.setdefault  # share(s, s): the first equal string this parse stored
             events: list[Event] = []
             diagnostics: list[str] = []
@@ -366,10 +366,7 @@ def parse_csv(
                 if mapping.lifecycle:
                     lifecycle = (row.get(mapping.lifecycle) or "").strip()
                     lifecycle = share(lifecycle, lifecycle) or None
-                attrs: dict[str, Scalar] = {
-                    k: share(v, v) for k, v in row.items() if k not in core and v is not None and v != ""
-                }
-                events.append(Event(share(case_id, case_id), share(activity, activity), ts, lifecycle, attrs))
+                events.append(Event(share(case_id, case_id), share(activity, activity), ts, lifecycle))
         except UnicodeDecodeError as exc:
             # The text layer decodes ahead of the rows: lines the reader has
             # taken, plus the line breaks before the bad byte in this chunk.
@@ -386,25 +383,18 @@ def parse_csv(
 
 
 def export_csv(log: EventLog, mapping: ColumnMapping | None = None) -> str:
-    """Render a log back to CSV text that :func:`parse_csv` round-trips.
+    """Render a log back to CSV text: the four event columns, one row per event.
 
-    Attribute keys become extra columns (union over all events, sorted).
-    Typed attribute values are stringified, so only logs with string attributes
-    round-trip to equality.
+    :func:`parse_csv` with the same mapping, lifecycle included, reads it back
+    to equal events unless a field has surrounding whitespace (cells are
+    stripped) or a lifecycle is empty (an empty cell reads as none).
     """
     mapping = mapping or ColumnMapping("case", "activity", "timestamp", "lifecycle")
-    extra = sorted({k for ev in log.events for k in ev.attributes})
-    lifecycle_col = mapping.lifecycle or "lifecycle"
-    header = [mapping.case, mapping.activity, mapping.timestamp, lifecycle_col, *extra]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow([mapping.case, mapping.activity, mapping.timestamp, mapping.lifecycle or "lifecycle"])
     for ev in log.events:
-        row = [ev.case_id, ev.activity, ev.timestamp.isoformat(), ev.lifecycle or ""]
-        for key in extra:
-            value = ev.attributes.get(key, "")
-            row.append(value.isoformat() if isinstance(value, datetime) else str(value) if value != "" else "")
-        writer.writerow(row)
+        writer.writerow([ev.case_id, ev.activity, ev.timestamp.isoformat(), ev.lifecycle or ""])
     return buf.getvalue()
 
 

@@ -175,12 +175,16 @@ class RemoteEmbedder:
         except LlmError as exc:
             raise EmbeddingError(f"remote embedding failed: {exc}") from exc
         try:
-            rows = [np.asarray(item["embedding"], dtype=float) for item in resp.json()["data"]]
+            rows = [item["embedding"] for item in resp.json()["data"]]
         except (ValueError, KeyError, TypeError) as exc:
             raise EmbeddingError(f"remote embedding returned a malformed payload: {exc}") from exc
         if len(rows) != len(batch):
             raise EmbeddingError(f"expected {len(batch)} embeddings, got {len(rows)}")
-        matrix = np.stack(rows)
+        if not all(isinstance(row, list) and row and len(row) == len(rows[0])
+                   and all(type(x) in (int, float) for x in row) for row in rows):
+            raise EmbeddingError("remote embedding returned a malformed payload: each embedding "
+                                 "must be a nonempty flat list of numbers, all of one length")
+        matrix = np.array(rows, dtype=float)
         if not np.isfinite(matrix).all():
             raise EmbeddingError("remote embedding contains non-finite values")
         if self._dim is None:

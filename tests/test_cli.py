@@ -68,6 +68,22 @@ def test_ingest_without_path_exits_2(tmp_path):
     assert main(["ingest", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("case", ["log is a directory", "out is a file", "out is under a file",
+                                  "wip.csv is a directory"])
+def test_a_path_that_exists_but_cannot_be_used_exits_2(tmp_path, log_path, capsys, case):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    argv = {
+        "log is a directory": ["ingest", str(tmp_path), "--format", "xes", "--out", str(tmp_path / "out")],
+        "out is a file": ["ingest", log_path, "--out", str(blocker)],
+        "out is under a file": ["ingest", log_path, "--out", str(blocker / "sub")],
+        "wip.csv is a directory": ["forecast", "--out", str(tmp_path)],
+    }[case]
+    (tmp_path / "wip.csv").mkdir()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_ingest_empty_log_exits_3(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("case,activity,timestamp\n")

@@ -100,21 +100,25 @@ def test_parse_xes_gzip_stream(nine_event_xes):
     assert len(log.events) == 9
 
 
-def test_parse_xes_typed_attributes():
+UNREAD_XES_ATTRIBUTES = (
+    '<string key="org:resource" value="Ann"/><int key="priority" value="3"/>'
+    '<float key="cost" value="1.5"/><boolean key="urgent" value="true"/>'
+    '<date key="due" value="2024-02-01T00:00:00Z"/>'
+)
+
+
+def test_parse_xes_skips_attributes_it_does_not_read():
     doc = (
-        '<log><trace><string key="concept:name" value="c1"/>'
-        '<event><string key="concept:name" value="A"/>'
+        '<log><trace><string key="concept:name" value="c1"/>{extra}'
+        '<event><string key="concept:name" value="A"/>{extra}'
         '<date key="time:timestamp" value="2024-01-01T09:00:00Z"/>'
-        '<int key="priority" value="3"/>'
-        '<float key="cost" value="1.5"/>'
-        '<boolean key="urgent" value="true"/>'
+        '<string key="lifecycle:transition" value="complete"/>'
         "</event></trace></log>"
     )
-    log = parse_xes(io.BytesIO(doc.encode()), source_name="typed.xes")
-    attrs = log.events[0].attributes
-    assert attrs["priority"] == 3
-    assert attrs["cost"] == 1.5
-    assert attrs["urgent"] is True
+    bare = parse_xes(doc.format(extra="").encode(), source_name="doc.xes")
+    typed = parse_xes(doc.format(extra=UNREAD_XES_ATTRIBUTES).encode(), source_name="doc.xes")
+    assert typed.events == bare.events
+    assert typed.source_meta == bare.source_meta
 
 
 def test_parse_csv_basic():
@@ -145,20 +149,22 @@ def test_parse_csv_all_rows_bad_raises_empty():
         parse_csv(io.StringIO(text), CSV_MAPPING, source_name="allbad.csv")
 
 
-def test_parse_csv_extra_columns_become_attributes():
-    text = "case,activity,ts,team\nc1,A,2024-01-01T09:00:00Z,blue\n"
-    log = parse_csv(io.StringIO(text), CSV_MAPPING, source_name="extra.csv")
-    assert log.events[0].attributes == {"team": "blue"}
+def test_parse_csv_ignores_unmapped_columns():
+    bare = parse_csv("case,activity,ts\nc1,A,2024-01-01T09:00:00Z\n", CSV_MAPPING, source_name="bare.csv")
+    extra = parse_csv("case,activity,ts,team\nc1,A,2024-01-01T09:00:00Z,blue\n", CSV_MAPPING,
+                      source_name="extra.csv")
+    assert extra.events == bare.events
 
 
 @pytest.mark.parametrize("lifecycle", [None, "lc"])
 def test_parse_csv_cells_beyond_the_header_are_no_attribute(lifecycle):
     # A trailing comma on a data row gives it one more cell than the header.
-    text = "case,activity,ts,lc,team\nc1,A,2024-01-01T09:00:00Z,complete,blue,\n"
-    log = parse_csv(io.StringIO(text), ColumnMapping("case", "activity", "ts", lifecycle),
-                    source_name="trailing.csv")
+    trailing = "case,activity,ts,lc,team\nc1,A,2024-01-01T09:00:00Z,complete,blue,\n"
+    plain = "case,activity,ts,lc,team\nc1,A,2024-01-01T09:00:00Z,complete,blue\n"
+    mapping = ColumnMapping("case", "activity", "ts", lifecycle)
+    log = parse_csv(trailing, mapping, source_name="trailing.csv")
+    assert log.events == parse_csv(plain, mapping, source_name="plain.csv").events
     assert log.events[0].activity == "A"
-    assert set(log.events[0].attributes) == {"team"} | ({"lc"} if lifecycle is None else set())
 
 
 def test_csv_and_xes_fixtures_agree(nine_event_log, nine_event_csv_log):
@@ -189,6 +195,13 @@ def test_export_csv_round_trip(nine_event_log):
     orig = [(e.case_id, e.activity, e.timestamp) for e in nine_event_log.events]
     again = [(e.case_id, e.activity, e.timestamp) for e in back.events]
     assert orig == again
+    # A log parsed from XES with typed attributes comes back as equal events, lifecycles included.
+    doc = _xes_bytes(20).replace(b"<event>", b"<event>" + UNREAD_XES_ATTRIBUTES.encode())
+    log = parse_xes(doc, source_name="typed.xes")
+    back = parse_csv(export_csv(log), ColumnMapping("case", "activity", "timestamp", "lifecycle"),
+                     source_name="typed.csv")
+    assert back.events == log.events
+    assert {e.lifecycle for e in back.events} == {"complete"}
 
 
 def test_validate_counts_cases_and_span(nine_event_log):
@@ -329,15 +342,12 @@ def test_parity_documents_exercise_what_they_name():
         "trace without concept:name skipped (1 events)",
     )
     log = parse_xes(PARITY_DOCS["nested-children"].encode(), source_name="d")
-    assert [(ev.activity, ev.lifecycle, ev.attributes) for ev in log.events] == [
-        ("A", None, {"note": "outer"}), ("B", "3", {})]
+    assert [(ev.activity, ev.lifecycle) for ev in log.events] == [("A", None), ("B", "3")]
     log = parse_xes(PARITY_DOCS["prefixed-namespace"].encode(), source_name="d")
     assert [ev.activity for ev in log.events] == ["A", "other-ns", "B"]
     log = parse_xes(PARITY_DOCS["comments-and-instructions"].encode(), source_name="d")
     assert (log.events[0].case_id, log.events[0].activity) == ("Company case", "Prüfung & 処理")
     log = parse_xes(PARITY_DOCS["unparseable-values"].encode(), source_name="d")
-    assert log.events[0].attributes == {"n": "x1", "f": "abc", "b": False, "due": "2024-13-01",
-                                        "ok": 5, "g": 1000.0}
     assert log.source_meta.skipped == 3
 
 
@@ -451,12 +461,10 @@ def _parse(form: str, source: bytes):
 def test_parsed_log_holds_each_repeated_string_once(form):
     log = _parse(form, _log_source(form, 30))
     strings = [ev.activity for ev in log.events] + [ev.lifecycle for ev in log.events]
-    for ev in log.events:
-        strings += [*ev.attributes, *ev.attributes.values()]
     first_copy: dict[str, str] = {}
     for s in strings:
         assert first_copy.setdefault(s, s) is s, f"{s!r} is held more than once"
-    assert {"org:resource", "r3", "complete", "Schritt-2-ü"} <= set(first_copy)
+    assert {"complete", "Schritt-2-ü"} <= set(first_copy)
     case_ids: dict[str, str] = {}
     for ev in log.events:
         assert case_ids.setdefault(ev.case_id, ev.case_id) is ev.case_id
@@ -484,15 +492,17 @@ def _retained_per_event(form: str, note: bool = False) -> float:
 def test_parsed_log_retains_few_bytes_per_event(form):
     # On CPython 3.11 this log kept about 620 bytes per event from XES and 600
     # from CSV while every event held its own copy of each string and a
-    # __dict__; with shared strings and slotted events, about 325.
-    assert _retained_per_event(form) < 450
+    # __dict__; with shared strings and slotted events, about 325; with no
+    # attribute dict per event, about 135.
+    assert _retained_per_event(form) < 200
 
 
 @pytest.mark.parametrize("form", ["xes", "csv"])
 def test_a_string_no_other_event_carries_costs_only_itself(form):
-    # The table that shares strings is dropped when the parse returns, so a
-    # unique value keeps nothing beside itself. With a fresh copy of the key
-    # "note" per event, each note cost about 140 bytes on CPython 3.11; now 86.
+    # A note is an attribute no stage reads, so the parse keeps nothing of it
+    # (and exporting to CSV drops it). With a fresh copy of the key "note" per
+    # event, each note cost about 140 bytes on CPython 3.11; kept as a shared
+    # key and its own value, 86; now nothing.
     extra = _retained_per_event(form, note=True) - _retained_per_event(form)
     assert extra < sys.getsizeof(_note(999, 4)) + 16
 
@@ -530,9 +540,8 @@ def test_parse_csv_bytes_strip_bom_and_keep_crlf(packed):
     lines[1] += ',"two\r\nlines"'
     data = ("\ufeff" + "\r\n".join(lines) + "\r\n").encode("utf-8")
     log = parse_csv(gzip.compress(data) if packed else data, CSV_MAPPING, source_name="bom.csv")
+    # The quoted line break in the first row's note does not split the row.
     assert [(e.case_id, e.activity, e.timestamp) for e in log.events] == NINE_EVENTS
-    assert log.events[0].attributes == {"note": "two\r\nlines"}  # a quoted line break is kept as is
-    assert log.events[1].attributes == {}
 
 
 @pytest.mark.parametrize("packed", [False, True])

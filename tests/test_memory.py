@@ -1034,9 +1034,15 @@ def test_remote_embedder_does_not_retry_a_request_that_cannot_be_sent(error, sle
     assert sleeps == []
 
 
-@pytest.mark.parametrize("body", [None, {"nope": []}, {"data": [{"vector": [1.0]}]}, {"data": [{"embedding": "x"}]}])
+@pytest.mark.parametrize("body", [
+    None, {"nope": []}, {"data": [{"vector": [1.0]}]}, {"data": [{"embedding": "x"}]},
+    {"data": [{"embedding": 0.5}]}, {"data": [{"embedding": [[1, 2]]}]}, {"data": [{"embedding": []}]},
+    {"data": [{"embedding": [1.0, True]}]}, {"data": [{"embedding": [1.0, 2.0]}, {"embedding": [1.0]}]},
+])
 def test_remote_embedder_does_not_retry_malformed_payload(body, sleeps):
-    session = EmbedSession([EmbedResponse(body=body), _vectors(1)])
+    # One text per returned row, so the ragged rows pass the count check.
+    texts = ["a", "b"][:len(body["data"])] if body and "data" in body else ["a"]
+    session = EmbedSession([EmbedResponse(body=body), _vectors(len(texts))])
     with pytest.raises(EmbeddingError, match="malformed"):
-        RemoteEmbedder("http://embed.test", session=session).embed_many(["a"])
+        RemoteEmbedder("http://embed.test", session=session).embed_many(texts)
     assert session.posts == 1

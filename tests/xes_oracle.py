@@ -17,7 +17,6 @@ from wipcast.eventlog import (
     EmptyLogError,
     Event,
     EventLog,
-    Scalar,
     SourceMeta,
     XesParseError,
     parse_timestamp,
@@ -36,8 +35,8 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _attributes(element: ET.Element) -> dict[str, Scalar]:
-    out: dict[str, Scalar] = {}
+def _attributes(element: ET.Element) -> dict[str, object]:
+    out: dict[str, object] = {}
     for child in element:
         parser = _VALUE_PARSERS.get(_local(child.tag))
         if parser is None:
@@ -92,7 +91,7 @@ def oracle_parse_xes(stream: bytes | IO[bytes], source_name: str = "<xes>") -> E
             lifecycle = attrs.pop("lifecycle:transition", None)
             if lifecycle is not None and not isinstance(lifecycle, str):
                 lifecycle = str(lifecycle)
-            events.append(Event(case_id, activity, ts, lifecycle, attrs))
+            events.append(Event(case_id, activity, ts, lifecycle))
 
     if not events:
         raise EmptyLogError(f"{source_name}: no usable events")
