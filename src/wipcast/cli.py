@@ -5,9 +5,9 @@ Every stage after `ingest` reads its ``wip.csv`` from the output directory
 so re-running any stage with the same inputs reproduces the same files
 (timestamps in the SVG report can be frozen with a flag). `stories` writes
 out the stories the other stages render, to read; no stage reads them back.
-Each stage reads and hashes every run file it uses on every call; what an
-unchanged file yields (a snapshot's columns, or the series itself) is parsed
-and checked once per process and then reused (see :func:`memory.load_snapshot`).
+Each stage reads every run file it uses on every call and compares it with the
+bytes last loaded from it; only new bytes are hashed, parsed and checked, and
+what unchanged ones yield is reused (see :func:`memory.load_snapshot`).
 
 Exit codes: 0 success, 1 processing error, 2 missing/invalid path or usage,
 3 empty event log.
@@ -79,13 +79,11 @@ def _checked_series(path: str, data: bytes, digest: str) -> WipSeries:
 
 
 def _load_series(out_dir: str) -> WipSeries:
-    """The series in the run's ``wip.csv``. Every call reads and hashes the file;
-    the series its bytes yield is held with the snapshots, so every call on
-    unchanged bytes returns the same series, checked once per process."""
+    """The series in the run's ``wip.csv``, held with the snapshots: every call
+    reads the file and compares its bytes with those held, hashing only new ones,
+    so every call on unchanged bytes returns the same series, checked once."""
     path = _require(os.path.join(out_dir, SERIES_FILE), "run `wipcast ingest` first")
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return _hold(path, data, _checked_series)
+    return _hold(path, _checked_series)
 
 
 def _detect_format(path: str, declared: str) -> str:

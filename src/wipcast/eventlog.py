@@ -373,6 +373,9 @@ def parse_csv(
             line = reader.line_num + exc.object.count(b"\n", 0, exc.start) + 1
             raise EventLogError(f"{source_name}: line {line} is not valid UTF-8 "
                                 f"({exc.reason})") from exc
+        except csv.Error as exc:  # a cell over the process-wide csv.field_size_limit(), say
+            # the row reader's count takes in the line it failed on; the DictReader's lags
+            raise EventLogError(f"{source_name}: line {reader.reader.line_num}: {exc}") from exc
 
     for msg in diagnostics:
         logger.warning("%s: %s", source_name, msg)

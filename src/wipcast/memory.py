@@ -458,7 +458,7 @@ def _sidecar_path(path: str) -> str:
 
 
 def _sha256(data: bytes) -> str:
-    import hashlib  # loads OpenSSL, which `ingest`, the one stage that hashes nothing, need not
+    import hashlib  # loads OpenSSL, needed only for bytes the hold lacks, never by `ingest`
 
     return hashlib.sha256(data).hexdigest()
 
@@ -518,26 +518,27 @@ def _load_sidecar(path: str, digest: str) -> StoryIndex | None:
     return index
 
 
-# What the run files read last yield: at most one snapshot per granularity and
-# the series, by (real path, sha256 of the bytes read), least recent first.
-_held: OrderedDict[tuple[str, str], object] = OrderedDict()
+# Each run file's real path -> (the bytes last loaded, what they yield), least recent first.
+_held: OrderedDict[str, tuple[bytes, object]] = OrderedDict()
 _held_lock = threading.Lock()
 
 
-def _hold(path: str, data: bytes, load: Callable[[str, bytes, str], object]):
-    """``load(path, data, digest)``, where ``data`` are the bytes just read from
-    ``path`` and ``digest`` their sha256; held by the file's real path and
-    sha256, so the next call with the same file, however its path is spelled,
-    and the same bytes reuses it. ``load`` returns something nothing writes
-    into. A load that raises is not held, so it fails again on the next call."""
-    key = (os.path.realpath(path), _sha256(data))
+def _hold(path: str, load: Callable[[str, bytes, str], object]):
+    """What ``load(path, data, digest)`` yields for ``data``, the bytes read from
+    ``path`` now, and ``digest``, their sha256. Held by real path beside ``data``:
+    a later call on the file, however spelled, that reads equal bytes reuses it
+    unhashed. Nothing writes into what ``load`` returns; a failed load is not held."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    key = os.path.realpath(path)
     with _held_lock:
-        if key in _held:
-            _held.move_to_end(key)
-            return _held[key]
-    value = load(path, data, key[1])
+        held = _held.pop(key, None)  # on a miss, what older bytes yielded is freed before the load
+        if held and held[0] == data:
+            _held[key] = held
+            return held[1]
+    value = load(path, data, _sha256(data))
     with _held_lock:
-        _held[key] = value
+        _held[key] = data, value
         if len(_held) > len(GRANULARITIES) + 1:
             _held.popitem(last=False)
     return value
@@ -558,17 +559,15 @@ def _snapshot_state(path: str, data: bytes, digest: str) -> tuple:
 def load_snapshot(path: str, provider=None, retention: RetentionPolicy | None = None) -> StoryIndex:
     """Load an index written by :func:`save_snapshot`.
 
-    Every call reads and hashes the JSON lines at ``path``. It uses the sidecar
-    when that was written from JSON lines with this sha256; otherwise it parses
-    the bytes it read with :func:`load_index`. The resulting columns are held,
-    read-only, by real path and sha256, and reused by the next call on the same
-    bytes; the hold keeps what the last ``len(GRANULARITIES) + 1`` run files
-    read yield (the snapshots' columns and the series of ``wip.csv``). Each
-    call wraps the columns in a new index with its own ``provider`` and
-    ``retention``.
+    Every call reads the JSON lines at ``path`` and compares them with the bytes
+    held for that file; only bytes not held are hashed and loaded. A load uses
+    the sidecar when that was written from JSON lines with this sha256, else
+    parses the bytes read with :func:`load_index`. The resulting columns are
+    held, read-only, by real path beside those bytes; the hold keeps what the
+    last ``len(GRANULARITIES) + 1`` run files read yield (the snapshots'
+    columns and the series of ``wip.csv``). Each call wraps the columns in a
+    new index with its own ``provider`` and ``retention``.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     index = StoryIndex(provider=provider, retention=retention)
-    index._state = _hold(path, data, _snapshot_state)
+    index._state = _hold(path, _snapshot_state)
     return index

@@ -19,7 +19,7 @@ from wipcast.agents import DEFAULT_FUSION_WEIGHTS
 from wipcast.cli import main
 from wipcast.eventlog import ColumnMapping, export_csv, parse_csv, validate
 from wipcast.memory import DeterministicEmbedder, RemoteEmbedder
-from wipcast.narrative import Story
+from wipcast.narrative import GRANULARITIES, Story
 from wipcast.synthetic import synthetic_event_log
 from wipcast.wipseries import WipEvent, WipSeries, export_wip_csv, load_wip_csv
 
@@ -744,6 +744,62 @@ def test_a_snapshot_replaced_after_it_was_hashed_is_parsed_as_hashed(tmp_path, s
     assert [story.target for story in as_edited.documents().values()] == [t + 5 for t in targets]
 
 
+@pytest.fixture
+def hashed(monkeypatch):
+    """Records the bytes of every run file that is hashed."""
+    seen = []
+    real = memory._sha256
+
+    def spy(data):
+        seen.append(data)
+        return real(data)
+
+    monkeypatch.setattr(memory, "_sha256", spy)
+    return seen
+
+
+def test_a_warm_forecast_hashes_nothing(tmp_path, snapshot_workspace, hashed):
+    out = tmp_path / "run"
+    shutil.copytree(snapshot_workspace, out)
+    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+    assert sorted(hashed) == sorted((out / name).read_bytes() for name in [*SNAPSHOTS, "wip.csv"])
+    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+    assert len(hashed) == 4  # unchanged files are compared with the held bytes, not hashed
+    edit_targets(out)
+    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["edited"]
+    assert hashed[4:] == [(out / "index_daily.jsonl").read_bytes()]
+
+
+def rewrite_keeping_size_and_mtime(path, data):
+    """Writes ``data``, as long as what ``path`` holds, and restores its modification time."""
+    before = os.stat(path)
+    path.write_bytes(data)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+
+
+def test_the_hold_compares_content_not_size_or_mtime(tmp_path, snapshot_workspace, sidecar_loads,
+                                                     jsonl_loads):
+    out = tmp_path / "run"
+    shutil.copytree(snapshot_workspace, out)
+    path = out / "index_daily.jsonl"
+    indexed = path.read_bytes()
+    at = indexed.index(b'"target": ') + len(b'"target": ')  # the first story's target
+    edited = indexed[:at] + str(int(indexed[at:at + 1]) % 9 + 1).encode() + indexed[at + 1:]
+    daily_loads = []
+    for data in (indexed, edited, indexed):  # A, B, A again, each of one size and mtime
+        rewrite_keeping_size_and_mtime(path, data)
+        assert main(["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET, "--mode", "react"]) == 0
+        daily_loads.append(sidecar_loads.count(str(path)))
+        assert memory._held[os.path.realpath(path)][0] == data
+    assert daily_loads == [1, 2, 3]  # loaded on each flip
+    assert len(jsonl_loads) == 1  # B, whose bytes the sidecar was not written from, was parsed
+    assert sorted(memory._held) == sorted(os.path.realpath(out / name)
+                                          for name in [*SNAPSHOTS, "wip.csv"])
+    assert len(memory._held) == len(GRANULARITIES) + 1
+
+
 # --- wip.csv held with the snapshots ---
 
 
@@ -1091,6 +1147,14 @@ def test_ingest_csv_that_is_not_utf8_exits_1_naming_the_file(tmp_path, capsys):
     path.write_bytes("case,activity,timestamp\nc1,Café,2024-01-01T09:00:00Z\n".encode("latin-1"))
     assert main(["ingest", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "latin1.csv: line 2 is not valid UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "wip.csv").exists()
+
+
+def test_ingest_csv_with_a_cell_over_the_field_size_limit_exits_1_naming_it(tmp_path, capsys):
+    path = tmp_path / "notes.csv"
+    path.write_text("case,activity,timestamp,note\nc1,A,2024-01-01T09:00:00Z," + "x" * 200_000 + "\n")
+    assert main(["ingest", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "error: notes.csv: line 2: field larger than field limit" in capsys.readouterr().err
     assert not (tmp_path / "out" / "wip.csv").exists()
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import gc
 import gzip
 import io
@@ -612,3 +613,15 @@ def test_parse_csv_names_the_file_and_line_of_bytes_that_are_not_utf8(
         parse_csv(gzip.compress(data) if packed else data, CSV_MAPPING, source_name="latin.csv")
     assert str(info.value) == (f"latin.csv: line {bad_row} is not valid UTF-8 "
                                "(invalid continuation byte)")
+
+
+@pytest.mark.parametrize("packed", [False, True])
+def test_parse_csv_names_the_line_of_a_cell_over_the_field_size_limit(packed):
+    limit = csv.field_size_limit()
+    data = (b"case,activity,ts,note\n"
+            b"c1,A,2024-01-01T00:00:00Z,short\n"
+            b"c2,A,2024-01-01T00:00:00Z," + b"x" * (limit + 1) + b"\n")
+    with pytest.raises(EventLogError) as info:  # from a column no mapping names
+        parse_csv(gzip.compress(data) if packed else data, CSV_MAPPING, source_name="long.csv")
+    assert str(info.value) == f"long.csv: line 3: field larger than field limit ({limit})"
+    assert csv.field_size_limit() == limit  # the process-wide limit is left as it was
