@@ -62,6 +62,7 @@ TREND_LOOKBACK = 14
 TREND_THRESHOLDS = (0.01, 0.05)
 
 REACT_TOOLS = ("get_prediction", "get_trend", "retrieve")
+REACT_STEPS = 4  # backend turns react fusion may take before it falls back to rules
 
 PREDICTOR_SYSTEM = (
     "You forecast the next day's work-in-progress (WiP) level of a business "
@@ -98,12 +99,15 @@ class TrendInsight:
     sma_first: float
     sma_last: float
     relative_change: float
-    text: str
     low_data: bool = False
 
     def __post_init__(self):
         if self.label not in TREND_LABELS:
             raise ValueError(f"unknown trend label: {self.label}")
+
+    @property
+    def text(self) -> str:
+        return TREND_TEXTS[self.label]
 
 
 @dataclass(frozen=True)
@@ -171,7 +175,7 @@ def trend_analyze(closes: Sequence[float], window: int = TREND_WINDOW,
     if len(span) < window + 1:
         mean = sum(span) / len(span)
         return TrendInsight(label="stable", sma_first=mean, sma_last=mean,
-                            relative_change=0.0, text=TREND_TEXTS["stable"], low_data=True)
+                            relative_change=0.0, low_data=True)
     sma_first = sum(span[:window]) / window
     sma_last = sum(span[-window:]) / window
     rc = (sma_last - sma_first) / max(sma_first, 1e-9)
@@ -186,7 +190,7 @@ def trend_analyze(closes: Sequence[float], window: int = TREND_WINDOW,
     else:
         label = "decreasing_significantly"
     return TrendInsight(label=label, sma_first=sma_first, sma_last=sma_last,
-                        relative_change=rc, text=TREND_TEXTS[label])
+                        relative_change=rc)
 
 
 def _check_weights(weights: Mapping[str, Mapping[str, float]], key: str = "weights") -> None:
@@ -245,7 +249,7 @@ def _react_tool(name: str, arg: str, preds: dict[str, Prediction], trend: TrendI
 def fuse(preds: Sequence[Prediction] | Mapping[str, Prediction], trend: TrendInsight,
          forecast_date: Date, index: StoryIndex | None = None, backend=None,
          mode: str = "rules", weights: Mapping[str, Mapping[str, float]] | None = None,
-         max_steps: int = 4, k: int = TOP_K) -> ForecastReport:
+         k: int = TOP_K) -> ForecastReport:
     """Combine the three agent predictions into the final forecast.
 
     ``weights`` maps trend labels to per-agent weights; a label it does not
@@ -281,7 +285,7 @@ def fuse(preds: Sequence[Prediction] | Mapping[str, Prediction], trend: TrendIns
     ]
     known: dict[str, float] = {}
     trend_label: str | None = None
-    for _ in range(max_steps):
+    for _ in range(REACT_STEPS):
         req = ChatRequest(
             system_text=FUSION_SYSTEM,
             user_text="\n".join(user_lines),

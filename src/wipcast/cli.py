@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from dataclasses import replace
-from datetime import timedelta
+from datetime import date as Date, timedelta
 from functools import cache
 
 from . import wipseries
@@ -199,10 +199,14 @@ def cmd_forecast(args, cfg: PipelineConfig) -> int:
     i = len(series.events) - 1
     if args.date is not None:
         target = iso_date("--date", args.date)
+        if target == Date.min:
+            raise ValueError(f"cannot forecast {target}: the calendar has no day before it")
         wanted = target - timedelta(days=1)
         i = series.days_through(wanted) - 1
         if i < 0 or series.events[i].date != wanted:
             raise ValueError(f"cannot forecast {target}: no series day at {wanted}")
+    elif series.events[i].date == Date.max:
+        raise ValueError(f"cannot forecast the day after {Date.max}: the calendar ends there")
 
     embedder = build_embedder(cfg.embedder)
     indexes = _load_or_build_indexes(args.out, cfg, series, embedder)

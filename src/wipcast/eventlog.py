@@ -1,10 +1,11 @@
 """Event log ingestion: XES (XML) and CSV parsers producing a normalized event sequence.
 
-Both parsers emit the same structure: a timestamp-sorted sequence of events, each
-carrying a case id, an activity name, a UTC timestamp and an optional lifecycle
-marker; no other attribute or column of the source is kept. Individually malformed
-events are skipped with a diagnostic rather than aborting the whole file, since
-real-world logs routinely contain sporadic defects.
+Both parsers emit the same structure: a stably timestamp-sorted sequence of
+events, each carrying a case id, an activity name, a UTC timestamp and an
+optional lifecycle marker; no other attribute or column of the source is kept.
+That order is a property of parsed logs, not a precondition of any reader.
+Individually malformed events are skipped with a diagnostic rather than
+aborting the whole file, since real-world logs routinely contain sporadic defects.
 
 A log is held lean: events are slotted, and each parse keeps a table of the
 strings it has stored (activity, lifecycle, case id), so every event carrying
@@ -84,7 +85,7 @@ class SourceMeta:
 
 @dataclass(frozen=True)
 class EventLog:
-    """Immutable, timestamp-sorted event sequence."""
+    """Immutable event sequence: sorted by timestamp when parsed, read in any order."""
 
     events: tuple[Event, ...]
     source_meta: SourceMeta

@@ -89,7 +89,6 @@ class ChatRequest:
     system_text: str
     user_text: str
     structured_context: StructuredContext | None = None
-    deterministic: bool = True
 
 
 @dataclass(frozen=True)
@@ -232,9 +231,8 @@ class RemoteChatBackend:
                 {"role": "system", "content": req.system_text},
                 {"role": "user", "content": req.user_text},
             ],
+            "temperature": 0,
         }
-        if req.deterministic:
-            payload["temperature"] = 0
         resp = post_json(self._session, self.endpoint, payload, timeout=self.timeout,
                          retries=self.retries, backoff=self.backoff, headers=self._headers())
         try:

@@ -35,6 +35,11 @@ EMBED_MODEL = "bge-base-en-v1.5"  # the remote embedder's default model
 TOP_K = 5  # stories retrieved per query
 
 
+def _is_vector(value) -> bool:
+    """Whether ``value``, decoded JSON, is a nonempty flat list of numbers (no bools)."""
+    return type(value) is list and bool(value) and all(type(x) in (int, float) for x in value)
+
+
 class EmbeddingError(Exception):
     """Embedding provider failed (transport, response shape, or bad input)."""
 
@@ -180,8 +185,7 @@ class RemoteEmbedder:
             raise EmbeddingError(f"remote embedding returned a malformed payload: {exc}") from exc
         if len(rows) != len(batch):
             raise EmbeddingError(f"expected {len(batch)} embeddings, got {len(rows)}")
-        if not all(isinstance(row, list) and row and len(row) == len(rows[0])
-                   and all(type(x) in (int, float) for x in row) for row in rows):
+        if not all(_is_vector(row) and len(row) == len(rows[0]) for row in rows):
             raise EmbeddingError("remote embedding returned a malformed payload: each embedding "
                                  "must be a nonempty flat list of numbers, all of one length")
         matrix = np.array(rows, dtype=float)
@@ -403,13 +407,17 @@ def save_index(index: StoryIndex, fp: IO[str]) -> int:
 
 def _snapshot_row(record: dict, dims: list[int]) -> tuple:
     """One snapshot line's row, as :meth:`StoryIndex._append` takes it; ``dims``
-    collects the embedding lengths, which must all be equal. The doc_id must be
-    a JSON integer and the target a JSON number, so neither is rounded or
-    parsed from a string on the way in."""
-    doc_id, target = record["doc_id"], record["target"]
+    collects the embedding lengths, which must all be equal. A field not of its
+    JSON type raises TypeError, so nothing is rounded or parsed on the way in."""
+    doc_id, target, embedding = record["doc_id"], record["target"], record["embedding"]
     if type(doc_id) is not int:  # a bool is an int too
         raise TypeError(f"doc_id must be an integer, got {doc_id!r}")
-    row = (record["embedding"], doc_id, Date.fromisoformat(record["date"]).toordinal(),
+    for key in ("text", "granularity"):
+        if type(record[key]) is not str:
+            raise TypeError(f"{key} must be a string, got {record[key]!r}")
+    if not _is_vector(embedding):
+        raise TypeError("embedding must be a nonempty flat list of numbers")
+    row = (embedding, doc_id, Date.fromisoformat(record["date"]).toordinal(),
            float(_check_number("target", target)), record["text"], record["granularity"])
     dims.append(len(row[0]))
     if dims[-1] != dims[0]:

@@ -70,7 +70,7 @@ def render_query_story(ev: WipEvent, granularity: str = "daily") -> Story:
         done=ev.done, new=ev.new, started=ev.started,
     )
     if granularity == "weekday":
-        weekday = WEEKDAY_NAMES[ev.day_of_week - 1]
+        weekday = WEEKDAY_NAMES[ev.date.weekday()]
         text = f"On {weekday}, the" + text[len("The"):]
     return Story(text=text, kind="query", granularity=granularity, date=ev.date)
 

@@ -78,4 +78,4 @@ def synthetic_series(n_days: int = 60, seed: int = 0,
         started = rng.randint(0, new)
         events.append(wip_event(day, opened, high, low, level,
                                 new=new, done=done, started=started))
-    return WipSeries(events=tuple(events), contiguous=True)
+    return WipSeries(events=tuple(events))

@@ -1,14 +1,14 @@
 """Daily work-in-progress series derived from an event log.
 
-Each calendar day gets a ten-field vector: three calendar components
-(day of week / month / year) and seven counts describing how the number of
-active cases moved through the day (open, high, low, close) plus how many
-cases finished, appeared, or were start-marked that day.
+Each calendar day gets its date and seven counts describing how the number
+of active cases moved through the day (open, high, low, close) plus how many
+cases finished, appeared, or were start-marked that day. A ``wip.csv`` row
+adds the day of week / month / year, computed from the date.
 
-A case is active from its first event (inclusive) up to, but not including,
-its last event. It counts as new on the day of its first event, done on the
-day of its last, and started on the day of its first event whose lifecycle is
-``start`` in any letter case (``START`` too), else on the day of its first.
+A case is active from its earliest event (inclusive) up to, but not including,
+its latest event. It counts as new on the day of its earliest event, done on
+the day of its latest, and started on the day of its earliest event whose
+lifecycle is ``start`` in any letter case (``START`` too), else when it opens.
 """
 
 from __future__ import annotations
@@ -37,19 +37,16 @@ _MICROSECOND = timedelta(microseconds=1)
 
 @dataclass(frozen=True)
 class WipEvent:
-    """One day's WiP vector."""
+    """One day's WiP vector: its date and seven counts."""
 
     date: Date
-    day_of_week: int
-    day_of_month: int
-    day_of_year: int
     open: int
     high: int
     low: int
     close: int
-    new: int
-    done: int
-    started: int
+    new: int = 0
+    done: int = 0
+    started: int = 0
 
     def __post_init__(self) -> None:
         if not (self.low <= self.open <= self.high and self.low <= self.close <= self.high):
@@ -58,43 +55,31 @@ class WipEvent:
             raise ValueError(f"{self.date}: negative count")
 
 
-def wip_event(day: Date, open: int, high: int, low: int, close: int,
-              new: int = 0, done: int = 0, started: int = 0) -> WipEvent:
-    """Build a :class:`WipEvent` with the calendar fields filled in from ``day``."""
-    return WipEvent(
-        date=day,
-        day_of_week=day.isoweekday(),
-        day_of_month=day.day,
-        day_of_year=day.timetuple().tm_yday,
-        open=open,
-        high=high,
-        low=low,
-        close=close,
-        new=new,
-        done=done,
-        started=started,
-    )
+wip_event = WipEvent  # the name the tests, synthetic.py and the bench notes use
+
+
+def _calendar(day: Date) -> tuple[int, int, int]:
+    """The ``dow``, ``dom`` and ``doy`` columns of ``day``'s ``wip.csv`` row."""
+    return day.isoweekday(), day.day, day.timetuple().tm_yday
 
 
 @dataclass(frozen=True)
 class WipSeries:
     """Daily WiP vectors with strictly increasing dates, as built by
-    :func:`build_wip_series` or read back by :func:`load_wip_csv`.
-
-    ``contiguous`` is False when gap days were dropped; the adjacency property
-    (next day's open equals the previous day's close) is only guaranteed when
-    it is True.
-    """
+    :func:`build_wip_series` or read back by :func:`load_wip_csv`."""
 
     events: Sequence[WipEvent]
-    contiguous: bool = True
 
     def __post_init__(self) -> None:
         for a, b in zip(self.events, self.events[1:]):
             if b.date <= a.date:
                 raise ValueError(f"dates not strictly increasing at {b.date}")
-            if self.contiguous and b.date != a.date + timedelta(days=1):
-                raise ValueError(f"contiguous series has a gap before {b.date}")
+
+    @property
+    def contiguous(self) -> bool:
+        """No day is missing between the first and the last; only then is the next
+        day's open guaranteed to equal the previous day's close."""
+        return not self.events or (self.events[-1].date - self.events[0].date).days == len(self) - 1
 
     def __len__(self) -> int:
         return len(self.events)
@@ -112,12 +97,12 @@ def _per_day(days: np.ndarray, first: int, n_days: int) -> np.ndarray:
 
 def _case_rows(log: EventLog, local_day: Callable[[datetime], int]) -> np.ndarray:
     """One row per case: the instants (microseconds since the epoch) of its
-    first and last events, and the local days (ordinals) of its first event,
-    its last event and its start.
+    earliest and latest events, and the local days (ordinals) of its earliest
+    event, its latest event and its start.
 
-    One pass over the events, which are in time order, keeps each case's
-    first and last timestamps and its first ``start``-marked one, if any.
-    The per-case dict is freed on return, before the replay's arrays exist.
+    One pass over the events, in any order, keeps each case's earliest and
+    latest timestamps and its earliest ``start``-marked one, if any. The
+    per-case dict is freed on return, before the replay's arrays exist.
     """
     anchors: dict[str, list] = {}
     for ev in log.events:
@@ -125,11 +110,13 @@ def _case_rows(log: EventLog, local_day: Callable[[datetime], int]) -> np.ndarra
         marked = ev.lifecycle is not None and ev.lifecycle.lower() == "start"
         case = anchors.get(ev.case_id)
         if case is None:
-            anchors[ev.case_id] = [ts, ts, ts if marked else None]
-        else:
+            case = anchors[ev.case_id] = [ts, ts, None]
+        elif ts < case[0]:
+            case[0] = ts
+        elif ts > case[1]:
             case[1] = ts
-            if marked and case[2] is None:
-                case[2] = ts
+        if marked and (case[2] is None or ts < case[2]):
+            case[2] = ts
 
     def row(opened: datetime, closed: datetime, started: datetime | None) -> tuple[int, ...]:
         open_day = local_day(opened)
@@ -144,13 +131,14 @@ def _case_rows(log: EventLog, local_day: Callable[[datetime], int]) -> np.ndarra
 def build_wip_series(log: EventLog, gap_policy: str = "carry", tz: str = "UTC") -> WipSeries:
     """Replay a log's case openings and closings into a daily WiP series.
 
-    A case opens at its first event, closes at its last and starts at its
-    first ``start``-marked event (any letter case), else at its first. Day
-    boundaries are midnights in the reporting timezone ``tz``. The running
-    active count is sampled after every instant at which cases open or close
-    (simultaneous transitions are applied together), which yields each day's
-    high and low; the day's open is the count carried in from the previous
-    day and its close is the count carried out.
+    A case opens at its earliest event, closes at its latest and starts at
+    its earliest ``start``-marked event (any letter case), else when it opens,
+    whatever the order of the log. Days run from the local day of the log's
+    earliest instant to that of its latest, between midnights in ``tz``. The
+    running active count is sampled after every instant at which cases open
+    or close (simultaneous transitions are applied together), which yields
+    each day's high and low; the day's open is the count carried in from the
+    previous day and its close is the count carried out.
     """
     if gap_policy not in GAP_POLICIES:
         raise ValueError(f"unknown gap policy {gap_policy!r}")
@@ -164,8 +152,9 @@ def build_wip_series(log: EventLog, gap_policy: str = "carry", tz: str = "UTC") 
     cases = _case_rows(log, local_day)
     open_at, close_at, open_days, close_days, started_days = cases.T
 
-    first = local_day(log.events[0].timestamp)
-    n_days = local_day(log.events[-1].timestamp) - first + 1
+    # Not the least and greatest local days: local dates step back in some zones.
+    first = int(open_days[open_at.argmin()])
+    n_days = int(close_days[close_at.argmax()]) - first + 1
     # Transitions in time order; openings (+1) are the first len(cases).
     at = np.concatenate((open_at, close_at))
     order = np.argsort(at, kind="stable")
@@ -195,9 +184,8 @@ def build_wip_series(log: EventLog, gap_policy: str = "carry", tz: str = "UTC") 
 
     if gap_policy == "drop":
         event_days = {local_day(ev.timestamp) for ev in log.events}
-        kept = tuple(ev for ev in days if ev.date.toordinal() in event_days)
-        return WipSeries(kept, contiguous=len(kept) == len(days))
-    return WipSeries(tuple(days), contiguous=True)
+        days = [ev for ev in days if ev.date.toordinal() in event_days]
+    return WipSeries(tuple(days))
 
 
 def active_count_at(log: EventLog, instant: datetime) -> int:
@@ -219,11 +207,8 @@ def export_wip_csv(series: WipSeries) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(WIP_CSV_HEADER)
-    for ev in series.events:
-        writer.writerow(
-            [ev.date.isoformat(), ev.day_of_week, ev.day_of_month, ev.day_of_year,
-             ev.open, ev.high, ev.low, ev.close, ev.new, ev.done, ev.started]
-        )
+    counts = attrgetter("open", "high", "low", "close", "new", "done", "started")
+    writer.writerows([ev.date.isoformat(), *_calendar(ev.date), *counts(ev)] for ev in series.events)
     return buf.getvalue()
 
 
@@ -233,8 +218,7 @@ def load_wip_csv(source: str | IO[str]) -> WipSeries:
     Each row is checked as its :class:`WipEvent` is built: eleven fields, an
     ISO date, integers inside 64 bits, calendar fields that match the date,
     OHLC order, nonnegative counts and strictly increasing dates. A row that
-    fails raises ValueError naming the file and line. The series is contiguous
-    when no day is missing.
+    fails raises ValueError naming the file and line.
     """
     name = getattr(source, "name", "<stream>")
     text = source if isinstance(source, str) else source.read()
@@ -253,15 +237,14 @@ def load_wip_csv(source: str | IO[str]) -> WipSeries:
             fields = [int(value) for value in row[1:]]
             if not -2**63 <= min(fields) <= max(fields) < 2**63:
                 raise ValueError("a field is out of the 64-bit range")
-            calendar = (day.isoweekday(), day.day, day.timetuple().tm_yday)
+            calendar = _calendar(day)
             if tuple(fields[:3]) != calendar:
                 raise ValueError(f"{day}: dow/dom/doy {'/'.join(map(str, fields[:3]))} do not "
                                  f"match the date (want {'/'.join(map(str, calendar))})")
-            event = WipEvent(day, *fields)  # checks OHLC order and nonnegative counts
+            event = WipEvent(day, *fields[3:])  # checks OHLC order and nonnegative counts
             if events and day <= events[-1].date:
                 raise ValueError(f"{day}: dates not strictly increasing")
         except ValueError as exc:
             raise ValueError(f"{name}, line {reader.line_num}: {exc}") from exc
         events.append(event)
-    contiguous = not events or (events[-1].date - events[0].date).days == len(events) - 1
-    return WipSeries(tuple(events), contiguous=contiguous)
+    return WipSeries(tuple(events))

@@ -254,7 +254,7 @@ def _pred(agent_id: str, value: float) -> Prediction:
 
 def _trend(label: str) -> TrendInsight:
     return TrendInsight(label=label, sma_first=1.0, sma_last=1.0,
-                        relative_change=0.0, text="synthetic")
+                        relative_change=0.0)
 
 
 def test_acceptance_6_fusion_properties():

@@ -176,7 +176,7 @@ def test_trend_scale_invariance():
 
 def test_trend_insight_rejects_unknown_label():
     with pytest.raises(ValueError):
-        TrendInsight(label="sideways", sma_first=1, sma_last=1, relative_change=0, text="x")
+        TrendInsight(label="sideways", sma_first=1, sma_last=1, relative_change=0)
 
 
 # --- rules fusion ---

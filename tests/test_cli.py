@@ -286,6 +286,29 @@ def test_forecast_date_without_its_previous_day_exits_1_naming_it(workspace, cap
     assert f"cannot forecast {target}: no series day at" in capsys.readouterr().err
 
 
+def test_forecast_of_the_first_calendar_day_exits_1_naming_it(workspace, capsys):
+    # The day before it used to end in an OverflowError traceback.
+    assert main(["forecast", "--out", workspace, "--date", "0001-01-01"]) == 1
+    assert "error: cannot forecast 0001-01-01: the calendar has no day before it" in (
+        capsys.readouterr().err)
+
+
+def test_forecast_after_the_last_calendar_day_exits_1_naming_it(tmp_path, capsys):
+    # The day after it used to end in an OverflowError traceback.
+    log = tmp_path / "tickets.csv"
+    log.write_text("case,activity,timestamp,lifecycle\n"
+                   "c1,open,9999-12-29T09:00:00+00:00,\n"
+                   "c2,open,9999-12-30T09:00:00+00:00,\n"
+                   "c1,close,9999-12-31T09:00:00+00:00,\n"
+                   "c2,close,9999-12-31T10:00:00+00:00,\n")
+    assert main(["ingest", str(log), "--out", str(tmp_path)]) == 0
+    assert read_lines(tmp_path / "wip.csv")[-1].startswith("9999-12-31,")
+    capsys.readouterr()
+    assert main(["forecast", "--out", str(tmp_path)]) == 1
+    assert "error: cannot forecast the day after 9999-12-31: the calendar ends there" in (
+        capsys.readouterr().err)
+
+
 def test_a_second_forecast_in_one_process_builds_no_days(tmp_path, workspace, monkeypatch):
     out = tmp_path / "run"
     shutil.copytree(workspace, out)
@@ -942,7 +965,9 @@ def test_forecast_on_a_malformed_snapshot_exits_1_naming_it(tmp_path, snapshot_w
 
 
 @pytest.mark.parametrize("damage", ["doc_id beyond 64 bits", "infinite target", "fractional doc_id",
-                                    "boolean doc_id", "string target", "boolean target"])
+                                    "boolean doc_id", "string target", "boolean target",
+                                    "number text", "nested text", "list granularity",
+                                    "object embedding entry", "boolean embedding entry"])
 def test_forecast_on_a_snapshot_row_out_of_range_exits_1_naming_it(tmp_path, snapshot_workspace,
                                                                    capsys, damage):
     out = tmp_path / "run"
@@ -956,11 +981,19 @@ def test_forecast_on_a_snapshot_row_out_of_range_exits_1_naming_it(tmp_path, sna
     elif damage == "infinite target":  # used to reach the model and fail on "PREDICTION: inf"
         records[3]["target"] = math.inf
         want = f"index_daily.jsonl: target inf of the story dated {records[3]['date']} is not finite"
-    else:  # each used to load silently as doc_id 3 or 1, or as target 72.0 or 1.0
+    elif damage.endswith("embedding entry"):  # an object used to end in a TypeError
+        # traceback, and true to load as 1.0
+        records[3]["embedding"][5] = {"a": 1} if damage.startswith("object") else True
+        want = ("index_daily.jsonl, line 4: not a snapshot record "
+                "(TypeError: embedding must be a nonempty flat list of numbers)")
+    else:  # each used to load silently as doc_id 3 or 1, as target 72.0 or 1.0, or as a
+        # text that is not a string; a list granularity ended in a TypeError traceback
         key, value = {"fractional doc_id": ("doc_id", 3.7), "boolean doc_id": ("doc_id", True),
-                      "string target": ("target", "72"), "boolean target": ("target", True)}[damage]
+                      "string target": ("target", "72"), "boolean target": ("target", True),
+                      "number text": ("text", 5), "nested text": ("text", ["x", {"a": 1}]),
+                      "list granularity": ("granularity", ["daily"])}[damage]
         records[3][key] = value
-        kind = "an integer" if key == "doc_id" else "a number"
+        kind = {"doc_id": "an integer", "target": "a number"}.get(key, "a string")
         want = (f"index_daily.jsonl, line 4: not a snapshot record "
                 f"(TypeError: {key} must be {kind}, got {value!r})")
     path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))

@@ -47,7 +47,7 @@ def constant_series(n, value=25, start=date(2024, 3, 1)):
         wip_event(start + timedelta(days=i), value, value, value, value)
         for i in range(n)
     )
-    return WipSeries(events=events, contiguous=True)
+    return WipSeries(events=events)
 
 
 # --- metric oracles ---
@@ -143,7 +143,7 @@ def test_persistence_spec_example():
         wip_event(start + timedelta(days=i), c, c, c, c)
         for i, c in enumerate([10, 20, 30])
     )
-    series = WipSeries(events=events, contiguous=True)
+    series = WipSeries(events=events)
     trace = persistence_baseline(series, split_date=start)
     assert [e.predicted for e in trace.entries] == [10.0, 20.0]
     assert [e.actual for e in trace.entries] == [20.0, 30.0]
@@ -193,7 +193,7 @@ def test_rolling_rejects_gappy_series():
         wip_event(date(2024, 1, 1), 5, 6, 4, 5),
         wip_event(date(2024, 1, 3), 5, 6, 4, 5),
     )
-    series = WipSeries(events=events, contiguous=False)
+    series = WipSeries(events=events)
     with pytest.raises(ValueError):
         rolling_forecast(series, split_date=date(2024, 1, 1))
 

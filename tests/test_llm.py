@@ -263,13 +263,6 @@ def test_remote_backend_sends_bearer_from_env(monkeypatch):
     assert session.calls[0]["headers"]["Authorization"] == "Bearer sk-test"
 
 
-def test_remote_backend_nondeterministic_omits_temperature():
-    session = FakeSession([_completion("ok 1")])
-    backend = RemoteChatBackend("http://llm.test", "m", session=session, backoff=0.0)
-    backend.chat(ChatRequest(system_text="s", user_text="u", deterministic=False))
-    assert "temperature" not in session.calls[0]["json"]
-
-
 INVALID_REQUESTS = [requests.exceptions.MissingSchema("No scheme supplied"),
                     requests.exceptions.InvalidSchema("No connection adapters"),
                     requests.exceptions.InvalidURL("No host supplied")]

@@ -21,7 +21,7 @@ from wipcast.narrative import (
     story_to_dict,
     write_stories_jsonl,
 )
-from wipcast.wipseries import wip_event
+from wipcast.wipseries import WipEvent, wip_event
 
 from conftest import random_wip_event
 
@@ -57,6 +57,11 @@ def test_weekday_prefix(monday_example):
     story = render_query_story(monday_example, granularity="weekday")
     assert story.text == "On Monday, the" + MONDAY_QUERY[len("The"):]
     assert story.granularity == "weekday"
+
+
+def test_weekday_name_follows_the_date():
+    story = render_query_story(WipEvent(date(2024, 1, 1), 5, 6, 4, 5), "weekday")
+    assert story.text.startswith("On Monday, the WiP items opened at 5,")
 
 
 def test_weekday_contextual_composition(monday_example):

@@ -10,9 +10,10 @@ from zoneinfo import ZoneInfo
 
 import pytest
 
-from wipcast.eventlog import ColumnMapping, parse_csv
-from wipcast.synthetic import synthetic_series
+from wipcast.eventlog import ColumnMapping, Event, EventLog, SourceMeta, parse_csv
+from wipcast.synthetic import synthetic_event_log, synthetic_series
 from wipcast.wipseries import (
+    GAP_POLICIES,
     WIP_CSV_HEADER,
     WipEvent,
     WipSeries,
@@ -65,11 +66,9 @@ def test_five_case_fixture_matches_hand_simulation(five_case_log):
 
 def test_five_case_calendar_fields(five_case_log):
     series = build_wip_series(five_case_log)
-    first = series.events[0]
+    first_row = export_wip_csv(series).splitlines()[1].split(",")
     # 2024-05-01 was a Wednesday, day 122 of a leap year.
-    assert first.day_of_week == 3
-    assert first.day_of_month == 1
-    assert first.day_of_year == 122
+    assert first_row[:4] == ["2024-05-01", "3", "1", "122"]
 
 
 def test_adjacency_open_equals_previous_close(five_case_log):
@@ -120,6 +119,53 @@ def test_build_invariant_to_input_order(five_case_log):
     a = build_wip_series(five_case_log)
     b = build_wip_series(shuffled)
     assert a.events == b.events
+
+
+# Zones with a daylight-saving change (Europe/Berlin on 2024-03-31), a
+# half-hour one (Australia/Lord_Howe on 2024-04-07) and a local date that
+# steps back (America/Sitka on 1867-10-18) inside the log's span.
+SHUFFLE_ZONES = [("UTC", datetime(2024, 1, 1, 8, tzinfo=timezone.utc)),
+                 ("Europe/Berlin", datetime(2024, 3, 1, tzinfo=timezone.utc)),
+                 ("America/Sitka", datetime(1867, 10, 1, tzinfo=timezone.utc)),
+                 ("Australia/Lord_Howe", datetime(2024, 3, 20, tzinfo=timezone.utc))]
+
+
+@pytest.mark.parametrize("tz, start", SHUFFLE_ZONES, ids=[z for z, _ in SHUFFLE_ZONES])
+def test_shuffled_events_give_an_equal_series(tz, start):
+    # A case's touch and resolution are both start-marked, so its earliest
+    # start-marked event is often not the first one a shuffled log shows.
+    marks = {"open": "schedule", "work": "start", "resolve": "START"}
+    log = synthetic_event_log(40, seed=5, start=start, span_days=60)
+    events = [Event(ev.case_id, ev.activity, ev.timestamp, marks[ev.activity]) for ev in log.events]
+    want = {policy: build_wip_series(EventLog(tuple(events), log.source_meta), policy, tz)
+            for policy in GAP_POLICIES}
+    assert not want["drop"].contiguous  # the span has days without events
+    rng = random.Random(tz)
+    for _ in range(10):
+        rng.shuffle(events)
+        shuffled = EventLog(tuple(events), log.source_meta)
+        for policy in GAP_POLICIES:
+            assert build_wip_series(shuffled, policy, tz) == want[policy], (policy, events[:3])
+
+
+@pytest.mark.parametrize("rows, n_days", [
+    # A case's closing event listed before its opening one used to end in
+    # numpy's "'minlength' must not be negative".
+    ([("c1", "close", _utc(2024, 1, 5, 9)), ("c1", "open", _utc(2024, 1, 1, 9)),
+      ("c2", "open", _utc(2024, 1, 2, 9)), ("c2", "close", _utc(2024, 1, 3, 9))], 5),
+    # Used to close 2024-01-03 at 0 with c0 and c1 both open.
+    ([("c0", "open", _utc(2024, 1, 1, 1)), ("c1", "close", _utc(2024, 1, 4, 9)),
+      ("c1", "open", _utc(2024, 1, 2, 9)), ("c0", "close", _utc(2024, 1, 6, 1))], 6),
+], ids=["close-first", "close-before-open"])
+def test_a_log_out_of_time_order_agrees_with_the_oracle(rows, n_days):
+    log = EventLog(tuple(Event(*row) for row in rows), SourceMeta("unsorted", "synthetic", len(rows)))
+    series = build_wip_series(log)
+    assert [ev.date for ev in series.events] == [date(2024, 1, 1) + timedelta(days=d)
+                                                 for d in range(n_days)]
+    for ev in series.events:
+        midnight = datetime.combine(ev.date, time(0), tzinfo=timezone.utc)
+        assert ev.open == active_count_at(log, midnight)
+        assert ev.close == active_count_at(log, midnight + timedelta(days=1))
 
 
 def test_gap_carry_inserts_flat_day():
@@ -232,6 +278,15 @@ def test_wip_csv_round_trip(five_case_log):
     assert back.events == series.events
 
 
+def test_hand_built_series_round_trips_through_wip_csv():
+    series = WipSeries((WipEvent(date(2024, 1, 1), 5, 6, 4, 5),
+                        WipEvent(date(2024, 1, 2), 5, 7, 3, 6, new=2, done=1, started=1)))
+    text = export_wip_csv(series)
+    assert text.splitlines()[1:] == ["2024-01-01,1,1,1,5,6,4,5,0,0,0",
+                                     "2024-01-02,2,2,2,5,7,3,6,2,1,1"]
+    assert load_wip_csv(io.StringIO(text)) == series
+
+
 def test_loaded_series_reads_like_the_built_one():
     built = synthetic_series(40, seed=3)
     loaded = load_wip_csv(io.StringIO(export_wip_csv(built)))
@@ -259,8 +314,8 @@ def test_loaded_series_with_a_dropped_day_is_not_contiguous():
     assert [ev.date for ev in loaded.events] == [date(2024, 1, 1), date(2024, 1, 5)]
     assert not loaded.contiguous
     assert [loaded.days_through(date(2024, 1, d)) for d in range(1, 7)] == [1, 1, 1, 1, 2, 2]
-    with pytest.raises(ValueError, match="gap"):
-        WipSeries(loaded.events, contiguous=True)
+    assert not WipSeries(loaded.events).contiguous
+    assert WipSeries(synthetic_series(3).events).contiguous and WipSeries(()).contiguous
 
 
 def test_randomized_logs_respect_invariants():
