@@ -40,11 +40,11 @@ from .eventlog import (
 )
 from .evaluation import (
     default_split_date,
-    embed_queries,
     emit_report,
     forecast_day,
     merge_traces,
     persistence_baseline,
+    retrieve_queries,
     rolling_forecast,
     summarize,
 )
@@ -210,8 +210,8 @@ def cmd_forecast(args, cfg: PipelineConfig) -> int:
 
     embedder = build_embedder(cfg.embedder)
     indexes = _load_or_build_indexes(args.out, cfg, series, embedder)
-    queries = embed_queries(series.events, [i], embedder, cfg.forecast.window)
-    report = forecast_day(series.events, i, {g: rows[0] for g, rows in queries.items()},
+    retrieved = retrieve_queries(series.events, [i], embedder, indexes, cfg.forecast)
+    report = forecast_day(series.events, i, {g: rows[0] for g, rows in retrieved.items()},
                           indexes, build_backend(cfg.backend), cfg.forecast)
 
     os.makedirs(args.out, exist_ok=True)

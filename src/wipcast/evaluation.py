@@ -4,9 +4,11 @@ The rolling harness moves the forecast origin over one fixed memory: each
 granularity's index holds every contextual story of the series, built once,
 and each agent retrieves as of the day d it forecasts, so only stories dated
 strictly before d can reach that forecast. That as-of cutoff is the one
-causal rule, as in ``forecast``; yesterday's contextual story (whose realized
-target is today's close) is dated before d, so it is eligible. Each step
-audits what the agents actually retrieved against the cutoff.
+causal rule, set in one place, :func:`retrieve_queries`, which ``forecast``
+uses too; yesterday's contextual story (whose realized target is today's
+close) is dated before d, so it is eligible. Each agent's retrievals for all
+steps are made up front, in one ``retrieve_many`` call. Each step audits what
+the agents actually retrieved against the cutoff.
 
 Alongside the fused multi-agent trace the harness records each predictor's
 own value as an ablation trace. All four share the same per-day retrievals,
@@ -26,7 +28,7 @@ from typing import Mapping
 
 from .agents import ForecastReport, fuse, predictor_predict, trend_analyze
 from .config import ForecastParams
-from .llm import AGENT_IDS, StubBackend
+from .llm import AGENT_IDS, RetrievedExample, StubBackend
 from .memory import DeterministicEmbedder, StoryIndex, build_indexes
 from .narrative import query_story
 from .wipseries import WipSeries
@@ -165,15 +167,22 @@ class RollingForecastResult:
     audit: tuple[StepAudit, ...]
 
 
-def embed_queries(events, days, embedder, window: int) -> dict[str, list[tuple]]:
-    """Each agent's query text and vector for each of ``days``, in order: each
-    story rendered once, each agent's distinct texts embedded in one call."""
+def retrieve_queries(events, days, embedder, indexes: Mapping[str, StoryIndex],
+                     params: ForecastParams) -> dict[str, list[tuple[str, list[RetrievedExample]]]]:
+    """Each agent's query text and retrieved stories for each of ``days``, in
+    order, as :func:`forecast_day` takes them: each query story rendered once,
+    each agent's distinct texts embedded in one call, and its stories for all
+    days retrieved from its own granularity's index in one
+    :meth:`~wipcast.memory.StoryIndex.retrieve_many` call, each day's as of
+    the forecast day, the day after ``events[i]``. This is the one place the
+    cutoff is set."""
+    as_of = [events[i].date + timedelta(days=1) for i in days]
     out = {}
     for g in AGENT_IDS:
-        texts = [query_story(events, i, g, window).text for i in days]
-        distinct = list(dict.fromkeys(texts))
-        rows = dict(zip(distinct, embedder.embed_many(distinct)))
-        out[g] = [(text, rows[text]) for text in texts]
+        texts = [query_story(events, i, g, params.window).text for i in days]
+        distinct = {text: row for row, text in enumerate(dict.fromkeys(texts))}
+        vectors = embedder.embed_many(list(distinct))[[distinct[text] for text in texts]]
+        out[g] = list(zip(texts, indexes[g].retrieve_many(vectors, as_of, params.k)))
     return out
 
 
@@ -181,21 +190,16 @@ def forecast_day(events, i: int, queries: Mapping[str, tuple], indexes: Mapping[
                  backend, params: ForecastParams) -> ForecastReport:
     """Forecast the close of the day after ``events[i]``.
 
-    ``queries`` maps each agent to its query story's text and vector for day
-    i, as :func:`embed_queries` gives them. Each agent retrieves from its own
-    granularity's index as of the forecast day, so the indexes may also hold
-    later stories. The trend analyst reads the last ``trend_lookback`` closes
-    up to day i, and fusion combines the three values. Predictors run
-    inline, in AGENT_IDS order, unless the backend says it is I/O-bound
-    (``io_bound``, as RemoteChatBackend does); only then do they fan out to a
-    short-lived thread pool.
+    ``queries`` maps each agent to its query story's text and the stories it
+    retrieved for day i, as :func:`retrieve_queries` gives them; the react
+    tool retrieves from ``indexes["daily"]``. The trend analyst reads the
+    last ``trend_lookback`` closes up to day i, and fusion combines the three
+    values. Predictors run inline, in AGENT_IDS order, unless the backend says
+    it is I/O-bound (``io_bound``, as RemoteChatBackend does); only then do
+    they fan out to a short-lived thread pool.
     """
     forecast_date = events[i].date + timedelta(days=1)
-    calls = {}
-    for aid in AGENT_IDS:
-        text, vector = queries[aid]
-        retrieved = indexes[aid].retrieve(vector, as_of=forecast_date, k=params.k)
-        calls[aid] = (aid, text, retrieved, float(events[i].close), backend)
+    calls = {aid: (aid, *queries[aid], float(events[i].close), backend) for aid in AGENT_IDS}
     if getattr(backend, "io_bound", False):
         with ThreadPoolExecutor(max_workers=len(AGENT_IDS)) as pool:
             futures = {aid: pool.submit(predictor_predict, *call) for aid, call in calls.items()}
@@ -217,13 +221,13 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
 
     The indexes are built once over the whole series by
     :func:`~wipcast.memory.build_indexes`, as ``forecast`` builds them; the
-    as-of cutoff of :meth:`StoryIndex.retrieve` keeps each step's future out.
-    Every step's query stories are rendered and embedded up front by
-    :func:`embed_queries`. Each step is one :func:`forecast_day`, audited:
-    RuntimeError if an agent retrieved a story dated on or after the day it
-    forecast. Each predictor's own value is an ablation trace, from the
-    Prediction objects that fed fusion; an agent with nothing eligible yet
-    gets no examples.
+    as-of cutoff of :meth:`StoryIndex.retrieve_many` keeps each step's future
+    out. Every step's query stories are rendered, embedded and retrieved for
+    up front by :func:`retrieve_queries`. Each step is one
+    :func:`forecast_day`, audited: RuntimeError if an agent retrieved a story
+    dated on or after the day it forecast. Each predictor's own value is an
+    ablation trace, from the Prediction objects that fed fusion; an agent with
+    nothing eligible yet gets no examples.
     """
     if params is None:
         params = ForecastParams()
@@ -239,15 +243,15 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
     events = series.events
     s = _split_index(series, split_date, min_before=14)
 
-    queries = embed_queries(events, range(s - 1, len(events) - 1), embedder, params.window)
     indexes = build_indexes(events, embedder, params.window, params.retention())
+    retrieved = retrieve_queries(events, range(s - 1, len(events) - 1), embedder, indexes, params)
     entries: list[TraceEntry] = []
     reports: list[ForecastReport] = []
     audit: list[StepAudit] = []
 
     for step, j in enumerate(range(s, len(events))):
         target_day = events[j].date
-        report = forecast_day(events, j - 1, {g: queries[g][step] for g in AGENT_IDS},
+        report = forecast_day(events, j - 1, {g: retrieved[g][step] for g in AGENT_IDS},
                               indexes, backend, params)
         newest = {aid: max((r.date for r in pred.retrieved), default=None)
                   for aid, pred in report.agent_predictions.items()}

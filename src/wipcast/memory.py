@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import math
 import os
 import threading
 import zipfile
@@ -33,6 +34,7 @@ NUMERIC_SLOTS = 8
 EMBED_CHUNK = 32  # texts per array pass: larger chunks raise peak memory, not speed
 EMBED_MODEL = "bge-base-en-v1.5"  # the remote embedder's default model
 TOP_K = 5  # stories retrieved per query
+RETRIEVE_CHUNK = 16  # queries per scoring pass: larger chunks raise peak memory, not speed
 
 
 def _is_vector(value) -> bool:
@@ -226,10 +228,13 @@ class StoryIndex:
     are checked; each doc_id is held at most once. It publishes the next
     tuple whole and never writes into one it published, so indexes may share
     a state (:func:`load_snapshot` does). Readers read the tuple once, so a
-    reader sees a batch whole or not at all. :meth:`retrieve` reads each hit
-    straight off the columns into one :class:`~wipcast.llm.RetrievedExample`.
-    One writer or many readers at a time. Ties on similarity prefer the more recent story
-    date, then the smaller doc_id.
+    reader sees a batch whole or not at all. :meth:`retrieve_many` ranks many
+    queries, each with its own as-of day, in chunks scored in one pass, and
+    reads each hit straight off the columns into one
+    :class:`~wipcast.llm.RetrievedExample`; :meth:`retrieve` is its one-row
+    case, and the walk-forward makes each agent's retrievals for all steps in
+    one ``retrieve_many`` call. One writer or many readers at a time. Ties on
+    similarity prefer the more recent story date, then the smaller doc_id.
     """
 
     def __init__(self, provider=None, retention: RetentionPolicy | None = None):
@@ -340,43 +345,90 @@ class StoryIndex:
 
     def retrieve(self, query: Story | str | np.ndarray, as_of: Date,
                  k: int = TOP_K) -> list[RetrievedExample]:
-        """Up to k stories dated strictly before as_of, most similar to ``query`` first."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if isinstance(query, np.ndarray):
-            qvec = np.asarray(query, dtype=float)
-        else:
+        """Up to k stories dated strictly before as_of, most similar to ``query``
+        first: :meth:`retrieve_many`'s one-row case. A story or text is
+        embedded by the index's provider."""
+        if not isinstance(query, np.ndarray):
             if self.provider is None:
                 raise ValueError("index has no embedding provider; pass a query vector")
-            text = query.text if isinstance(query, Story) else query
-            qvec = self.provider.embed(text)
-        qnorm = float(np.linalg.norm(qvec))
-        if qnorm == 0.0:
+            query = self.provider.embed(query.text if isinstance(query, Story) else query)
+        return self.retrieve_many(np.asarray(query, dtype=float)[None], [as_of], k)[0]
+
+    def retrieve_many(self, vectors: np.ndarray, as_of_days: Sequence[Date],
+                      k: int = TOP_K) -> list[list[RetrievedExample]]:
+        """For each row of ``vectors``, up to k stories dated strictly before the
+        day at its position in ``as_of_days``, most similar first.
+
+        Works on chunks of RETRIEVE_CHUNK consecutive queries, each scored in
+        one pass over the union of their eligible slices; every row's hits and
+        similarities are those it would get alone, bit for bit.
+        """
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        queries = np.asarray(vectors, dtype=float)
+        if queries.ndim != 2 or len(queries) != len(as_of_days):
+            raise ValueError(f"need one query row per as-of day, got shape {queries.shape} "
+                             f"for {len(as_of_days)} days")
+        # norm row by row: with axis=1 it sums in another order, and a row's
+        # similarities would depend on how it was asked
+        qnorms = [float(np.linalg.norm(row)) for row in queries]
+        if not all(qnorms):
             raise ValueError("cosine undefined for zero-norm query")
-        matrix, norms, dates, ids, targets, _, texts = self._state
-        if not len(ids):
-            return []
-        if qvec.shape[0] != matrix.shape[1]:
-            raise ValueError(f"query dim {qvec.shape[0]} does not match index dim {matrix.shape[1]}")
-        # the eligible rows, dated before as_of and inside max_age_days, are one
-        # slice; ordinals start at 1, so an age beyond the calendar keeps them all
-        cutoff, age = as_of.toordinal(), self.retention.max_age_days
-        lo, hi = np.searchsorted(dates, (0 if age is None else max(cutoff - age, 0), cutoff))
-        rows = np.arange(lo, hi)
+        state = self._state  # read once: a concurrent add publishes a new tuple
+        matrix, dates = state[0], state[2]
+        if not len(dates):
+            return [[] for _ in qnorms]
+        if queries.shape[1] != matrix.shape[1]:
+            raise ValueError(f"query dim {queries.shape[1]} does not match index dim {matrix.shape[1]}")
+        # each query's eligible rows, dated before as_of and inside max_age_days,
+        # are one slice; ordinals start at 1, so an age beyond the calendar keeps them all
+        cutoffs, age = [day.toordinal() for day in as_of_days], self.retention.max_age_days
+        his = dates.searchsorted(cutoffs).tolist()
+        los = [0] * len(his) if age is None else dates.searchsorted(
+            [max(cutoff - age, 0) for cutoff in cutoffs]).tolist()
+        out = []
+        for start in range(0, len(his), RETRIEVE_CHUNK):
+            chunk = slice(start, start + RETRIEVE_CHUNK)
+            out += self._rank(state, queries[chunk], qnorms[chunk], los[chunk], his[chunk], k)
+        return out
+
+    def _rank(self, state: tuple, queries: np.ndarray, qnorms: list[float],
+              los: list[int], his: list[int], k: int) -> list[list[RetrievedExample]]:
+        """Each query's top k of rows ``los[r]:his[r]`` of ``state``, as :meth:`retrieve_many` gives them."""
+        matrix, norms, dates, ids, targets, _, texts = state
+        a, b = min(los), max(his)
+        if a >= b:
+            return [[] for _ in los]
         # einsum, not BLAS matmul: matmul accumulates differently per row
         # position, so equal embeddings would not score bit-identically and the
         # tie rule below would never engage.
-        sims = np.einsum("ij,j->i", matrix[lo:hi], qvec) / (norms[lo:hi] * qnorm)
+        sims = np.einsum("ij,kj->ki", matrix[a:b], queries) / (norms[a:b] * np.array(qnorms)[:, None])
+        # a row outside a query's slice, or below min_similarity, ranks as -inf
+        if los.count(a) < len(los) or his.count(b) < len(his):
+            rows = np.arange(a, b)
+            sims = np.where((rows >= np.array(los)[:, None]) & (rows < np.array(his)[:, None]), sims, -np.inf)
         if self.retention.min_similarity is not None:
-            keep = sims >= self.retention.min_similarity
-            sims, rows = sims[keep], rows[keep]
-        # lexsort uses the last key as primary: similarity desc, then date desc, then id asc.
-        order = np.lexsort((ids[rows], -dates[rows], -sims))[:k]
-        hits = rows[order]
-        return [RetrievedExample(doc_id, Date.fromordinal(day), texts[row], target, sim)
-                for row, doc_id, day, target, sim in zip(
-                    hits.tolist(), ids[hits].tolist(), dates[hits].tolist(),
-                    targets[hits].tolist(), sims[order].tolist())]
+            sims = np.where(sims >= self.retention.min_similarity, sims, -np.inf)
+        # the k + 1 best by similarity alone, ordered by the tie rule: similarity
+        # desc, then date desc, then id asc (lexsort's last key is primary)
+        rest, at = max(b - a - k - 1, 0), np.arange(len(los))[:, None]  # rest: the columns left out
+        top = np.argpartition(sims, rest, axis=1)[:, rest:]
+        top_sims, rows = sims[at, top], top + a
+        order = np.lexsort((ids[rows], -dates[rows], -top_sims), axis=1)
+        rows, top_sims = rows[at, order], top_sims[at, order]
+        if rest:
+            # a k-th similarity equal to the (k+1)-th: the tie rule may prefer
+            # rows the partition left out, so rank that query over its whole slice
+            for r, (kth, after) in enumerate(top_sims[:, k - 1:k + 1].tolist()):
+                if kth == after > -math.inf:
+                    cols = np.flatnonzero(sims[r] > -np.inf)
+                    exact = cols[np.lexsort((ids[cols + a], -dates[cols + a], -sims[r, cols]))[:k]]
+                    rows[r, :k], top_sims[r, :k] = exact + a, sims[r, exact]
+        rows, top_sims = rows[:, :k], top_sims[:, :k]
+        return [[RetrievedExample(doc_id, Date.fromordinal(day), texts[row], target, sim)
+                 for row, doc_id, day, target, sim in zip(*columns) if sim > -math.inf]
+                for columns in zip(rows.tolist(), ids[rows].tolist(), dates[rows].tolist(),
+                                   targets[rows].tolist(), top_sims.tolist())]
 
 
 def build_indexes(events, embedder, window: int,

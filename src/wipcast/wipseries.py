@@ -147,7 +147,11 @@ def build_wip_series(log: EventLog, gap_policy: str = "carry", tz: str = "UTC") 
     zone = ZoneInfo(tz)
 
     def local_day(ts: datetime) -> int:
-        return ts.astimezone(zone).toordinal()
+        try:
+            return ts.astimezone(zone).toordinal()
+        except OverflowError:
+            raise ValueError(f"the instant {ts.isoformat()} has no local date in {tz}: "
+                             f"it falls outside years 1-9999") from None
 
     cases = _case_rows(log, local_day)
     open_at, close_at, open_days, close_days, started_days = cases.T

@@ -1175,6 +1175,23 @@ def test_ingest_skips_a_timestamp_out_of_range_in_utc(tmp_path):
         assert len(load_wip_csv(fh).events) == 1
 
 
+@pytest.mark.parametrize("first, last, zone", [
+    ("9999-12-31T10:00:00Z", "9999-12-31T20:00:00Z", "Pacific/Kiritimati"),
+    ("0001-01-01T01:00:00Z", "0001-01-01T20:00:00Z", "America/Los_Angeles"),
+])
+@pytest.mark.parametrize("gap_policy", ["carry", "drop"])
+def test_ingest_an_instant_without_a_local_date_exits_1_naming_it(tmp_path, capsys, first, last, zone,
+                                                                 gap_policy):
+    path = tmp_path / "edge.csv"
+    path.write_text(f"case,activity,timestamp\nc1,A,{first}\nc1,B,{last}\n")
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"input": {"timezone": zone}, "gap_policy": gap_policy}))
+    assert main(["ingest", str(path), "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the instant ") and zone in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "wip.csv").exists()
+
+
 def test_ingest_csv_that_is_not_utf8_exits_1_naming_the_file(tmp_path, capsys):
     path = tmp_path / "latin1.csv"
     path.write_bytes("case,activity,timestamp\nc1,Café,2024-01-01T09:00:00Z\n".encode("latin-1"))

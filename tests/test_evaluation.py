@@ -16,7 +16,6 @@ from wipcast.evaluation import (
     PredictionTrace,
     TraceEntry,
     default_split_date,
-    embed_queries,
     emit_report,
     forecast_day,
     mae,
@@ -26,6 +25,7 @@ from wipcast.evaluation import (
     persistence_baseline,
     predictions_csv,
     render_report_svg,
+    retrieve_queries,
     rolling_forecast,
     summarize,
 )
@@ -389,14 +389,14 @@ def test_rolling_window_longer_than_history_starts_with_empty_index():
 def test_rolling_audit_raises_on_a_story_from_the_forecast_day(monkeypatch):
     # the weekday agent's retrievals ignore the as-of cutoff; the audit of what
     # each agent retrieved names it
-    real = StoryIndex.retrieve
+    real = StoryIndex.retrieve_many
 
-    def leaky(self, query, as_of, k=5):
+    def leaky(self, vectors, as_of_days, k=5):
         if self.granularities() == {"weekday"}:
-            as_of = date.max
-        return real(self, query, as_of, k)
+            as_of_days = [date.max] * len(as_of_days)
+        return real(self, vectors, as_of_days, k)
 
-    monkeypatch.setattr(StoryIndex, "retrieve", leaky)
+    monkeypatch.setattr(StoryIndex, "retrieve_many", leaky)
     series = synthetic_series(20, seed=3)
     with pytest.raises(RuntimeError, match="weekday retrieved a story dated"):
         rolling_forecast(series, split_date=series.events[14].date)
@@ -466,9 +466,10 @@ def _empty_indexes():
     return {aid: StoryIndex(provider=DeterministicEmbedder()) for aid in AGENT_IDS}
 
 
-def _queries(events, i):
-    """Each agent's query text and vector for day i, as forecast takes them."""
-    return {g: rows[0] for g, rows in embed_queries(events, [i], DeterministicEmbedder(), 7).items()}
+def _queries(events, i, indexes, params):
+    """Each agent's query text and retrieved stories for day i, as forecast takes them."""
+    return {g: rows[0] for g, rows in
+            retrieve_queries(events, [i], DeterministicEmbedder(), indexes, params).items()}
 
 
 def test_forecast_day_fans_a_remote_backend_out():
@@ -476,8 +477,9 @@ def test_forecast_day_fans_a_remote_backend_out():
     backend = RemoteChatBackend("http://llm.test", "m", session=session, backoff=0.0)
     series = synthetic_series(20, seed=3)
     events = series.events
-    report = forecast_day(events, len(events) - 1, _queries(events, len(events) - 1),
-                          _empty_indexes(), backend, ForecastParams())
+    indexes, params = _empty_indexes(), ForecastParams()
+    report = forecast_day(events, len(events) - 1, _queries(events, len(events) - 1, indexes, params),
+                          indexes, backend, params)
     assert report.date == series.events[-1].date + timedelta(days=1)
     assert session.calls == 3
     assert session.max_in_flight >= 2
@@ -502,7 +504,8 @@ def test_forecast_day_thread_pool_gives_the_inline_report(mode):
     series = synthetic_series(40, seed=3)
     events = series.events
     indexes = build_indexes(events, DeterministicEmbedder(), 7)
-    queries, params = _queries(events, 30), ForecastParams(fusion_mode=mode)
+    params = ForecastParams(fusion_mode=mode)
+    queries = _queries(events, 30, indexes, params)
     inline = forecast_day(events, 30, queries, indexes, StubBackend(), params)
     backend = PooledStub()
     assert forecast_day(events, 30, queries, indexes, backend, params) == inline
@@ -515,7 +518,8 @@ def test_forecast_day_trend_reads_only_closes_up_to_the_current_day():
     series = synthetic_series(40, seed=2)
     params = ForecastParams(trend_lookback=10, trend_window=3)
     for i in (0, 5, 20, 39):
-        report = forecast_day(series.events, i, _queries(series.events, i), _empty_indexes(),
+        indexes = _empty_indexes()
+        report = forecast_day(series.events, i, _queries(series.events, i, indexes, params), indexes,
                               StubBackend(), params)
         closes = [ev.close for ev in series.events[:i + 1]]
         assert report.trend == trend_analyze(closes, window=3, lookback=10)

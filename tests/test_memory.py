@@ -342,6 +342,68 @@ def test_retrieve_matches_oracle_on_random_corpora():
                 assert gs == pytest.approx(ws, abs=1e-9)
 
 
+def test_retrieve_many_rows_equal_retrieve_one_query_at_a_time():
+    """Each row of retrieve_many, over several chunks of queries given out of
+    date order, is what retrieve gives that query alone: the same doc_ids and
+    bit-equal similarities, ties broken as the oracle breaks them."""
+    emb = DeterministicEmbedder()
+    ties = 0
+    for trial in range(16):
+        rng = random.Random(2000 + trial)
+        docs = build_corpus(rng, rng.randint(1, 90), emb)
+        # copies of a few embeddings on other days tie with them, at the k-th place too
+        for doc in rng.sample(docs, min(len(docs), 5)):
+            for _ in range(rng.randint(1, 4)):
+                day = doc.story.date + timedelta(days=rng.randint(-3, 60))
+                docs.append(Doc(replace(doc.story, date=day), doc.embedding, len(docs)))
+        policy = rng.choice([RetentionPolicy(), RetentionPolicy(max_age_days=rng.randint(1, 30)),
+                             RetentionPolicy(max_age_days=10**30),
+                             RetentionPolicy(min_similarity=rng.uniform(0.9, 1.0))])
+        index = StoryIndex(provider=emb, retention=policy)
+        add_docs(index, docs)
+        days = [date.min, date.max, *(date(2024, 1, 1) + timedelta(days=rng.randint(-10, 160))
+                                      for _ in range(rng.randint(1, 40)))]
+        rng.shuffle(days)
+        vectors = [rng.choice(docs).embedding if rng.random() < 0.5 else emb.embed(
+            render_query_story(random_wip_event(rng, day if day < date.max else date(2024, 6, 1))).text)
+            for day in days]
+        k = rng.choice((1, 2, 5, len(docs) + 3))
+        rows = index.retrieve_many(np.array(vectors), days, k)
+        assert len(rows) == len(days)
+        for vector, day, row in zip(vectors, days, rows):
+            alone = index.retrieve(vector, day, k)
+            assert [(r.doc_id, r.similarity) for r in row] == [(r.doc_id, r.similarity) for r in alone]
+            assert row == alone
+            # the oracle's date arithmetic cannot reach back 10**30 days; nor need it
+            want = oracle_retrieve(docs, vector, day, k, policy if policy.max_age_days != 10**30 else None)
+            assert [r.doc_id for r in row] == [doc_id for doc_id, _ in want]
+            deeper = index.retrieve(vector, day, k + 1)
+            ties += len(deeper) > k and deeper[k - 1].similarity == deeper[k].similarity
+    assert ties > 10  # the k-th and (k+1)-th stories tied that often
+
+
+def test_retrieve_many_on_an_empty_index_and_bad_queries():
+    empty = StoryIndex()
+    assert empty.retrieve_many(np.ones((3, 4)), [date(2024, 1, 1)] * 3) == [[], [], []]
+    assert empty.retrieve_many(np.empty((0, 4)), []) == []
+    rng = random.Random(8)
+    emb = DeterministicEmbedder()
+    index = StoryIndex(provider=emb)
+    add_docs(index, build_corpus(rng, 10, emb))
+    queries = np.ones((2, emb.dim))
+    days = [date(2024, 2, 1)] * 2
+    assert [len(row) for row in index.retrieve_many(queries, days, k=3)] == [3, 3]
+    queries[1] = 0.0
+    with pytest.raises(ValueError, match="zero-norm"):
+        index.retrieve_many(queries, days)
+    with pytest.raises(ValueError, match="dim"):
+        index.retrieve_many(np.ones((2, emb.dim + 1)), days)
+    with pytest.raises(ValueError, match="one query row per as-of day"):
+        index.retrieve_many(np.ones((2, emb.dim)), days[:1])
+    with pytest.raises(ValueError, match="k must be"):
+        index.retrieve_many(np.ones((2, emb.dim)), days, k=0)
+
+
 
 def test_index_interleaved_adds_and_queries_match_oracle():
     rng = random.Random(404)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import re
 from collections import Counter
 from datetime import date, datetime, time, timedelta, timezone
 from zoneinfo import ZoneInfo
@@ -250,6 +251,21 @@ def test_timezone_changes_day_attribution():
     assert len(shifted.events) == 1
     assert shifted.events[0].new == 1
     assert shifted.events[0].done == 1
+
+
+@pytest.mark.parametrize("gap_policy", ["carry", "drop"])
+@pytest.mark.parametrize("instants, zone", [
+    ((datetime(9999, 12, 31, 10, tzinfo=timezone.utc), datetime(9999, 12, 31, 20, tzinfo=timezone.utc)),
+     "Pacific/Kiritimati"),
+    ((datetime(1, 1, 1, 1, tzinfo=timezone.utc), datetime(1, 1, 1, 20, tzinfo=timezone.utc)),
+     "America/Los_Angeles"),
+])
+def test_an_instant_without_a_local_date_raises_naming_it(instants, zone, gap_policy):
+    # each instant exists in UTC; its local date in the zone is past 9999-12-31 or before 0001-01-01
+    log = make_log([("c1", "open", instants[0]), ("c1", "close", instants[1])])
+    named = re.escape(f"instant {instants[0].isoformat()} has no local date in {zone}")
+    with pytest.raises(ValueError, match=named):
+        build_wip_series(log, gap_policy=gap_policy, tz=zone)
 
 
 def test_wip_event_rejects_inconsistent_range():
