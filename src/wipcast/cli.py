@@ -1,16 +1,18 @@
 """Command-line pipeline: event log -> WiP series -> index -> forecast.
 
-Every stage after `ingest` reads its ``wip.csv`` from the output directory
-(`forecast` also the snapshots `index` writes) and overwrites its own files,
-so re-running any stage with the same inputs reproduces the same files
-(timestamps in the SVG report can be frozen with a flag). `stories` writes
+`ingest` parses the log and replays it in one pass: each event is folded into
+its case as the parser yields it, so it holds a few instants per case, never
+the events. Every stage after `ingest` reads its ``wip.csv`` from the output
+directory (`forecast` also the snapshots `index` writes) and overwrites its
+own files, so re-running any stage with the same inputs reproduces the same
+files (timestamps in the SVG report can be frozen with a flag). `stories` writes
 out the stories the other stages render, to read; no stage reads them back.
 Each stage reads every run file it uses on every call and compares it with the
 bytes last loaded from it; only new bytes are hashed, parsed and checked, and
 what unchanged ones yield is reused (see :func:`memory.load_snapshot`).
 
-Exit codes: 0 success, 1 processing error, 2 missing/invalid path or usage,
-3 empty event log.
+Exit codes: 0 success, 1 processing error or standard output closed early,
+2 missing/invalid path or usage, 3 empty event log.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing
 from dataclasses import replace
 from datetime import date as Date, timedelta
 from functools import cache
@@ -35,8 +38,8 @@ from .eventlog import (
     ColumnMapping,
     EmptyLogError,
     EventLogError,
-    parse_csv,
-    parse_xes,
+    _csv_events,
+    _xes_events,
 )
 from .evaluation import (
     default_split_date,
@@ -124,9 +127,11 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
     _require(path, "input event log")
 
     fmt = _detect_format(path, args.format or cfg.input.format)
+    source = os.path.basename(path)
+    counts: list[int] = []
     with open(path, "rb") as fh:
         if fmt == "xes":
-            log = parse_xes(fh, source_name=os.path.basename(path))
+            events = _xes_events(fh, source)
         else:
             mapping = ColumnMapping(
                 case=args.case or cfg.input.case_column,
@@ -135,17 +140,16 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
                 lifecycle=args.lifecycle or cfg.input.lifecycle_column,
                 timestamp_format=cfg.input.timestamp_format,
             )
-            log = parse_csv(fh, mapping, source_name=os.path.basename(path))
-
-    cases = len({ev.case_id for ev in log.events})
-    series = build_wip_series(log, gap_policy=args.gap_policy or cfg.gap_policy,
-                              tz=cfg.input.timezone)
+            events = _csv_events(fh, mapping, source)
+        with closing(events):  # a replay that stops early closes the reader before the file
+            series = build_wip_series(events, gap_policy=args.gap_policy or cfg.gap_policy,
+                                      tz=cfg.input.timezone, _counts=counts)
 
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, SERIES_FILE)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(export_wip_csv(series))
-    print(f"ingested {len(log)} events / {cases} cases "
+    print(f"ingested {counts[0]} events / {counts[1]} cases "
           f"-> {len(series.events)} days ({series.events[0].date} .. "
           f"{series.events[-1].date})")
     print(f"wrote {out_path}")
@@ -243,8 +247,8 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     baseline = persistence_baseline(series, split_date=split)
     merged = merge_traces(result.trace, baseline)
 
-    paths = emit_report(merged, args.out, rolling_window=params.trend_window,
-                        freeze_timestamps=cfg.freeze_timestamps, split_note=f"split={split}")
+    paths = emit_report(merged, args.out, freeze_timestamps=cfg.freeze_timestamps,
+                        split_note=f"split={split}")
     reports_path = os.path.join(args.out, "forecast_reports.jsonl")
     _write_reports(reports_path, result.reports)
 
@@ -332,7 +336,16 @@ def main(argv=None) -> int:
     try:
         cfg = _effective_config(args)
         # Looked up on every call, so a rebound cmd_* (as a tracer does) is the one that runs.
-        return globals()[f"cmd_{args.command}"](args, cfg)
+        code = globals()[f"cmd_{args.command}"](args, cfg)
+        sys.stdout.flush()  # so a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout was closed before all was written (a pipe whose reader exited):
+        # point it at devnull, so the flush at exit has nowhere to fail, and end quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError,
             PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

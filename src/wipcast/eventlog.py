@@ -1,11 +1,15 @@
-"""Event log ingestion: XES (XML) and CSV parsers producing a normalized event sequence.
+"""Event log ingestion: XES (XML) and CSV parsers producing normalized events.
 
-Both parsers emit the same structure: a stably timestamp-sorted sequence of
-events, each carrying a case id, an activity name, a UTC timestamp and an
-optional lifecycle marker; no other attribute or column of the source is kept.
-That order is a property of parsed logs, not a precondition of any reader.
-Individually malformed events are skipped with a diagnostic rather than
-aborting the whole file, since real-world logs routinely contain sporadic defects.
+Each format has a private generator that yields events in file order as the
+source is read, and returns the log's :class:`SourceMeta` when it ends; the
+``ingest`` stage replays that stream without holding it. :func:`parse_xes` and
+:func:`parse_csv` collect a stream into an :class:`EventLog`, a stably
+timestamp-sorted sequence. Every event carries a case id, an activity name, a
+UTC timestamp and an optional lifecycle marker; no other attribute or column
+of the source is kept. The sorted order is a property of parsed logs, not a
+precondition of any reader. Individually malformed events are skipped with a
+diagnostic rather than aborting the whole file, since real-world logs
+routinely contain sporadic defects.
 
 A log is held lean: events are slotted, and each parse keeps a table of the
 strings it has stored (activity, lifecycle, case id), so every event carrying
@@ -25,7 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
-from typing import IO, Iterator
+from typing import IO, Generator, Iterator
 from xml.parsers import expat
 
 logger = logging.getLogger(__name__)
@@ -231,28 +235,38 @@ def _emit_trace(trace_attrs: dict[str, object], event_attrs: list[dict[str, obje
         events.append(Event(case_id, activity, ts, lifecycle))
 
 
-def parse_xes(stream: bytes | IO[bytes], source_name: str = "<xes>") -> EventLog:
-    """Parse an XES byte stream (plain or gzip) into an :class:`EventLog`.
+def _source_meta(source_name: str, fmt: str, seen: int, kept: int,
+                 diagnostics: list[str]) -> SourceMeta:
+    """Log a finished parse's diagnostics and account for it; EmptyLogError if it kept nothing."""
+    for msg in diagnostics:
+        logger.warning("%s: %s", source_name, msg)
+    if not kept:
+        raise EmptyLogError(f"{source_name}: no usable events")
+    return SourceMeta(source_name, fmt, seen, seen - kept, tuple(diagnostics))
 
-    The document is parsed as it is read, so neither the decompressed text
-    nor an element tree is ever held whole. Only the typed attributes
-    (``string``, ``int``, ``float``, ``boolean``, ``date``) that are direct
-    children of a ``trace`` under the root element, or of an ``event`` directly
-    inside such a trace, are read; everything else (log-level attributes,
-    extensions, globals, classifiers, nested lists and containers) is skipped.
-    Of those, only ``concept:name``, ``time:timestamp`` and ``lifecycle:transition``
-    are converted and kept; other keys are skipped unconverted.
 
-    The case id comes from the trace-level ``concept:name``, wherever it sits
-    in the trace; each event needs ``concept:name`` and ``time:timestamp``.
-    Events missing either are skipped with a diagnostic. Raises
-    :class:`XesParseError` on malformed XML, :class:`CorruptGzipError` on a
-    damaged gzip stream and :class:`EmptyLogError` when no usable event
-    remains.
+def _collected(events: Generator[Event, None, SourceMeta]) -> EventLog:
+    """The log of what a parser's generator yields, timestamp-sorted, with the
+    :class:`SourceMeta` it returns."""
+    kept: list[Event] = []
+    while True:
+        try:
+            kept.append(next(events))
+        except StopIteration as done:
+            return EventLog(_sorted_events(kept), done.value)
+
+
+def _xes_events(stream: bytes | IO[bytes], source_name: str = "<xes>") -> Generator[Event, None, SourceMeta]:
+    """Yield the events of an XES byte stream in file order, as :func:`parse_xes`
+    reads them, and return its :class:`SourceMeta`.
+
+    Each trace's events are made when the trace closes; those of the traces
+    closed in one 64 KiB read are yielded after it, so no more of the log is
+    held than one read's worth.
     """
     events: list[Event] = []
     diagnostics: list[str] = []
-    seen = 0
+    seen = kept = 0
     depth = 0  # of the innermost open element; the root is 1
     trace_attrs: dict[str, object] | None = None  # None outside a trace
     trace_events: list[dict[str, object]] = []  # the open trace's events, as attributes
@@ -306,35 +320,52 @@ def parse_xes(stream: bytes | IO[bytes], source_name: str = "<xes>") -> EventLog
     parser.StartElementHandler = start
     parser.EndElementHandler = end
     with _open_binary(stream, source_name) as reader:
-        try:
-            while chunk := reader.read(_CHUNK_BYTES):
-                parser.Parse(chunk, False)
-            parser.Parse(b"", True)
-        except expat.ExpatError as exc:
-            raise XesParseError(
-                f"{source_name}: malformed XML at line {exc.lineno}, column {exc.offset}: {exc}") from exc
+        while True:
+            chunk = reader.read(_CHUNK_BYTES)
+            try:
+                parser.Parse(chunk, not chunk)  # an empty read ends the document
+            except expat.ExpatError as exc:
+                raise XesParseError(
+                    f"{source_name}: malformed XML at line {exc.lineno}, column {exc.offset}: {exc}") from exc
+            kept += len(events)
+            yield from events
+            events.clear()
+            if not chunk:
+                break
+    return _source_meta(source_name, "xes", seen, kept, diagnostics)
 
-    for msg in diagnostics:
-        logger.warning("%s: %s", source_name, msg)
-    if not events:
-        raise EmptyLogError(f"{source_name}: no usable events")
-    meta = SourceMeta(source_name, "xes", seen, seen - len(events), tuple(diagnostics))
-    return EventLog(_sorted_events(events), meta)
+
+def parse_xes(stream: bytes | IO[bytes], source_name: str = "<xes>") -> EventLog:
+    """Parse an XES byte stream (plain or gzip) into an :class:`EventLog`.
+
+    The document is parsed as it is read, so neither the decompressed text
+    nor an element tree is ever held whole. Only the typed attributes
+    (``string``, ``int``, ``float``, ``boolean``, ``date``) that are direct
+    children of a ``trace`` under the root element, or of an ``event`` directly
+    inside such a trace, are read; everything else (log-level attributes,
+    extensions, globals, classifiers, nested lists and containers) is skipped.
+    Of those, only ``concept:name``, ``time:timestamp`` and ``lifecycle:transition``
+    are converted and kept; other keys are skipped unconverted.
+
+    The case id comes from the trace-level ``concept:name``, wherever it sits
+    in the trace; each event needs ``concept:name`` and ``time:timestamp``.
+    Events missing either are skipped with a diagnostic. Raises
+    :class:`XesParseError` on malformed XML, :class:`CorruptGzipError` on a
+    damaged gzip stream and :class:`EmptyLogError` when no usable event
+    remains.
+    """
+    return _collected(_xes_events(stream, source_name))
 
 
-def parse_csv(
+def _csv_events(
     stream: str | bytes | IO[str] | IO[bytes],
     mapping: ColumnMapping,
     source_name: str = "<csv>",
-) -> EventLog:
-    """Parse CSV input (header row required, UTF-8 if bytes) into an :class:`EventLog`.
-
-    Bytes may be gzip; they are decompressed and decoded as rows are read,
-    and bytes that are not UTF-8 raise :class:`EventLogError` naming the
-    line. Only the mapped columns are read; any other column, and any cell
-    beyond the header, is ignored. Rows with an unparseable timestamp or a
-    blank case/activity are skipped with a diagnostic.
-    """
+) -> Generator[Event, None, SourceMeta]:
+    """Yield the events of CSV input row by row, as :func:`parse_csv` reads them,
+    and return its :class:`SourceMeta`."""
+    diagnostics: list[str] = []
+    seen = kept = 0
     with _open_text(stream, source_name) as text:
         reader = csv.DictReader(text)
         try:
@@ -347,9 +378,6 @@ def parse_csv(
                 raise MappingError(f"{source_name}: mapped column(s) not in header: {', '.join(missing)}")
 
             share = {}.setdefault  # share(s, s): the first equal string this parse stored
-            events: list[Event] = []
-            diagnostics: list[str] = []
-            seen = 0
             for i, row in enumerate(reader, start=2):
                 seen += 1
                 case_id = (row.get(mapping.case) or "").strip()
@@ -367,7 +395,8 @@ def parse_csv(
                 if mapping.lifecycle:
                     lifecycle = (row.get(mapping.lifecycle) or "").strip()
                     lifecycle = share(lifecycle, lifecycle) or None
-                events.append(Event(share(case_id, case_id), share(activity, activity), ts, lifecycle))
+                kept += 1
+                yield Event(share(case_id, case_id), share(activity, activity), ts, lifecycle)
         except UnicodeDecodeError as exc:
             # The text layer decodes ahead of the rows: lines the reader has
             # taken, plus the line breaks before the bad byte in this chunk.
@@ -377,13 +406,23 @@ def parse_csv(
         except csv.Error as exc:  # a cell over the process-wide csv.field_size_limit(), say
             # the row reader's count takes in the line it failed on; the DictReader's lags
             raise EventLogError(f"{source_name}: line {reader.reader.line_num}: {exc}") from exc
+    return _source_meta(source_name, "csv", seen, kept, diagnostics)
 
-    for msg in diagnostics:
-        logger.warning("%s: %s", source_name, msg)
-    if not events:
-        raise EmptyLogError(f"{source_name}: no usable events")
-    meta = SourceMeta(source_name, "csv", seen, seen - len(events), tuple(diagnostics))
-    return EventLog(_sorted_events(events), meta)
+
+def parse_csv(
+    stream: str | bytes | IO[str] | IO[bytes],
+    mapping: ColumnMapping,
+    source_name: str = "<csv>",
+) -> EventLog:
+    """Parse CSV input (header row required, UTF-8 if bytes) into an :class:`EventLog`.
+
+    Bytes may be gzip; they are decompressed and decoded as rows are read,
+    and bytes that are not UTF-8 raise :class:`EventLogError` naming the
+    line. Only the mapped columns are read; any other column, and any cell
+    beyond the header, is ignored. Rows with an unparseable timestamp or a
+    blank case/activity are skipped with a diagnostic.
+    """
+    return _collected(_csv_events(stream, mapping, source_name))
 
 
 def export_csv(log: EventLog, mapping: ColumnMapping | None = None) -> str:

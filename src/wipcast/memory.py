@@ -537,25 +537,40 @@ def _decoded(path: str, data: bytes) -> IO[str]:
     return fp
 
 
+class _HashingWriter:
+    """A text file for :func:`save_index` that writes UTF-8 to a binary file and
+    hashes each write as it goes, so no copy of what is written is held."""
+
+    def __init__(self, fh: IO[bytes]):
+        import hashlib  # loads OpenSSL, needed only to write a snapshot, never by `ingest`
+
+        self._fh, self.sha256 = fh, hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        data = text.encode("utf-8")
+        self.sha256.update(data)
+        return self._fh.write(data)
+
+
 def save_snapshot(index: StoryIndex, path: str) -> int:
     """Write the index to ``path`` as JSON lines, plus a binary sidecar beside it.
 
-    The JSON lines are the snapshot of record. The sidecar (same name, ``.npz``)
-    holds the same rows as arrays, in the same order, and the sha256 of the
+    The JSON lines are the snapshot of record; each goes to the file as it is
+    rendered and is hashed on the way. The sidecar (same name, ``.npz``) holds
+    the same rows as arrays, in the same order, and the sha256 of the
     JSON-lines bytes, so :func:`load_snapshot` can skip parsing them.
     Returns the number of documents written.
     """
-    buf = io.StringIO()
-    count = save_index(index, buf)
-    data = buf.getvalue().encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(data)
+        out = _HashingWriter(fh)
+        count = save_index(index, out)
     matrix, ids, dates, targets, texts, codes = index._columns()
     ends = np.cumsum([len(text) for text in texts], dtype=np.int64)
     arrays = (matrix, targets, np.stack((ids, dates, ends), axis=1),
               np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8), codes)
     with open(_sidecar_path(path), "wb") as fh:
-        np.savez(fh, jsonl_sha256=np.array(_sha256(data)), **dict(zip(_SIDECAR_ARRAYS, arrays)))
+        np.savez(fh, jsonl_sha256=np.array(out.sha256.hexdigest()),
+                 **dict(zip(_SIDECAR_ARRAYS, arrays)))
     return count
 
 

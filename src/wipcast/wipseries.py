@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_right
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from datetime import date as Date, datetime, timedelta, timezone
 from operator import attrgetter
@@ -25,7 +25,7 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .eventlog import EmptyLogError, EventLog
+from .eventlog import EmptyLogError, Event, EventLog
 
 WIP_CSV_HEADER = ["date", "dow", "dom", "doy", "open", "high", "low", "close", "new", "done", "started"]
 
@@ -95,17 +95,22 @@ def _per_day(days: np.ndarray, first: int, n_days: int) -> np.ndarray:
     return np.bincount(i[(i >= 0) & (i < n_days)], minlength=n_days)
 
 
-def _case_rows(log: EventLog, local_day: Callable[[datetime], int]) -> np.ndarray:
-    """One row per case: the instants (microseconds since the epoch) of its
-    earliest and latest events, and the local days (ordinals) of its earliest
-    event, its latest event and its start.
+def _case_rows(events: Iterable[Event], local_day: Callable[[datetime], int],
+               event_days: set[int] | None) -> tuple[np.ndarray, int]:
+    """One row per case, and how many events were folded. A row holds the
+    instants (microseconds since the epoch) of the case's earliest and latest
+    events, and the local days (ordinals) of its earliest event, its latest
+    event and its start.
 
-    One pass over the events, in any order, keeps each case's earliest and
-    latest timestamps and its earliest ``start``-marked one, if any. The
-    per-case dict is freed on return, before the replay's arrays exist.
+    One pass over the events, in any order and as they arrive, keeps each
+    case's earliest and latest timestamps and its earliest ``start``-marked
+    one, if any, and adds each event's local day to ``event_days`` unless that
+    is None. The per-case dict is freed on return, before the replay's arrays
+    exist.
     """
     anchors: dict[str, list] = {}
-    for ev in log.events:
+    folded = 0
+    for folded, ev in enumerate(events, start=1):
         ts = ev.timestamp
         marked = ev.lifecycle is not None and ev.lifecycle.lower() == "start"
         case = anchors.get(ev.case_id)
@@ -117,6 +122,8 @@ def _case_rows(log: EventLog, local_day: Callable[[datetime], int]) -> np.ndarra
             case[1] = ts
         if marked and (case[2] is None or ts < case[2]):
             case[2] = ts
+        if event_days is not None:
+            event_days.add(local_day(ts))
 
     def row(opened: datetime, closed: datetime, started: datetime | None) -> tuple[int, ...]:
         open_day = local_day(opened)
@@ -125,11 +132,17 @@ def _case_rows(log: EventLog, local_day: Callable[[datetime], int]) -> np.ndarra
                 open_day if started in (None, opened) else local_day(started))
 
     return np.fromiter((row(*case) for case in anchors.values()),
-                       dtype=np.dtype((np.int64, 5)), count=len(anchors))
+                       dtype=np.dtype((np.int64, 5)), count=len(anchors)), folded
 
 
-def build_wip_series(log: EventLog, gap_policy: str = "carry", tz: str = "UTC") -> WipSeries:
+def build_wip_series(log: EventLog | Iterable[Event], gap_policy: str = "carry", tz: str = "UTC",
+                     *, _counts: list[int] | None = None) -> WipSeries:
     """Replay a log's case openings and closings into a daily WiP series.
+
+    ``log`` is an :class:`EventLog` or any iterable of events, such as a
+    parser's stream, read once: each event is folded into its case as it
+    arrives, so only a few instants per case are held, never the events.
+    ``_counts``, if given, is set to how many events and cases were folded.
 
     A case opens at its earliest event, closes at its latest and starts at
     its earliest ``start``-marked event (any letter case), else when it opens,
@@ -142,8 +155,6 @@ def build_wip_series(log: EventLog, gap_policy: str = "carry", tz: str = "UTC") 
     """
     if gap_policy not in GAP_POLICIES:
         raise ValueError(f"unknown gap policy {gap_policy!r}")
-    if not log.events:
-        raise EmptyLogError("cannot build a WiP series from an empty log")
     zone = ZoneInfo(tz)
 
     def local_day(ts: datetime) -> int:
@@ -153,7 +164,12 @@ def build_wip_series(log: EventLog, gap_policy: str = "carry", tz: str = "UTC") 
             raise ValueError(f"the instant {ts.isoformat()} has no local date in {tz}: "
                              f"it falls outside years 1-9999") from None
 
-    cases = _case_rows(log, local_day)
+    event_days = set() if gap_policy == "drop" else None
+    cases, folded = _case_rows(log.events if isinstance(log, EventLog) else log, local_day, event_days)
+    if not folded:
+        raise EmptyLogError("cannot build a WiP series from an empty log")
+    if _counts is not None:
+        _counts[:] = folded, len(cases)
     open_at, close_at, open_days, close_days, started_days = cases.T
 
     # Not the least and greatest local days: local dates step back in some zones.
@@ -186,8 +202,7 @@ def build_wip_series(log: EventLog, gap_policy: str = "carry", tz: str = "UTC") 
     days = [wip_event(Date.fromordinal(first + j), *counts)
             for j, counts in enumerate(zip(*(c.tolist() for c in columns)))]
 
-    if gap_policy == "drop":
-        event_days = {local_day(ev.timestamp) for ev in log.events}
+    if event_days is not None:
         days = [ev for ev in days if ev.date.toordinal() in event_days]
     return WipSeries(tuple(days))
 

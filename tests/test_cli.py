@@ -8,7 +8,9 @@ import math
 import os
 import random
 import shutil
-from datetime import date, timedelta
+import subprocess
+import sys
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +19,18 @@ import pytest
 from wipcast import cli, memory, wipseries
 from wipcast.agents import DEFAULT_FUSION_WEIGHTS
 from wipcast.cli import main
-from wipcast.eventlog import ColumnMapping, export_csv, parse_csv, validate
+from wipcast.eventlog import ColumnMapping, Event, export_csv, parse_csv, parse_xes, validate
 from wipcast.memory import DeterministicEmbedder, RemoteEmbedder
 from wipcast.narrative import GRANULARITIES, Story
 from wipcast.synthetic import synthetic_event_log
-from wipcast.wipseries import WipEvent, WipSeries, export_wip_csv, load_wip_csv
+from wipcast.wipseries import (
+    GAP_POLICIES,
+    WipEvent,
+    WipSeries,
+    build_wip_series,
+    export_wip_csv,
+    load_wip_csv,
+)
 
 from conftest import random_wip_event, xes_document
 
@@ -1283,3 +1292,157 @@ def test_stories_files_are_unchanged(golden_log_run):
     for g, digest in STORY_DIGESTS.items():
         with open(os.path.join(indexed, f"stories_{g}.jsonl"), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, g
+
+
+# --- streamed ingest ---
+
+
+def _xes_trace(case_id, events) -> str:
+    """One trace; a None case id, timestamp or lifecycle leaves that attribute out."""
+    parts = ["<trace>"]
+    if case_id is not None:
+        parts.append(f'<string key="concept:name" value="{case_id}"/>')
+    for activity, ts, lifecycle in events:
+        parts.append(f'<event><string key="concept:name" value="{activity}"/>'
+                     + (f'<date key="time:timestamp" value="{ts.isoformat()}"/>' if ts else "")
+                     + (f'<string key="lifecycle:transition" value="{lifecycle}"/>' if lifecycle else "")
+                     + "</event>")
+    parts.append("</trace>")
+    return "".join(parts)
+
+
+def shuffled_log(fmt: str, start: datetime, seed: int = 5) -> bytes:
+    """A synthetic log listed out of time order, with events the parsers skip.
+
+    A case's touch and resolution are both start-marked, so its earliest
+    start-marked event is often not the first one the log shows. As XES, one
+    case is split into two traces at either end of the document, and a trace
+    has no name; as CSV, one row has no timestamp and one no case id. Both
+    are larger than one 64 KiB read."""
+    marks = {"open": "schedule", "work": "start", "resolve": "START"}
+    events = [(ev.case_id, ev.activity, ev.timestamp, marks[ev.activity])
+              for ev in synthetic_event_log(600, seed=seed, start=start, span_days=60).events]
+    random.Random(seed).shuffle(events)
+    if fmt == "csv":
+        rows = ["case,activity,timestamp,lifecycle",
+                *(f"{c},{a},{ts.isoformat()},{m}" for c, a, ts, m in events)]
+        rows[40:40] = ["c-x,open,not a time,start", ",open,2024-01-01T00:00:00Z,start"]
+        return ("\n".join(rows) + "\n").encode("utf-8")
+    by_case: dict[str, list] = {}
+    for case_id, *event in events:
+        by_case.setdefault(case_id, []).append(event)
+    (split_case, split_events), *rest = by_case.items()
+    half = len(split_events) // 2
+    traces = [_xes_trace(split_case, split_events[:half]),
+              _xes_trace(None, [("open", start, "start")]),
+              *(_xes_trace(case_id, evs) for case_id, evs in rest),
+              _xes_trace("c-x", [("open", None, "start")]),
+              _xes_trace(split_case, split_events[half:])]
+    return ("<log>\n" + "\n".join(traces) + "\n</log>\n").encode("utf-8")
+
+
+# Zones with a daylight-saving change (Europe/Berlin on 2024-03-31), a
+# half-hour one (Australia/Lord_Howe on 2024-04-07) and a local date that
+# steps back (America/Sitka on 1867-10-18) inside the log's span.
+INGEST_ZONES = [("UTC", datetime(2024, 1, 1, 8, tzinfo=timezone.utc)),
+                ("Europe/Berlin", datetime(2024, 3, 1, tzinfo=timezone.utc)),
+                ("America/Sitka", datetime(1867, 10, 1, tzinfo=timezone.utc)),
+                ("Australia/Lord_Howe", datetime(2024, 3, 20, tzinfo=timezone.utc))]
+
+
+@pytest.mark.parametrize("gap_policy", GAP_POLICIES)
+@pytest.mark.parametrize("tz, start", INGEST_ZONES, ids=[z for z, _ in INGEST_ZONES])
+@pytest.mark.parametrize("name", ["log.xes", "log.xes.gz", "log.csv"])
+def test_streamed_ingest_writes_what_the_parsed_log_replays_into(tmp_path, capsys, name, tz, start,
+                                                                  gap_policy):
+    data = shuffled_log(name.split(".")[1], start)
+    assert len(data) > 65536
+    path = tmp_path / name
+    path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+    if name.startswith("log.xes"):
+        log = parse_xes(data, source_name=name)
+    else:
+        log = parse_csv(data, ColumnMapping("case", "activity", "timestamp", "lifecycle"),
+                        source_name=name)
+    assert log.source_meta.skipped == 2
+    report = validate(log)
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"input": {"timezone": tz, "lifecycle_column": "lifecycle"},
+                                  "gap_policy": gap_policy}))
+    assert main(["ingest", str(path), "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "wip.csv").read_text(encoding="utf-8") == export_wip_csv(
+        build_wip_series(log, gap_policy, tz))
+    assert capsys.readouterr().out.startswith(
+        f"ingested {report.event_count} events / {report.case_count} cases -> ")
+
+
+@pytest.mark.parametrize("name", ["edge.xes.gz", "edge.csv.gz"])
+def test_an_ingest_that_stops_mid_fold_closes_the_parser_and_exits_1(tmp_path, capsys, monkeypatch,
+                                                                     name):
+    # Under the drop policy each event's local day is taken as it is folded,
+    # so the first event, which has none in Pacific/Kiritimati, stops the fold
+    # with the rest of the log unread.
+    late = Event("c-late", "open", datetime(9999, 12, 31, 20, tzinfo=timezone.utc), "start")
+    events = [late, *synthetic_event_log(2000, seed=3).events]
+    if name.startswith("edge.xes"):
+        by_case: dict[str, list] = {}
+        for ev in events:
+            by_case.setdefault(ev.case_id, []).append((ev.activity, ev.timestamp))
+        text = xes_document(by_case)
+    else:
+        text = "case,activity,timestamp\n" + "".join(
+            f"{ev.case_id},{ev.activity},{ev.timestamp.isoformat()}\n" for ev in events)
+    assert len(text) > 3 * 65536
+    path = tmp_path / name
+    path.write_bytes(gzip.compress(text.encode("utf-8")))
+    streams = []
+
+    def kept(stream):
+        def keep(*args, **kwargs):
+            streams.append(stream(*args, **kwargs))
+            return streams[-1]
+        return keep
+
+    monkeypatch.setattr(cli, "_xes_events", kept(cli._xes_events))
+    monkeypatch.setattr(cli, "_csv_events", kept(cli._csv_events))
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"input": {"timezone": "Pacific/Kiritimati"}, "gap_policy": "drop"}))
+    assert main(["ingest", str(path), "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the instant 9999-12-31T20:00:00+00:00 has no local date in "
+                          "Pacific/Kiritimati") and "Traceback" not in err
+    assert not (tmp_path / "out" / "wip.csv").exists()
+    [stream] = streams
+    assert stream.gi_frame is None  # closed by the ingest, not left for the collector
+
+
+# --- standard output closed early ---
+
+
+@pytest.mark.parametrize("stage", ["forecast", "evaluate"])
+def test_a_stage_whose_stdout_is_closed_exits_1_without_a_traceback(tmp_path, workspace, stage):
+    out = tmp_path / "run"
+    shutil.copytree(workspace, out)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nothing will read: every write to the pipe fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "wipcast.cli", stage, "--out", str(out)],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
+# --- report ---
+
+
+def test_the_report_rolling_mape_window_is_not_the_trend_window(tmp_path, workspace):
+    out = tmp_path / "run"
+    shutil.copytree(workspace, out)
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"forecast": {"trend_window": 5}}))
+    assert main(["evaluate", "--config", str(config), "--out", str(out), "--freeze-timestamps"]) == 0
+    svg = (out / "report.svg").read_text(encoding="utf-8")
+    assert "Rolling MAPE (7-day window, %)" in svg

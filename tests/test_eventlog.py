@@ -10,10 +10,12 @@ import random
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
+from contextlib import closing
 from datetime import date, datetime, timezone
 
 import pytest
 
+from wipcast.cli import main
 from wipcast.eventlog import (
     ColumnMapping,
     CorruptGzipError,
@@ -21,6 +23,8 @@ from wipcast.eventlog import (
     EventLogError,
     MappingError,
     XesParseError,
+    _csv_events,
+    _xes_events,
     export_csv,
     parse_csv,
     parse_timestamp,
@@ -440,6 +444,65 @@ def test_parse_xes_peak_memory_is_below_half_of_an_element_tree():
     tree_peak = _traced_peak(lambda: ET.fromstring(doc))
     stream_peak = _traced_peak(lambda: parse_xes(doc, source_name="big.xes"))
     assert stream_peak < tree_peak / 2
+
+
+def test_ingest_peak_memory_grows_with_cases_not_events(tmp_path, capsys):
+    # The same 2,000 cases over the same 28 days, at 2 and at 20 events each.
+    # While ingest held every parsed event, the second peaked at several times
+    # the first.
+    argv = {}
+    for per_case in (2, 20):
+        path = tmp_path / f"{per_case}.xes"
+        path.write_bytes(_xes_bytes(2000, per_case))
+        argv[per_case] = ["ingest", str(path), "--out", str(tmp_path / f"out{per_case}")]
+    assert main(argv[2]) == 0  # imports, caches and the zone are loaded before tracing
+    peaks = {per_case: _traced_peak(lambda: main(args)) for per_case, args in argv.items()}
+    assert capsys.readouterr().out.count("ingested") == 3
+    assert peaks[20] < 1.5 * peaks[2]
+
+
+# --- event streams ---
+
+
+def _stream(form: str, source):
+    if form == "xes":
+        return _xes_events(source, source_name="big.xes")
+    return _csv_events(source, ColumnMapping("case", "activity", "timestamp", "lifecycle"),
+                       source_name="big.csv")
+
+
+@pytest.mark.parametrize("form", ["xes", "csv"])
+def test_an_event_stream_yields_before_its_source_is_read(form):
+    source = io.BytesIO(_log_source(form, 2000))
+    with closing(_stream(form, source)) as events:
+        assert next(events).case_id == "case-0"
+        assert source.tell() < len(source.getvalue()) / 10
+
+
+@pytest.mark.parametrize("form", ["xes", "csv"])
+def test_an_event_stream_yields_the_log_in_file_order_and_returns_its_meta(form):
+    if form == "xes":
+        doc = (b'<log><trace><string key="concept:name" value="c2"/>'
+               b'<event><string key="concept:name" value="B"/>'
+               b'<date key="time:timestamp" value="2024-01-02T00:00:00Z"/></event>'
+               b'<event><string key="concept:name" value="A"/></event></trace>'
+               b'<trace><event><string key="concept:name" value="A"/>'
+               b'<date key="time:timestamp" value="2024-01-01T00:00:00Z"/></event></trace>'
+               b'<trace><string key="concept:name" value="c1"/>'
+               b'<event><string key="concept:name" value="A"/><string key="lifecycle:transition" value="start"/>'
+               b'<date key="time:timestamp" value="2024-01-01T00:00:00Z"/></event></trace></log>')
+    else:
+        doc = (b"case,activity,timestamp,lifecycle\nc2,B,2024-01-02T00:00:00Z,\nc2,A,soon,\n"
+               b",A,2024-01-01T00:00:00Z,\nc1,A,2024-01-01T00:00:00Z,start\n")
+    events = _stream(form, doc)
+    streamed = []
+    with pytest.raises(StopIteration) as done:
+        while True:
+            streamed.append(next(events))
+    log = _parse(form, doc)
+    assert log.events == tuple(sorted(streamed, key=lambda ev: ev.timestamp))
+    assert streamed != list(log.events)  # the file is not in time order
+    assert done.value.value == log.source_meta and log.source_meta.skipped > 0
 
 
 # --- lean in-memory log ---
