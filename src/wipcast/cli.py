@@ -38,8 +38,7 @@ from .eventlog import (
     ColumnMapping,
     EmptyLogError,
     EventLogError,
-    _csv_events,
-    _xes_events,
+    _event_stream,
 )
 from .evaluation import (
     default_split_date,
@@ -54,7 +53,7 @@ from .evaluation import (
 from .llm import LlmError
 from .memory import EmbeddingError, StoryIndex, _decoded, _hold, build_indexes, load_snapshot, save_snapshot
 from .narrative import GRANULARITIES, contextual_story, query_story, write_stories_jsonl
-from .wipseries import WipSeries, build_wip_series, export_wip_csv
+from .wipseries import WipSeries, export_wip_csv
 
 SERIES_FILE = "wip.csv"
 
@@ -128,28 +127,23 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
 
     fmt = _detect_format(path, args.format or cfg.input.format)
     source = os.path.basename(path)
-    counts: list[int] = []
-    with open(path, "rb") as fh:
-        if fmt == "xes":
-            events = _xes_events(fh, source)
-        else:
-            mapping = ColumnMapping(
-                case=args.case or cfg.input.case_column,
-                activity=args.activity or cfg.input.activity_column,
-                timestamp=args.timestamp or cfg.input.timestamp_column,
-                lifecycle=args.lifecycle or cfg.input.lifecycle_column,
-                timestamp_format=cfg.input.timestamp_format,
-            )
-            events = _csv_events(fh, mapping, source)
-        with closing(events):  # a replay that stops early closes the reader before the file
-            series = build_wip_series(events, gap_policy=args.gap_policy or cfg.gap_policy,
-                                      tz=cfg.input.timezone, _counts=counts)
+    mapping = ColumnMapping(
+        case=args.case or cfg.input.case_column,
+        activity=args.activity or cfg.input.activity_column,
+        timestamp=args.timestamp or cfg.input.timestamp_column,
+        lifecycle=args.lifecycle or cfg.input.lifecycle_column,
+        timestamp_format=cfg.input.timestamp_format,
+    )
+    # closing: a replay that stops early closes the reader before the file
+    with open(path, "rb") as fh, closing(_event_stream(fh, fmt, mapping, source)) as events:
+        series, n_events, n_cases = wipseries._replay(events, args.gap_policy or cfg.gap_policy,
+                                                      cfg.input.timezone)
 
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, SERIES_FILE)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(export_wip_csv(series))
-    print(f"ingested {counts[0]} events / {counts[1]} cases "
+    print(f"ingested {n_events} events / {n_cases} cases "
           f"-> {len(series.events)} days ({series.events[0].date} .. "
           f"{series.events[-1].date})")
     print(f"wrote {out_path}")

@@ -334,10 +334,10 @@ def _polyline(xs, ys, color: str, width: float = 1.6) -> str:
             f'stroke-width="{width}" points="{pts}" />')
 
 
-def render_report_svg(trace: PredictionTrace, rolling_window: int = ROLLING_WINDOW,
-                      freeze_timestamps: bool = False, split_note: str = "") -> str:
+def render_report_svg(trace: PredictionTrace, freeze_timestamps: bool = False,
+                      split_note: str = "") -> str:
     """Two-panel SVG: actuals with per-source predictions on top, per-source
-    rolling MAPE below. Exactly one polyline per panel per source; the actual
+    rolling MAPE over :data:`ROLLING_WINDOW` days below. Exactly one polyline per panel per source; the actual
     series is drawn as a dashed path so it never miscounts as a source."""
     sources = trace.sources()
     if not sources:
@@ -354,7 +354,7 @@ def render_report_svg(trace: PredictionTrace, rolling_window: int = ROLLING_WIND
     values = [e.actual for e in trace.entries] + [e.predicted for e in trace.entries]
     yscale = _scaler(min(values), max(values), tops[1], tops[0])
 
-    mape_series = {src: _rolling_ape(trace.for_source(src), rolling_window)
+    mape_series = {src: _rolling_ape(trace.for_source(src), ROLLING_WINDOW)
                    for src in sources}
     mape_values = [v for series in mape_series.values() for v in series]
     mscale = _scaler(min(mape_values), max(mape_values), bots[1], bots[0])
@@ -390,7 +390,7 @@ def render_report_svg(trace: PredictionTrace, rolling_window: int = ROLLING_WIND
         parts.append(_polyline(xs, [yscale(e.predicted) for e in entries], color))
 
     parts.append(f'<text x="60" y="302" font-family="sans-serif" font-size="13">'
-                 f"Rolling MAPE ({rolling_window}-day window, %)</text>")
+                 f"Rolling MAPE ({ROLLING_WINDOW}-day window, %)</text>")
     for src in sources:
         entries = trace.for_source(src)
         color = _PALETTE.get(src, _FALLBACK_COLOR)
@@ -433,8 +433,8 @@ def metrics_csv(trace: PredictionTrace) -> str:
     return buf.getvalue()
 
 
-def emit_report(trace: PredictionTrace, out_dir: str, rolling_window: int = ROLLING_WINDOW,
-                freeze_timestamps: bool = False, split_note: str = "") -> dict[str, str]:
+def emit_report(trace: PredictionTrace, out_dir: str, freeze_timestamps: bool = False,
+                split_note: str = "") -> dict[str, str]:
     """Write predictions.csv, metrics.csv, and report.svg under out_dir."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {
@@ -446,9 +446,7 @@ def emit_report(trace: PredictionTrace, out_dir: str, rolling_window: int = ROLL
         fh.write(predictions_csv(trace))
     with open(paths["metrics"], "w", encoding="utf-8", newline="") as fh:
         fh.write(metrics_csv(trace))
-    svg = render_report_svg(trace, rolling_window=rolling_window,
-                            freeze_timestamps=freeze_timestamps,
-                            split_note=split_note)
+    svg = render_report_svg(trace, freeze_timestamps=freeze_timestamps, split_note=split_note)
     with open(paths["report"], "w", encoding="utf-8", newline="") as fh:
         fh.write(svg)
     return paths

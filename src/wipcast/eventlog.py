@@ -2,7 +2,8 @@
 
 Each format has a private generator that yields events in file order as the
 source is read, and returns the log's :class:`SourceMeta` when it ends; the
-``ingest`` stage replays that stream without holding it. :func:`parse_xes` and
+``ingest`` stage replays that stream, picked by ``_event_stream``, without
+holding it. :func:`parse_xes` and
 :func:`parse_csv` collect a stream into an :class:`EventLog`, a stably
 timestamp-sorted sequence. Every event carries a case id, an activity name, a
 UTC timestamp and an optional lifecycle marker; no other attribute or column
@@ -423,6 +424,15 @@ def parse_csv(
     blank case/activity are skipped with a diagnostic.
     """
     return _collected(_csv_events(stream, mapping, source_name))
+
+
+def _event_stream(stream: bytes | IO[bytes], fmt: str, mapping: ColumnMapping,
+                  source_name: str) -> Generator[Event, None, SourceMeta]:
+    """The event stream of an ``"xes"`` or ``"csv"`` source, as the ``ingest``
+    stage reads it; ``mapping`` is read for CSV alone."""
+    if fmt == "xes":
+        return _xes_events(stream, source_name)
+    return _csv_events(stream, mapping, source_name)
 
 
 def export_csv(log: EventLog, mapping: ColumnMapping | None = None) -> str:

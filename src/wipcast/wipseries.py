@@ -135,14 +135,12 @@ def _case_rows(events: Iterable[Event], local_day: Callable[[datetime], int],
                        dtype=np.dtype((np.int64, 5)), count=len(anchors)), folded
 
 
-def build_wip_series(log: EventLog | Iterable[Event], gap_policy: str = "carry", tz: str = "UTC",
-                     *, _counts: list[int] | None = None) -> WipSeries:
+def build_wip_series(log: EventLog | Iterable[Event], gap_policy: str = "carry", tz: str = "UTC") -> WipSeries:
     """Replay a log's case openings and closings into a daily WiP series.
 
     ``log`` is an :class:`EventLog` or any iterable of events, such as a
     parser's stream, read once: each event is folded into its case as it
     arrives, so only a few instants per case are held, never the events.
-    ``_counts``, if given, is set to how many events and cases were folded.
 
     A case opens at its earliest event, closes at its latest and starts at
     its earliest ``start``-marked event (any letter case), else when it opens,
@@ -153,6 +151,11 @@ def build_wip_series(log: EventLog | Iterable[Event], gap_policy: str = "carry",
     each day's high and low; the day's open is the count carried in from the
     previous day and its close is the count carried out.
     """
+    return _replay(log.events if isinstance(log, EventLog) else log, gap_policy, tz)[0]
+
+
+def _replay(events: Iterable[Event], gap_policy: str, tz: str) -> tuple[WipSeries, int, int]:
+    """:func:`build_wip_series` of ``events``, with how many events and cases it folded."""
     if gap_policy not in GAP_POLICIES:
         raise ValueError(f"unknown gap policy {gap_policy!r}")
     zone = ZoneInfo(tz)
@@ -165,11 +168,9 @@ def build_wip_series(log: EventLog | Iterable[Event], gap_policy: str = "carry",
                              f"it falls outside years 1-9999") from None
 
     event_days = set() if gap_policy == "drop" else None
-    cases, folded = _case_rows(log.events if isinstance(log, EventLog) else log, local_day, event_days)
+    cases, folded = _case_rows(events, local_day, event_days)
     if not folded:
         raise EmptyLogError("cannot build a WiP series from an empty log")
-    if _counts is not None:
-        _counts[:] = folded, len(cases)
     open_at, close_at, open_days, close_days, started_days = cases.T
 
     # Not the least and greatest local days: local dates step back in some zones.
@@ -204,7 +205,7 @@ def build_wip_series(log: EventLog | Iterable[Event], gap_policy: str = "carry",
 
     if event_days is not None:
         days = [ev for ev in days if ev.date.toordinal() in event_days]
-    return WipSeries(tuple(days))
+    return WipSeries(tuple(days)), folded, len(cases)
 
 
 def active_count_at(log: EventLog, instant: datetime) -> int:

@@ -1403,8 +1403,7 @@ def test_an_ingest_that_stops_mid_fold_closes_the_parser_and_exits_1(tmp_path, c
             return streams[-1]
         return keep
 
-    monkeypatch.setattr(cli, "_xes_events", kept(cli._xes_events))
-    monkeypatch.setattr(cli, "_csv_events", kept(cli._csv_events))
+    monkeypatch.setattr(cli, "_event_stream", kept(cli._event_stream))
     config = tmp_path / "pipeline.json"
     config.write_text(json.dumps({"input": {"timezone": "Pacific/Kiritimati"}, "gap_policy": "drop"}))
     assert main(["ingest", str(path), "--config", str(config), "--out", str(tmp_path / "out")]) == 1
