@@ -27,7 +27,7 @@ from .llm import (
     extract_prediction,
     parse_action,
 )
-from .memory import TOP_K, StoryIndex
+from .memory import TOP_K, EmbeddingError, StoryIndex
 
 logger = logging.getLogger(__name__)
 
@@ -302,8 +302,13 @@ def fuse(preds: Sequence[Prediction] | Mapping[str, Prediction], trend: TrendIns
         action = parse_action(resp.text)
         if action is not None:
             name, arg = action
-            observation, updates = _react_tool(name, arg, by_id, trend, index,
-                                               forecast_date, k)
+            try:
+                observation, updates = _react_tool(name, arg, by_id, trend, index,
+                                                   forecast_date, k)
+            except (EmbeddingError, ValueError) as exc:  # e.g. a lone surrogate in the query
+                logger.warning("react fusion retrieve failed: %s", exc)
+                return _rules_fuse(by_id, trend, forecast_date, table,
+                                   note="react fallback (retrieve failed): ")
             if "prediction" in updates:
                 agent_id, value = updates["prediction"]
                 known[agent_id] = value

@@ -9,6 +9,7 @@ their API key from an environment variable named in the config.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from datetime import date as Date
 from types import UnionType
@@ -93,8 +94,10 @@ class BackendConfig:
         if self.kind == "remote" and not self.endpoint:
             raise ValueError("remote backend needs an endpoint")
         _check_endpoint("backend.endpoint", self.endpoint)
-        if not self.timeout > 0:  # NaN too
-            raise ValueError(f"config key backend.timeout must be positive, got {self.timeout}")
+        # NaN and infinity too; a socket takes no timeout beyond TIMEOUT_MAX (OverflowError)
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"config key backend.timeout must be positive and at most "
+                             f"{threading.TIMEOUT_MAX:.0f} s, got {self.timeout}")
         if self.retries < 0:
             raise ValueError(f"config key backend.retries must be nonnegative, got {self.retries}")
 

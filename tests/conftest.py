@@ -1,8 +1,10 @@
-"""Shared fixtures: hand-built event logs with known-by-hand WiP values."""
+"""Shared fixtures: hand-built event logs with known-by-hand WiP values, and the
+run directory with index snapshots that forecast tests load."""
 
 from __future__ import annotations
 
 import io
+import json
 import random
 from datetime import date, datetime, timezone
 from typing import NamedTuple
@@ -11,8 +13,18 @@ import numpy as np
 import pytest
 
 from wipcast import memory
-from wipcast.eventlog import ColumnMapping, Event, EventLog, SourceMeta, parse_csv, parse_xes
+from wipcast.cli import main
+from wipcast.eventlog import (
+    ColumnMapping,
+    Event,
+    EventLog,
+    SourceMeta,
+    export_csv,
+    parse_csv,
+    parse_xes,
+)
 from wipcast.narrative import Story
+from wipcast.synthetic import synthetic_event_log
 from wipcast.wipseries import WipEvent, wip_event
 
 
@@ -165,3 +177,31 @@ def add_docs(index, docs) -> None:
     """Insert Docs into a StoryIndex in one add_many, keeping their doc_ids."""
     docs = list(docs)
     index.add_many([d.story for d in docs], [d.embedding for d in docs], [d.doc_id for d in docs])
+
+
+# The day `forecast` is asked for on the snapshot workspace.
+SNAPSHOT_TARGET = "2024-02-20"
+
+
+@pytest.fixture(scope="session")
+def snapshot_workspace(tmp_path_factory):
+    """A run directory with index snapshots: ingest, stories and index of one seeded log.
+    Tests copy it before they change it."""
+    out = tmp_path_factory.mktemp("snapshots")
+    log = out / "tickets.csv"
+    log.write_text(export_csv(synthetic_event_log(600, seed=5, span_days=60)))
+    for argv in (["ingest", str(log), "--out", str(out)],
+                 ["stories", "--out", str(out)],
+                 ["index", "--out", str(out)]):
+        assert main(argv) == 0
+    return out
+
+
+def edit_targets(out):
+    """Add 5 to every target in the daily snapshot of ``out``; its sidecar no longer matches."""
+    path = out / "index_daily.jsonl"
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for record in records:
+            record["target"] += 5
+            fh.write(json.dumps(record, sort_keys=True) + "\n")

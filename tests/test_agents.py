@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 from datetime import date, timedelta
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from wipcast.agents import (
     trend_analyze,
 )
 from wipcast.llm import AGENT_IDS, BackendUnavailable, ChatResponse, StubBackend
-from wipcast.memory import DeterministicEmbedder, StoryIndex
+from wipcast.memory import DeterministicEmbedder, RemoteEmbedder, StoryIndex
 from wipcast.narrative import (
     Story,
     query_story,
@@ -561,6 +564,39 @@ def test_react_retrieve_without_index_reports_no_memory():
     backend = ScriptedBackend(["ACTION: retrieve(some story)", "PREDICTION: 12.00"])
     fuse(three_preds(10, 12, 20), STABLE, date(2024, 3, 5), backend=backend, mode="react")
     assert "no memory available" in backend.requests[1].user_text
+
+
+class EmbeddingEndpoint:
+    """A session for RemoteEmbedder: the deterministic embedder's vectors for the
+    first request, a payload without rows for every later one."""
+
+    def __init__(self):
+        self.posts = 0
+
+    def post(self, url, json=None, timeout=None):
+        self.posts += 1
+        rows = DeterministicEmbedder().embed_many(json["input"]) if self.posts == 1 else []
+        body = {"data": [{"embedding": row.tolist()} for row in rows]}
+        return SimpleNamespace(status_code=200, json=lambda: body)
+
+
+@pytest.mark.parametrize("failure", ["embedder error", "lone surrogate"])
+def test_a_react_retrieve_that_fails_falls_back_to_rules(failure):
+    # each used to escape fuse, failing the whole forecast or evaluate
+    history, indexes = pinned_indexes()
+    index, day = indexes["daily"], date(2024, 3, 6)  # stories are dated up to 2024-03-08
+    query = again = render_query_story(history.events[-1]).text
+    if failure == "embedder error":
+        index.provider = RemoteEmbedder("http://embed.test", session=EmbeddingEndpoint())
+    else:  # JSON-decoded model text can carry one; it has no UTF-8 encoding
+        again = json.loads('"\\ud800"')
+    backend = ScriptedBackend([f"ACTION: retrieve({query})", f"ACTION: retrieve({again})"])
+    report = fuse(three_preds(10, 12, 20), STABLE, day, index=index, backend=backend, mode="react")
+    assert report.mode == "rules"
+    assert report.rationale.startswith("react fallback (retrieve failed): ")
+    assert report.final_value == fuse(three_preds(10, 12, 20), STABLE, day).final_value
+    reported = re.findall(r"(\S+): next value", backend.requests[1].user_text)
+    assert len(reported) == 5 and all(date.fromisoformat(d) < day for d in reported)
 
 
 def test_react_unknown_tool_is_observed_not_fatal():

@@ -10,6 +10,8 @@ import random
 import shutil
 import subprocess
 import sys
+import tempfile
+from collections import OrderedDict
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -32,7 +34,7 @@ from wipcast.wipseries import (
     load_wip_csv,
 )
 
-from conftest import random_wip_event, xes_document
+from conftest import SNAPSHOT_TARGET, edit_targets, random_wip_event, xes_document
 
 
 @pytest.fixture(scope="module")
@@ -512,6 +514,19 @@ def test_backend_remote_without_endpoint_exits_1(workspace):
     assert main(["forecast", "--out", workspace, "--backend", "remote"]) == 1
 
 
+@pytest.mark.parametrize("timeout", ["1e308", "Infinity"])
+def test_a_backend_timeout_a_socket_cannot_take_exits_1_naming_the_key(tmp_path, workspace, capsys,
+                                                                       timeout):
+    # each used to end in an OverflowError traceback from sock.settimeout
+    cfg_path = tmp_path / "pipeline.json"
+    cfg_path.write_text('{"backend": {"kind": "remote", "endpoint": "http://127.0.0.1:9/chat", '
+                        f'"timeout": {timeout}}}}}')
+    argv = ["forecast", "--out", workspace, "--mode", "react", "--config", str(cfg_path)]
+    assert main(argv) == 1
+    assert "error: config key backend.timeout must be positive and at most 9223372036 s" in (
+        capsys.readouterr().err)
+
+
 def test_scheme_less_endpoint_in_config_exits_1_naming_the_key(tmp_path, log_path, capsys):
     cfg_path = tmp_path / "pipeline.json"
     cfg_path.write_text(json.dumps({"backend": {"kind": "remote",
@@ -549,25 +564,8 @@ def test_unknown_subcommand_exits_2():
 
 
 # --- index snapshots: binary sidecar and JSON-lines fallback ---
-SNAPSHOT_TARGET = "2024-02-20"
-# sha256 of forecast.jsonl for SNAPSHOT_TARGET from index_*.jsonl alone, as
-# forecast wrote it before index snapshots had a sidecar.
-JSONL_FORECAST_SHA256 = {
-    "as indexed": "2895350ff491ee67f29e34f37c3cdbaf6c2338d677255432302b790a7c53f5db",
-    "edited": "0969c42f047701ec0dc6b465febb303a1351c6919a1f85b00419c1b1d967ed7c",
-}
-
-
-@pytest.fixture(scope="module")
-def snapshot_workspace(tmp_path_factory):
-    out = tmp_path_factory.mktemp("snapshots")
-    log = out / "tickets.csv"
-    log.write_text(export_csv(synthetic_event_log(600, seed=5, span_days=60)))
-    for argv in (["ingest", str(log), "--out", str(out)],
-                 ["stories", "--out", str(out)],
-                 ["index", "--out", str(out)]):
-        assert main(argv) == 0
-    return out
+# The forecast these tests expect is what a cold forecast of the same files
+# writes; its bytes are pinned in test_goldens.py.
 
 
 @pytest.fixture
@@ -584,19 +582,32 @@ def jsonl_loads(monkeypatch):
     return parsed
 
 
-def forecast_sha256(out) -> str:
-    argv = ["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET, "--mode", "react"]
+def forecast_jsonl(out, *extra) -> bytes:
+    """The forecast.jsonl that `forecast` writes for SNAPSHOT_TARGET in react mode on ``out``."""
+    argv = ["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET, "--mode", "react", *extra]
     assert main(argv) == 0
-    return hashlib.sha256((out / "forecast.jsonl").read_bytes()).hexdigest()
+    return (Path(out) / "forecast.jsonl").read_bytes()
 
 
-def edit_targets(out):
-    path = out / "index_daily.jsonl"
-    records = [json.loads(line) for line in read_lines(path)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for record in records:
-            record["target"] += 5
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+# What the spies below replace, as a cold forecast calls it.
+UNSPIED = [(memory, "load_index", memory.load_index),
+           (memory, "_load_sidecar", memory._load_sidecar),
+           (memory, "_sha256", memory._sha256),
+           (wipseries, "load_wip_csv", wipseries.load_wip_csv)]
+
+
+def cold_forecast_jsonl(out, *extra) -> bytes:
+    """What :func:`forecast_jsonl` writes from the JSON lines and wip.csv in ``out``
+    when nothing is held: on a fresh copy of the run without its sidecars, on an
+    empty hold swapped in for the call, with no spy counting its loads. A warm,
+    edited, fallback or respelled load must forecast as this does."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(memory, "_held", OrderedDict())
+        for owner, name, real in UNSPIED:
+            patch.setattr(owner, name, real)
+        copy = Path(tmp) / "run"
+        shutil.copytree(out, copy, ignore=shutil.ignore_patterns("*.npz"))
+        return forecast_jsonl(copy, *extra)
 
 
 def test_index_writes_sidecar_beside_each_snapshot(snapshot_workspace):
@@ -610,7 +621,7 @@ def test_index_writes_sidecar_beside_each_snapshot(snapshot_workspace):
 def test_forecast_uses_sidecar(tmp_path, snapshot_workspace, jsonl_loads):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
-    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+    assert forecast_jsonl(out) == cold_forecast_jsonl(out)
     assert jsonl_loads == []
 
 
@@ -656,8 +667,10 @@ def test_forecast_falls_back_to_jsonl(tmp_path, snapshot_workspace, jsonl_loads,
     else:
         data = sidecar.read_bytes()
         sidecar.write_bytes(data[:len(data) // 2])
-    want = JSONL_FORECAST_SHA256["edited" if damage == "edited jsonl" else "as indexed"]
-    assert forecast_sha256(out) == want
+    want = cold_forecast_jsonl(out)
+    if damage == "edited jsonl":
+        assert want != cold_forecast_jsonl(snapshot_workspace)
+    assert forecast_jsonl(out) == want
     assert len(jsonl_loads) == 1  # only the daily snapshot was parsed
 
 
@@ -684,14 +697,11 @@ def test_forecasts_in_one_process_open_each_sidecar_once(tmp_path, snapshot_work
     run, copy = tmp_path / "run", tmp_path / "copy"
     for out in (run, copy):
         shutil.copytree(snapshot_workspace, out)
-    outputs = []
-    for _ in range(2):
-        assert forecast_sha256(run) == JSONL_FORECAST_SHA256["as indexed"]
-        outputs.append((run / "forecast.jsonl").read_bytes())
-    assert outputs[0] == outputs[1]
+    cold = cold_forecast_jsonl(run)
+    assert [forecast_jsonl(run) for _ in range(2)] == [cold, cold]
     assert sorted(sidecar_loads) == [str(run / name) for name in SNAPSHOTS]
     # the same bytes in another run directory are that directory's own snapshots
-    assert forecast_sha256(copy) == JSONL_FORECAST_SHA256["as indexed"]
+    assert forecast_jsonl(copy) == cold
     assert sorted(sidecar_loads[3:]) == [str(copy / name) for name in SNAPSHOTS]
     assert jsonl_loads == []
 
@@ -700,9 +710,12 @@ def test_a_snapshot_edited_between_forecasts_is_read_again(tmp_path, snapshot_wo
                                                            jsonl_loads):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
-    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+    indexed = cold_forecast_jsonl(out)
+    assert forecast_jsonl(out) == indexed
     edit_targets(out)
-    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["edited"]
+    edited = cold_forecast_jsonl(out)
+    assert edited != indexed
+    assert forecast_jsonl(out) == edited
     assert len(jsonl_loads) == 1  # only the edited daily snapshot was parsed
 
 
@@ -710,7 +723,8 @@ def test_a_snapshot_broken_between_forecasts_fails_on_every_call(tmp_path, snaps
                                                                  capsys):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
-    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+    indexed = cold_forecast_jsonl(out)
+    assert forecast_jsonl(out) == indexed
     path = out / "index_daily.jsonl"
     good = path.read_bytes()
     lines = good.splitlines(keepends=True)
@@ -720,7 +734,7 @@ def test_a_snapshot_broken_between_forecasts_fails_on_every_call(tmp_path, snaps
         assert (f"error: {path}, line 4: not a snapshot record (JSONDecodeError"
                 in capsys.readouterr().err)
     path.write_bytes(good)
-    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+    assert forecast_jsonl(out) == indexed
 
 
 def test_held_snapshots_take_each_calls_retention(tmp_path, snapshot_workspace):
@@ -730,13 +744,14 @@ def test_held_snapshots_take_each_calls_retention(tmp_path, snapshot_workspace):
     cfg_path.write_text(json.dumps({"forecast": {"max_age_days": 10}}))
     argv = ["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET, "--mode", "react",
             "--config", str(cfg_path)]
-    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]  # now held
+    indexed = cold_forecast_jsonl(out)
+    assert forecast_jsonl(out) == indexed  # now held
     assert main(argv) == 0
     from_held = (out / "forecast.jsonl").read_bytes()
     memory._held.clear()
     assert main(argv) == 0
     assert (out / "forecast.jsonl").read_bytes() == from_held
-    assert hashlib.sha256(from_held).hexdigest() != JSONL_FORECAST_SHA256["as indexed"]
+    assert from_held == cold_forecast_jsonl(out, "--config", str(cfg_path)) != indexed
 
 
 def test_held_snapshot_columns_are_read_only(tmp_path, snapshot_workspace):
@@ -793,12 +808,15 @@ def hashed(monkeypatch):
 def test_a_warm_forecast_hashes_nothing(tmp_path, snapshot_workspace, hashed):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
-    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+    indexed = cold_forecast_jsonl(out)
+    assert forecast_jsonl(out) == indexed
     assert sorted(hashed) == sorted((out / name).read_bytes() for name in [*SNAPSHOTS, "wip.csv"])
-    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+    assert forecast_jsonl(out) == indexed
     assert len(hashed) == 4  # unchanged files are compared with the held bytes, not hashed
     edit_targets(out)
-    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["edited"]
+    edited = cold_forecast_jsonl(out)
+    assert edited != indexed
+    assert forecast_jsonl(out) == edited
     assert hashed[4:] == [(out / "index_daily.jsonl").read_bytes()]
 
 
@@ -864,11 +882,8 @@ def test_forecasts_in_one_process_parse_wip_csv_once(tmp_path, snapshot_workspac
                                                       wip_csv_parses):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
-    outputs = []
-    for _ in range(2):
-        assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
-        outputs.append((out / "forecast.jsonl").read_bytes())
-    assert outputs[0] == outputs[1]
+    cold = cold_forecast_jsonl(out)
+    assert [forecast_jsonl(out) for _ in range(2)] == [cold, cold]
     assert wip_csv_parses == [str(out / "wip.csv")]
     assert sorted(sidecar_loads) == [str(out / name) for name in SNAPSHOTS]
 
@@ -877,11 +892,14 @@ def test_a_wip_csv_edited_between_forecasts_is_read_again(tmp_path, snapshot_wor
                                                           wip_csv_parses):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
-    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+    indexed = cold_forecast_jsonl(out)
+    assert forecast_jsonl(out) == indexed
     edit_wip_day(out)
-    edited = forecast_sha256(out)
+    edited = cold_forecast_jsonl(out)
+    assert edited != indexed
+    assert forecast_jsonl(out) == edited
     memory._held.clear()
-    assert forecast_sha256(out) == edited != JSONL_FORECAST_SHA256["as indexed"]
+    assert forecast_jsonl(out) == edited
     assert wip_csv_parses == [str(out / "wip.csv")] * 3
 
 
@@ -889,7 +907,8 @@ def test_a_wip_csv_broken_between_forecasts_fails_on_every_call(tmp_path, snapsh
                                                                 capsys):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
-    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+    indexed = cold_forecast_jsonl(out)
+    assert forecast_jsonl(out) == indexed
     path = out / "wip.csv"
     good = path.read_bytes()
     lines = good.splitlines(keepends=True)
@@ -898,7 +917,7 @@ def test_a_wip_csv_broken_between_forecasts_fails_on_every_call(tmp_path, snapsh
         assert main(["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET]) == 1
         assert f"error: {path}, line 4: expected 11 fields" in capsys.readouterr().err
     path.write_bytes(good)
-    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+    assert forecast_jsonl(out) == indexed
 
 
 def test_a_wip_csv_rewritten_after_it_was_hashed_is_parsed_as_hashed(tmp_path, snapshot_workspace,
@@ -942,7 +961,7 @@ def test_forecasts_on_one_run_spelled_three_ways_load_it_once(tmp_path, snapshot
     for out in ("run", "./run", "run/"):
         assert main(["forecast", "--out", out, "--date", SNAPSHOT_TARGET, "--mode", "react"]) == 0
         outputs.add((tmp_path / "run" / "forecast.jsonl").read_bytes())
-    assert [hashlib.sha256(b).hexdigest() for b in outputs] == [JSONL_FORECAST_SHA256["as indexed"]]
+    assert outputs == {cold_forecast_jsonl(tmp_path / "run")}
     assert sorted(sidecar_loads) == [os.path.join("run", name) for name in SNAPSHOTS]
     assert wip_csv_parses == [os.path.join("run", "wip.csv")]
 
@@ -1051,7 +1070,7 @@ def test_a_crlf_wip_csv_forecasts_as_the_lf_one(tmp_path, snapshot_workspace):
     shutil.copytree(snapshot_workspace, out)
     path = out / "wip.csv"
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    assert forecast_sha256(out) == JSONL_FORECAST_SHA256["as indexed"]
+    assert forecast_jsonl(out) == cold_forecast_jsonl(snapshot_workspace)
 
 
 class EmbeddingSession:
@@ -1276,22 +1295,6 @@ def test_forecast_writes_the_evaluate_record_for_its_day(golden_log_run, mode, s
         day = json.loads(line)["date"]
         assert main(["forecast", "--out", out, "--date", day, "--mode", mode]) == 0
         assert read_lines(os.path.join(out, "forecast.jsonl")) == [line]
-
-
-# sha256 of the `stories` files for the `log` golden workload, recorded when
-# each stage rendered its own stories; every row must stay byte for byte.
-STORY_DIGESTS = {
-    "daily": "7425a6ab1e884b49c65ddf70ff89420969ae36c60b98feaa6f9f77af672f00c2",
-    "weekday": "b761d6d7dddefc88ce7a6b82303eb1448e3a9b80bf7670b6d36d99d0138b7240",
-    "windowed": "1a4355403aa447c49210d51b12cb85e6af111afa1ec8657e689539a7d109e7a9",
-}
-
-
-def test_stories_files_are_unchanged(golden_log_run):
-    _, indexed, _ = golden_log_run
-    for g, digest in STORY_DIGESTS.items():
-        with open(os.path.join(indexed, f"stories_{g}.jsonl"), "rb") as fh:
-            assert hashlib.sha256(fh.read()).hexdigest() == digest, g
 
 
 # --- streamed ingest ---

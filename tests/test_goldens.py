@@ -1,5 +1,6 @@
-"""Golden outputs: `wipcast ingest` and `wipcast evaluate` must reproduce these
-files byte for byte.
+"""Golden outputs: `wipcast ingest`, `stories`, `evaluate` and `forecast` must
+reproduce these files byte for byte. Every pin of a file the CLI writes lives
+here; other tests compare one run with another, never with a digest.
 
 Acceptance 5 only checks that two runs agree with each other, so it cannot
 catch a refactor that changes the numbers. These sha256 digests pin
@@ -13,7 +14,14 @@ forecasts must update them on purpose and say why.
 
 The ingest digests pin ``wip.csv`` for one seeded log written as XES (plain
 and gzipped) and as CSV, plus a sparse CSV log replayed in a non-UTC zone with
-the ``drop`` gap policy.
+the ``drop`` gap policy. The stories digests pin the three ``stories_*.jsonl``
+of the ``log`` workload.
+
+The forecast digests pin ``forecast.jsonl`` for one day of the snapshot
+workspace in both fusion modes, and in react mode after the daily snapshot's
+targets were edited. Each must come out alike whether memory is loaded from
+the sidecars, from the JSON lines alone, or, with no snapshot, embedded from
+``wip.csv``.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import gzip
 import hashlib
 import json
 import os
+import shutil
 from xml.sax.saxutils import quoteattr
 
 import pytest
@@ -30,6 +39,8 @@ from wipcast.cli import main
 from wipcast.eventlog import EventLog, export_csv
 from wipcast.synthetic import synthetic_event_log, synthetic_series
 from wipcast.wipseries import export_wip_csv, load_wip_csv
+
+from conftest import SNAPSHOT_TARGET, edit_targets
 
 FILES = ("predictions.csv", "metrics.csv", "forecast_reports.jsonl")
 MODES = ("rules", "react")
@@ -106,6 +117,23 @@ def test_evaluate_matches_golden(workload, mode, tmp_path):
     assert evaluate_digests(workload, mode, str(tmp_path)) == GOLDENS[workload][mode]
 
 
+# sha256 of the `stories` files for the ``log`` workload, recorded when each
+# stage rendered its own stories; every row must stay byte for byte.
+STORY_GOLDENS = {
+    "daily": "7425a6ab1e884b49c65ddf70ff89420969ae36c60b98feaa6f9f77af672f00c2",
+    "weekday": "b761d6d7dddefc88ce7a6b82303eb1448e3a9b80bf7670b6d36d99d0138b7240",
+    "windowed": "1a4355403aa447c49210d51b12cb85e6af111afa1ec8657e689539a7d109e7a9",
+}
+
+
+def test_stories_match_golden(tmp_path):
+    _prepare_log(str(tmp_path))
+    assert main(["stories", "--out", str(tmp_path)]) == 0
+    for g, digest in STORY_GOLDENS.items():
+        with open(tmp_path / f"stories_{g}.jsonl", "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, g
+
+
 def _xes_bytes(log: EventLog) -> bytes:
     """XES with a default namespace, one trace per case in first-seen order."""
     by_case: dict[str, list] = {}
@@ -168,3 +196,37 @@ INGEST_GOLDENS = {
 @pytest.mark.parametrize("workload", sorted(INGEST_WORKLOADS))
 def test_ingest_matches_golden(workload, tmp_path):
     assert ingest_digest(workload, str(tmp_path)) == INGEST_GOLDENS[workload]
+
+
+# (mode, case) -> sha256 of forecast.jsonl for SNAPSHOT_TARGET on the snapshot
+# workspace; "edited" adds 5 to every target in the daily snapshot. The react
+# ones were recorded from the JSON lines alone, before snapshots had a sidecar.
+FORECAST_GOLDENS = {
+    ("rules", "as indexed"): "bb34b391d02581db9bc2a0562bff873dbfbef21c8107caa900b019db1f941dcf",
+    ("react", "as indexed"): "2895350ff491ee67f29e34f37c3cdbaf6c2338d677255432302b790a7c53f5db",
+    ("react", "edited"): "0969c42f047701ec0dc6b465febb303a1351c6919a1f85b00419c1b1d967ed7c",
+}
+# Where memory is loaded from. With no snapshot there is nothing to edit.
+FORECAST_LOADS = ("sidecars", "json lines", "no snapshot")
+FORECAST_WORKLOADS = [(mode, case, load) for mode, case in FORECAST_GOLDENS for load in FORECAST_LOADS
+                      if (case, load) != ("edited", "no snapshot")]
+
+
+def forecast_digest(workspace, mode: str, case: str, load: str, out) -> str:
+    """Forecast SNAPSHOT_TARGET on a copy of the snapshot workspace and hash forecast.jsonl."""
+    shutil.copytree(workspace, out)
+    if case == "edited":
+        edit_targets(out)
+    dropped = {"sidecars": (), "json lines": (".npz",), "no snapshot": (".npz", ".jsonl")}[load]
+    for name in os.listdir(out):
+        if name.startswith("index_") and name.endswith(dropped):
+            os.remove(out / name)
+    assert main(["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET, "--mode", mode]) == 0
+    with open(out / "forecast.jsonl", "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("mode, case, load", FORECAST_WORKLOADS)
+def test_forecast_matches_golden(snapshot_workspace, tmp_path, mode, case, load):
+    out = tmp_path / "run"
+    assert forecast_digest(snapshot_workspace, mode, case, load, out) == FORECAST_GOLDENS[mode, case]
