@@ -26,11 +26,13 @@ trace = merge_traces(result.trace, baseline)
 
 # the retrieval audit: the newest story each agent retrieved, step by step,
 # is always dated before the day it forecast
-first, last = result.audit[0], result.audit[-1]
-print(f"\ndaily agent's newest retrieved story: {first.newest_retrieved['daily']} "
-      f"for {first.date} ... {last.newest_retrieved['daily']} for {last.date}")
-assert all(day < a.date for a in result.audit for day in a.newest_retrieved.values())
-print(f"retrieval audit: no story dated at/after its forecast day in {len(result.audit)} steps")
+newest = [{aid: max((r.date for r in pred.retrieved), default=None)
+           for aid, pred in report.agent_predictions.items()} for report in result.reports]
+first, last = result.reports[0], result.reports[-1]
+print(f"\ndaily agent's newest retrieved story: {newest[0]['daily']} "
+      f"for {first.date} ... {newest[-1]['daily']} for {last.date}")
+assert all(day < report.date for report, days in zip(result.reports, newest) for day in days.values())
+print(f"retrieval audit: no story dated at/after its forecast day in {len(result.reports)} steps")
 
 print(f"\n{'source':<16} {'mape':>8} {'mae':>8} {'n':>4} {'skipped':>8}")
 for s in summarize(trace):

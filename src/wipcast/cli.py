@@ -110,10 +110,13 @@ def _day_stories(events, granularity: str, window: int):
             yield contextual
 
 
-def _write_reports(path: str, reports) -> None:
+def _reports_jsonl(reports) -> str:
+    return "".join(json.dumps(report.to_dict(), sort_keys=True) + "\n" for report in reports)
+
+
+def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for report in reports:
-            fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
+        fh.write(text)
 
 
 # --- subcommands ---
@@ -136,13 +139,11 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
     )
     # closing: a replay that stops early closes the reader before the file
     with open(path, "rb") as fh, closing(_event_stream(fh, fmt, mapping, source)) as events:
-        series, n_events, n_cases = wipseries._replay(events, args.gap_policy or cfg.gap_policy,
-                                                      cfg.input.timezone)
+        series, n_events, n_cases = wipseries._replay(events, cfg.input.timezone)
 
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, SERIES_FILE)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(export_wip_csv(series))
+    _write(out_path, export_wip_csv(series))
     print(f"ingested {n_events} events / {n_cases} cases "
           f"-> {len(series.events)} days ({series.events[0].date} .. "
           f"{series.events[-1].date})")
@@ -214,7 +215,7 @@ def cmd_forecast(args, cfg: PipelineConfig) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "forecast.jsonl")
-    _write_reports(path, [report])
+    _write(path, _reports_jsonl([report]))
     print(f"forecast for {report.date}: {report.final_value:.2f} "
           f"(mode={report.mode}, trend={report.trend.label})")
     for aid, pred in report.agent_predictions.items():
@@ -241,10 +242,12 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     baseline = persistence_baseline(series, split_date=split)
     merged = merge_traces(result.trace, baseline)
 
+    # Every output is rendered before any is written: a run that fails leaves the last run's files.
+    reports = _reports_jsonl(result.reports)
     paths = emit_report(merged, args.out, freeze_timestamps=cfg.freeze_timestamps,
                         split_note=f"split={split}")
     reports_path = os.path.join(args.out, "forecast_reports.jsonl")
-    _write_reports(reports_path, result.reports)
+    _write(reports_path, reports)
 
     print(f"evaluated {len(result.reports)} days after split {split}")
     print(f"{'source':<16} {'mape':>8} {'mae':>8} {'n':>4} {'skipped':>8}")
@@ -284,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--activity", help="CSV column holding the activity name")
     p.add_argument("--timestamp", help="CSV column holding the timestamp")
     p.add_argument("--lifecycle", help="CSV column holding the lifecycle marker")
-    p.add_argument("--gap-policy", choices=["carry", "drop"], default=None)
 
     p = sub.add_parser("stories", parents=[common],
                        help="render query and contextual stories from the series")
@@ -299,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", parents=[common],
                        help="walk-forward evaluation with ablations and baseline")
-    p.add_argument("--split", help="last training day (ISO); default: last 20%% as test")
+    p.add_argument("--split", help="last training day (ISO); default: last test_fraction of days as test")
     p.add_argument("--mode", choices=["rules", "react"], default=None)
 
     return parser

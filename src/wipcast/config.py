@@ -20,7 +20,8 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 from .agents import TREND_LOOKBACK, TREND_THRESHOLDS, TREND_WINDOW, _check_weights
 from .llm import API_KEY_ENV, CHAT_TIMEOUT, RETRIES
 from .memory import EMBED_MODEL, TOP_K, DeterministicEmbedder, RemoteEmbedder, RetentionPolicy
-from .wipseries import GAP_POLICIES
+
+TEST_FRACTION = 0.2  # evaluate's default share of trailing days held out
 
 
 @dataclass(frozen=True)
@@ -138,18 +139,15 @@ class ForecastParams:
 @dataclass(frozen=True)
 class PipelineConfig:
     input: InputConfig = field(default_factory=InputConfig)
-    gap_policy: str = "carry"
     forecast: ForecastParams = field(default_factory=ForecastParams)
     embedder: EmbedderConfig = field(default_factory=EmbedderConfig)
     backend: BackendConfig = field(default_factory=BackendConfig)
-    split_date: str | None = None  # ISO date; None = last 20% of days as test
-    test_fraction: float = 0.2
+    split_date: str | None = None  # ISO date; None = the last test_fraction of days as test
+    test_fraction: float = TEST_FRACTION
     out_dir: str = "out"
     freeze_timestamps: bool = False
 
     def __post_init__(self):
-        if self.gap_policy not in GAP_POLICIES:
-            raise ValueError(f"unknown gap policy: {self.gap_policy}")
         if not 0 < self.test_fraction < 1:
             raise ValueError("test_fraction must be in (0, 1)")
         if self.split_date:  # empty: the default split, as None

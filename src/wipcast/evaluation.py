@@ -21,13 +21,13 @@ import csv
 import io
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date
 from datetime import datetime, timedelta, timezone
 from typing import Mapping
 
 from .agents import ForecastReport, fuse, predictor_predict, trend_analyze
-from .config import ForecastParams
+from .config import TEST_FRACTION, ForecastParams
 from .llm import AGENT_IDS, RetrievedExample, StubBackend
 from .memory import DeterministicEmbedder, StoryIndex, build_indexes
 from .narrative import query_story
@@ -129,7 +129,7 @@ def summarize(trace: PredictionTrace) -> list[MetricsSummary]:
     return out
 
 
-def default_split_date(series: WipSeries, test_fraction: float = 0.2) -> Date:
+def default_split_date(series: WipSeries, test_fraction: float = TEST_FRACTION) -> Date:
     """Split so the trailing test_fraction of days (at least one) is held out."""
     if not 0 < test_fraction < 1:
         raise ValueError("test_fraction must be in (0, 1)")
@@ -153,18 +153,9 @@ def _split_index(series: WipSeries, split_date: Date, min_before: int) -> int:
 
 
 @dataclass(frozen=True)
-class StepAudit:
-    """What one forecast step retrieved: each agent's newest retrieved story date."""
-
-    date: Date
-    newest_retrieved: dict[str, Date | None] = field(compare=False)  # None: retrieved nothing
-
-
-@dataclass(frozen=True)
 class RollingForecastResult:
     trace: PredictionTrace
     reports: tuple[ForecastReport, ...]
-    audit: tuple[StepAudit, ...]
 
 
 def retrieve_queries(events, days, embedder, indexes: Mapping[str, StoryIndex],
@@ -235,8 +226,6 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
         backend = StubBackend()
     if embedder is None:
         embedder = DeterministicEmbedder()
-    if not series.contiguous:
-        raise ValueError("walk-forward evaluation needs a contiguous daily series")
     if split_date is None:
         split_date = default_split_date(series)
 
@@ -247,29 +236,23 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
     retrieved = retrieve_queries(events, range(s - 1, len(events) - 1), embedder, indexes, params)
     entries: list[TraceEntry] = []
     reports: list[ForecastReport] = []
-    audit: list[StepAudit] = []
 
     for step, j in enumerate(range(s, len(events))):
         target_day = events[j].date
         report = forecast_day(events, j - 1, {g: retrieved[g][step] for g in AGENT_IDS},
                               indexes, backend, params)
-        newest = {aid: max((r.date for r in pred.retrieved), default=None)
-                  for aid, pred in report.agent_predictions.items()}
-        for aid, day in newest.items():
-            if day is not None and day >= target_day:
-                raise RuntimeError(f"memory leak: {aid} retrieved a story dated {day} "
-                                   f"while forecasting {target_day}")
-        audit.append(StepAudit(date=target_day, newest_retrieved=newest))
         reports.append(report)
-
         actual = float(events[j].close)
         entries.append(TraceEntry(target_day, "multi_agent", actual, report.final_value))
         for aid, pred in report.agent_predictions.items():
+            newest = max((r.date for r in pred.retrieved), default=None)
+            if newest is not None and newest >= target_day:
+                raise RuntimeError(f"memory leak: {aid} retrieved a story dated {newest} "
+                                   f"while forecasting {target_day}")
             entries.append(TraceEntry(target_day, f"{aid}_only", actual, pred.value))
 
     entries.sort(key=lambda e: (_source_rank(e.source), e.date))
-    return RollingForecastResult(trace=PredictionTrace(entries=tuple(entries)),
-                                 reports=tuple(reports), audit=tuple(audit))
+    return RollingForecastResult(trace=PredictionTrace(entries=tuple(entries)), reports=tuple(reports))
 
 
 def persistence_baseline(series: WipSeries, split_date: Date | None = None) -> PredictionTrace:
@@ -435,18 +418,15 @@ def metrics_csv(trace: PredictionTrace) -> str:
 
 def emit_report(trace: PredictionTrace, out_dir: str, freeze_timestamps: bool = False,
                 split_note: str = "") -> dict[str, str]:
-    """Write predictions.csv, metrics.csv, and report.svg under out_dir."""
+    """Write predictions.csv, metrics.csv, and report.svg under out_dir. All
+    three are rendered before any is written, so one that cannot be (say, a
+    MAPE with every actual zero) leaves the earlier files as they were."""
+    texts = {"predictions.csv": predictions_csv(trace), "metrics.csv": metrics_csv(trace),
+             "report.svg": render_report_svg(trace, freeze_timestamps, split_note)}
     os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "predictions": os.path.join(out_dir, "predictions.csv"),
-        "metrics": os.path.join(out_dir, "metrics.csv"),
-        "report": os.path.join(out_dir, "report.svg"),
-    }
-    with open(paths["predictions"], "w", encoding="utf-8", newline="") as fh:
-        fh.write(predictions_csv(trace))
-    with open(paths["metrics"], "w", encoding="utf-8", newline="") as fh:
-        fh.write(metrics_csv(trace))
-    svg = render_report_svg(trace, freeze_timestamps=freeze_timestamps, split_note=split_note)
-    with open(paths["report"], "w", encoding="utf-8", newline="") as fh:
-        fh.write(svg)
+    paths = {}
+    for file_name, text in texts.items():  # keyed "predictions", "metrics" and "report"
+        path = paths[file_name.split(".")[0]] = os.path.join(out_dir, file_name)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     return paths

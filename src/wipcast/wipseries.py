@@ -29,8 +29,6 @@ from .eventlog import EmptyLogError, Event, EventLog
 
 WIP_CSV_HEADER = ["date", "dow", "dom", "doy", "open", "high", "low", "close", "new", "done", "started"]
 
-GAP_POLICIES = ("carry", "drop")
-
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
@@ -63,23 +61,25 @@ def _calendar(day: Date) -> tuple[int, int, int]:
     return day.isoweekday(), day.day, day.timetuple().tm_yday
 
 
+def _check_next(previous: Date, day: Date) -> None:
+    """ValueError unless ``day`` is the day after ``previous``."""
+    step = (day - previous).days
+    if step < 1:
+        raise ValueError(f"{day}: dates not strictly increasing")
+    if step > 1:
+        raise ValueError(f"{day}: {previous + timedelta(days=1)} is missing; each date must be the day after the one before")
+
+
 @dataclass(frozen=True)
 class WipSeries:
-    """Daily WiP vectors with strictly increasing dates, as built by
+    """Daily WiP vectors, each dated the day after the one before, as built by
     :func:`build_wip_series` or read back by :func:`load_wip_csv`."""
 
     events: Sequence[WipEvent]
 
     def __post_init__(self) -> None:
         for a, b in zip(self.events, self.events[1:]):
-            if b.date <= a.date:
-                raise ValueError(f"dates not strictly increasing at {b.date}")
-
-    @property
-    def contiguous(self) -> bool:
-        """No day is missing between the first and the last; only then is the next
-        day's open guaranteed to equal the previous day's close."""
-        return not self.events or (self.events[-1].date - self.events[0].date).days == len(self) - 1
+            _check_next(a.date, b.date)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -95,8 +95,7 @@ def _per_day(days: np.ndarray, first: int, n_days: int) -> np.ndarray:
     return np.bincount(i[(i >= 0) & (i < n_days)], minlength=n_days)
 
 
-def _case_rows(events: Iterable[Event], local_day: Callable[[datetime], int],
-               event_days: set[int] | None) -> tuple[np.ndarray, int]:
+def _case_rows(events: Iterable[Event], local_day: Callable[[datetime], int]) -> tuple[np.ndarray, int]:
     """One row per case, and how many events were folded. A row holds the
     instants (microseconds since the epoch) of the case's earliest and latest
     events, and the local days (ordinals) of its earliest event, its latest
@@ -104,9 +103,8 @@ def _case_rows(events: Iterable[Event], local_day: Callable[[datetime], int],
 
     One pass over the events, in any order and as they arrive, keeps each
     case's earliest and latest timestamps and its earliest ``start``-marked
-    one, if any, and adds each event's local day to ``event_days`` unless that
-    is None. The per-case dict is freed on return, before the replay's arrays
-    exist.
+    one, if any; local days are taken per case, once the fold is done. The
+    per-case dict is freed on return, before the replay's arrays exist.
     """
     anchors: dict[str, list] = {}
     folded = 0
@@ -122,8 +120,6 @@ def _case_rows(events: Iterable[Event], local_day: Callable[[datetime], int],
             case[1] = ts
         if marked and (case[2] is None or ts < case[2]):
             case[2] = ts
-        if event_days is not None:
-            event_days.add(local_day(ts))
 
     def row(opened: datetime, closed: datetime, started: datetime | None) -> tuple[int, ...]:
         open_day = local_day(opened)
@@ -135,7 +131,7 @@ def _case_rows(events: Iterable[Event], local_day: Callable[[datetime], int],
                        dtype=np.dtype((np.int64, 5)), count=len(anchors)), folded
 
 
-def build_wip_series(log: EventLog | Iterable[Event], gap_policy: str = "carry", tz: str = "UTC") -> WipSeries:
+def build_wip_series(log: EventLog | Iterable[Event], tz: str = "UTC") -> WipSeries:
     """Replay a log's case openings and closings into a daily WiP series.
 
     ``log`` is an :class:`EventLog` or any iterable of events, such as a
@@ -144,20 +140,19 @@ def build_wip_series(log: EventLog | Iterable[Event], gap_policy: str = "carry",
 
     A case opens at its earliest event, closes at its latest and starts at
     its earliest ``start``-marked event (any letter case), else when it opens,
-    whatever the order of the log. Days run from the local day of the log's
-    earliest instant to that of its latest, between midnights in ``tz``. The
-    running active count is sampled after every instant at which cases open
-    or close (simultaneous transitions are applied together), which yields
-    each day's high and low; the day's open is the count carried in from the
-    previous day and its close is the count carried out.
+    whatever the order of the log. Every calendar day from the local day of
+    the log's earliest instant to that of its latest, between midnights in
+    ``tz``, gets a row, a day without events too. The running active count is
+    sampled after every instant at which cases open or close (simultaneous
+    transitions are applied together), which yields each day's high and low;
+    the day's open is the count carried in from the previous day and its
+    close is the count carried out.
     """
-    return _replay(log.events if isinstance(log, EventLog) else log, gap_policy, tz)[0]
+    return _replay(log.events if isinstance(log, EventLog) else log, tz)[0]
 
 
-def _replay(events: Iterable[Event], gap_policy: str, tz: str) -> tuple[WipSeries, int, int]:
+def _replay(events: Iterable[Event], tz: str) -> tuple[WipSeries, int, int]:
     """:func:`build_wip_series` of ``events``, with how many events and cases it folded."""
-    if gap_policy not in GAP_POLICIES:
-        raise ValueError(f"unknown gap policy {gap_policy!r}")
     zone = ZoneInfo(tz)
 
     def local_day(ts: datetime) -> int:
@@ -167,8 +162,7 @@ def _replay(events: Iterable[Event], gap_policy: str, tz: str) -> tuple[WipSerie
             raise ValueError(f"the instant {ts.isoformat()} has no local date in {tz}: "
                              f"it falls outside years 1-9999") from None
 
-    event_days = set() if gap_policy == "drop" else None
-    cases, folded = _case_rows(events, local_day, event_days)
+    cases, folded = _case_rows(events, local_day)
     if not folded:
         raise EmptyLogError("cannot build a WiP series from an empty log")
     open_at, close_at, open_days, close_days, started_days = cases.T
@@ -202,9 +196,6 @@ def _replay(events: Iterable[Event], gap_policy: str, tz: str) -> tuple[WipSerie
                                           for d in (open_days, close_days, started_days)))
     days = [wip_event(Date.fromordinal(first + j), *counts)
             for j, counts in enumerate(zip(*(c.tolist() for c in columns)))]
-
-    if event_days is not None:
-        days = [ev for ev in days if ev.date.toordinal() in event_days]
     return WipSeries(tuple(days)), folded, len(cases)
 
 
@@ -237,8 +228,8 @@ def load_wip_csv(source: str | IO[str]) -> WipSeries:
 
     Each row is checked as its :class:`WipEvent` is built: eleven fields, an
     ISO date, integers inside 64 bits, calendar fields that match the date,
-    OHLC order, nonnegative counts and strictly increasing dates. A row that
-    fails raises ValueError naming the file and line.
+    OHLC order, nonnegative counts and each date the day after the previous.
+    A row that fails raises ValueError naming the file and line.
     """
     name = getattr(source, "name", "<stream>")
     text = source if isinstance(source, str) else source.read()
@@ -262,8 +253,8 @@ def load_wip_csv(source: str | IO[str]) -> WipSeries:
                 raise ValueError(f"{day}: dow/dom/doy {'/'.join(map(str, fields[:3]))} do not "
                                  f"match the date (want {'/'.join(map(str, calendar))})")
             event = WipEvent(day, *fields[3:])  # checks OHLC order and nonnegative counts
-            if events and day <= events[-1].date:
-                raise ValueError(f"{day}: dates not strictly increasing")
+            if events:
+                _check_next(events[-1].date, day)
         except ValueError as exc:
             raise ValueError(f"{name}, line {reader.line_num}: {exc}") from exc
         events.append(event)

@@ -21,12 +21,11 @@ import pytest
 from wipcast import cli, memory, wipseries
 from wipcast.agents import DEFAULT_FUSION_WEIGHTS
 from wipcast.cli import main
-from wipcast.eventlog import ColumnMapping, Event, export_csv, parse_csv, parse_xes, validate
+from wipcast.eventlog import ColumnMapping, export_csv, parse_csv, parse_xes, validate
 from wipcast.memory import DeterministicEmbedder, RemoteEmbedder
 from wipcast.narrative import GRANULARITIES, Story
 from wipcast.synthetic import synthetic_event_log
 from wipcast.wipseries import (
-    GAP_POLICIES,
     WipEvent,
     WipSeries,
     build_wip_series,
@@ -367,6 +366,21 @@ def test_forecast_on_a_malformed_wip_csv_row_exits_1_naming_file_and_line(tmp_pa
     assert "wip.csv, line 4: " in err and want in err
 
 
+@pytest.mark.parametrize("stage", ["stories", "index", "forecast", "evaluate"])
+def test_a_wip_csv_with_a_missing_day_exits_1_naming_the_line_and_the_day(tmp_path, workspace, capsys,
+                                                                          stage):
+    # a day's stories name the next row's close as the next day's WiP, so
+    # every stage refuses a series whose next row is a later day
+    out = tmp_path / "run"
+    shutil.copytree(workspace, out)
+    lines = read_lines(out / "wip.csv")
+    missing = lines.pop(5).split(",")[0]
+    (out / "wip.csv").write_text("\n".join(lines) + "\n")
+    assert main([stage, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "wip.csv, line 6: " in err and f": {missing} is missing" in err
+
+
 def test_forecast_without_index_snapshots_embeds_on_the_fly(tmp_path, log_path):
     out = str(tmp_path)
     assert main(["ingest", log_path, "--out", out]) == 0
@@ -407,6 +421,20 @@ def test_evaluate_writes_reports_jsonl(evaluated):
     assert lines
     record = json.loads(lines[0])
     assert record["mode"] == "rules"
+
+
+def test_a_failing_evaluate_leaves_the_last_runs_outputs(tmp_path, workspace, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(workspace, out)
+    assert main(["evaluate", "--out", str(out)]) == 0
+    names = ("predictions.csv", "metrics.csv", "report.svg", "forecast_reports.jsonl")
+    before = {name: (out / name).read_bytes() for name in names}
+    # the latest event closes the last open case, so the log's last close is 0
+    *_, second_to_last, last = read_lines(out / "wip.csv")
+    assert last.split(",")[7] == "0"
+    assert main(["evaluate", "--out", str(out), "--split", second_to_last.split(",")[0]]) == 1
+    assert capsys.readouterr().err.endswith("error: MAPE undefined: every actual is zero\n")
+    assert {name: (out / name).read_bytes() for name in names} == before
 
 
 def test_evaluate_is_deterministic(tmp_path_factory, log_path):
@@ -508,6 +536,21 @@ def test_an_unknown_lifecycle_in_config_exits_1_naming_it(tmp_path, workspace, c
     for stage in ("forecast", "evaluate"):  # forecast used to run, ignoring the key
         assert main([stage, "--out", str(out), "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == "error: unknown config keys: ['lifecycle']\n"
+
+
+def test_a_gap_policy_is_refused_in_config_and_on_the_command_line(tmp_path, workspace, log_path,
+                                                                    capsys):
+    # every calendar day is a row of wip.csv; there is no gap policy to choose
+    out = tmp_path / "run"
+    shutil.copytree(workspace, out)
+    cfg_path = tmp_path / "pipeline.json"
+    cfg_path.write_text(json.dumps({"gap_policy": "carry"}))
+    for argv in (["ingest", log_path], ["forecast"], ["evaluate"]):
+        assert main([*argv, "--out", str(out), "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "error: unknown config keys: ['gap_policy']\n"
+    with pytest.raises(SystemExit) as err:
+        main(["ingest", log_path, "--out", str(out), "--gap-policy", "drop"])
+    assert err.value.code == 2
 
 
 def test_backend_remote_without_endpoint_exits_1(workspace):
@@ -949,7 +992,7 @@ def test_unchanged_wip_csv_loads_as_one_frozen_series(tmp_path, snapshot_workspa
     with pytest.raises(dataclasses.FrozenInstanceError):
         series.events[5].close = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        series.contiguous = False
+        series.events = ()
 
 
 def test_forecasts_on_one_run_spelled_three_ways_load_it_once(tmp_path, snapshot_workspace,
@@ -1207,13 +1250,11 @@ def test_ingest_skips_a_timestamp_out_of_range_in_utc(tmp_path):
     ("9999-12-31T10:00:00Z", "9999-12-31T20:00:00Z", "Pacific/Kiritimati"),
     ("0001-01-01T01:00:00Z", "0001-01-01T20:00:00Z", "America/Los_Angeles"),
 ])
-@pytest.mark.parametrize("gap_policy", ["carry", "drop"])
-def test_ingest_an_instant_without_a_local_date_exits_1_naming_it(tmp_path, capsys, first, last, zone,
-                                                                 gap_policy):
+def test_ingest_an_instant_without_a_local_date_exits_1_naming_it(tmp_path, capsys, first, last, zone):
     path = tmp_path / "edge.csv"
     path.write_text(f"case,activity,timestamp\nc1,A,{first}\nc1,B,{last}\n")
     config = tmp_path / "pipeline.json"
-    config.write_text(json.dumps({"input": {"timezone": zone}, "gap_policy": gap_policy}))
+    config.write_text(json.dumps({"input": {"timezone": zone}}))
     assert main(["ingest", str(path), "--config", str(config), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: the instant ") and zone in err and "Traceback" not in err
@@ -1353,11 +1394,9 @@ INGEST_ZONES = [("UTC", datetime(2024, 1, 1, 8, tzinfo=timezone.utc)),
                 ("Australia/Lord_Howe", datetime(2024, 3, 20, tzinfo=timezone.utc))]
 
 
-@pytest.mark.parametrize("gap_policy", GAP_POLICIES)
 @pytest.mark.parametrize("tz, start", INGEST_ZONES, ids=[z for z, _ in INGEST_ZONES])
 @pytest.mark.parametrize("name", ["log.xes", "log.xes.gz", "log.csv"])
-def test_streamed_ingest_writes_what_the_parsed_log_replays_into(tmp_path, capsys, name, tz, start,
-                                                                  gap_policy):
+def test_streamed_ingest_writes_what_the_parsed_log_replays_into(tmp_path, capsys, name, tz, start):
     data = shuffled_log(name.split(".")[1], start)
     assert len(data) > 65536
     path = tmp_path / name
@@ -1370,11 +1409,10 @@ def test_streamed_ingest_writes_what_the_parsed_log_replays_into(tmp_path, capsy
     assert log.source_meta.skipped == 2
     report = validate(log)
     config = tmp_path / "pipeline.json"
-    config.write_text(json.dumps({"input": {"timezone": tz, "lifecycle_column": "lifecycle"},
-                                  "gap_policy": gap_policy}))
+    config.write_text(json.dumps({"input": {"timezone": tz, "lifecycle_column": "lifecycle"}}))
     assert main(["ingest", str(path), "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "wip.csv").read_text(encoding="utf-8") == export_wip_csv(
-        build_wip_series(log, gap_policy, tz))
+        build_wip_series(log, tz))
     assert capsys.readouterr().out.startswith(
         f"ingested {report.event_count} events / {report.case_count} cases -> ")
 
@@ -1382,11 +1420,9 @@ def test_streamed_ingest_writes_what_the_parsed_log_replays_into(tmp_path, capsy
 @pytest.mark.parametrize("name", ["edge.xes.gz", "edge.csv.gz"])
 def test_an_ingest_that_stops_mid_fold_closes_the_parser_and_exits_1(tmp_path, capsys, monkeypatch,
                                                                      name):
-    # Under the drop policy each event's local day is taken as it is folded,
-    # so the first event, which has none in Pacific/Kiritimati, stops the fold
-    # with the rest of the log unread.
-    late = Event("c-late", "open", datetime(9999, 12, 31, 20, tzinfo=timezone.utc), "start")
-    events = [late, *synthetic_event_log(2000, seed=3).events]
+    # A fold that stops at its first event leaves the rest of the log unread.
+    # A parsed log gives the fold nothing to stop at, so the stop is stubbed.
+    events = synthetic_event_log(2000, seed=3).events
     if name.startswith("edge.xes"):
         by_case: dict[str, list] = {}
         for ev in events:
@@ -1406,13 +1442,14 @@ def test_an_ingest_that_stops_mid_fold_closes_the_parser_and_exits_1(tmp_path, c
             return streams[-1]
         return keep
 
+    def stops_at_the_first_event(events, local_day):
+        next(iter(events))
+        raise ValueError("the fold stopped")
+
     monkeypatch.setattr(cli, "_event_stream", kept(cli._event_stream))
-    config = tmp_path / "pipeline.json"
-    config.write_text(json.dumps({"input": {"timezone": "Pacific/Kiritimati"}, "gap_policy": "drop"}))
-    assert main(["ingest", str(path), "--config", str(config), "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: the instant 9999-12-31T20:00:00+00:00 has no local date in "
-                          "Pacific/Kiritimati") and "Traceback" not in err
+    monkeypatch.setattr(wipseries, "_case_rows", stops_at_the_first_event)
+    assert main(["ingest", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: the fold stopped\n"
     assert not (tmp_path / "out" / "wip.csv").exists()
     [stream] = streams
     assert stream.gi_frame is None  # closed by the ingest, not left for the collector

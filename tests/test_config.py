@@ -165,8 +165,9 @@ def test_fusion_mode_validated():
 
 
 def test_gap_policy_validated():
-    with pytest.raises(ValueError):
-        PipelineConfig(gap_policy="interpolate")
+    # every calendar day is a row of the series, so there is no policy to set
+    with pytest.raises(ValueError, match=re.escape("unknown config keys: ['gap_policy']")):
+        config_from_dict({"gap_policy": "carry"})
 
 
 def test_test_fraction_validated():

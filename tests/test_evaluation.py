@@ -189,13 +189,13 @@ def test_rolling_requires_fourteen_days_before_split():
 
 
 def test_rolling_rejects_gappy_series():
+    # a series with a day missing cannot be built, so none reaches the harness
     events = (
         wip_event(date(2024, 1, 1), 5, 6, 4, 5),
         wip_event(date(2024, 1, 3), 5, 6, 4, 5),
     )
-    series = WipSeries(events=events)
-    with pytest.raises(ValueError):
-        rolling_forecast(series, split_date=date(2024, 1, 1))
+    with pytest.raises(ValueError, match="2024-01-02 is missing"):
+        WipSeries(events=events)
 
 
 # --- walk-forward harness ---
@@ -218,12 +218,12 @@ def test_rolling_produces_all_ablation_sources(twenty_day_run):
 
 
 def test_rolling_memory_is_causal(twenty_day_run):
-    _, _, result = twenty_day_run
-    for step, report in zip(result.audit, result.reports):
-        assert step.date == report.date
+    series, split, result = twenty_day_run
+    assert [r.date for r in result.reports] == [ev.date for ev in series.events if ev.date > split]
+    for report in result.reports:
         for aid, pred in report.agent_predictions.items():
             assert len(pred.retrieved) == 5
-            assert step.newest_retrieved[aid] == max(r.date for r in pred.retrieved) < step.date
+            assert max(r.date for r in pred.retrieved) < report.date
 
 
 def test_rolling_newest_story_is_yesterdays(twenty_day_run):
@@ -232,9 +232,9 @@ def test_rolling_newest_story_is_yesterdays(twenty_day_run):
     # is the newest one retrievable, whatever the similarity ranking
     series, _, result = twenty_day_run
     for g, index in build_indexes(series.events, DeterministicEmbedder(), 7).items():
-        for step in result.audit:
-            hits = index.retrieve("WiP closed at 12.", as_of=step.date, k=len(index))
-            assert max(r.date for r in hits) == step.date - timedelta(days=1), g
+        for report in result.reports:
+            hits = index.retrieve("WiP closed at 12.", as_of=report.date, k=len(index))
+            assert max(r.date for r in hits) == report.date - timedelta(days=1), g
 
 
 def test_rolling_builds_each_index_once(monkeypatch):
@@ -376,10 +376,9 @@ def test_rolling_window_longer_than_history_starts_with_empty_index():
     series = synthetic_series(40, seed=1)
     result = rolling_forecast(series, split_date=series.events[14].date,
                               params=ForecastParams(window=20))
-    counts = [len(r.agent_predictions["windowed"].retrieved) for r in result.reports]
-    assert counts[:7] == [0, 0, 0, 0, 0, 1, 2]
-    assert [a.newest_retrieved["windowed"] for a in result.audit[:5]] == [None] * 5
-    assert result.audit[5].newest_retrieved["windowed"] == series.events[19].date
+    retrieved = [r.agent_predictions["windowed"].retrieved for r in result.reports]
+    assert [len(rows) for rows in retrieved[:7]] == [0, 0, 0, 0, 0, 1, 2]
+    assert retrieved[5][0].date == series.events[19].date
     # with nothing retrieved the stub answers with the current close
     closes = {ev.date: float(ev.close) for ev in series.events}
     for entry in result.trace.for_source("windowed_only")[:5]:

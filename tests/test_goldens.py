@@ -13,9 +13,9 @@ forecasts must update them on purpose and say why.
   windowed index starts empty and fills mid-run.
 
 The ingest digests pin ``wip.csv`` for one seeded log written as XES (plain
-and gzipped) and as CSV, plus a sparse CSV log replayed in a non-UTC zone with
-the ``drop`` gap policy. The stories digests pin the three ``stories_*.jsonl``
-of the ``log`` workload.
+and gzipped) and as CSV, plus a sparse CSV log, with days that have no
+events, replayed in a non-UTC zone. The stories digests pin the three
+``stories_*.jsonl`` of the ``log`` workload.
 
 The forecast digests pin ``forecast.jsonl`` for one day of the snapshot
 workspace in both fusion modes, and in react mode after the daily snapshot's
@@ -162,9 +162,8 @@ INGEST_WORKLOADS = {
     "xes": ("log.xes", lambda: _xes_bytes(_INGEST_LOG), [], None),
     "xes-gzip": ("log.xes.gz", lambda: gzip.compress(_xes_bytes(_INGEST_LOG), mtime=0), [], None),
     "csv": ("log.csv", lambda: export_csv(_INGEST_LOG).encode("utf-8"), _LIFECYCLE_ARGS, None),
-    "csv-sparse-new-york-drop": (
-        "log.csv", lambda: export_csv(_SPARSE_LOG).encode("utf-8"),
-        [*_LIFECYCLE_ARGS, "--gap-policy", "drop"], {"input": {"timezone": "America/New_York"}}),
+    "csv-sparse-new-york": ("log.csv", lambda: export_csv(_SPARSE_LOG).encode("utf-8"), _LIFECYCLE_ARGS,
+                            {"input": {"timezone": "America/New_York"}}),
 }
 
 
@@ -184,12 +183,13 @@ def ingest_digest(workload: str, out: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-# Recorded before ingest became a streaming parse.
+# Recorded before ingest became a streaming parse; the sparse one when
+# every calendar day became a row.
 INGEST_GOLDENS = {
     "xes": "6499c43af152b10f6e0d28c547af0604edbd1361a4012c2ab760ba4378e48abb",
     "xes-gzip": "6499c43af152b10f6e0d28c547af0604edbd1361a4012c2ab760ba4378e48abb",
     "csv": "6499c43af152b10f6e0d28c547af0604edbd1361a4012c2ab760ba4378e48abb",
-    "csv-sparse-new-york-drop": "f007744ce489d037d0e8e08196008bc0fc8a628cfd68291cfe5bc99e5cd7a731",
+    "csv-sparse-new-york": "9bd009ab4a44441753682c44cdacafb67a64e77d7640f16ccaca790b708d1c1a",
 }
 
 

@@ -14,7 +14,6 @@ import pytest
 from wipcast.eventlog import ColumnMapping, Event, EventLog, SourceMeta, parse_csv
 from wipcast.synthetic import synthetic_event_log, synthetic_series
 from wipcast.wipseries import (
-    GAP_POLICIES,
     WIP_CSV_HEADER,
     WipEvent,
     WipSeries,
@@ -138,15 +137,14 @@ def test_shuffled_events_give_an_equal_series(tz, start):
     marks = {"open": "schedule", "work": "start", "resolve": "START"}
     log = synthetic_event_log(40, seed=5, start=start, span_days=60)
     events = [Event(ev.case_id, ev.activity, ev.timestamp, marks[ev.activity]) for ev in log.events]
-    want = {policy: build_wip_series(EventLog(tuple(events), log.source_meta), policy, tz)
-            for policy in GAP_POLICIES}
-    assert not want["drop"].contiguous  # the span has days without events
+    want = build_wip_series(EventLog(tuple(events), log.source_meta), tz)
+    event_days = {ev.timestamp.astimezone(ZoneInfo(tz)).date() for ev in events}
+    assert len(want) > len(event_days)  # the span has days without events
     rng = random.Random(tz)
     for _ in range(10):
         rng.shuffle(events)
         shuffled = EventLog(tuple(events), log.source_meta)
-        for policy in GAP_POLICIES:
-            assert build_wip_series(shuffled, policy, tz) == want[policy], (policy, events[:3])
+        assert build_wip_series(shuffled, tz) == want, events[:3]
 
 
 @pytest.mark.parametrize("rows, n_days", [
@@ -178,29 +176,11 @@ def test_gap_carry_inserts_flat_day():
             ("c2", "close", _utc(2024, 1, 3, 10)),
         ]
     )
-    series = build_wip_series(log, gap_policy="carry")
+    series = build_wip_series(log)
     assert [ev.date for ev in series.events] == [date(2024, 1, j) for j in (1, 2, 3)]
     middle = series.events[1]
     assert (middle.open, middle.high, middle.low, middle.close) == (2, 2, 2, 2)
     assert (middle.new, middle.done, middle.started) == (0, 0, 0)
-    assert series.contiguous
-
-
-def test_gap_drop_keeps_event_days_only():
-    log = make_log(
-        [
-            ("c1", "open", _utc(2024, 1, 1, 9)),
-            ("c1", "close", _utc(2024, 1, 5, 9)),
-        ]
-    )
-    series = build_wip_series(log, gap_policy="drop")
-    assert [ev.date for ev in series.events] == [date(2024, 1, 1), date(2024, 1, 5)]
-    assert not series.contiguous
-
-
-def test_unknown_gap_policy_rejected(five_case_log):
-    with pytest.raises(ValueError):
-        build_wip_series(five_case_log, gap_policy="interpolate")
 
 
 def test_multi_day_gap_carry_adjacency():
@@ -212,7 +192,7 @@ def test_multi_day_gap_carry_adjacency():
             ("c2", "close", _utc(2024, 1, 7, 9)),
         ]
     )
-    series = build_wip_series(log, gap_policy="carry")
+    series = build_wip_series(log)
     assert len(series.events) == 7
     for prev, cur in zip(series.events, series.events[1:]):
         assert cur.open == prev.close
@@ -253,19 +233,18 @@ def test_timezone_changes_day_attribution():
     assert shifted.events[0].done == 1
 
 
-@pytest.mark.parametrize("gap_policy", ["carry", "drop"])
 @pytest.mark.parametrize("instants, zone", [
     ((datetime(9999, 12, 31, 10, tzinfo=timezone.utc), datetime(9999, 12, 31, 20, tzinfo=timezone.utc)),
      "Pacific/Kiritimati"),
     ((datetime(1, 1, 1, 1, tzinfo=timezone.utc), datetime(1, 1, 1, 20, tzinfo=timezone.utc)),
      "America/Los_Angeles"),
 ])
-def test_an_instant_without_a_local_date_raises_naming_it(instants, zone, gap_policy):
+def test_an_instant_without_a_local_date_raises_naming_it(instants, zone):
     # each instant exists in UTC; its local date in the zone is past 9999-12-31 or before 0001-01-01
     log = make_log([("c1", "open", instants[0]), ("c1", "close", instants[1])])
     named = re.escape(f"instant {instants[0].isoformat()} has no local date in {zone}")
     with pytest.raises(ValueError, match=named):
-        build_wip_series(log, gap_policy=gap_policy, tz=zone)
+        build_wip_series(log, tz=zone)
 
 
 def test_wip_event_rejects_inconsistent_range():
@@ -318,20 +297,26 @@ def test_loaded_series_reads_like_the_built_one():
             got[i]
     assert got == want and want == got and got == loaded.events
     assert got != want[:-1] and want[1:] != got
-    assert loaded == built and loaded.contiguous
+    assert loaded == built
     assert [loaded.days_through(want[0].date + timedelta(days=d)) for d in (-1, 0, 5, 39, 60)] == [
         0, 1, 6, 40, 40]
 
 
 def test_loaded_series_with_a_dropped_day_is_not_contiguous():
+    # Each date must be the day after the one before: a wip.csv with a day
+    # missing fails naming the line and the day, and so does a series built
+    # in memory without it.
     log = make_log([("c1", "open", _utc(2024, 1, 1, 9)), ("c1", "close", _utc(2024, 1, 5, 9))])
-    loaded = load_wip_csv(io.StringIO(export_wip_csv(
-        build_wip_series(log, gap_policy="drop"))))
-    assert [ev.date for ev in loaded.events] == [date(2024, 1, 1), date(2024, 1, 5)]
-    assert not loaded.contiguous
-    assert [loaded.days_through(date(2024, 1, d)) for d in range(1, 7)] == [1, 1, 1, 1, 2, 2]
-    assert not WipSeries(loaded.events).contiguous
-    assert WipSeries(synthetic_series(3).events).contiguous and WipSeries(()).contiguous
+    events = build_wip_series(log).events
+    lines = export_wip_csv(WipSeries(events)).splitlines(keepends=True)
+    dropped = "".join(lines[:3] + lines[4:])  # no row for 2024-01-03
+    with pytest.raises(ValueError, match=re.escape("<stream>, line 4: 2024-01-04: 2024-01-03 is missing")):
+        load_wip_csv(io.StringIO(dropped))
+    with pytest.raises(ValueError, match="2024-01-04: 2024-01-03 is missing"):
+        WipSeries(events[:2] + events[3:])
+    with pytest.raises(ValueError, match="2024-01-02: dates not strictly increasing"):
+        WipSeries(events[:2] + events[1:])
+    assert len(WipSeries(events[:1])) == 1 and len(WipSeries(())) == 0
 
 
 def test_randomized_logs_respect_invariants():
@@ -428,9 +413,6 @@ def test_replay_matches_the_sweep_oracle(tz, base, hours):
         log = parse_csv(io.StringIO(csv_document(rows)),
                         ColumnMapping("case", "activity", "ts", lifecycle="activity"),
                         source_name=f"oracle{trial}.csv")
-        event_days = {ev.timestamp.astimezone(ZoneInfo(tz)).date() for ev in log.events}
-        want = _sweep_oracle(log, tz)
-        for policy, kept in (("carry", want), ("drop", [r for r in want if r[0] in event_days])):
-            got = build_wip_series(log, gap_policy=policy, tz=tz).events
-            assert [(e.date, e.open, e.high, e.low, e.close, e.new, e.done, e.started)
-                    for e in got] == kept, (tz, trial, policy)
+        got = build_wip_series(log, tz=tz).events
+        assert [(e.date, e.open, e.high, e.low, e.close, e.new, e.done, e.started)
+                for e in got] == _sweep_oracle(log, tz), (tz, trial)
