@@ -244,14 +244,15 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
 
     # Every output is rendered before any is written: a run that fails leaves the last run's files.
     reports = _reports_jsonl(result.reports)
+    summaries = summarize(merged)
     paths = emit_report(merged, args.out, freeze_timestamps=cfg.freeze_timestamps,
-                        split_note=f"split={split}")
+                        split_note=f"split={split}", summaries=summaries)
     reports_path = os.path.join(args.out, "forecast_reports.jsonl")
     _write(reports_path, reports)
 
     print(f"evaluated {len(result.reports)} days after split {split}")
     print(f"{'source':<16} {'mape':>8} {'mae':>8} {'n':>4} {'skipped':>8}")
-    for summary in summarize(merged):
+    for summary in summaries:
         print(f"{summary.source:<16} {summary.mape:>8.2f} {summary.mae:>8.2f} "
               f"{summary.n:>4} {summary.skipped_zero_actuals:>8}")
     for name in ("predictions", "metrics", "report"):

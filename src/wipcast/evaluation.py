@@ -405,11 +405,11 @@ def predictions_csv(trace: PredictionTrace) -> str:
     return buf.getvalue()
 
 
-def metrics_csv(trace: PredictionTrace) -> str:
+def metrics_csv(trace: PredictionTrace, summaries: list[MetricsSummary] | None = None) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(METRICS_HEADER)
-    for summary in summarize(trace):
+    for summary in summarize(trace) if summaries is None else summaries:
         writer.writerow([summary.source, _fmt_float(summary.mape),
                          _fmt_float(summary.mae), summary.n,
                          summary.skipped_zero_actuals])
@@ -417,11 +417,12 @@ def metrics_csv(trace: PredictionTrace) -> str:
 
 
 def emit_report(trace: PredictionTrace, out_dir: str, freeze_timestamps: bool = False,
-                split_note: str = "") -> dict[str, str]:
+                split_note: str = "", summaries: list[MetricsSummary] | None = None) -> dict[str, str]:
     """Write predictions.csv, metrics.csv, and report.svg under out_dir. All
     three are rendered before any is written, so one that cannot be (say, a
-    MAPE with every actual zero) leaves the earlier files as they were."""
-    texts = {"predictions.csv": predictions_csv(trace), "metrics.csv": metrics_csv(trace),
+    MAPE with every actual zero) leaves the earlier files as they were.
+    ``summaries`` is ``summarize(trace)``, if the caller has made it."""
+    texts = {"predictions.csv": predictions_csv(trace), "metrics.csv": metrics_csv(trace, summaries),
              "report.svg": render_report_svg(trace, freeze_timestamps, split_note)}
     os.makedirs(out_dir, exist_ok=True)
     paths = {}

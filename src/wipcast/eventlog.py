@@ -1,22 +1,24 @@
 """Event log ingestion: XES (XML) and CSV parsers producing normalized events.
 
-Each format has a private generator that yields events in file order as the
-source is read, and returns the log's :class:`SourceMeta` when it ends; the
-``ingest`` stage replays that stream, picked by ``_event_stream``, without
-holding it. :func:`parse_xes` and
-:func:`parse_csv` collect a stream into an :class:`EventLog`, a stably
-timestamp-sorted sequence. Every event carries a case id, an activity name, a
-UTC timestamp and an optional lifecycle marker; no other attribute or column
-of the source is kept. The sorted order is a property of parsed logs, not a
-precondition of any reader. Individually malformed events are skipped with a
-diagnostic rather than aborting the whole file, since real-world logs
-routinely contain sporadic defects.
+Each format has a private generator that yields each event's fields in file
+order as the source is read, and returns the log's :class:`SourceMeta` when it
+ends; the ``ingest`` stage replays that stream, picked by ``_event_stream``,
+without holding it. :func:`parse_xes` and :func:`parse_csv` collect a stream
+into an :class:`EventLog`, a stably timestamp-sorted sequence. Every event
+carries a case id, an activity name, a UTC timestamp and an optional
+lifecycle marker; no other attribute or column of the source is kept. The
+sorted order is a property of parsed logs, not a precondition of any reader.
+Individually malformed events are skipped with a diagnostic rather than
+aborting the whole file, since real-world logs routinely contain sporadic
+defects.
 
-A log is held lean: events are slotted, and each parse keeps a table of the
-strings it has stored (activity, lifecycle, case id), so every event carrying
-an equal string shares one object. The table lives only as long as the parse,
-so strings that never repeat cost nothing once it returns. :func:`validate` is
-a separate summary that ingestion does not run.
+The streams yield bare ``(case_id, activity, timestamp, lifecycle)`` tuples
+and keep no table of the strings they read. A collected log is held lean:
+events are slotted, and :func:`parse_xes` and :func:`parse_csv` keep a table
+of the strings they have stored, so every event carrying an equal string
+shares one object. The table lives only as long as the collection, so strings
+that never repeat cost nothing once it returns. :func:`validate` is a separate
+summary that ingestion does not run.
 """
 
 from __future__ import annotations
@@ -75,6 +77,9 @@ class Event:
             raise ValueError("activity must be non-empty")
         if self.timestamp.tzinfo is None:
             raise ValueError("timestamp must be timezone-aware")
+
+
+_Fields = tuple[str, str, datetime, str | None]  # case id, activity, timestamp, lifecycle
 
 
 @dataclass(frozen=True)
@@ -215,8 +220,8 @@ def _local_name(name: str) -> str:
 
 
 def _emit_trace(trace_attrs: dict[str, object], event_attrs: list[dict[str, object]],
-                events: list[Event], diagnostics: list[str]) -> None:
-    """Turn one closed trace's collected attributes into events or diagnostics."""
+                events: list[_Fields], diagnostics: list[str]) -> None:
+    """Turn one closed trace's collected attributes into events' fields or diagnostics."""
     case_id = trace_attrs.get("concept:name")
     if not isinstance(case_id, str) or not case_id:
         diagnostics.append(f"trace without concept:name skipped ({len(event_attrs)} events)")
@@ -233,7 +238,7 @@ def _emit_trace(trace_attrs: dict[str, object], event_attrs: list[dict[str, obje
         lifecycle = attrs.get("lifecycle:transition")
         if lifecycle is not None and not isinstance(lifecycle, str):
             lifecycle = str(lifecycle)
-        events.append(Event(case_id, activity, ts, lifecycle))
+        events.append((case_id, activity, ts, lifecycle))
 
 
 def _source_meta(source_name: str, fmt: str, seen: int, kept: int,
@@ -246,33 +251,36 @@ def _source_meta(source_name: str, fmt: str, seen: int, kept: int,
     return SourceMeta(source_name, fmt, seen, seen - kept, tuple(diagnostics))
 
 
-def _collected(events: Generator[Event, None, SourceMeta]) -> EventLog:
-    """The log of what a parser's generator yields, timestamp-sorted, with the
-    :class:`SourceMeta` it returns."""
+def _collected(stream: Generator[_Fields, None, SourceMeta]) -> EventLog:
+    """The log of the events whose fields a parser's generator yields,
+    timestamp-sorted, with the :class:`SourceMeta` it returns. Events carrying
+    equal strings share one object."""
+    share = {}.setdefault  # share(s, s): the first equal string stored
     kept: list[Event] = []
     while True:
         try:
-            kept.append(next(events))
+            case_id, activity, ts, lifecycle = next(stream)
         except StopIteration as done:
             return EventLog(_sorted_events(kept), done.value)
+        kept.append(Event(share(case_id, case_id), share(activity, activity), ts,
+                          lifecycle and share(lifecycle, lifecycle)))
 
 
-def _xes_events(stream: bytes | IO[bytes], source_name: str = "<xes>") -> Generator[Event, None, SourceMeta]:
-    """Yield the events of an XES byte stream in file order, as :func:`parse_xes`
-    reads them, and return its :class:`SourceMeta`.
+def _xes_events(stream: bytes | IO[bytes], source_name: str = "<xes>") -> Generator[_Fields, None, SourceMeta]:
+    """Yield the fields of each event of an XES byte stream in file order, as
+    :func:`parse_xes` reads them, and return its :class:`SourceMeta`.
 
     Each trace's events are made when the trace closes; those of the traces
     closed in one 64 KiB read are yielded after it, so no more of the log is
     held than one read's worth.
     """
-    events: list[Event] = []
+    events: list[_Fields] = []
     diagnostics: list[str] = []
     seen = kept = 0
     depth = 0  # of the innermost open element; the root is 1
     trace_attrs: dict[str, object] | None = None  # None outside a trace
     trace_events: list[dict[str, object]] = []  # the open trace's events, as attributes
     event_attrs: dict[str, object] | None = None  # None outside an event
-    share = {}.setdefault  # share(s, s): the first equal string this parse stored
 
     def start(name: str, attrs: dict[str, str]) -> None:
         nonlocal depth, trace_attrs, trace_events, event_attrs
@@ -306,8 +314,6 @@ def _xes_events(stream: bytes | IO[bytes], source_name: str = "<xes>") -> Genera
             parsed = convert(value)
         except (ValueError, TypeError):
             parsed = value  # a value that does not parse stays a string
-        if isinstance(parsed, str):
-            parsed = share(parsed, parsed)
         out[key] = parsed
 
     def end(name: str) -> None:
@@ -362,42 +368,43 @@ def _csv_events(
     stream: str | bytes | IO[str] | IO[bytes],
     mapping: ColumnMapping,
     source_name: str = "<csv>",
-) -> Generator[Event, None, SourceMeta]:
-    """Yield the events of CSV input row by row, as :func:`parse_csv` reads them,
-    and return its :class:`SourceMeta`."""
+) -> Generator[_Fields, None, SourceMeta]:
+    """Yield the fields of each event of CSV input row by row, as :func:`parse_csv`
+    reads them, and return its :class:`SourceMeta`. Cells are read by position,
+    as a ``csv.DictReader`` reads them by name: a repeated header name's last
+    column, a short row's missing cells as empty, and no blank line as a row."""
     diagnostics: list[str] = []
     seen = kept = 0
     with _open_text(stream, source_name) as text:
-        reader = csv.DictReader(text)
+        reader = csv.reader(text)
         try:
-            header = reader.fieldnames or []
+            column = {name: i for i, name in enumerate(next(reader, []))}
             required = [mapping.case, mapping.activity, mapping.timestamp]
             if mapping.lifecycle:
                 required.append(mapping.lifecycle)
-            missing = [col for col in required if col not in header]
+            missing = [col for col in required if col not in column]
             if missing:
                 raise MappingError(f"{source_name}: mapped column(s) not in header: {', '.join(missing)}")
 
-            share = {}.setdefault  # share(s, s): the first equal string this parse stored
-            for i, row in enumerate(reader, start=2):
+            case_at, activity_at, ts_at, *lifecycle_at = (column[col] for col in required)
+            width = 1 + max(case_at, activity_at, ts_at, *lifecycle_at)
+            for row in reader:
+                if not row:
+                    continue
                 seen += 1
-                case_id = (row.get(mapping.case) or "").strip()
-                activity = (row.get(mapping.activity) or "").strip()
-                raw_ts = (row.get(mapping.timestamp) or "").strip()
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                case_id, activity, raw_ts = row[case_at].strip(), row[activity_at].strip(), row[ts_at].strip()
                 if not case_id or not activity:
-                    diagnostics.append(f"row {i}: empty case or activity, skipped")
+                    diagnostics.append(f"row {seen + 1}: empty case or activity, skipped")
                     continue
                 try:
                     ts = parse_timestamp(raw_ts, mapping.timestamp_format)
                 except ValueError:
-                    diagnostics.append(f"row {i}: unparseable timestamp {raw_ts!r}, skipped")
+                    diagnostics.append(f"row {seen + 1}: unparseable timestamp {raw_ts!r}, skipped")
                     continue
-                lifecycle = None
-                if mapping.lifecycle:
-                    lifecycle = (row.get(mapping.lifecycle) or "").strip()
-                    lifecycle = share(lifecycle, lifecycle) or None
                 kept += 1
-                yield Event(share(case_id, case_id), share(activity, activity), ts, lifecycle)
+                yield case_id, activity, ts, (row[lifecycle_at[0]].strip() or None) if lifecycle_at else None
         except UnicodeDecodeError as exc:
             # The text layer decodes ahead of the rows: lines the reader has
             # taken, plus the line breaks before the bad byte in this chunk.
@@ -405,8 +412,7 @@ def _csv_events(
             raise EventLogError(f"{source_name}: line {line} is not valid UTF-8 "
                                 f"({exc.reason})") from exc
         except csv.Error as exc:  # a cell over the process-wide csv.field_size_limit(), say
-            # the row reader's count takes in the line it failed on; the DictReader's lags
-            raise EventLogError(f"{source_name}: line {reader.reader.line_num}: {exc}") from exc
+            raise EventLogError(f"{source_name}: line {reader.line_num}: {exc}") from exc
     return _source_meta(source_name, "csv", seen, kept, diagnostics)
 
 
@@ -427,8 +433,8 @@ def parse_csv(
 
 
 def _event_stream(stream: bytes | IO[bytes], fmt: str, mapping: ColumnMapping,
-                  source_name: str) -> Generator[Event, None, SourceMeta]:
-    """The event stream of an ``"xes"`` or ``"csv"`` source, as the ``ingest``
+                  source_name: str) -> Generator[_Fields, None, SourceMeta]:
+    """The stream of event fields of an ``"xes"`` or ``"csv"`` source, as the ``ingest``
     stage reads it; ``mapping`` is read for CSV alone."""
     if fmt == "xes":
         return _xes_events(stream, source_name)

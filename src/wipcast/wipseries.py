@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+from array import array
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -25,12 +26,13 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .eventlog import EmptyLogError, Event, EventLog
+from .eventlog import EmptyLogError, Event, EventLog, _Fields
 
 WIP_CSV_HEADER = ["date", "dow", "dom", "doy", "open", "high", "low", "close", "new", "done", "started"]
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
+_UNSTARTED = 2**63 - 1  # a case's start instant while none of its events is start-marked
 
 
 @dataclass(frozen=True)
@@ -95,48 +97,54 @@ def _per_day(days: np.ndarray, first: int, n_days: int) -> np.ndarray:
     return np.bincount(i[(i >= 0) & (i < n_days)], minlength=n_days)
 
 
-def _case_rows(events: Iterable[Event], local_day: Callable[[datetime], int]) -> tuple[np.ndarray, int]:
+def _case_rows(events: Iterable[_Fields], local_day: Callable[[datetime], int]) -> tuple[np.ndarray, int]:
     """One row per case, and how many events were folded. A row holds the
     instants (microseconds since the epoch) of the case's earliest and latest
     events, and the local days (ordinals) of its earliest event, its latest
     event and its start.
 
-    One pass over the events, in any order and as they arrive, keeps each
-    case's earliest and latest timestamps and its earliest ``start``-marked
-    one, if any; local days are taken per case, once the fold is done. The
-    per-case dict is freed on return, before the replay's arrays exist.
+    One pass over the events' fields, in any order and as they arrive,
+    converts each timestamp once and keeps three instants per case in int64
+    columns: its earliest, its latest and its earliest ``start``-marked one
+    (a sentinel if none), found through a dict from case id to row. The dict
+    is freed once the fold is done, before local days are taken per case.
     """
-    anchors: dict[str, list] = {}
+    slots: dict[str, int] = {}
+    opened, closed, started = array("q"), array("q"), array("q")
     folded = 0
-    for folded, ev in enumerate(events, start=1):
-        ts = ev.timestamp
-        marked = ev.lifecycle is not None and ev.lifecycle.lower() == "start"
-        case = anchors.get(ev.case_id)
-        if case is None:
-            case = anchors[ev.case_id] = [ts, ts, None]
-        elif ts < case[0]:
-            case[0] = ts
-        elif ts > case[1]:
-            case[1] = ts
-        if marked and (case[2] is None or ts < case[2]):
-            case[2] = ts
+    for folded, (case_id, _, ts, lifecycle) in enumerate(events, start=1):
+        at = (ts - _EPOCH) // _MICROSECOND
+        slot = slots.setdefault(case_id, len(opened))
+        if slot == len(opened):
+            opened.append(at)
+            closed.append(at)
+            started.append(_UNSTARTED)
+        elif at < opened[slot]:
+            opened[slot] = at
+        elif at > closed[slot]:
+            closed[slot] = at
+        if lifecycle is not None and at < started[slot] and lifecycle.lower() == "start":
+            started[slot] = at
+    del slots
 
-    def row(opened: datetime, closed: datetime, started: datetime | None) -> tuple[int, ...]:
-        open_day = local_day(opened)
-        return ((opened - _EPOCH) // _MICROSECOND, (closed - _EPOCH) // _MICROSECOND,
-                open_day, local_day(closed),
-                open_day if started in (None, opened) else local_day(started))
+    def day(at: int) -> int:
+        return local_day(_EPOCH + at * _MICROSECOND)
 
-    return np.fromiter((row(*case) for case in anchors.values()),
-                       dtype=np.dtype((np.int64, 5)), count=len(anchors)), folded
+    def row(opened: int, closed: int, started: int) -> tuple[int, ...]:
+        open_day = day(opened)
+        return (opened, closed, open_day, day(closed),
+                open_day if started in (_UNSTARTED, opened) else day(started))
+
+    return np.fromiter(map(row, opened, closed, started),
+                       dtype=np.dtype((np.int64, 5)), count=len(opened)), folded
 
 
 def build_wip_series(log: EventLog | Iterable[Event], tz: str = "UTC") -> WipSeries:
     """Replay a log's case openings and closings into a daily WiP series.
 
-    ``log`` is an :class:`EventLog` or any iterable of events, such as a
-    parser's stream, read once: each event is folded into its case as it
-    arrives, so only a few instants per case are held, never the events.
+    ``log`` is an :class:`EventLog` or any iterable of events, read once:
+    each event is folded into its case as it arrives, so only a few instants
+    per case are held, never the events.
 
     A case opens at its earliest event, closes at its latest and starts at
     its earliest ``start``-marked event (any letter case), else when it opens,
@@ -148,11 +156,13 @@ def build_wip_series(log: EventLog | Iterable[Event], tz: str = "UTC") -> WipSer
     the day's open is the count carried in from the previous day and its
     close is the count carried out.
     """
-    return _replay(log.events if isinstance(log, EventLog) else log, tz)[0]
+    events = log.events if isinstance(log, EventLog) else log
+    return _replay(map(attrgetter("case_id", "activity", "timestamp", "lifecycle"), events), tz)[0]
 
 
-def _replay(events: Iterable[Event], tz: str) -> tuple[WipSeries, int, int]:
-    """:func:`build_wip_series` of ``events``, with how many events and cases it folded."""
+def _replay(events: Iterable[_Fields], tz: str) -> tuple[WipSeries, int, int]:
+    """:func:`build_wip_series` of the events whose fields are ``events``, with
+    how many events and cases it folded."""
     zone = ZoneInfo(tz)
 
     def local_day(ts: datetime) -> int:
@@ -258,4 +268,6 @@ def load_wip_csv(source: str | IO[str]) -> WipSeries:
         except ValueError as exc:
             raise ValueError(f"{name}, line {reader.line_num}: {exc}") from exc
         events.append(event)
-    return WipSeries(tuple(events))
+    series = object.__new__(WipSeries)  # not WipSeries(...): its dates were checked row by row
+    object.__setattr__(series, "events", tuple(events))
+    return series

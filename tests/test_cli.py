@@ -18,9 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wipcast import cli, memory, wipseries
+from wipcast import cli, evaluation, memory, wipseries
 from wipcast.agents import DEFAULT_FUSION_WEIGHTS
 from wipcast.cli import main
+from wipcast.evaluation import summarize
 from wipcast.eventlog import ColumnMapping, export_csv, parse_csv, parse_xes, validate
 from wipcast.memory import DeterministicEmbedder, RemoteEmbedder
 from wipcast.narrative import GRANULARITIES, Story
@@ -435,6 +436,26 @@ def test_a_failing_evaluate_leaves_the_last_runs_outputs(tmp_path, workspace, ca
     assert main(["evaluate", "--out", str(out), "--split", second_to_last.split(",")[0]]) == 1
     assert capsys.readouterr().err.endswith("error: MAPE undefined: every actual is zero\n")
     assert {name: (out / name).read_bytes() for name in names} == before
+
+
+def test_evaluate_summarizes_the_merged_trace_once(tmp_path, workspace, monkeypatch, capsys):
+    # metrics.csv and the printed table come from one summary of the trace
+    out = tmp_path / "run"
+    shutil.copytree(workspace, out)
+    traces = []
+
+    def counted(trace):
+        traces.append(trace)
+        return summarize(trace)
+
+    monkeypatch.setattr(cli, "summarize", counted)
+    monkeypatch.setattr(evaluation, "summarize", counted)
+    assert main(["evaluate", "--out", str(out), "--freeze-timestamps"]) == 0
+    assert len(traces) == 1
+    printed = capsys.readouterr().out.splitlines()
+    [summary_line] = [line for line in printed if line.startswith("persistence ")]
+    [metrics_line] = [line for line in read_lines(out / "metrics.csv") if line.startswith("persistence,")]
+    assert summary_line.split()[3] == metrics_line.split(",")[3]  # n
 
 
 def test_evaluate_is_deterministic(tmp_path_factory, log_path):

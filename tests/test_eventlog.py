@@ -20,8 +20,10 @@ from wipcast.eventlog import (
     ColumnMapping,
     CorruptGzipError,
     EmptyLogError,
+    Event,
     EventLogError,
     MappingError,
+    SourceMeta,
     XesParseError,
     _csv_events,
     _xes_events,
@@ -475,7 +477,8 @@ def _stream(form: str, source):
 def test_an_event_stream_yields_before_its_source_is_read(form):
     source = io.BytesIO(_log_source(form, 2000))
     with closing(_stream(form, source)) as events:
-        assert next(events).case_id == "case-0"
+        case_id, activity, timestamp, lifecycle = next(events)
+        assert case_id == "case-0"
         assert source.tell() < len(source.getvalue()) / 10
 
 
@@ -500,6 +503,8 @@ def test_an_event_stream_yields_the_log_in_file_order_and_returns_its_meta(form)
         while True:
             streamed.append(next(events))
     log = _parse(form, doc)
+    assert all(type(fields) is tuple for fields in streamed)  # bare fields, not events
+    streamed = [Event(*fields) for fields in streamed]
     assert log.events == tuple(sorted(streamed, key=lambda ev: ev.timestamp))
     assert streamed != list(log.events)  # the file is not in time order
     assert done.value.value == log.source_meta and log.source_meta.skipped > 0
@@ -606,6 +611,71 @@ def test_parse_csv_bytes_strip_bom_and_keep_crlf(packed):
     log = parse_csv(gzip.compress(data) if packed else data, CSV_MAPPING, source_name="bom.csv")
     # The quoted line break in the first row's note does not split the row.
     assert [(e.case_id, e.activity, e.timestamp) for e in log.events] == NINE_EVENTS
+
+
+def _dict_reader_parse_csv(data: bytes, mapping: ColumnMapping, source_name: str):
+    """The events and meta of ``data`` as read through ``csv.DictReader``, one
+    dict per row: an oracle for :func:`parse_csv`, which reads cells by position."""
+    reader = csv.DictReader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+    events, diagnostics = [], []
+    for i, row in enumerate(reader, start=2):
+        case_id, activity, raw_ts = ((row.get(col) or "").strip()
+                                     for col in (mapping.case, mapping.activity, mapping.timestamp))
+        if not case_id or not activity:
+            diagnostics.append(f"row {i}: empty case or activity, skipped")
+            continue
+        try:
+            ts = parse_timestamp(raw_ts, mapping.timestamp_format)
+        except ValueError:
+            diagnostics.append(f"row {i}: unparseable timestamp {raw_ts!r}, skipped")
+            continue
+        lifecycle = (row.get(mapping.lifecycle) or "").strip() if mapping.lifecycle else ""
+        events.append(Event(case_id, activity, ts, lifecycle or None))
+    seen = len(events) + len(diagnostics)
+    meta = SourceMeta(source_name, "csv", seen, len(diagnostics), tuple(diagnostics))
+    return tuple(sorted(events, key=lambda ev: ev.timestamp)), meta
+
+
+# The header repeats "activity": its last column is the one read. Rows come
+# short (cells missing, the last "activity" too), long (cells past the
+# header), after blank lines, and with a quoted line break inside a cell.
+DICT_READER_ROWS = [
+    "case,activity,ts,activity,lc,note",
+    "c1,first,2024-01-01T09:00:00Z,open,start,plain",
+    "",
+    "c2,first,2024-01-01T10:00:00+05:30,work,complete,\"two",
+    'lines\"',
+    "c1,first,2024-01-02T09:00:00,close",
+    "c3,first,2024-01-02T11:00:00Z",
+    "",
+    "",
+    "c4,first,2024-01-03T08:00:00Z,open,START,note,extra,more",
+    "c4,first,soon,close,complete,note",
+    ",first,2024-01-03T09:00:00Z,open,,",
+    "c5,first,2024-01-04T09:00:00Z,,start",
+    "c5",
+    "c6,first,2024-01-05T09:00:00Z,\"a, quoted\ncell\",\" Start \"",
+]
+
+
+@pytest.mark.parametrize("bom", [False, True])
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+@pytest.mark.parametrize("lifecycle", [None, "lc"])
+def test_parse_csv_reads_each_row_as_a_dict_reader_would(bom, end, lifecycle):
+    text = end.join(DICT_READER_ROWS) + end
+    data = (("\ufeff" if bom else "") + text).encode("utf-8")
+    mapping = ColumnMapping("case", "activity", "ts", lifecycle)
+    want_events, want_meta = _dict_reader_parse_csv(data, mapping, "rows.csv")
+    log = parse_csv(data, mapping, source_name="rows.csv")
+    assert log.events == want_events and log.source_meta == want_meta
+    assert [ev.activity for ev in log.events] == ["work", "open", "close", "open", "a, quoted\ncell"]
+    assert [ev.lifecycle for ev in log.events] == (
+        ["complete", "start", None, "START", "Start"] if lifecycle else [None] * 5)
+    assert want_meta.diagnostics == ("row 5: empty case or activity, skipped",
+                                     "row 7: unparseable timestamp 'soon', skipped",
+                                     "row 8: empty case or activity, skipped",
+                                     "row 9: empty case or activity, skipped",
+                                     "row 10: empty case or activity, skipped")
 
 
 @pytest.mark.parametrize("packed", [False, True])

@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import random
 import re
+import tracemalloc
 from collections import Counter
 from datetime import date, datetime, time, timedelta, timezone
 from zoneinfo import ZoneInfo
 
 import pytest
 
+from wipcast import wipseries
 from wipcast.eventlog import ColumnMapping, Event, EventLog, SourceMeta, parse_csv
 from wipcast.synthetic import synthetic_event_log, synthetic_series
 from wipcast.wipseries import (
     WIP_CSV_HEADER,
     WipEvent,
     WipSeries,
+    _check_next,
+    _replay,
     active_count_at,
     build_wip_series,
     export_wip_csv,
@@ -317,6 +322,47 @@ def test_loaded_series_with_a_dropped_day_is_not_contiguous():
     with pytest.raises(ValueError, match="2024-01-02: dates not strictly increasing"):
         WipSeries(events[:2] + events[1:])
     assert len(WipSeries(events[:1])) == 1 and len(WipSeries(())) == 0
+
+
+def test_loading_a_wip_csv_checks_each_day_against_the_one_before_once(monkeypatch):
+    n = 40
+    text = export_wip_csv(synthetic_series(n, seed=3))
+    calls = []
+
+    def counted(previous, day):
+        calls.append(day)
+        _check_next(previous, day)
+
+    monkeypatch.setattr(wipseries, "_check_next", counted)
+    assert len(load_wip_csv(io.StringIO(text))) == n
+    assert len(calls) == n - 1
+
+
+def test_replay_peak_memory_per_case_is_a_few_int64_slots():
+    # While the fold runs each case costs its dict entry, its id and three
+    # int64 instants, about 130 bytes; the bound fails a fold that keeps a
+    # list of aware datetimes per case, which peaks near 300.
+    n = 20_000
+    base = datetime(2024, 1, 1, tzinfo=timezone.utc)
+
+    def stream():  # each case opens and closes; no event outlives its turn
+        for i in range(n):
+            opened = base + timedelta(minutes=2 * i)
+            yield f"case-{i}", "open", opened, "start"
+            yield f"case-{i}", "close", opened + timedelta(hours=5), "complete"
+
+    _replay(iter([("c", "a", base, None)]), "UTC")  # the zone is loaded before tracing
+    gc.collect()
+    tracemalloc.start()
+    try:
+        events = stream()
+        before = tracemalloc.get_traced_memory()[0]
+        series, folded, cases = _replay(events, "UTC")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (folded, cases) == (2 * n, n) and series.events[0].new > 0
+    assert peak / n < 200
 
 
 def test_randomized_logs_respect_invariants():
