@@ -52,7 +52,6 @@ from .llm import ChatRequest, ChatResponse, RemoteChatBackend, StubBackend
 from .memory import (
     DeterministicEmbedder,
     RemoteEmbedder,
-    RetentionPolicy,
     StoryIndex,
     load_index,
     save_index,
@@ -97,7 +96,6 @@ __all__ = [
     "PredictionTrace",
     "RemoteChatBackend",
     "RemoteEmbedder",
-    "RetentionPolicy",
     "Story",
     "StoryIndex",
     "StubBackend",

@@ -3,10 +3,11 @@
 `ingest` parses the log and replays it in one pass: each event is folded into
 its case as the parser yields it, so it holds a few instants per case, never
 the events. Every stage after `ingest` reads its ``wip.csv`` from the output
-directory (`forecast` also the snapshots `index` writes) and overwrites its
-own files, so re-running any stage with the same inputs reproduces the same
-files (timestamps in the SVG report can be frozen with a flag). `stories` writes
-out the stories the other stages render, to read; no stage reads them back.
+directory (`forecast` also the snapshots `index` writes, all or none) and
+overwrites its own files, so re-running any stage with the same inputs
+reproduces the same files (timestamps in the SVG report can be frozen with a
+flag). `stories` writes out the stories the other stages render, to read; no
+stage reads them back.
 Each stage reads every run file it uses on every call and compares it with the
 bytes last loaded from it; only new bytes are hashed, parsed and checked, and
 what unchanged ones yield is reused (see :func:`memory.load_snapshot`).
@@ -28,6 +29,7 @@ from functools import cache
 
 from . import wipseries
 from .config import (
+    TEST_FRACTION,
     PipelineConfig,
     build_backend,
     build_embedder,
@@ -175,7 +177,7 @@ def cmd_index(args, cfg: PipelineConfig) -> int:
     """Build every granularity's index from the series before writing any
     snapshot, so a failing embedder leaves the earlier snapshots as they were."""
     indexes = build_indexes(_load_series(args.out).events, build_embedder(cfg.embedder),
-                            cfg.forecast.window, cfg.forecast.retention())
+                            cfg.forecast.window)
     for g, index in indexes.items():
         path = _index_file(args.out, g)
         count = save_snapshot(index, path)
@@ -184,13 +186,14 @@ def cmd_index(args, cfg: PipelineConfig) -> int:
 
 
 def _load_or_build_indexes(out_dir: str, cfg: PipelineConfig, series, embedder):
-    """Prefer snapshots from `wipcast index`; otherwise embed on the fly."""
+    """The snapshots from `wipcast index`, all of them or none: with none, embed
+    on the fly; with some, FileNotFoundError naming the first one missing."""
     snapshots = {g: _index_file(out_dir, g) for g in GRANULARITIES}
-    retention = cfg.forecast.retention()
-    if all(os.path.exists(p) for p in snapshots.values()):
-        return {g: _only_granularity(g, load_snapshot(path, embedder, retention), path)
-                for g, path in snapshots.items()}
-    return build_indexes(series.events, embedder, cfg.forecast.window, retention)
+    if not any(os.path.exists(p) for p in snapshots.values()):
+        return build_indexes(series.events, embedder, cfg.forecast.window)
+    for path in snapshots.values():
+        _require(path, "other index snapshots exist; run `wipcast index` to write all of them")
+    return {g: _only_granularity(g, load_snapshot(path, embedder), path) for g, path in snapshots.items()}
 
 
 def cmd_forecast(args, cfg: PipelineConfig) -> int:
@@ -213,7 +216,6 @@ def cmd_forecast(args, cfg: PipelineConfig) -> int:
     report = forecast_day(series.events, i, {g: rows[0] for g, rows in retrieved.items()},
                           indexes, build_backend(cfg.backend), cfg.forecast)
 
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "forecast.jsonl")
     _write(path, _reports_jsonl([report]))
     print(f"forecast for {report.date}: {report.final_value:.2f} "
@@ -231,7 +233,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     elif cfg.split_date:
         split = iso_date("config key split_date", cfg.split_date)
     else:
-        split = default_split_date(series, cfg.test_fraction)
+        split = default_split_date(series)
 
     params = cfg.forecast
     backend = build_backend(cfg.backend)
@@ -302,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", parents=[common],
                        help="walk-forward evaluation with ablations and baseline")
-    p.add_argument("--split", help="last training day (ISO); default: last test_fraction of days as test")
+    p.add_argument("--split", help=f"last training day (ISO); default: the last {TEST_FRACTION:.0%} "
+                   "of days are the test days")
     p.add_argument("--mode", choices=["rules", "react"], default=None)
 
     return parser

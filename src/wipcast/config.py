@@ -19,7 +19,7 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .agents import TREND_LOOKBACK, TREND_THRESHOLDS, TREND_WINDOW, _check_weights
 from .llm import API_KEY_ENV, CHAT_TIMEOUT, RETRIES
-from .memory import EMBED_MODEL, TOP_K, DeterministicEmbedder, RemoteEmbedder, RetentionPolicy
+from .memory import EMBED_MODEL, TOP_K, DeterministicEmbedder, RemoteEmbedder
 
 TEST_FRACTION = 0.2  # evaluate's default share of trailing days held out
 
@@ -112,8 +112,6 @@ class ForecastParams:
     trend_thresholds: tuple[float, float] = TREND_THRESHOLDS
     fusion_mode: str = "rules"  # rules | react
     fusion_weights: dict[str, dict[str, float]] | None = None
-    max_age_days: int | None = None
-    min_similarity: float | None = None
 
     def __post_init__(self):
         for name in ("k", "window", "trend_window", "trend_lookback"):
@@ -129,11 +127,6 @@ class ForecastParams:
             raise ValueError(f"unknown fusion mode: {self.fusion_mode}")
         if self.fusion_weights is not None:
             _check_weights(self.fusion_weights, "forecast.fusion_weights")
-        self.retention()  # checks max_age_days and min_similarity
-
-    def retention(self) -> RetentionPolicy:
-        return RetentionPolicy(max_age_days=self.max_age_days,
-                               min_similarity=self.min_similarity)
 
 
 @dataclass(frozen=True)
@@ -142,14 +135,11 @@ class PipelineConfig:
     forecast: ForecastParams = field(default_factory=ForecastParams)
     embedder: EmbedderConfig = field(default_factory=EmbedderConfig)
     backend: BackendConfig = field(default_factory=BackendConfig)
-    split_date: str | None = None  # ISO date; None = the last test_fraction of days as test
-    test_fraction: float = TEST_FRACTION
+    split_date: str | None = None  # ISO date; None = the last TEST_FRACTION of days as test
     out_dir: str = "out"
     freeze_timestamps: bool = False
 
     def __post_init__(self):
-        if not 0 < self.test_fraction < 1:
-            raise ValueError("test_fraction must be in (0, 1)")
         if self.split_date:  # empty: the default split, as None
             iso_date("config key split_date", self.split_date)
 

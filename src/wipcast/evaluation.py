@@ -129,12 +129,10 @@ def summarize(trace: PredictionTrace) -> list[MetricsSummary]:
     return out
 
 
-def default_split_date(series: WipSeries, test_fraction: float = TEST_FRACTION) -> Date:
-    """Split so the trailing test_fraction of days (at least one) is held out."""
-    if not 0 < test_fraction < 1:
-        raise ValueError("test_fraction must be in (0, 1)")
+def default_split_date(series: WipSeries) -> Date:
+    """Split so the trailing TEST_FRACTION of days (at least one) is held out."""
     n = len(series.events)
-    n_test = max(1, round(n * test_fraction))
+    n_test = max(1, round(n * TEST_FRACTION))
     if n_test >= n:
         raise ValueError("series too short to split")
     return series.events[n - n_test - 1].date
@@ -232,7 +230,7 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
     events = series.events
     s = _split_index(series, split_date, min_before=14)
 
-    indexes = build_indexes(events, embedder, params.window, params.retention())
+    indexes = build_indexes(events, embedder, params.window)
     retrieved = retrieve_queries(events, range(s - 1, len(events) - 1), embedder, indexes, params)
     entries: list[TraceEntry] = []
     reports: list[ForecastReport] = []

@@ -18,7 +18,6 @@ import threading
 import zipfile
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
 from datetime import date as Date
 from typing import IO, Callable, Iterable, Sequence
 
@@ -203,28 +202,14 @@ class RemoteEmbedder:
         return self.embed_many([text])[0]
 
 
-@dataclass(frozen=True)
-class RetentionPolicy:
-    """What stays eligible at retrieval time. Defaults keep everything."""
-
-    max_age_days: int | None = None
-    min_similarity: float | None = None
-
-    def __post_init__(self):
-        if self.max_age_days is not None and self.max_age_days < 1:
-            raise ValueError("max_age_days must be >= 1")
-        if self.min_similarity is not None and not -1 <= self.min_similarity <= 1:  # NaN too
-            raise ValueError(f"min_similarity must be in [-1, 1], got {self.min_similarity}")
-
-
 class StoryIndex:
     """Flat cosine index over contextual stories with a strict as-of cutoff.
 
     Append-only. Its state is one tuple of seven columns: embedding, norm,
     date ordinal, doc_id, target, granularity (as its position in
     GRANULARITIES) and text. The rows are sorted by (date, doc_id), so those
-    dated before a day are a prefix and those inside a retention window one
-    slice. :meth:`_append` is the one way rows get in and the one place they
+    dated before a day, the only ones eligible for it, are a prefix.
+    :meth:`_append` is the one way rows get in and the one place they
     are checked; each doc_id is held at most once. It publishes the next
     tuple whole and never writes into one it published, so indexes may share
     a state (:func:`load_snapshot` does). Readers read the tuple once, so a
@@ -237,9 +222,8 @@ class StoryIndex:
     similarity prefer the more recent story date, then the smaller doc_id.
     """
 
-    def __init__(self, provider=None, retention: RetentionPolicy | None = None):
+    def __init__(self, provider=None):
         self.provider = provider
-        self.retention = retention if retention is not None else RetentionPolicy()
         self._lock = threading.Lock()
         self._state = (np.empty((0, 0)), np.empty(0), np.empty(0, dtype=np.int64),
                        np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.uint8), ())
@@ -360,8 +344,8 @@ class StoryIndex:
         day at its position in ``as_of_days``, most similar first.
 
         Works on chunks of RETRIEVE_CHUNK consecutive queries, each scored in
-        one pass over the union of their eligible slices; every row's hits and
-        similarities are those it would get alone, bit for bit.
+        one pass over the longest of their eligible prefixes; every row's hits
+        and similarities are those it would get alone, bit for bit.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -380,50 +364,44 @@ class StoryIndex:
             return [[] for _ in qnorms]
         if queries.shape[1] != matrix.shape[1]:
             raise ValueError(f"query dim {queries.shape[1]} does not match index dim {matrix.shape[1]}")
-        # each query's eligible rows, dated before as_of and inside max_age_days,
-        # are one slice; ordinals start at 1, so an age beyond the calendar keeps them all
-        cutoffs, age = [day.toordinal() for day in as_of_days], self.retention.max_age_days
-        his = dates.searchsorted(cutoffs).tolist()
-        los = [0] * len(his) if age is None else dates.searchsorted(
-            [max(cutoff - age, 0) for cutoff in cutoffs]).tolist()
+        # each query's eligible rows, dated before as_of, are a prefix
+        his = dates.searchsorted([day.toordinal() for day in as_of_days]).tolist()
         out = []
         for start in range(0, len(his), RETRIEVE_CHUNK):
             chunk = slice(start, start + RETRIEVE_CHUNK)
-            out += self._rank(state, queries[chunk], qnorms[chunk], los[chunk], his[chunk], k)
+            out += self._rank(state, queries[chunk], qnorms[chunk], his[chunk], k)
         return out
 
     def _rank(self, state: tuple, queries: np.ndarray, qnorms: list[float],
-              los: list[int], his: list[int], k: int) -> list[list[RetrievedExample]]:
-        """Each query's top k of rows ``los[r]:his[r]`` of ``state``, as :meth:`retrieve_many` gives them."""
+              his: list[int], k: int) -> list[list[RetrievedExample]]:
+        """Each query's top k of the first ``his[r]`` rows of ``state``, as
+        :meth:`retrieve_many` gives them; all are scored against the longest prefix."""
         matrix, norms, dates, ids, targets, _, texts = state
-        a, b = min(los), max(his)
-        if a >= b:
-            return [[] for _ in los]
+        b = max(his)
+        if not b:
+            return [[] for _ in his]
         # einsum, not BLAS matmul: matmul accumulates differently per row
         # position, so equal embeddings would not score bit-identically and the
         # tie rule below would never engage.
-        sims = np.einsum("ij,kj->ki", matrix[a:b], queries) / (norms[a:b] * np.array(qnorms)[:, None])
-        # a row outside a query's slice, or below min_similarity, ranks as -inf
-        if los.count(a) < len(los) or his.count(b) < len(his):
-            rows = np.arange(a, b)
-            sims = np.where((rows >= np.array(los)[:, None]) & (rows < np.array(his)[:, None]), sims, -np.inf)
-        if self.retention.min_similarity is not None:
-            sims = np.where(sims >= self.retention.min_similarity, sims, -np.inf)
+        sims = np.einsum("ij,kj->ki", matrix[:b], queries) / (norms[:b] * np.array(qnorms)[:, None])
+        # a row past a query's own prefix ranks as -inf: one chunk mixes as-of days
+        if his.count(b) < len(his):
+            sims = np.where(np.arange(b) < np.array(his)[:, None], sims, -np.inf)
         # the k + 1 best by similarity alone, ordered by the tie rule: similarity
         # desc, then date desc, then id asc (lexsort's last key is primary)
-        rest, at = max(b - a - k - 1, 0), np.arange(len(los))[:, None]  # rest: the columns left out
-        top = np.argpartition(sims, rest, axis=1)[:, rest:]
-        top_sims, rows = sims[at, top], top + a
+        rest, at = max(b - k - 1, 0), np.arange(len(his))[:, None]  # rest: the columns left out
+        rows = np.argpartition(sims, rest, axis=1)[:, rest:]
+        top_sims = sims[at, rows]
         order = np.lexsort((ids[rows], -dates[rows], -top_sims), axis=1)
         rows, top_sims = rows[at, order], top_sims[at, order]
         if rest:
             # a k-th similarity equal to the (k+1)-th: the tie rule may prefer
-            # rows the partition left out, so rank that query over its whole slice
+            # rows the partition left out, so rank that query over its whole prefix
             for r, (kth, after) in enumerate(top_sims[:, k - 1:k + 1].tolist()):
                 if kth == after > -math.inf:
                     cols = np.flatnonzero(sims[r] > -np.inf)
-                    exact = cols[np.lexsort((ids[cols + a], -dates[cols + a], -sims[r, cols]))[:k]]
-                    rows[r, :k], top_sims[r, :k] = exact + a, sims[r, exact]
+                    exact = cols[np.lexsort((ids[cols], -dates[cols], -sims[r, cols]))[:k]]
+                    rows[r, :k], top_sims[r, :k] = exact, sims[r, exact]
         rows, top_sims = rows[:, :k], top_sims[:, :k]
         return [[RetrievedExample(doc_id, Date.fromordinal(day), texts[row], target, sim)
                  for row, doc_id, day, target, sim in zip(*columns) if sim > -math.inf]
@@ -431,8 +409,7 @@ class StoryIndex:
                                    targets[rows].tolist(), top_sims.tolist())]
 
 
-def build_indexes(events, embedder, window: int,
-                  retention: RetentionPolicy | None = None) -> dict[str, StoryIndex]:
+def build_indexes(events, embedder, window: int) -> dict[str, StoryIndex]:
     """One index per granularity over the contextual story of each day with a
     next-day close, its stories embedded in one ``embed_many`` call and its
     queries by ``embedder``. A one-day series gives empty indexes."""
@@ -440,7 +417,7 @@ def build_indexes(events, embedder, window: int,
     for g in GRANULARITIES:
         stories = [story for story in (contextual_story(events, i, g, window)
                                        for i in range(len(events) - 1)) if story is not None]
-        indexes[g] = StoryIndex(provider=embedder, retention=retention)
+        indexes[g] = StoryIndex(provider=embedder)
         indexes[g].add_many(stories, embedder.embed_many([story.text for story in stories]))
     return indexes
 
@@ -477,7 +454,7 @@ def _snapshot_row(record: dict, dims: list[int]) -> tuple:
     return row
 
 
-def load_index(fp: IO[str], provider=None, retention: RetentionPolicy | None = None) -> StoryIndex:
+def load_index(fp: IO[str], provider=None) -> StoryIndex:
     """Rebuild an index from a JSON-lines snapshot written by :func:`save_index`.
 
     A malformed line, an embedding whose length differs from the first line's,
@@ -485,7 +462,7 @@ def load_index(fp: IO[str], provider=None, retention: RetentionPolicy | None = N
     """
     dims: list[int] = []
     rows = parse_jsonl(fp, lambda record: _snapshot_row(record, dims), "a snapshot record")
-    index = StoryIndex(provider=provider, retention=retention)
+    index = StoryIndex(provider=provider)
     embeddings, doc_ids, dates, targets, texts, granularities = list(zip(*rows)) or ((),) * 6
     try:
         index._append(embeddings, doc_ids, dates, targets, texts,
@@ -631,7 +608,7 @@ def _snapshot_state(path: str, data: bytes, digest: str) -> tuple:
     return index._state
 
 
-def load_snapshot(path: str, provider=None, retention: RetentionPolicy | None = None) -> StoryIndex:
+def load_snapshot(path: str, provider=None) -> StoryIndex:
     """Load an index written by :func:`save_snapshot`.
 
     Every call reads the JSON lines at ``path`` and compares them with the bytes
@@ -641,8 +618,8 @@ def load_snapshot(path: str, provider=None, retention: RetentionPolicy | None = 
     held, read-only, by real path beside those bytes; the hold keeps what the
     last ``len(GRANULARITIES) + 1`` run files read yield (the snapshots'
     columns and the series of ``wip.csv``). Each call wraps the columns in a
-    new index with its own ``provider`` and ``retention``.
+    new index with its own ``provider``.
     """
-    index = StoryIndex(provider=provider, retention=retention)
+    index = StoryIndex(provider=provider)
     index._state = _hold(path, _snapshot_state)
     return index

@@ -4,6 +4,8 @@ import inspect
 import io
 import json
 import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -38,8 +40,7 @@ def test_default_config_is_valid():
 def test_round_trip_preserves_config():
     cfg = PipelineConfig(
         input=InputConfig(path="log.xes", format="xes"),
-        forecast=ForecastParams(k=3, window=5, fusion_mode="react",
-                                max_age_days=90, min_similarity=0.1),
+        forecast=ForecastParams(k=3, window=5, fusion_mode="react"),
         split_date="2024-06-01",
         out_dir="results",
     )
@@ -77,7 +78,7 @@ def test_unknown_section_key_rejected():
     ({"forecast": {"trend_thresholds": [0.01, "0.05"]}}, "forecast.trend_thresholds"),
     ({"forecast": {"trend_thresholds": [0.01]}}, "forecast.trend_thresholds"),
     ({"forecast": {"fusion_weights": {"stable": {"daily": "1"}}}}, "forecast.fusion_weights"),
-    ({"test_fraction": "0.2"}, "test_fraction"),
+    ({"input": {"timezone": 5}}, "input.timezone"),
     ({"freeze_timestamps": 1}, "freeze_timestamps"),
     ({"split_date": 20240601}, "split_date"),
     ({"backend": {"timeout": True}}, "backend.timeout"),
@@ -97,13 +98,12 @@ def test_config_and_sections_must_be_objects():
 
 def test_values_of_the_declared_types_accepted():
     cfg = config_from_dict({
-        "forecast": {"k": 3, "trend_thresholds": [0.02, 0.1], "max_age_days": None,
-                     "min_similarity": 0, "fusion_weights": {"stable": {
+        "forecast": {"k": 3, "trend_thresholds": [0.02, 0.1], "fusion_weights": {"stable": {
                          "daily": 1, "weekday": 0, "windowed": 0.0}}},
-        "backend": {"timeout": 5}, "test_fraction": 0.25, "split_date": None,
+        "backend": {"timeout": 5}, "split_date": None,
     })
     assert cfg.forecast.trend_thresholds == (0.02, 0.1)
-    assert (cfg.forecast.k, cfg.backend.timeout, cfg.test_fraction) == (3, 5, 0.25)
+    assert (cfg.forecast.k, cfg.backend.timeout) == (3, 5)
 
 
 def test_positive_numerics_enforced():
@@ -168,13 +168,6 @@ def test_gap_policy_validated():
     # every calendar day is a row of the series, so there is no policy to set
     with pytest.raises(ValueError, match=re.escape("unknown config keys: ['gap_policy']")):
         config_from_dict({"gap_policy": "carry"})
-
-
-def test_test_fraction_validated():
-    with pytest.raises(ValueError):
-        PipelineConfig(test_fraction=0.0)
-    with pytest.raises(ValueError):
-        PipelineConfig(test_fraction=1.0)
 
 
 @pytest.mark.parametrize("text, key", [
@@ -255,8 +248,21 @@ def test_build_helpers():
     assert chat.backend_id == "remote:m1"
 
 
-def test_retention_built_from_params():
-    params = ForecastParams(max_age_days=30, min_similarity=0.25)
-    retention = params.retention()
-    assert retention.max_age_days == 30
-    assert retention.min_similarity == 0.25
+README = Path(__file__).resolve().parent.parent / "README.md"
+SECTIONS = {"input": InputConfig, "forecast": ForecastParams, "backend": BackendConfig,
+            "embedder": EmbedderConfig}
+
+
+def test_every_config_key_the_readme_names_is_a_key_and_its_json_examples_load():
+    # a key deleted from the config but still named in README sends a reader
+    # to set what now fails as unknown; a removed key is named bare there
+    text = README.read_text(encoding="utf-8")
+    named = set(re.findall(r"`(input|forecast|backend|embedder)\.(\w+)", text))
+    named.discard(("forecast", "jsonl"))  # the file `forecast` writes
+    assert len(named) >= 8
+    assert sorted(f"{section}.{key}" for section, key in named
+                  if key not in {f.name for f in fields(SECTIONS[section])}) == []
+    examples = re.findall(r"```json\n(.*?)```", text, re.S)
+    assert len(examples) >= 2
+    for example in examples:
+        load_config(example)

@@ -30,7 +30,6 @@ from wipcast.memory import (
     DeterministicEmbedder,
     EmbeddingError,
     RemoteEmbedder,
-    RetentionPolicy,
     StoryIndex,
     cosine,
     load_index,
@@ -46,19 +45,13 @@ from wipcast.synthetic import synthetic_event_log
 from conftest import Doc, add_docs, random_wip_event
 
 
-def oracle_retrieve(docs, query_vec, as_of, k, retention=None):
+def oracle_retrieve(docs, query_vec, as_of, k):
     """Exhaustive scan with explicit sort; deliberately naive."""
-    retention = retention or RetentionPolicy()
     scored = []
     for doc in docs:
         if doc.story.date >= as_of:
             continue
-        if retention.max_age_days is not None:
-            if doc.story.date < as_of - timedelta(days=retention.max_age_days):
-                continue
         sim = cosine(doc.embedding, query_vec)
-        if retention.min_similarity is not None and sim < retention.min_similarity:
-            continue
         scored.append((sim, doc.story.date.toordinal(), doc.doc_id))
     scored.sort(key=lambda t: (-t[0], -t[1], t[2]))
     return [(doc_id, sim) for sim, _, doc_id in scored[:k]]
@@ -356,10 +349,7 @@ def test_retrieve_many_rows_equal_retrieve_one_query_at_a_time():
             for _ in range(rng.randint(1, 4)):
                 day = doc.story.date + timedelta(days=rng.randint(-3, 60))
                 docs.append(Doc(replace(doc.story, date=day), doc.embedding, len(docs)))
-        policy = rng.choice([RetentionPolicy(), RetentionPolicy(max_age_days=rng.randint(1, 30)),
-                             RetentionPolicy(max_age_days=10**30),
-                             RetentionPolicy(min_similarity=rng.uniform(0.9, 1.0))])
-        index = StoryIndex(provider=emb, retention=policy)
+        index = StoryIndex(provider=emb)
         add_docs(index, docs)
         days = [date.min, date.max, *(date(2024, 1, 1) + timedelta(days=rng.randint(-10, 160))
                                       for _ in range(rng.randint(1, 40)))]
@@ -374,8 +364,7 @@ def test_retrieve_many_rows_equal_retrieve_one_query_at_a_time():
             alone = index.retrieve(vector, day, k)
             assert [(r.doc_id, r.similarity) for r in row] == [(r.doc_id, r.similarity) for r in alone]
             assert row == alone
-            # the oracle's date arithmetic cannot reach back 10**30 days; nor need it
-            want = oracle_retrieve(docs, vector, day, k, policy if policy.max_age_days != 10**30 else None)
+            want = oracle_retrieve(docs, vector, day, k)
             assert [r.doc_id for r in row] == [doc_id for doc_id, _ in want]
             deeper = index.retrieve(vector, day, k + 1)
             ties += len(deeper) > k and deeper[k - 1].similarity == deeper[k].similarity
@@ -541,8 +530,7 @@ def in_batches(rng: random.Random, docs, count: int):
 def test_date_ordered_index_matches_oracle_over_batches_out_of_order():
     """Batches arrive out of date and doc_id order, then add_story adds one
     more; the rows stay sorted by (date, doc_id), and every retrieval, as of a
-    stored date, a day between or a day before or after them all, with or
-    without max_age_days and min_similarity, is the oracle's."""
+    stored date, a day between or a day before or after them all, is the oracle's."""
     emb = DeterministicEmbedder()
     for trial in range(12):
         rng = random.Random(3000 + trial)
@@ -561,34 +549,13 @@ def test_date_ordered_index_matches_oracle_over_batches_out_of_order():
         days = {stored[0] - timedelta(days=1), stored[-1] + timedelta(days=1),
                 date(2030, 1, 1), *rng.sample(stored, 4),
                 *(stored[0] + timedelta(days=rng.randrange(40)) for _ in range(4))}
-        policies = [RetentionPolicy(), RetentionPolicy(max_age_days=rng.randint(1, 12)),
-                    RetentionPolicy(min_similarity=rng.uniform(0.9, 1.0)),
-                    RetentionPolicy(max_age_days=rng.randint(1, 12),
-                                    min_similarity=rng.uniform(0.9, 1.0))]
         for as_of in sorted(days):
             qvec = emb.embed(render_query_story(random_wip_event(rng, as_of)).text)
-            for policy in policies:
-                index.retention = policy
-                k = rng.choice((1, 4, len(docs)))
-                got = index.retrieve(qvec, as_of, k=k)
-                want = oracle_retrieve(docs, qvec, as_of, k, policy)
-                assert [r.doc_id for r in got] == [doc_id for doc_id, _ in want]
-                assert [r.similarity for r in got] == pytest.approx([s for _, s in want], abs=1e-9)
-
-
-def test_retention_max_age_beyond_the_calendar_keeps_every_story():
-    # an age reaching back before year 1 keeps every story, without overflowing
-    rng = random.Random(5)
-    emb = DeterministicEmbedder()
-    docs = build_corpus(rng, 25, emb)
-    unbounded, beyond = StoryIndex(provider=emb), StoryIndex(
-        provider=emb, retention=RetentionPolicy(max_age_days=10**30))
-    add_docs(unbounded, docs)
-    add_docs(beyond, docs)
-    qvec = emb.embed(render_query_story(random_wip_event(rng, date(2024, 1, 20))).text)
-    for as_of in (date.min, date(2024, 1, 1), date(2024, 1, 20), date.max):
-        assert beyond.retrieve(qvec, as_of, k=30) == unbounded.retrieve(qvec, as_of, k=30)
-    assert len(beyond.retrieve(qvec, date.max, k=30)) == 25
+            k = rng.choice((1, 4, len(docs)))
+            got = index.retrieve(qvec, as_of, k=k)
+            want = oracle_retrieve(docs, qvec, as_of, k)
+            assert [r.doc_id for r in got] == [doc_id for doc_id, _ in want]
+            assert [r.similarity for r in got] == pytest.approx([s for _, s in want], abs=1e-9)
 
 
 def test_readers_beside_a_writer_see_whole_batches():
@@ -688,45 +655,6 @@ def test_exact_ties_prefer_recent_then_small_id(monday_example):
         add_docs(index, [Doc(story, emb.embed(story.text), doc_id)])
     results = index.retrieve(render_query_story(monday_example), date(2024, 2, 1), k=3)
     assert [r.doc_id for r in results] == [1, 2, 4]
-
-
-def test_retention_max_age_filters_old_docs():
-    rng = random.Random(2)
-    emb = DeterministicEmbedder()
-    docs = build_corpus(rng, 30, emb)
-    policy = RetentionPolicy(max_age_days=7)
-    index = StoryIndex(provider=emb, retention=policy)
-    add_docs(index, docs)
-    as_of = date(2024, 1, 25)
-    qvec = emb.embed(render_query_story(random_wip_event(rng, as_of)).text)
-    results = index.retrieve(qvec, as_of, k=30)
-    assert results
-    for res in results:
-        assert as_of - timedelta(days=7) <= res.date < as_of
-    want = oracle_retrieve(docs, qvec, as_of, 30, policy)
-    assert [r.doc_id for r in results] == [doc_id for doc_id, _ in want]
-    assert [r.similarity for r in results] == pytest.approx([sim for _, sim in want], abs=1e-9)
-
-
-def test_retention_min_similarity_drops_low_scores(monday_example):
-    emb = DeterministicEmbedder()
-    index = StoryIndex(provider=emb, retention=RetentionPolicy(min_similarity=0.999))
-    near = render_contextual_story(monday_example, 71)
-    add_docs(index, [Doc(near, emb.embed(near.text), 0)])
-    query = render_query_story(monday_example)
-    hits = index.retrieve(query, date(2024, 4, 1), k=5)
-    assert len(hits) <= 1
-    loose = StoryIndex(provider=emb, retention=RetentionPolicy(min_similarity=-1.0))
-    add_docs(loose, [Doc(near, emb.embed(near.text), 0)])
-    assert len(loose.retrieve(query, date(2024, 4, 1), k=5)) == 1
-
-
-@pytest.mark.parametrize("value", [math.nan, 2.0, -1.5, math.inf])
-def test_retention_rejects_a_min_similarity_outside_minus_one_to_one(value):
-    # such a floor filtered out every retrieval, so every agent fell back silently
-    with pytest.raises(ValueError, match=r"min_similarity must be in \[-1, 1\]"):
-        RetentionPolicy(min_similarity=value)
-    assert RetentionPolicy(min_similarity=1.0).min_similarity == 1.0
 
 
 def test_retrieve_rejects_bad_k(monday_example):
