@@ -304,8 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", parents=[common],
                        help="walk-forward evaluation with ablations and baseline")
-    p.add_argument("--split", help=f"last training day (ISO); default: the last {TEST_FRACTION:.0%} "
-                   "of days are the test days")
+    # argparse %-formats help strings, so the percent sign is written "%%".
+    p.add_argument("--split", help=f"last training day (ISO); default: the last "
+                   f"{TEST_FRACTION * 100:.0f}%% of days are the test days")
     p.add_argument("--mode", choices=["rules", "react"], default=None)
 
     return parser

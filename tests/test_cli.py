@@ -21,6 +21,7 @@ import pytest
 from wipcast import cli, evaluation, memory, wipseries
 from wipcast.agents import DEFAULT_FUSION_WEIGHTS
 from wipcast.cli import main
+from wipcast.config import TEST_FRACTION
 from wipcast.evaluation import summarize
 from wipcast.eventlog import ColumnMapping, export_csv, parse_csv, parse_xes, validate
 from wipcast.memory import DeterministicEmbedder, RemoteEmbedder
@@ -59,6 +60,24 @@ def workspace(tmp_path_factory, log_path):
 def read_lines(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read().splitlines()
+
+
+# --- help ---
+
+
+@pytest.mark.parametrize("command", [[], ["ingest"], ["stories"], ["index"], ["forecast"],
+                                     ["evaluate"]])
+def test_help_of_every_command_prints_and_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_split_help_names_the_test_fraction(capsys):
+    with pytest.raises(SystemExit):
+        main(["evaluate", "--help"])
+    assert f"the last {TEST_FRACTION:.0%} of days" in " ".join(capsys.readouterr().out.split())
 
 
 # --- ingest ---
