@@ -5,8 +5,9 @@ the query story (plain daily, weekday-anchored, trailing-window aggregate) and
 in which memory index they consult. A trend analyst labels the recent close
 trajectory from moving averages. The fusion step combines the three agent
 values either by fixed trend-dependent weights (rules mode, fully
-deterministic) or by letting the backend drive a bounded tool loop (react
-mode) whose answer must stay near the agent envelope.
+deterministic) or by handing them and the trend to the backend, which may
+retrieve past stories before it answers (react mode); the answer must stay
+near the agent envelope.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ TREND_WINDOW = 7  # trend_analyze's defaults
 TREND_LOOKBACK = 14
 TREND_THRESHOLDS = (0.01, 0.05)
 
-REACT_TOOLS = ("get_prediction", "get_trend", "retrieve")
 REACT_STEPS = 4  # backend turns react fusion may take before it falls back to rules
 
 PREDICTOR_SYSTEM = (
@@ -71,10 +71,9 @@ PREDICTOR_SYSTEM = (
 )
 
 FUSION_SYSTEM = (
-    "You combine three WiP forecasts (daily, weekday, windowed views) into one. "
-    "You may call tools by answering 'ACTION: tool(argument)'; available tools: "
-    "get_prediction(agent_id), get_trend(), retrieve(story_text). When ready, "
-    "answer with 'PREDICTION: <number>'."
+    "You combine three WiP forecasts (daily, weekday, windowed views) into one, "
+    "given the trend. To see similar past situations and what followed, answer "
+    "'ACTION: retrieve(story_text)'. When ready, answer with 'PREDICTION: <number>'."
 )
 
 
@@ -224,26 +223,17 @@ def _rules_fuse(preds: dict[str, Prediction], trend: TrendInsight, forecast_date
                           trend=trend, mode="rules", rationale=rationale)
 
 
-def _react_tool(name: str, arg: str, preds: dict[str, Prediction], trend: TrendInsight,
-                index: StoryIndex | None, forecast_date: Date, k: int) -> tuple[str, dict]:
-    """Run one tool call; returns the observation text and structured updates."""
-    if name == "get_prediction":
-        agent_id = arg.strip()
-        if agent_id not in preds:
-            return f"unknown agent '{agent_id}'", {}
-        value = preds[agent_id].value
-        return f"{agent_id} predicts {value:.2f}", {"prediction": (agent_id, value)}
-    if name == "get_trend":
-        return f"{trend.text} (label: {trend.label})", {"trend": trend.label}
-    if name == "retrieve":
-        if index is None or not arg.strip():
-            return "no memory available", {}
-        results = index.retrieve(arg.strip(), as_of=forecast_date, k=k)
-        if not results:
-            return "no stories found", {}
-        return "; ".join(f"{res.date.isoformat()}: next value {res.target}"
-                         f" (similarity {res.similarity:.4f})" for res in results), {}
-    return f"unknown tool '{name}'", {}
+def _react_tool(name: str, arg: str, index: StoryIndex | None, as_of: Date, k: int) -> str:
+    """Run one tool call and return its observation; ``retrieve`` is the only tool."""
+    if name != "retrieve":
+        return f"unknown tool '{name}'"
+    if index is None or not arg.strip():
+        return "no memory available"
+    results = index.retrieve(arg.strip(), as_of=as_of, k=k)
+    if not results:
+        return "no stories found"
+    return "; ".join(f"{res.date.isoformat()}: next value {res.target}"
+                     f" (similarity {res.similarity:.4f})" for res in results)
 
 
 def fuse(preds: Sequence[Prediction] | Mapping[str, Prediction], trend: TrendInsight,
@@ -254,10 +244,11 @@ def fuse(preds: Sequence[Prediction] | Mapping[str, Prediction], trend: TrendIns
 
     ``weights`` maps trend labels to per-agent weights; a label it does not
     name keeps its DEFAULT_FUSION_WEIGHTS row. Rules mode is pure arithmetic.
-    React mode hands control to the backend through a bounded tool loop; any
-    failure, budget exhaustion, or an answer straying beyond the agent
-    envelope (10% of the spread, at least 1.0) drops back to rules mode with
-    the reason recorded in the rationale.
+    React mode gives the backend the three values and the trend; it may call
+    ``retrieve`` before it answers, within REACT_STEPS turns. Any failure,
+    budget exhaustion, or an answer straying beyond the agent envelope (10%
+    of the spread, at least 1.0) drops back to rules mode with the reason
+    recorded in the rationale.
     """
     if isinstance(preds, Mapping):
         by_id = dict(preds)
@@ -281,18 +272,14 @@ def fuse(preds: Sequence[Prediction] | Mapping[str, Prediction], trend: TrendIns
 
     user_lines = [
         f"Produce the final WiP forecast for {forecast_date.isoformat()}.",
-        "Use tools to inspect the agent predictions and the trend first.",
+        *(f"{a} predicts {v:.2f}" for a, v in zip(AGENT_IDS, values)),
+        f"{trend.text} (label: {trend.label})",
     ]
-    known: dict[str, float] = {}
-    trend_label: str | None = None
-    for _ in range(REACT_STEPS):
-        req = ChatRequest(
-            system_text=FUSION_SYSTEM,
-            user_text="\n".join(user_lines),
-            structured_context=StructuredContext(
-                agent_predictions=dict(known), trend_label=trend_label, tools=REACT_TOOLS
-            ),
-        )
+    context = StructuredContext(agent_predictions=dict(zip(AGENT_IDS, values)),
+                                trend_label=trend.label)
+    for step in range(REACT_STEPS):
+        req = ChatRequest(system_text=FUSION_SYSTEM, user_text="\n".join(user_lines),
+                          structured_context=context)
         try:
             resp: ChatResponse = backend.chat(req)
         except LlmError as exc:
@@ -303,17 +290,11 @@ def fuse(preds: Sequence[Prediction] | Mapping[str, Prediction], trend: TrendIns
         if action is not None:
             name, arg = action
             try:
-                observation, updates = _react_tool(name, arg, by_id, trend, index,
-                                                   forecast_date, k)
+                observation = _react_tool(name, arg, index, forecast_date, k)
             except (EmbeddingError, ValueError) as exc:  # e.g. a lone surrogate in the query
                 logger.warning("react fusion retrieve failed: %s", exc)
                 return _rules_fuse(by_id, trend, forecast_date, table,
                                    note="react fallback (retrieve failed): ")
-            if "prediction" in updates:
-                agent_id, value = updates["prediction"]
-                known[agent_id] = value
-            if "trend" in updates:
-                trend_label = updates["trend"]
             user_lines.append(f"OBSERVATION {name}({arg}): {observation}")
             continue
         try:
@@ -324,10 +305,9 @@ def fuse(preds: Sequence[Prediction] | Mapping[str, Prediction], trend: TrendIns
         if final < lo - margin or final > hi + margin:
             return _rules_fuse(by_id, trend, forecast_date, table,
                                note=f"react fallback (answer {final:.2f} outside envelope): ")
-        steps_used = len(user_lines) - 2
         return ForecastReport(
             date=forecast_date, final_value=final, agent_predictions=by_id, trend=trend,
-            mode="react", rationale=f"react fusion accepted after {steps_used} tool step(s)",
+            mode="react", rationale=f"react fusion accepted after {step} tool step(s)",
         )
     return _rules_fuse(by_id, trend, forecast_date, table,
                        note="react fallback (step budget exhausted): ")

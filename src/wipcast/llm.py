@@ -81,7 +81,6 @@ class StructuredContext:
     current_close: float | None = None
     agent_predictions: dict[str, float] | None = None
     trend_label: str | None = None
-    tools: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,7 @@ class StubBackend:
     Predictor-style requests (retrieved examples present) answer with the
     similarity-weighted mean of the retrieved targets, or the current close
     when nothing usable was retrieved. Fusion-style requests (agent
-    predictions present) answer with the median, first requesting any missing
-    agent prediction through the tool protocol when tools are offered.
+    predictions present) answer with their median at once, calling no tool.
     """
 
     backend_id = "stub"
@@ -154,11 +152,6 @@ class StubBackend:
         return self._answer(value)
 
     def _fuse(self, ctx: StructuredContext) -> ChatResponse:
-        missing = [a for a in AGENT_IDS if a not in ctx.agent_predictions]
-        if missing and "get_prediction" in ctx.tools:
-            return ChatResponse(
-                text=f"ACTION: get_prediction({missing[0]})", backend_id=self.backend_id
-            )
         if not ctx.agent_predictions:
             raise ResponseFormatError("fusion request without any agent predictions")
         return self._answer(statistics.median(ctx.agent_predictions.values()))

@@ -52,6 +52,17 @@ class ScriptedBackend:
         return ChatResponse(text=item, backend_id=self.backend_id)
 
 
+class RecordingBackend(StubBackend):
+    """The stub backend, recording each request."""
+
+    def __init__(self):
+        self.requests = []
+
+    def chat(self, req):
+        self.requests.append(req)
+        return super().chat(req)
+
+
 class ConstantProvider:
     """Maps every text to the same vector, forcing all-equal similarities."""
 
@@ -482,12 +493,21 @@ def test_react_retrieve_observation_text_is_pinned():
 # --- react fusion ---
 
 
-def test_react_stub_collects_predictions_then_answers_median():
+def test_react_stub_answers_the_median_of_the_first_prompt_at_once():
+    backend = RecordingBackend()
     report = fuse(three_preds(10, 12, 20), STABLE, date(2024, 3, 5),
-                  backend=StubBackend(), mode="react")
+                  backend=backend, mode="react")
     assert report.mode == "react"
     assert report.final_value == 12.0
-    assert "3 tool step(s)" in report.rationale
+    assert report.rationale == "react fusion accepted after 0 tool step(s)"
+    [req] = backend.requests
+    assert req.user_text.splitlines() == [
+        "Produce the final WiP forecast for 2024-03-05.",
+        "daily predicts 10.00", "weekday predicts 12.00", "windowed predicts 20.00",
+        "WiP has been relatively stable. (label: stable)",
+    ]
+    assert req.structured_context.agent_predictions == {"daily": 10, "weekday": 12, "windowed": 20}
+    assert req.structured_context.trend_label == "stable"
 
 
 def test_react_consensus_matches_rules():
@@ -523,7 +543,7 @@ def test_react_backend_failure_falls_back():
 
 
 def test_react_budget_exhaustion_falls_back():
-    backend = ScriptedBackend(["ACTION: get_trend()"] * 10)
+    backend = ScriptedBackend(["ACTION: retrieve(some story)"] * 10)
     report = fuse(three_preds(10, 12, 20), STABLE, date(2024, 3, 5),
                   backend=backend, mode="react")
     assert report.mode == "rules"
@@ -531,19 +551,23 @@ def test_react_budget_exhaustion_falls_back():
     assert len(backend.requests) == 4
 
 
-def test_react_observations_accumulate():
+def test_react_observations_accumulate(monday_example):
+    index = StoryIndex(provider=DeterministicEmbedder())
+    index.add_story(dated_story(render_contextual_story(monday_example, 71), date(2024, 3, 1)))
     backend = ScriptedBackend(
-        ["ACTION: get_trend()", "ACTION: get_prediction(daily)", "PREDICTION: 12.00"]
+        ["ACTION: retrieve(The WiP items opened at 55)", "ACTION: retrieve()", "PREDICTION: 12.00"]
     )
-    report = fuse(three_preds(10, 12, 20), STABLE, date(2024, 3, 5),
+    report = fuse(three_preds(10, 12, 20), STABLE, date(2024, 3, 5), index=index,
                   backend=backend, mode="react")
     assert report.mode == "react"
-    second = backend.requests[1]
-    assert "OBSERVATION get_trend()" in second.user_text
-    assert "relatively stable" in second.user_text
-    third = backend.requests[2]
-    assert third.structured_context.trend_label == "stable"
-    assert third.structured_context.agent_predictions == {"daily": 10.0}
+    assert report.rationale == "react fusion accepted after 2 tool step(s)"
+    first, second, third = (req.user_text.splitlines() for req in backend.requests)
+    assert second[:-1] == first and third[:-1] == second
+    assert second[-1].startswith("OBSERVATION retrieve(The WiP items opened at 55): 2024-03-01: ")
+    assert third[-1] == "OBSERVATION retrieve(): no memory available"
+    for req in backend.requests:  # the observations are prose only
+        assert req.structured_context.agent_predictions == {"daily": 10, "weekday": 12, "windowed": 20}
+        assert req.structured_context.retrieved is None
 
 
 def test_react_retrieve_tool(monday_example):

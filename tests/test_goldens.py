@@ -91,7 +91,7 @@ GOLDENS = {
         "react": {
             "predictions.csv": "bfa9dae5d0761cabe019ef34e77f9ecb83eec5ee1a0f725c75bd3fe55c51a27d",
             "metrics.csv": "ad1fe33c312de119e7d62098ae462629db45bcf6b84e3a37a1e56157519cc089",
-            "forecast_reports.jsonl": "0e5dcedd8353573db43a52ddd7fbc354a67335c1d122c95a70c9fbf60f0eee07",
+            "forecast_reports.jsonl": "a877d8921b3b8125ece7932a46ea3b93648b9fea552edfd1ec5a7dc56522ac57",
         },
     },
     # Recorded with the full-scan index and only the audit made to accept an
@@ -105,7 +105,7 @@ GOLDENS = {
         "react": {
             "predictions.csv": "181d6bad8a14f0fb415b78a509f79b1b4bd2b8bc598ba4ed3eba046a8966777b",
             "metrics.csv": "667625b3f1fe01a2964984f28ef489b285bcb4a9c57e56f2617083211534be03",
-            "forecast_reports.jsonl": "17ad472570b4d397f92881afafc0997df1984f4ea1faa3c73be9484dcf331ac4",
+            "forecast_reports.jsonl": "aa01fc717d005fa96dedab1ac12f150e6ebeaaf58f4854f6054cdf9d356ab401",
         },
     },
 }
@@ -200,11 +200,12 @@ def test_ingest_matches_golden(workload, tmp_path):
 
 # (mode, case) -> sha256 of forecast.jsonl for SNAPSHOT_TARGET on the snapshot
 # workspace; "edited" adds 5 to every target in the daily snapshot. The react
-# ones were recorded from the JSON lines alone, before snapshots had a sidecar.
+# ones were re-recorded when react fusion began with every agent value and the
+# trend in its first prompt: only the rationale changed.
 FORECAST_GOLDENS = {
     ("rules", "as indexed"): "bb34b391d02581db9bc2a0562bff873dbfbef21c8107caa900b019db1f941dcf",
-    ("react", "as indexed"): "2895350ff491ee67f29e34f37c3cdbaf6c2338d677255432302b790a7c53f5db",
-    ("react", "edited"): "0969c42f047701ec0dc6b465febb303a1351c6919a1f85b00419c1b1d967ed7c",
+    ("react", "as indexed"): "1eaacb7698d60eafffb5ee16b22059c4c660f4eba60a9ce75faf527696279204",
+    ("react", "edited"): "5e3fbb444720bbf47e15b10cefbdbef5c631aa09b8125ed331613aa06be2d584",
 }
 # Where memory is loaded from. With no snapshot there is nothing to edit.
 FORECAST_LOADS = ("sidecars", "json lines", "no snapshot")

@@ -38,8 +38,8 @@ def predictor_request(targets_sims, current_close=None):
     return ChatRequest(system_text="forecast", user_text="story", structured_context=ctx)
 
 
-def fusion_request(preds, trend="stable", tools=()):
-    ctx = StructuredContext(agent_predictions=dict(preds), trend_label=trend, tools=tools)
+def fusion_request(preds, trend="stable"):
+    ctx = StructuredContext(agent_predictions=dict(preds), trend_label=trend)
     return ChatRequest(system_text="fuse", user_text="fuse", structured_context=ctx)
 
 
@@ -91,8 +91,8 @@ def test_extract_prediction_rejects_a_number_that_is_not_finite(text):
 
 
 def test_parse_action_forms():
-    assert parse_action("ACTION: get_prediction(daily)") == ("get_prediction", "daily")
-    assert parse_action("ACTION: get_trend()") == ("get_trend", "")
+    assert parse_action("ACTION: retrieve(daily)") == ("retrieve", "daily")
+    assert parse_action("ACTION: retrieve()") == ("retrieve", "")
     assert parse_action("thinking... ACTION: retrieve(The WiP items opened at 5)") == (
         "retrieve",
         "The WiP items opened at 5",
@@ -128,15 +128,6 @@ def test_stub_all_nonpositive_similarities_is_persistence():
 def test_stub_fusion_median():
     resp = StubBackend().chat(fusion_request({"daily": 10, "weekday": 12, "windowed": 20}))
     assert resp.text == "PREDICTION: 12.00"
-
-
-def test_stub_fusion_requests_missing_predictions_in_order():
-    resp = StubBackend().chat(fusion_request({}, tools=("get_prediction", "get_trend")))
-    assert resp.text == "ACTION: get_prediction(daily)"
-    resp = StubBackend().chat(
-        fusion_request({"daily": 10.0}, tools=("get_prediction",))
-    )
-    assert resp.text == "ACTION: get_prediction(weekday)"
 
 
 def test_stub_is_pure():
