@@ -6,7 +6,8 @@ Three predictor agents each look at the same day through a different lens
 (the day itself, the weekday-framed day, the trailing week), retrieve their
 own nearest stories, and predict tomorrow's close. A trend analyst labels
 the recent trajectory, and fusion combines everything: trend-weighted
-averaging in rules mode, or a bounded tool-calling loop in react mode.
+averaging in rules mode; in react mode the chat backend reads the three
+values and the trend, may retrieve past stories itself, and answers.
 """
 
 from datetime import timedelta
@@ -33,12 +34,12 @@ embedder = DeterministicEmbedder()
 indexes = build_indexes(events, embedder, window=7)
 
 # each agent frames today as its own query story and retrieves from its own
-# index, as of the forecast day
+# index, as of today: today's own story ends with the close being forecast
 backend = StubBackend()
 preds = {}
 for agent_id, index in indexes.items():
     query = query_story(events, today, agent_id, window=7).text
-    retrieved = index.retrieve(query, as_of=forecast_date)
+    retrieved = index.retrieve(query, as_of=current.date)
     preds[agent_id] = predictor_predict(agent_id, query, retrieved, float(current.close), backend)
 print(f"forecasting {forecast_date} (today closed at {current.close})")
 for name, p in preds.items():
@@ -55,7 +56,7 @@ rules = fuse(preds, trend, forecast_date)
 print(f"\nrules fusion: {rules.final_value:.2f}")
 print(f"  rationale: {rules.rationale}")
 
-react = fuse(preds, trend, forecast_date, index=indexes["daily"], backend=backend,
-             mode="react")
+react = fuse(preds, trend, forecast_date, index=indexes["daily"], as_of=current.date,
+             backend=backend, mode="react")
 print(f"\nreact fusion: {react.final_value:.2f} (mode={react.mode})")
 print(f"  rationale: {react.rationale}")

@@ -223,7 +223,8 @@ def _rules_fuse(preds: dict[str, Prediction], trend: TrendInsight, forecast_date
                           trend=trend, mode="rules", rationale=rationale)
 
 
-def _react_tool(name: str, arg: str, index: StoryIndex | None, as_of: Date, k: int) -> str:
+def _react_tool(name: str, arg: str, index: StoryIndex | None, as_of: Date | None,
+                k: int) -> str:
     """Run one tool call and return its observation; ``retrieve`` is the only tool."""
     if name != "retrieve":
         return f"unknown tool '{name}'"
@@ -237,18 +238,19 @@ def _react_tool(name: str, arg: str, index: StoryIndex | None, as_of: Date, k: i
 
 
 def fuse(preds: Sequence[Prediction] | Mapping[str, Prediction], trend: TrendInsight,
-         forecast_date: Date, index: StoryIndex | None = None, backend=None,
-         mode: str = "rules", weights: Mapping[str, Mapping[str, float]] | None = None,
-         k: int = TOP_K) -> ForecastReport:
+         forecast_date: Date, index: StoryIndex | None = None, as_of: Date | None = None,
+         backend=None, mode: str = "rules",
+         weights: Mapping[str, Mapping[str, float]] | None = None, k: int = TOP_K) -> ForecastReport:
     """Combine the three agent predictions into the final forecast.
 
     ``weights`` maps trend labels to per-agent weights; a label it does not
     name keeps its DEFAULT_FUSION_WEIGHTS row. Rules mode is pure arithmetic.
-    React mode gives the backend the three values and the trend; it may call
-    ``retrieve`` before it answers, within REACT_STEPS turns. Any failure,
-    budget exhaustion, or an answer straying beyond the agent envelope (10%
-    of the spread, at least 1.0) drops back to rules mode with the reason
-    recorded in the rationale.
+    React mode gives the backend the three values and the trend; within
+    REACT_STEPS turns it may call ``retrieve``, which searches ``index`` for
+    stories dated before ``as_of``, the agents' cutoff, before it answers.
+    Any failure, budget exhaustion, or an answer straying beyond the agent
+    envelope (10% of the spread, at least 1.0) drops back to rules mode with
+    the reason recorded in the rationale.
     """
     if isinstance(preds, Mapping):
         by_id = dict(preds)
@@ -265,6 +267,8 @@ def fuse(preds: Sequence[Prediction] | Mapping[str, Prediction], trend: TrendIns
         raise ValueError(f"unknown fusion mode: {mode}")
     if backend is None:
         raise ValueError("react mode needs a backend")
+    if index is not None and as_of is None:
+        raise ValueError("react retrieval needs as_of, the agents' cutoff")
 
     values = [by_id[a].value for a in AGENT_IDS]
     lo, hi = min(values), max(values)
@@ -290,7 +294,7 @@ def fuse(preds: Sequence[Prediction] | Mapping[str, Prediction], trend: TrendIns
         if action is not None:
             name, arg = action
             try:
-                observation = _react_tool(name, arg, index, forecast_date, k)
+                observation = _react_tool(name, arg, index, as_of, k)
             except (EmbeddingError, ValueError) as exc:  # e.g. a lone surrogate in the query
                 logger.warning("react fusion retrieve failed: %s", exc)
                 return _rules_fuse(by_id, trend, forecast_date, table,

@@ -1,14 +1,16 @@
 """Walk-forward evaluation of the forecasting pipeline.
 
 The rolling harness moves the forecast origin over one fixed memory: each
-granularity's index holds every contextual story of the series, built once,
-and each agent retrieves as of the day d it forecasts, so only stories dated
-strictly before d can reach that forecast. That as-of cutoff is the one
-causal rule, set in one place, :func:`retrieve_queries`, which ``forecast``
-uses too; yesterday's contextual story (whose realized target is today's
-close) is dated before d, so it is eligible. Each agent's retrievals for all
-steps are made up front, in one ``retrieve_many`` call. Each step audits what
-the agents actually retrieved against the cutoff.
+granularity's index holds every contextual story of the series, built once.
+To forecast day d, each agent retrieves as of the current day d-1, so only
+stories dated strictly before d-1 can reach that forecast: their realized
+targets are closes up to d-1's, all known. The story dated d-1 targets day
+d's close, the very value being forecast, so it is not eligible. That as-of
+cutoff is the one causal rule, set in one place, :func:`retrieve_queries`,
+which ``forecast`` uses too, and react fusion's ``retrieve`` tool shares it.
+Each agent's retrievals for all steps are made up front, in one
+``retrieve_many`` call. Each step audits what the agents actually retrieved
+against the cutoff.
 
 Alongside the fused multi-agent trace the harness records each predictor's
 own value as an ablation trace. All four share the same per-day retrievals,
@@ -163,9 +165,10 @@ def retrieve_queries(events, days, embedder, indexes: Mapping[str, StoryIndex],
     each agent's distinct texts embedded in one call, and its stories for all
     days retrieved from its own granularity's index in one
     :meth:`~wipcast.memory.StoryIndex.retrieve_many` call, each day's as of
-    the forecast day, the day after ``events[i]``. This is the one place the
-    cutoff is set."""
-    as_of = [events[i].date + timedelta(days=1) for i in days]
+    that day, ``events[i]``, whose close is the last one known: the story
+    dated ``events[i]`` targets the close being forecast. This is the one
+    place the cutoff is set."""
+    as_of = [events[i].date for i in days]
     out = {}
     for g in AGENT_IDS:
         texts = [query_story(events, i, g, params.window).text for i in days]
@@ -181,9 +184,9 @@ def forecast_day(events, i: int, queries: Mapping[str, tuple], indexes: Mapping[
 
     ``queries`` maps each agent to its query story's text and the stories it
     retrieved for day i, as :func:`retrieve_queries` gives them; the react
-    tool retrieves from ``indexes["daily"]``. The trend analyst reads the
-    last ``trend_lookback`` closes up to day i, and fusion combines the three
-    values. Predictors run inline, in AGENT_IDS order, unless the backend says
+    tool retrieves from ``indexes["daily"]`` with the same cutoff, as of day
+    i. The trend analyst reads the last ``trend_lookback`` closes up to day i,
+    and fusion combines the three values. Predictors run inline, in AGENT_IDS order, unless the backend says
     it is I/O-bound (``io_bound``, as RemoteChatBackend does); only then do
     they fan out to a short-lived thread pool.
     """
@@ -199,8 +202,8 @@ def forecast_day(events, i: int, queries: Mapping[str, tuple], indexes: Mapping[
     trend = trend_analyze(closes, window=params.trend_window, lookback=params.trend_lookback,
                           thresholds=params.trend_thresholds)
     return fuse(preds, trend, forecast_date=forecast_date, index=indexes["daily"],
-                backend=backend, mode=params.fusion_mode, weights=params.fusion_weights,
-                k=params.k)
+                as_of=events[i].date, backend=backend, mode=params.fusion_mode,
+                weights=params.fusion_weights, k=params.k)
 
 
 def rolling_forecast(series: WipSeries, split_date: Date | None = None,
@@ -214,9 +217,10 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
     out. Every step's query stories are rendered, embedded and retrieved for
     up front by :func:`retrieve_queries`. Each step is one
     :func:`forecast_day`, audited: RuntimeError if an agent retrieved a story
-    dated on or after the day it forecast. Each predictor's own value is an
-    ablation trace, from the Prediction objects that fed fusion; an agent with
-    nothing eligible yet gets no examples.
+    dated on or after the current day, the one before the day it forecasts.
+    Each predictor's own value is an ablation trace, from the Prediction
+    objects that fed fusion; an agent with nothing eligible yet gets no
+    examples.
     """
     if params is None:
         params = ForecastParams()
@@ -236,7 +240,7 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
     reports: list[ForecastReport] = []
 
     for step, j in enumerate(range(s, len(events))):
-        target_day = events[j].date
+        today, target_day = events[j - 1].date, events[j].date
         report = forecast_day(events, j - 1, {g: retrieved[g][step] for g in AGENT_IDS},
                               indexes, backend, params)
         reports.append(report)
@@ -244,9 +248,9 @@ def rolling_forecast(series: WipSeries, split_date: Date | None = None,
         entries.append(TraceEntry(target_day, "multi_agent", actual, report.final_value))
         for aid, pred in report.agent_predictions.items():
             newest = max((r.date for r in pred.retrieved), default=None)
-            if newest is not None and newest >= target_day:
+            if newest is not None and newest >= today:
                 raise RuntimeError(f"memory leak: {aid} retrieved a story dated {newest} "
-                                   f"while forecasting {target_day}")
+                                   f"on {today}, forecasting {target_day}")
             entries.append(TraceEntry(target_day, f"{aid}_only", actual, pred.value))
 
     entries.sort(key=lambda e: (_source_rank(e.source), e.date))

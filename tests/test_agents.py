@@ -86,11 +86,11 @@ def make_history(end_day, n, rng_seed=3):
 
 def predict(agent_id, current, history, index, backend, k=5):
     """``predictor_predict`` on ``current``, the last day of ``history``, with
-    the stories ``index`` gives its query as of the next day, as forecast_day
+    the stories ``index`` gives its query as of that day, as forecast_day
     retrieves them."""
     events = (*history.events[:-1], current)
     query = query_story(events, len(events) - 1, agent_id, 7).text
-    retrieved = index.retrieve(query, as_of=current.date + timedelta(days=1), k=k)
+    retrieved = index.retrieve(query, as_of=current.date, k=k)
     return predictor_predict(agent_id, query, retrieved, float(current.close), backend)
 
 
@@ -335,19 +335,19 @@ def test_predictor_respects_causality(monday_example):
     emb = DeterministicEmbedder()
     index = StoryIndex(provider=emb)
     base = render_contextual_story(monday_example, 71)
-    # One story per day, including the forecast day itself and later: only
-    # strictly earlier days may be used.
+    # One story per day, including the current day and later: only strictly
+    # earlier days may be used, since the current day's story targets the
+    # close being forecast.
     for i, day in enumerate(
         [monday_example.date + timedelta(days=d) for d in (-3, -2, -1, 0, 1, 2)]
     ):
         index.add_story(dated_story(base, day))
     history = make_history(monday_example.date, 10)
     pred = predict("daily", monday_example, history, index, StubBackend(), k=10)
-    forecast_date = monday_example.date + timedelta(days=1)
     assert pred.retrieved
-    assert len(pred.retrieved) == 4  # days -3..0 relative to the current day
+    assert len(pred.retrieved) == 3  # days -3..-1 relative to the current day
     for res in pred.retrieved:
-        assert res.date < forecast_date
+        assert res.date < monday_example.date
 
 
 def test_predictor_deterministic(monday_example):
@@ -483,7 +483,7 @@ def test_react_retrieve_observation_text_is_pinned():
     assert query == PINNED_CURRENT
     backend = ScriptedBackend([f"ACTION: retrieve({query})", "PREDICTION: 12.00"])
     fuse(three_preds(10, 12, 20), STABLE, date(2024, 3, 11), index=indexes["daily"],
-         backend=backend, mode="react", k=2)
+         as_of=date(2024, 3, 10), backend=backend, mode="react", k=2)
     assert backend.requests[1].user_text.splitlines()[-1] == (
         f"OBSERVATION retrieve({PINNED_CURRENT}): "
         "2024-03-07: next value 10.0 (similarity 0.9353); "
@@ -558,7 +558,7 @@ def test_react_observations_accumulate(monday_example):
         ["ACTION: retrieve(The WiP items opened at 55)", "ACTION: retrieve()", "PREDICTION: 12.00"]
     )
     report = fuse(three_preds(10, 12, 20), STABLE, date(2024, 3, 5), index=index,
-                  backend=backend, mode="react")
+                  as_of=date(2024, 3, 4), backend=backend, mode="react")
     assert report.mode == "react"
     assert report.rationale == "react fusion accepted after 2 tool step(s)"
     first, second, third = (req.user_text.splitlines() for req in backend.requests)
@@ -579,7 +579,7 @@ def test_react_retrieve_tool(monday_example):
         ["ACTION: retrieve(The WiP items opened at 55)", "PREDICTION: 12.00"]
     )
     report = fuse(three_preds(10, 12, 20), STABLE, date(2024, 3, 5),
-                  index=index, backend=backend, mode="react")
+                  index=index, as_of=date(2024, 3, 4), backend=backend, mode="react")
     assert report.mode == "react"
     assert "2024-03-01" in backend.requests[1].user_text
 
@@ -609,18 +609,20 @@ def test_a_react_retrieve_that_fails_falls_back_to_rules(failure):
     # each used to escape fuse, failing the whole forecast or evaluate
     history, indexes = pinned_indexes()
     index, day = indexes["daily"], date(2024, 3, 6)  # stories are dated up to 2024-03-08
+    as_of = day - timedelta(days=1)
     query = again = render_query_story(history.events[-1]).text
     if failure == "embedder error":
         index.provider = RemoteEmbedder("http://embed.test", session=EmbeddingEndpoint())
     else:  # JSON-decoded model text can carry one; it has no UTF-8 encoding
         again = json.loads('"\\ud800"')
     backend = ScriptedBackend([f"ACTION: retrieve({query})", f"ACTION: retrieve({again})"])
-    report = fuse(three_preds(10, 12, 20), STABLE, day, index=index, backend=backend, mode="react")
+    report = fuse(three_preds(10, 12, 20), STABLE, day, index=index, as_of=as_of, backend=backend,
+                  mode="react")
     assert report.mode == "rules"
     assert report.rationale.startswith("react fallback (retrieve failed): ")
     assert report.final_value == fuse(three_preds(10, 12, 20), STABLE, day).final_value
     reported = re.findall(r"(\S+): next value", backend.requests[1].user_text)
-    assert len(reported) == 5 and all(date.fromisoformat(d) < day for d in reported)
+    assert len(reported) == 5 and all(date.fromisoformat(d) < as_of for d in reported)
 
 
 def test_react_unknown_tool_is_observed_not_fatal():

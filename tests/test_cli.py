@@ -26,7 +26,7 @@ from wipcast.evaluation import summarize
 from wipcast.eventlog import ColumnMapping, export_csv, parse_csv, parse_xes, validate
 from wipcast.memory import DeterministicEmbedder, RemoteEmbedder
 from wipcast.narrative import GRANULARITIES, Story
-from wipcast.synthetic import synthetic_event_log
+from wipcast.synthetic import synthetic_event_log, synthetic_series
 from wipcast.wipseries import (
     WipEvent,
     WipSeries,
@@ -409,6 +409,38 @@ def test_forecast_without_index_snapshots_embeds_on_the_fly(tmp_path, log_path):
 
 
 # --- evaluate ---
+
+
+# Days j of synthetic_series(200, seed=3) whose close is forecast, spread over the series.
+TRUNCATION_STEPS = (2, 30, 61, 95, 128, 164, 199)
+
+
+@pytest.mark.parametrize("snapshots", [False, True], ids=["no snapshots", "snapshots"])
+@pytest.mark.parametrize("mode", ["rules", "react"])
+def test_a_forecast_is_the_same_on_a_wip_csv_cut_before_the_day_it_forecasts(tmp_path, mode,
+                                                                              snapshots):
+    # the story dated the day before d ends with d's close, the very value
+    # being forecast: were it eligible, cutting wip.csv after that day would
+    # change the forecast of d
+    events = synthetic_series(200, seed=3).events
+
+    def run_dir(name, days):
+        out = tmp_path / name
+        out.mkdir()
+        (out / "wip.csv").write_text(export_wip_csv(WipSeries(events=days)), encoding="utf-8",
+                                     newline="")
+        if snapshots:
+            assert main(["index", "--out", str(out)]) == 0
+        return out
+
+    def forecast(out, *extra):
+        assert main(["forecast", "--out", str(out), "--mode", mode, *extra]) == 0
+        return (out / "forecast.jsonl").read_bytes()
+
+    full = run_dir("full", events)
+    for j in TRUNCATION_STEPS:
+        day = events[j].date.isoformat()
+        assert forecast(run_dir(f"cut-{j}", events[:j])) == forecast(full, "--date", day), day
 
 
 @pytest.fixture(scope="module")

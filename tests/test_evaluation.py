@@ -1,6 +1,7 @@
 """Walk-forward evaluation: metric oracles, the causal cutoff and its audit, determinism."""
 
 import math
+import re
 import sys
 import threading
 import time
@@ -29,7 +30,7 @@ from wipcast.evaluation import (
     rolling_forecast,
     summarize,
 )
-from wipcast.llm import AGENT_IDS, RemoteChatBackend, StubBackend
+from wipcast.llm import AGENT_IDS, ChatResponse, RemoteChatBackend, StubBackend
 from wipcast.memory import DeterministicEmbedder, StoryIndex, build_indexes
 from wipcast.synthetic import synthetic_event_log, synthetic_series
 from wipcast.wipseries import WipSeries, wip_event
@@ -223,13 +224,15 @@ def test_rolling_memory_is_causal(twenty_day_run):
     for report in result.reports:
         for aid, pred in report.agent_predictions.items():
             assert len(pred.retrieved) == 5
-            assert max(r.date for r in pred.retrieved) < report.date
+            assert max(r.date for r in pred.retrieved) < report.date - timedelta(days=1)
 
 
 def test_rolling_newest_story_is_yesterdays(twenty_day_run):
     # one memory, one cutoff: the shared builder indexes the whole series, and
     # as of each forecast day d the story for day d-1 (targeting day d's close)
-    # is the newest one retrievable, whatever the similarity ranking
+    # is the newest one retrievable, whatever the similarity ranking; the
+    # agents retrieve as of d-1, the current day, so that story is the one
+    # their cutoff keeps out
     series, _, result = twenty_day_run
     for g, index in build_indexes(series.events, DeterministicEmbedder(), 7).items():
         for report in result.reports:
@@ -370,18 +373,19 @@ def test_rolling_renders_each_query_story_once(monkeypatch):
 
 
 def test_rolling_window_longer_than_history_starts_with_empty_index():
-    # a 20-day window with 14 days before the split: no windowed story is
-    # dated before the forecast day until day 20 has a next-day close, so the
-    # windowed agent first retrieves nothing, then fewer than k stories
+    # a 20-day window with 14 days before the split: the first windowed story
+    # is dated events[19] and ends with events[20]'s close, so it is eligible
+    # only from the step whose current day is events[20]; the windowed agent
+    # first retrieves nothing, then fewer than k stories
     series = synthetic_series(40, seed=1)
     result = rolling_forecast(series, split_date=series.events[14].date,
                               params=ForecastParams(window=20))
     retrieved = [r.agent_predictions["windowed"].retrieved for r in result.reports]
-    assert [len(rows) for rows in retrieved[:7]] == [0, 0, 0, 0, 0, 1, 2]
-    assert retrieved[5][0].date == series.events[19].date
+    assert [len(rows) for rows in retrieved[:7]] == [0, 0, 0, 0, 0, 0, 1]
+    assert retrieved[6][0].date == series.events[19].date
     # with nothing retrieved the stub answers with the current close
     closes = {ev.date: float(ev.close) for ev in series.events}
-    for entry in result.trace.for_source("windowed_only")[:5]:
+    for entry in result.trace.for_source("windowed_only")[:6]:
         assert entry.predicted == closes[entry.date - timedelta(days=1)]
 
 
@@ -399,6 +403,80 @@ def test_rolling_audit_raises_on_a_story_from_the_forecast_day(monkeypatch):
     series = synthetic_series(20, seed=3)
     with pytest.raises(RuntimeError, match="weekday retrieved a story dated"):
         rolling_forecast(series, split_date=series.events[14].date)
+
+
+def test_rolling_audit_raises_on_the_current_days_story(monkeypatch):
+    # the weekday agent retrieves as of the forecast day, one day late: the
+    # story dated the current day, which ends with the close being forecast,
+    # becomes eligible and the audit names it
+    real = StoryIndex.retrieve_many
+
+    def late(self, vectors, as_of_days, k=5):
+        if self.granularities() == {"weekday"}:
+            as_of_days = [day + timedelta(days=1) for day in as_of_days]
+        return real(self, vectors, as_of_days, k)
+
+    monkeypatch.setattr(StoryIndex, "retrieve_many", late)
+    series = synthetic_series(20, seed=3)
+    with pytest.raises(RuntimeError, match="weekday retrieved a story dated 2024-01-15 on 2024-01-15"):
+        rolling_forecast(series, split_date=series.events[14].date)
+
+
+class FusionRecorder(StubBackend):
+    """The stub, counting its chat calls and recording each fusion request; with
+    ``retrieve`` set, each day's first fusion turn asks ``retrieve`` for a story
+    first."""
+
+    def __init__(self, retrieve=False):
+        self.retrieve = retrieve
+        self.calls = 0
+        self.fusion = []
+
+    def chat(self, req):
+        self.calls += 1
+        if req.structured_context.agent_predictions is None:
+            return super().chat(req)
+        self.fusion.append(req)
+        if self.retrieve and "OBSERVATION" not in req.user_text:
+            return ChatResponse(text="ACTION: retrieve(WiP closed at 12.)", backend_id="recorder")
+        return super().chat(req)
+
+
+@pytest.mark.parametrize("retrieve", [False, True], ids=["stub", "retrieve first"])
+def test_react_fusion_makes_one_chat_call_a_day_plus_one_per_retrieve(retrieve):
+    backend = FusionRecorder(retrieve)
+    series = synthetic_series(20, seed=3)
+    result = rolling_forecast(series, split_date=series.events[14].date, backend=backend,
+                              params=ForecastParams(fusion_mode="react"))
+    turns = 1 + retrieve
+    assert len(backend.fusion) == turns * len(result.reports)
+    assert backend.calls == (len(AGENT_IDS) + turns) * len(result.reports)
+    assert {r.rationale for r in result.reports} == {
+        f"react fusion accepted after {turns - 1} tool step(s)"}
+
+
+def test_react_retrieve_sees_only_stories_dated_before_the_current_day():
+    # the react tool shares the agents' cutoff: with k past the index size its
+    # observation lists every eligible daily story, and the newest is dated
+    # the day before the current day, never the current day's own story,
+    # which ends with the close being forecast
+    series = synthetic_series(20, seed=3)
+    backend = FusionRecorder(retrieve=True)
+    result = rolling_forecast(series, split_date=series.events[14].date, backend=backend,
+                              params=ForecastParams(fusion_mode="react", k=len(series)))
+    observed = {}
+    for req in backend.fusion:
+        forecast_for = re.search(r"forecast for (\S+)\.", req.user_text).group(1)
+        for line in req.user_text.splitlines():
+            if line.startswith("OBSERVATION retrieve("):
+                observed[forecast_for] = [date.fromisoformat(d)
+                                          for d in re.findall(r"(\S+): next value", line)]
+    assert sorted(observed) == [r.date.isoformat() for r in result.reports]
+    for report in result.reports:
+        today = report.date - timedelta(days=1)
+        dates = observed[report.date.isoformat()]
+        assert len(dates) == len(set(dates)) == (today - series.events[0].date).days
+        assert max(dates) == today - timedelta(days=1)
 
 
 class ThreadRecordingStub(StubBackend):

@@ -81,31 +81,33 @@ def evaluate_digests(workload: str, mode: str, out: str) -> dict[str, str]:
     return digests
 
 
+# Re-recorded when retrieval moved to the agents' cutoff, as of the current
+# day: the story dated that day, which ends with the close being forecast,
+# is no longer eligible.
 GOLDENS = {
     "log": {
         "rules": {
-            "predictions.csv": "f56fd240531f4c16df3819911e6a105d86371072e49224f8df517cda21ac1652",
-            "metrics.csv": "dd411ac8b39d596b1db18d7c558f91ab0e94fb7b1c38b01c9d24fdbb7ab7b256",
-            "forecast_reports.jsonl": "c16bec8e477c3628ebbadf0ce7f515ff26f35b9f255718bb709cc69ae37eaad6",
+            "predictions.csv": "136cf38a20186a121cbef7c297548948d8c8563519ab2a63e5a2aea09e314dd8",
+            "metrics.csv": "25405a5d70bf5ccbbb838ec86e4e26fdabf77a9b510edc19253c690559d91e7d",
+            "forecast_reports.jsonl": "be298468acfebb776c4ca327e22f18296bb34eb2aaded52c0ebe387a10b91551",
         },
         "react": {
-            "predictions.csv": "bfa9dae5d0761cabe019ef34e77f9ecb83eec5ee1a0f725c75bd3fe55c51a27d",
-            "metrics.csv": "ad1fe33c312de119e7d62098ae462629db45bcf6b84e3a37a1e56157519cc089",
-            "forecast_reports.jsonl": "a877d8921b3b8125ece7932a46ea3b93648b9fea552edfd1ec5a7dc56522ac57",
+            "predictions.csv": "d746a8cc44382edb4b846b32bbef1ace46bec77d75c8dc202266cd836f82470e",
+            "metrics.csv": "e3ca53396c96d8d8126bbbf7678bb438e9cbdf24b17c36f84a37c9fc19ee6207",
+            "forecast_reports.jsonl": "5caf6fc0e56d44b78647030391041b70080500f77725689b5e2694ee9da8b2b6",
         },
     },
-    # Recorded with the full-scan index and only the audit made to accept an
-    # empty index; before that the workload crashed in the audit.
+    # The windowed index starts empty and fills mid-run.
     "empty-window": {
         "rules": {
-            "predictions.csv": "58201bd82e9e2316489e949475f9f497ecef16eb4091937bd6d38dc8377d4d0b",
-            "metrics.csv": "bc59f3f959b95ba9400df1208a787ce56381e0f4b397e099924ba0cd458915e7",
-            "forecast_reports.jsonl": "008aa8795b4c64dd79894c4c1d2486c94395b61c3a5cb26417ad1fe0ec0405b2",
+            "predictions.csv": "cc659148c1da04a9968328ff901d84cde6eaa17e3a7e5e6d7035ed12548e917c",
+            "metrics.csv": "f7897eeea6daae3dd36b7807f0c17ec82c1d800250a8795282dd051222384afa",
+            "forecast_reports.jsonl": "ad737d78f110fee32c2279a9e40eec8b686d3441906c55ab3994dd1534025427",
         },
         "react": {
-            "predictions.csv": "181d6bad8a14f0fb415b78a509f79b1b4bd2b8bc598ba4ed3eba046a8966777b",
-            "metrics.csv": "667625b3f1fe01a2964984f28ef489b285bcb4a9c57e56f2617083211534be03",
-            "forecast_reports.jsonl": "aa01fc717d005fa96dedab1ac12f150e6ebeaaf58f4854f6054cdf9d356ab401",
+            "predictions.csv": "f2c4dae8d79f06e13412d1fc9eff4885489b479bfcb471e38c2069271bbb38f0",
+            "metrics.csv": "3bf2f466ec40804a330dbe0f35c870f718e757b129ed04e835f45813fc741482",
+            "forecast_reports.jsonl": "362b8b4fd0226caadf91aa2b6696fa0505cdfe4cace20fc497bd0c42b8decde6",
         },
     },
 }
@@ -199,13 +201,12 @@ def test_ingest_matches_golden(workload, tmp_path):
 
 
 # (mode, case) -> sha256 of forecast.jsonl for SNAPSHOT_TARGET on the snapshot
-# workspace; "edited" adds 5 to every target in the daily snapshot. The react
-# ones were re-recorded when react fusion began with every agent value and the
-# trend in its first prompt: only the rationale changed.
+# workspace; "edited" adds 5 to every target in the daily snapshot. All were
+# re-recorded when retrieval moved to the agents' cutoff, as of the current day.
 FORECAST_GOLDENS = {
-    ("rules", "as indexed"): "bb34b391d02581db9bc2a0562bff873dbfbef21c8107caa900b019db1f941dcf",
-    ("react", "as indexed"): "1eaacb7698d60eafffb5ee16b22059c4c660f4eba60a9ce75faf527696279204",
-    ("react", "edited"): "5e3fbb444720bbf47e15b10cefbdbef5c631aa09b8125ed331613aa06be2d584",
+    ("rules", "as indexed"): "170eb3597a8c28c730a34c7e8c511aba69c07e872c732117f48016db180c4605",
+    ("react", "as indexed"): "ebca799407900c84fbe59369183ca47177ce0139ba393daa4f4a0163283ec222",
+    ("react", "edited"): "4bb46c5f390524e5c8aeab9794dd3f7fdcf4f759697afe92feb3d05a32e9d96a",
 }
 # Where memory is loaded from. With no snapshot there is nothing to edit.
 FORECAST_LOADS = ("sidecars", "json lines", "no snapshot")
