@@ -186,9 +186,10 @@ def forecast_day(events, i: int, queries: Mapping[str, tuple], indexes: Mapping[
     retrieved for day i, as :func:`retrieve_queries` gives them; the react
     tool retrieves from ``indexes["daily"]`` with the same cutoff, as of day
     i. The trend analyst reads the last ``trend_lookback`` closes up to day i,
-    and fusion combines the three values. Predictors run inline, in AGENT_IDS order, unless the backend says
-    it is I/O-bound (``io_bound``, as RemoteChatBackend does); only then do
-    they fan out to a short-lived thread pool.
+    and fusion combines the three values. Predictors run inline, in AGENT_IDS
+    order, unless the backend says it is I/O-bound (``io_bound``, as
+    RemoteChatBackend does); only then do they fan out to a short-lived
+    thread pool.
     """
     forecast_date = events[i].date + timedelta(days=1)
     calls = {aid: (aid, *queries[aid], float(events[i].close), backend) for aid in AGENT_IDS}

@@ -641,6 +641,13 @@ def test_react_unparseable_final_falls_back():
     assert "unparseable" in report.rationale
 
 
+def test_react_with_memory_but_no_cutoff_rejected():
+    index = StoryIndex(provider=DeterministicEmbedder())
+    with pytest.raises(ValueError, match="needs as_of"):
+        fuse(three_preds(1, 2, 3), STABLE, date(2024, 3, 5), index=index,
+             backend=StubBackend(), mode="react")
+
+
 def test_unknown_fusion_mode_rejected():
     with pytest.raises(ValueError):
         fuse(three_preds(1, 2, 3), STABLE, date(2024, 3, 5), mode="vote")

@@ -408,9 +408,6 @@ def test_forecast_without_index_snapshots_embeds_on_the_fly(tmp_path, log_path):
     assert os.path.exists(os.path.join(out, "forecast.jsonl"))
 
 
-# --- evaluate ---
-
-
 # Days j of synthetic_series(200, seed=3) whose close is forecast, spread over the series.
 TRUNCATION_STEPS = (2, 30, 61, 95, 128, 164, 199)
 
@@ -441,6 +438,9 @@ def test_a_forecast_is_the_same_on_a_wip_csv_cut_before_the_day_it_forecasts(tmp
     for j in TRUNCATION_STEPS:
         day = events[j].date.isoformat()
         assert forecast(run_dir(f"cut-{j}", events[:j])) == forecast(full, "--date", day), day
+
+
+# --- evaluate ---
 
 
 @pytest.fixture(scope="module")

@@ -479,6 +479,24 @@ def test_react_retrieve_sees_only_stories_dated_before_the_current_day():
         assert max(dates) == today - timedelta(days=1)
 
 
+def test_each_rolling_step_is_forecast_day_on_the_series_cut_after_its_current_day():
+    # truncation invariance, react prompts and observations included: no step
+    # of the walk-forward can tell whether any day after its current day exists
+    series = synthetic_series(20, seed=3)
+    params = ForecastParams(fusion_mode="react", k=len(series))
+    backend = FusionRecorder(retrieve=True)
+    result = rolling_forecast(series, split_date=series.events[14].date, backend=backend,
+                              params=params)
+    for step, report in enumerate(result.reports):
+        events = series.events[:15 + step]
+        indexes = build_indexes(events, DeterministicEmbedder(), params.window)
+        cut = FusionRecorder(retrieve=True)
+        i = len(events) - 1
+        assert forecast_day(events, i, _queries(events, i, indexes, params), indexes, cut,
+                            params) == report
+        assert cut.fusion == backend.fusion[2 * step:2 * step + 2]
+
+
 class ThreadRecordingStub(StubBackend):
     def __init__(self):
         self.threads = []
