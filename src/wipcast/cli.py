@@ -3,11 +3,13 @@
 `ingest` parses the log and replays it in one pass: each event is folded into
 its case as the parser yields it, so it holds a few instants per case, never
 the events. Every stage after `ingest` reads its ``wip.csv`` from the output
-directory (`forecast` also the snapshots `index` writes, all or none) and
-overwrites its own files, so re-running any stage with the same inputs
-reproduces the same files (timestamps in the SVG report can be frozen with a
-flag). `stories` writes out the stories the other stages render, to read; no
-stage reads them back.
+directory and overwrites its own files, so re-running any stage with the same
+inputs reproduces the same files (timestamps in the SVG report can be frozen
+with a flag). `index` writes ``index.npz``, the one memory file a stage reads:
+`forecast` uses it when it was built from this ``wip.csv`` with this window and
+embedder, and embeds on the fly when it is absent. The stories `stories`
+writes and the ``index_<g>.jsonl`` `index` writes beside it are exports to
+read; no stage reads them back.
 Each stage reads every run file it uses on every call and compares it with the
 bytes last loaded from it; only new bytes are hashed, parsed and checked, and
 what unchanged ones yield is reused (see :func:`memory.load_snapshot`).
@@ -19,6 +21,7 @@ Exit codes: 0 success, 1 processing error or standard output closed early,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -53,11 +56,12 @@ from .evaluation import (
     summarize,
 )
 from .llm import LlmError
-from .memory import EmbeddingError, StoryIndex, _decoded, _hold, build_indexes, load_snapshot, save_snapshot
+from .memory import EmbeddingError, _hold, build_indexes, load_snapshot, save_index, save_snapshot
 from .narrative import GRANULARITIES, contextual_story, query_story, write_stories_jsonl
 from .wipseries import WipSeries, export_wip_csv
 
 SERIES_FILE = "wip.csv"
+INDEX_FILE = "index.npz"
 
 
 def _stories_file(out_dir: str, granularity: str) -> str:
@@ -74,20 +78,42 @@ def _require(path: str, hint: str) -> str:
     return path
 
 
-def _checked_series(path: str, data: bytes, digest: str) -> WipSeries:
-    """The series in ``data``, the bytes read from ``path``; ValueError if it holds no days."""
+def _decoded(path: str, data: bytes) -> io.StringIO:
+    """``data``, the bytes read from ``path``, as the text open() would read:
+    UTF-8 with universal newlines, named after the file. Bytes that are not
+    UTF-8 raise ValueError naming the file and line."""
+    try:  # in one piece, so exc.start is a file offset
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: not valid UTF-8 ({exc.reason})") from exc
+    fp = io.StringIO(text, newline=None)
+    fp.name = path  # so an error names the file
+    return fp
+
+
+def _checked_series(path: str, data: bytes, digest: str) -> tuple[WipSeries, str]:
+    """The series in ``data``, the bytes read from ``path``, and ``digest``, their
+    sha256; ValueError if it holds no days."""
     series = wipseries.load_wip_csv(_decoded(path, data))
     if not series.events:
         raise ValueError(f"{path}: holds no days")
-    return series
+    return series, digest
 
 
-def _load_series(out_dir: str) -> WipSeries:
-    """The series in the run's ``wip.csv``, held with the snapshots: every call
-    reads the file and compares its bytes with those held, hashing only new ones,
-    so every call on unchanged bytes returns the same series, checked once."""
+def _load_series(out_dir: str) -> tuple[WipSeries, str]:
+    """The series in the run's ``wip.csv`` and the sha256 of its bytes, held with
+    the snapshot: every call reads the file and compares its bytes with those
+    held, hashing only new ones, so every call on unchanged bytes returns the
+    same series, checked once."""
     path = _require(os.path.join(out_dir, SERIES_FILE), "run `wipcast ingest` first")
     return _hold(path, _checked_series)
+
+
+def _provenance(cfg: PipelineConfig, wip_sha256: str) -> dict[str, str]:
+    """What ``index.npz`` records of how it was built, and `forecast` requires of it."""
+    embedder = cfg.embedder.kind + (f" {cfg.embedder.model}" if cfg.embedder.kind == "remote" else "")
+    return {"wip_sha256": wip_sha256, "window": str(cfg.forecast.window), "embedder": embedder}
 
 
 def _detect_format(path: str, declared: str) -> str:
@@ -154,7 +180,7 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_stories(args, cfg: PipelineConfig) -> int:
-    events = _load_series(args.out).events
+    events = _load_series(args.out)[0].events
     if len(events) < 2:
         raise ValueError("need at least two days to render contextual stories")
     for g in GRANULARITIES:
@@ -165,39 +191,40 @@ def cmd_stories(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _only_granularity(granularity: str, index: StoryIndex, path: str) -> StoryIndex:
-    """``index``, read from ``path``; ValueError if it holds stories of another granularity."""
-    stray = index.granularities() - {granularity}
-    if stray:
-        raise ValueError(f"{path}: holds {' and '.join(sorted(stray))} stories, not only {granularity}")
-    return index
-
-
 def cmd_index(args, cfg: PipelineConfig) -> int:
-    """Build every granularity's index from the series before writing any
-    snapshot, so a failing embedder leaves the earlier snapshots as they were."""
-    indexes = build_indexes(_load_series(args.out).events, build_embedder(cfg.embedder),
-                            cfg.forecast.window)
+    """Build every granularity's index from the series before writing any file,
+    so a failing embedder leaves the last run's files as they were."""
+    series, digest = _load_series(args.out)
+    indexes = build_indexes(series.events, build_embedder(cfg.embedder), cfg.forecast.window)
+    path = os.path.join(args.out, INDEX_FILE)
+    save_snapshot(indexes, path, _provenance(cfg, digest))
     for g, index in indexes.items():
-        path = _index_file(args.out, g)
-        count = save_snapshot(index, path)
-        print(f"wrote {path}: {count} documents")
+        export = _index_file(args.out, g)
+        with open(export, "w", encoding="utf-8", newline="") as fh:
+            count = save_index(index, fh)
+        print(f"wrote {export}: {count} documents")
+    print(f"wrote {path}")
     return 0
 
 
-def _load_or_build_indexes(out_dir: str, cfg: PipelineConfig, series, embedder):
-    """The snapshots from `wipcast index`, all of them or none: with none, embed
-    on the fly; with some, FileNotFoundError naming the first one missing."""
-    snapshots = {g: _index_file(out_dir, g) for g in GRANULARITIES}
-    if not any(os.path.exists(p) for p in snapshots.values()):
+def _load_or_build_indexes(out_dir: str, cfg: PipelineConfig, series: WipSeries, digest: str,
+                           embedder):
+    """The indexes in ``index.npz``, which must have been built from this
+    ``wip.csv`` (sha256 ``digest``) under this config; with no ``index.npz``,
+    embedded on the fly."""
+    path = os.path.join(out_dir, INDEX_FILE)
+    if not os.path.exists(path):
         return build_indexes(series.events, embedder, cfg.forecast.window)
-    for path in snapshots.values():
-        _require(path, "other index snapshots exist; run `wipcast index` to write all of them")
-    return {g: _only_granularity(g, load_snapshot(path, embedder), path) for g, path in snapshots.items()}
+    recorded, indexes = load_snapshot(path, embedder)
+    for key, value in _provenance(cfg, digest).items():
+        if recorded.get(key) != value:
+            raise ValueError(f"{path}: built with {key} {recorded.get(key)}, but this run has "
+                             f"{value}; rerun `wipcast index`")
+    return indexes
 
 
 def cmd_forecast(args, cfg: PipelineConfig) -> int:
-    series = _load_series(args.out)
+    series, digest = _load_series(args.out)
     i = len(series.events) - 1
     if args.date is not None:
         target = iso_date("--date", args.date)
@@ -211,7 +238,7 @@ def cmd_forecast(args, cfg: PipelineConfig) -> int:
         raise ValueError(f"cannot forecast the day after {Date.max}: the calendar ends there")
 
     embedder = build_embedder(cfg.embedder)
-    indexes = _load_or_build_indexes(args.out, cfg, series, embedder)
+    indexes = _load_or_build_indexes(args.out, cfg, series, digest, embedder)
     retrieved = retrieve_queries(series.events, [i], embedder, indexes, cfg.forecast)
     report = forecast_day(series.events, i, {g: rows[0] for g, rows in retrieved.items()},
                           indexes, build_backend(cfg.backend), cfg.forecast)
@@ -227,7 +254,7 @@ def cmd_forecast(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_evaluate(args, cfg: PipelineConfig) -> int:
-    series = _load_series(args.out)
+    series = _load_series(args.out)[0]
     if args.split:
         split = iso_date("--split", args.split)
     elif cfg.split_date:

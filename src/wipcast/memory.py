@@ -5,13 +5,17 @@ most (one per day per granularity), so exact scoring is cheap and keeps
 retrieval trivially auditable. Retrieval never returns a story dated on or
 after the query day: downstream forecasting depends on that cutoff. Rows are
 kept in date order, so the cutoff is one binary search and one slice.
+
+A snapshot (:func:`save_snapshot`) is one ``.npz`` holding every granularity's
+columns beside the provenance strings it was built under; :func:`load_snapshot`
+reads it through a per-process hold. :func:`save_index` writes one index as
+JSON lines to read, and :func:`load_index` reads those back; no stage does.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import logging
 import math
 import os
 import threading
@@ -25,8 +29,6 @@ import numpy as np
 
 from .llm import BACKOFF, RETRIES, LlmError, RetrievedExample, post_json
 from .narrative import GRANULARITIES, Story, _check_number, contextual_story, parse_jsonl, story_numbers
-
-logger = logging.getLogger(__name__)
 
 TRIGRAM_BUCKETS = 64
 NUMERIC_SLOTS = 8
@@ -234,10 +236,6 @@ class StoryIndex:
 
     def __len__(self) -> int:
         return len(self._state[3])
-
-    def granularities(self) -> set[str]:
-        """The granularities of the stories held."""
-        return {GRANULARITIES[code] for code in set(self._state[5].tolist())}
 
     def add_many(self, stories: Sequence[Story], embeddings,
                  doc_ids: Sequence[int] | None = None) -> None:
@@ -455,7 +453,7 @@ def _snapshot_row(record: dict, dims: list[int]) -> tuple:
 
 
 def load_index(fp: IO[str], provider=None) -> StoryIndex:
-    """Rebuild an index from a JSON-lines snapshot written by :func:`save_index`.
+    """Rebuild an index from the JSON lines :func:`save_index` writes.
 
     A malformed line, an embedding whose length differs from the first line's,
     or a doc_id that appears twice raises ValueError naming the file.
@@ -472,13 +470,6 @@ def load_index(fp: IO[str], provider=None) -> StoryIndex:
     return index
 
 
-# The sidecar's arrays, beside the sha256 of the JSON lines they mirror. The
-# int columns are doc_id, date ordinal and the character offset at which each
-# text ends in ``texts``, one UTF-8 byte array; granularities are codes as
-# StoryIndex._append takes them.
-_SIDECAR_ARRAYS = ("embeddings", "targets", "int_columns", "texts", "granularities")
-
-
 _GRANULARITY_CODES = {g: code for code, g in enumerate(GRANULARITIES)}
 
 
@@ -490,89 +481,39 @@ def _granularity_codes(names: Iterable[str]) -> np.ndarray:
         raise ValueError(f"unknown granularity {exc.args[0]!r}") from None
 
 
-def _sidecar_path(path: str) -> str:
-    return os.path.splitext(path)[0] + ".npz"
-
-
 def _sha256(data: bytes) -> str:
     import hashlib  # loads OpenSSL, needed only for bytes the hold lacks, never by `ingest`
 
     return hashlib.sha256(data).hexdigest()
 
 
-def _decoded(path: str, data: bytes) -> IO[str]:
-    """``data``, the bytes read from ``path``, as the text open() would read:
-    UTF-8 with universal newlines, named after the file. Bytes that are not
-    UTF-8 raise ValueError naming the file and line."""
-    try:  # in one piece, so exc.start is a file offset
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}, line {line}: not valid UTF-8 ({exc.reason})") from exc
-    fp = io.StringIO(text, newline=None)
-    fp.name = path  # so an error names the file
-    return fp
+# The arrays a snapshot holds for each granularity, keyed "<granularity>_<name>",
+# with the dtype and number of dimensions each must have. The int columns are
+# doc_id, date ordinal and the character offset at which each text ends in
+# ``texts``, one UTF-8 byte array.
+_SNAPSHOT_ARRAYS = {"embeddings": ("f8", 2), "targets": ("f8", 1), "int_columns": ("i8", 2),
+                    "texts": ("u1", 1)}
 
 
-class _HashingWriter:
-    """A text file for :func:`save_index` that writes UTF-8 to a binary file and
-    hashes each write as it goes, so no copy of what is written is held."""
-
-    def __init__(self, fh: IO[bytes]):
-        import hashlib  # loads OpenSSL, needed only to write a snapshot, never by `ingest`
-
-        self._fh, self.sha256 = fh, hashlib.sha256()
-
-    def write(self, text: str) -> int:
-        data = text.encode("utf-8")
-        self.sha256.update(data)
-        return self._fh.write(data)
-
-
-def save_snapshot(index: StoryIndex, path: str) -> int:
-    """Write the index to ``path`` as JSON lines, plus a binary sidecar beside it.
-
-    The JSON lines are the snapshot of record; each goes to the file as it is
-    rendered and is hashed on the way. The sidecar (same name, ``.npz``) holds
-    the same rows as arrays, in the same order, and the sha256 of the
-    JSON-lines bytes, so :func:`load_snapshot` can skip parsing them.
-    Returns the number of documents written.
-    """
+def save_snapshot(indexes: dict[str, StoryIndex], path: str, provenance: dict[str, str]) -> None:
+    """Write the index of each granularity to ``path`` as one ``.npz``, its rows
+    in index order, beside the ``provenance`` strings, each under its own key."""
+    arrays = {}
+    for g, index in indexes.items():
+        matrix, _, dates, ids, targets, _, texts = index._state
+        ends = np.cumsum([len(text) for text in texts], dtype=np.int64)
+        columns = (matrix, targets, np.stack((ids, dates, ends), axis=1),
+                   np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8))
+        arrays.update({f"{g}_{name}": column for name, column in zip(_SNAPSHOT_ARRAYS, columns)})
     with open(path, "wb") as fh:
-        out = _HashingWriter(fh)
-        count = save_index(index, out)
-    matrix, ids, dates, targets, texts, codes = index._columns()
-    ends = np.cumsum([len(text) for text in texts], dtype=np.int64)
-    arrays = (matrix, targets, np.stack((ids, dates, ends), axis=1),
-              np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8), codes)
-    with open(_sidecar_path(path), "wb") as fh:
-        np.savez(fh, jsonl_sha256=np.array(out.sha256.hexdigest()),
-                 **dict(zip(_SIDECAR_ARRAYS, arrays)))
-    return count
+        np.savez(fh, **arrays, **{key: np.array(value) for key, value in provenance.items()})
 
 
-def _load_sidecar(path: str, digest: str) -> StoryIndex | None:
-    """The index held by the sidecar of ``path``; None when it is missing, unreadable,
-    of an older layout or not written from JSON lines with this sha256."""
-    try:  # np.load given a path would leave it open when the archive is unreadable
-        with open(_sidecar_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            if str(npz["jsonl_sha256"]) != digest:
-                return None
-            embeddings, targets, int_columns, texts, codes = map(npz.__getitem__, _SIDECAR_ARRAYS)
-        doc_ids, dates, ends = int_columns.T
-        text, ends = texts.tobytes().decode("utf-8"), ends.tolist()
-        index = StoryIndex()
-        index._append(embeddings, doc_ids, dates, targets,
-                      [text[a:b] for a, b in zip([0, *ends], ends)], codes)
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        logger.debug("not using the sidecar of %s: %s", path, exc)
-        return None
-    return index
-
-
-# Each run file's real path -> (the bytes last loaded, what they yield), least recent first.
+# Each run file's real path -> (the bytes last loaded, what they yield), least
+# recent first; a run has two: its index.npz and its wip.csv.
 _held: OrderedDict[str, tuple[bytes, object]] = OrderedDict()
 _held_lock = threading.Lock()
+_HELD_FILES = 2
 
 
 def _hold(path: str, load: Callable[[str, bytes, str], object]):
@@ -591,35 +532,61 @@ def _hold(path: str, load: Callable[[str, bytes, str], object]):
     value = load(path, data, _sha256(data))
     with _held_lock:
         _held[key] = data, value
-        if len(_held) > len(GRANULARITIES) + 1:
+        if len(_held) > _HELD_FILES:
             _held.popitem(last=False)
     return value
 
 
-def _snapshot_state(path: str, data: bytes, digest: str) -> tuple:
-    """The read-only :attr:`StoryIndex._state` that ``data``, the JSON lines read
-    from ``path`` with sha256 ``digest``, yield: the sidecar's rows when it was
-    written from these bytes, else these bytes parsed."""
-    index = _load_sidecar(path, digest)
-    if index is None:
-        index = load_index(_decoded(path, data))
-    for column in index._state[:6]:
-        column.flags.writeable = False
-    return index._state
+def _snapshot_state(path: str, data: bytes, digest: str) -> tuple[dict[str, str], dict[str, tuple]]:
+    """What ``data``, the bytes of a snapshot read from ``path``, hold: its
+    provenance strings and each granularity's read-only :attr:`StoryIndex._state`,
+    its rows checked as :meth:`StoryIndex._append` checks them. Anything else
+    raises ValueError naming the file."""
+    try:
+        npz = np.load(io.BytesIO(data), allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise ValueError("an .npy array, not an .npz archive")
+        with npz:
+            arrays = {name: npz[name] for name in npz.files}
+        states = {}
+        for code, g in enumerate(GRANULARITIES):
+            columns = []
+            for name, (dtype, ndim) in _SNAPSHOT_ARRAYS.items():
+                column = arrays.pop(f"{g}_{name}")
+                if (column.dtype, column.ndim) != (np.dtype(dtype), ndim):
+                    raise ValueError(f"{g}_{name} is a {column.ndim}-d {column.dtype} array, "
+                                     f"not {ndim}-d {np.dtype(dtype)}")
+                columns.append(column)
+            embeddings, targets, int_columns, texts = columns
+            doc_ids, dates, ends = int_columns.T
+            text, bounds = texts.tobytes().decode("utf-8"), [0, *ends.tolist()]
+            if bounds != sorted(bounds) or bounds[-1] != len(text):
+                raise ValueError(f"the text ends in {g}_int_columns do not cut {g}_texts into texts")
+            index = StoryIndex()
+            index._append(embeddings, doc_ids, dates, targets, [text[a:b] for a, b in zip(bounds, bounds[1:])],
+                          np.full(len(ends), code, dtype=np.uint8))
+            for column in index._state[:6]:
+                column.flags.writeable = False
+            states[g] = index._state
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not a snapshot as `wipcast index` writes it "
+                         f"({type(exc).__name__}: {exc}); rerun `wipcast index`") from exc
+    return {name: str(value) for name, value in arrays.items()}, states
 
 
-def load_snapshot(path: str, provider=None) -> StoryIndex:
-    """Load an index written by :func:`save_snapshot`.
+def load_snapshot(path: str, provider=None) -> tuple[dict[str, str], dict[str, StoryIndex]]:
+    """The provenance recorded in a snapshot written by :func:`save_snapshot`,
+    and its index of each granularity.
 
-    Every call reads the JSON lines at ``path`` and compares them with the bytes
-    held for that file; only bytes not held are hashed and loaded. A load uses
-    the sidecar when that was written from JSON lines with this sha256, else
-    parses the bytes read with :func:`load_index`. The resulting columns are
+    Every call reads the file at ``path`` and compares its bytes with those held
+    for it; only bytes not held are hashed and loaded. The resulting columns are
     held, read-only, by real path beside those bytes; the hold keeps what the
-    last ``len(GRANULARITIES) + 1`` run files read yield (the snapshots'
-    columns and the series of ``wip.csv``). Each call wraps the columns in a
-    new index with its own ``provider``.
+    last two run files read yield (a snapshot's columns and the series of a
+    ``wip.csv``). Each call wraps the columns in new indexes with its own
+    ``provider``.
     """
-    index = StoryIndex(provider=provider)
-    index._state = _hold(path, _snapshot_state)
-    return index
+    provenance, states = _hold(path, _snapshot_state)
+    indexes = {g: StoryIndex(provider=provider) for g in states}
+    for g, index in indexes.items():
+        index._state = states[g]
+    return provenance, indexes

@@ -1,12 +1,13 @@
 """Shared fixtures: hand-built event logs with known-by-hand WiP values, and the
-run directory with index snapshots that forecast tests load."""
+run directory with an index snapshot that forecast tests load."""
 
 from __future__ import annotations
 
 import io
-import json
 import random
+import types
 from datetime import date, datetime, timezone
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +31,7 @@ from wipcast.wipseries import WipEvent, wip_event
 
 @pytest.fixture(autouse=True)
 def no_held_snapshots():
-    """Each test starts with no snapshot columns or wip.csv series held by an earlier test's loads."""
+    """Each test starts with no snapshot or wip.csv series held by an earlier test's loads."""
     memory._held.clear()
 
 
@@ -185,7 +186,7 @@ SNAPSHOT_TARGET = "2024-02-20"
 
 @pytest.fixture(scope="session")
 def snapshot_workspace(tmp_path_factory):
-    """A run directory with index snapshots: ingest, stories and index of one seeded log.
+    """A run directory with an index snapshot: ingest, stories and index of one seeded log.
     Tests copy it before they change it."""
     out = tmp_path_factory.mktemp("snapshots")
     log = out / "tickets.csv"
@@ -197,11 +198,27 @@ def snapshot_workspace(tmp_path_factory):
     return out
 
 
-def edit_targets(out):
-    """Add 5 to every target in the daily snapshot of ``out``; its sidecar no longer matches."""
-    path = out / "index_daily.jsonl"
-    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for record in records:
-            record["target"] += 5
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+def edit_snapshot(out, edit) -> None:
+    """Rewrite the index.npz of ``out`` after ``edit`` changed the dict of its
+    arrays in place; the arrays it leaves, provenance included, stay as they were."""
+    path = out / "index.npz"
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = dict(npz)
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def edit_targets(out) -> None:
+    """Add 5 to every target of the daily index in the index.npz of ``out``."""
+    edit_snapshot(out, lambda arrays: arrays.update(daily_targets=arrays["daily_targets"] + 5))
+
+
+def bench_module(name: str) -> types.ModuleType:
+    """``bench/<name>.py``, compiled from its source and run in a fresh
+    namespace, so no bytecode cache is written under ``bench/``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module

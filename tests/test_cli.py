@@ -1,6 +1,7 @@
 """CLI pipeline: subcommands, file products, exit codes, idempotency."""
 
 import dataclasses
+import gc
 import gzip
 import hashlib
 import json
@@ -11,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from collections import OrderedDict
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -35,7 +37,7 @@ from wipcast.wipseries import (
     load_wip_csv,
 )
 
-from conftest import SNAPSHOT_TARGET, edit_targets, random_wip_event, xes_document
+from conftest import SNAPSHOT_TARGET, edit_snapshot, edit_targets, random_wip_event, xes_document
 
 
 @pytest.fixture(scope="module")
@@ -675,14 +677,14 @@ def test_unknown_subcommand_exits_2():
     assert err.value.code == 2
 
 
-# --- index snapshots: binary sidecar and JSON-lines fallback ---
+# --- the index snapshot ---
 # The forecast these tests expect is what a cold forecast of the same files
 # writes; its bytes are pinned in test_goldens.py.
 
 
 @pytest.fixture
 def jsonl_loads(monkeypatch):
-    """Records every snapshot that is parsed from its JSON lines."""
+    """Records every index that is parsed from JSON lines."""
     parsed = []
     real = memory.load_index
 
@@ -694,6 +696,20 @@ def jsonl_loads(monkeypatch):
     return parsed
 
 
+@pytest.fixture
+def snapshot_loads(monkeypatch):
+    """Records the path of every index.npz whose bytes are loaded."""
+    opened = []
+    real = memory._snapshot_state
+
+    def spy(path, *args):
+        opened.append(path)
+        return real(path, *args)
+
+    monkeypatch.setattr(memory, "_snapshot_state", spy)
+    return opened
+
+
 def forecast_jsonl(out, *extra) -> bytes:
     """The forecast.jsonl that `forecast` writes for SNAPSHOT_TARGET in react mode on ``out``."""
     argv = ["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET, "--mode", "react", *extra]
@@ -701,125 +717,162 @@ def forecast_jsonl(out, *extra) -> bytes:
     return (Path(out) / "forecast.jsonl").read_bytes()
 
 
-# What the spies below replace, as a cold forecast calls it.
+# What the spies replace, as a cold forecast calls it.
 UNSPIED = [(memory, "load_index", memory.load_index),
-           (memory, "_load_sidecar", memory._load_sidecar),
+           (memory, "_snapshot_state", memory._snapshot_state),
            (memory, "_sha256", memory._sha256),
            (wipseries, "load_wip_csv", wipseries.load_wip_csv)]
 
 
 def cold_forecast_jsonl(out, *extra) -> bytes:
-    """What :func:`forecast_jsonl` writes from the JSON lines and wip.csv in ``out``
-    when nothing is held: on a fresh copy of the run without its sidecars, on an
-    empty hold swapped in for the call, with no spy counting its loads. A warm,
-    edited, fallback or respelled load must forecast as this does."""
+    """What :func:`forecast_jsonl` writes from the files in ``out`` when nothing
+    is held: on a fresh copy of the run, on an empty hold swapped in for the
+    call, with no spy counting its loads. A warm, edited or respelled load must
+    forecast as this does."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(memory, "_held", OrderedDict())
         for owner, name, real in UNSPIED:
             patch.setattr(owner, name, real)
         copy = Path(tmp) / "run"
-        shutil.copytree(out, copy, ignore=shutil.ignore_patterns("*.npz"))
+        shutil.copytree(out, copy)
         return forecast_jsonl(copy, *extra)
 
 
-def test_index_writes_sidecar_beside_each_snapshot(snapshot_workspace):
-    for g in ("daily", "weekday", "windowed"):
-        jsonl = (snapshot_workspace / f"index_{g}.jsonl").read_bytes()
-        with np.load(snapshot_workspace / f"index_{g}.npz", allow_pickle=False) as npz:
-            assert str(npz["jsonl_sha256"]) == hashlib.sha256(jsonl).hexdigest()
-            assert npz["int_columns"].shape == (len(jsonl.splitlines()), 3)
-
-
-def test_forecast_uses_sidecar(tmp_path, snapshot_workspace, jsonl_loads):
+def test_forecast_uses_sidecar(tmp_path, snapshot_workspace, snapshot_loads, jsonl_loads,
+                               monkeypatch):
+    # the sidecar is index.npz, the one memory file forecast reads
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
-    assert forecast_jsonl(out) == cold_forecast_jsonl(out)
+    want = cold_forecast_jsonl(out)
+    monkeypatch.setattr(cli, "build_indexes", None)  # nothing is embedded on the fly
+    assert forecast_jsonl(out) == want
+    assert snapshot_loads == [str(out / "index.npz")]
     assert jsonl_loads == []
 
 
-def write_older_sidecar(out, utf8_texts=False):
-    """The sidecar as written before it held int columns and granularity codes: one
-    array per column, granularities as a fixed-width string array, with the right
-    sha256. Texts are a fixed-width string array too or, with ``utf8_texts``,
-    one UTF-8 byte array cut at the character offsets in text_ends."""
-    path = out / "index_daily.jsonl"
+def write_parent_sidecar(out, granularity):
+    """The index_<g>.npz that `index` wrote beside each index_<g>.jsonl before
+    index.npz: the JSON lines' rows as arrays, beside the sha256 of their bytes."""
+    path = out / f"index_{granularity}.jsonl"
     records = [json.loads(line) for line in read_lines(path)]
-    columns = {name: [r[key] for r in records] for name, key in (
-        ("embeddings", "embedding"), ("doc_ids", "doc_id"), ("targets", "target"),
-        ("texts", "text"), ("granularities", "granularity"))}
-    columns["dates"] = [date.fromisoformat(r["date"]).toordinal() for r in records]
-    arrays = {name: np.array(values) for name, values in columns.items()}
-    if utf8_texts:
-        texts = columns["texts"]
-        arrays.update(texts=np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8),
-                      text_ends=np.cumsum([len(text) for text in texts], dtype=np.int64))
-    with open(out / "index_daily.npz", "wb") as fh:
+    texts = [record["text"] for record in records]
+    ends = np.cumsum([len(text) for text in texts], dtype=np.int64).tolist()
+    with open(out / f"index_{granularity}.npz", "wb") as fh:
         np.savez(fh, jsonl_sha256=np.array(hashlib.sha256(path.read_bytes()).hexdigest()),
-                 **arrays)
+                 embeddings=np.array([record["embedding"] for record in records]),
+                 targets=np.array([record["target"] for record in records]),
+                 int_columns=np.array([[record["doc_id"], date.fromisoformat(record["date"]).toordinal(),
+                                        end] for record, end in zip(records, ends)], dtype=np.int64),
+                 texts=np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8),
+                 granularities=np.full(len(records), GRANULARITIES.index(granularity), dtype=np.uint8))
 
 
-@pytest.mark.parametrize("damage", ["edited jsonl", "deleted sidecar", "truncated sidecar",
-                                    "older sidecar layout", "text_ends sidecar layout"])
-def test_forecast_falls_back_to_jsonl(tmp_path, snapshot_workspace, jsonl_loads, damage):
+def test_a_run_indexed_before_index_npz_forecasts_as_one_with_no_snapshot(tmp_path, snapshot_workspace,
+                                                                           jsonl_loads):
+    old, bare = tmp_path / "old", tmp_path / "bare"
+    for out in (old, bare):
+        shutil.copytree(snapshot_workspace, out, ignore=shutil.ignore_patterns("index*"))
+    for g in GRANULARITIES:
+        shutil.copy(snapshot_workspace / f"index_{g}.jsonl", old)
+        write_parent_sidecar(old, g)
+    assert forecast_jsonl(old) == forecast_jsonl(bare)
+    assert jsonl_loads == []
+
+
+@pytest.mark.parametrize("damage", ["truncated", "no windowed texts", "an npy array"])
+def test_a_damaged_snapshot_exits_1_naming_it_and_is_closed(tmp_path, snapshot_workspace, capsys,
+                                                            damage):
+    # a damaged sidecar used to be passed over for the JSON lines
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
-    sidecar = out / "index_daily.npz"
-    if damage == "edited jsonl":
-        edit_targets(out)
-    elif damage == "deleted sidecar":
-        sidecar.unlink()
-    elif damage == "older sidecar layout":
-        write_older_sidecar(out)
-        with np.load(sidecar) as npz:
-            assert npz["texts"].dtype.kind == "U" and "text_ends" not in npz
-    elif damage == "text_ends sidecar layout":
-        write_older_sidecar(out, utf8_texts=True)
-        with np.load(sidecar) as npz:
-            assert npz["texts"].dtype == np.uint8 and npz["granularities"].dtype.kind == "U"
-    else:
-        data = sidecar.read_bytes()
-        sidecar.write_bytes(data[:len(data) // 2])
-    want = cold_forecast_jsonl(out)
-    if damage == "edited jsonl":
-        assert want != cold_forecast_jsonl(snapshot_workspace)
-    assert forecast_jsonl(out) == want
-    assert len(jsonl_loads) == 1  # only the daily snapshot was parsed
+    path = out / "index.npz"
+    if damage == "truncated":
+        path.write_bytes(path.read_bytes()[:100])
+        want = "BadZipFile: "
+    elif damage == "no windowed texts":
+        edit_snapshot(out, lambda arrays: arrays.pop("windowed_texts"))
+        want = "KeyError: 'windowed_texts'"
+    else:  # used to end in a TypeError traceback
+        with open(path, "wb") as fh:
+            np.save(fh, np.arange(3))
+        want = "ValueError: an .npy array, not an .npz archive"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET]) == 1
+        gc.collect()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not a snapshot as `wipcast index` writes it ({want}")
+    assert err.endswith("); rerun `wipcast index`\n")
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert not (out / "forecast.jsonl").exists()
 
 
-# --- snapshots held across forecasts in one process ---
-SNAPSHOTS = [f"index_{g}.jsonl" for g in ("daily", "weekday", "windowed")]
+def double_counts(out):
+    """Double every count in the wip.csv of ``out``; each day stays a valid row."""
+    lines = read_lines(out / "wip.csv")
+    rows = [line.split(",") for line in lines[1:]]
+    (out / "wip.csv").write_text("\n".join([lines[0], *(",".join(row[:4] + [str(2 * int(n)) for n in row[4:]])
+                                                         for row in rows)]) + "\n")
 
 
-@pytest.fixture
-def sidecar_loads(monkeypatch):
-    """Records the JSON-lines path of every snapshot whose sidecar is opened."""
-    opened = []
-    real = memory._load_sidecar
+# What a run changed after `index`, the config it then forecasts with, and
+# what the error says of the field of index.npz that no longer matches.
+STALE_RUNS = {
+    "doubled counts": (double_counts, None, "built with wip_sha256 "),
+    "another window": (None, {"forecast": {"window": 10}}, "built with window 7, but this run has 10;"),
+    "a remote embedder": (None, {"embedder": {"kind": "remote", "endpoint": "http://embed.test"}},
+                          "built with embedder deterministic, but this run has remote bge-base-en-v1.5;"),
+}
 
-    def spy(path, *args):
-        opened.append(path)
-        return real(path, *args)
 
-    monkeypatch.setattr(memory, "_load_sidecar", spy)
-    return opened
+@pytest.mark.parametrize("change", list(STALE_RUNS))
+def test_a_snapshot_built_from_other_inputs_exits_1_naming_what_differs(tmp_path, snapshot_workspace,
+                                                                        capsys, monkeypatch, change):
+    # forecast used to exit 0 on the memory indexed before, say after every
+    # count in wip.csv had doubled
+    out = tmp_path / "run"
+    shutil.copytree(snapshot_workspace, out)
+    edit, config, want = STALE_RUNS[change]
+    extra = []
+    if edit:
+        edit(out)
+    if config:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        extra = ["--config", str(tmp_path / "config.json")]
+    session = EmbeddingSession()
+    monkeypatch.setattr("wipcast.cli.build_embedder", lambda cfg: (
+        DeterministicEmbedder() if cfg.kind == "deterministic"
+        else RemoteEmbedder("http://embed.test", session=session)))
+    argv = ["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET, *extra]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'index.npz'}: {want}")
+    assert err.endswith("; rerun `wipcast index`\n")
+    assert not (out / "forecast.jsonl").exists()
+    assert main(["index", "--out", str(out), *extra]) == 0
+    assert main(argv) == 0
+    assert session.posts == (2 * len(GRANULARITIES) if change == "a remote embedder" else 0)
+
+
+# --- a snapshot held across forecasts in one process ---
 
 
 def test_forecasts_in_one_process_open_each_sidecar_once(tmp_path, snapshot_workspace,
-                                                         sidecar_loads, jsonl_loads):
+                                                         snapshot_loads, jsonl_loads):
     run, copy = tmp_path / "run", tmp_path / "copy"
     for out in (run, copy):
         shutil.copytree(snapshot_workspace, out)
     cold = cold_forecast_jsonl(run)
     assert [forecast_jsonl(run) for _ in range(2)] == [cold, cold]
-    assert sorted(sidecar_loads) == [str(run / name) for name in SNAPSHOTS]
-    # the same bytes in another run directory are that directory's own snapshots
+    assert snapshot_loads == [str(run / "index.npz")]
+    # the same bytes in another run directory are that directory's own snapshot
     assert forecast_jsonl(copy) == cold
-    assert sorted(sidecar_loads[3:]) == [str(copy / name) for name in SNAPSHOTS]
+    assert snapshot_loads[1:] == [str(copy / "index.npz")]
     assert jsonl_loads == []
 
 
 def test_a_snapshot_edited_between_forecasts_is_read_again(tmp_path, snapshot_workspace,
-                                                           jsonl_loads):
+                                                           snapshot_loads):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
     indexed = cold_forecast_jsonl(out)
@@ -828,7 +881,7 @@ def test_a_snapshot_edited_between_forecasts_is_read_again(tmp_path, snapshot_wo
     edited = cold_forecast_jsonl(out)
     assert edited != indexed
     assert forecast_jsonl(out) == edited
-    assert len(jsonl_loads) == 1  # only the edited daily snapshot was parsed
+    assert snapshot_loads == [str(out / "index.npz")] * 2
 
 
 def test_a_snapshot_broken_between_forecasts_fails_on_every_call(tmp_path, snapshot_workspace,
@@ -837,43 +890,22 @@ def test_a_snapshot_broken_between_forecasts_fails_on_every_call(tmp_path, snaps
     shutil.copytree(snapshot_workspace, out)
     indexed = cold_forecast_jsonl(out)
     assert forecast_jsonl(out) == indexed
-    path = out / "index_daily.jsonl"
+    path = out / "index.npz"
     good = path.read_bytes()
-    lines = good.splitlines(keepends=True)
-    path.write_bytes(b"".join(lines[:3] + [lines[3][:40] + b"\n"] + lines[4:]))
+    path.write_bytes(good[:len(good) // 2])
     for _ in range(2):  # a failed load is not held
         assert main(["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET]) == 1
-        assert (f"error: {path}, line 4: not a snapshot record (JSONDecodeError"
+        assert (f"error: {path}: not a snapshot as `wipcast index` writes it (BadZipFile: "
                 in capsys.readouterr().err)
     path.write_bytes(good)
     assert forecast_jsonl(out) == indexed
 
 
-@pytest.mark.parametrize("missing", [("windowed",), ("daily", "weekday")])
-def test_a_run_with_only_some_index_snapshots_exits_2_naming_the_first_missing(
-        tmp_path, snapshot_workspace, capsys, missing):
-    # the snapshots present used to be ignored: forecast embedded every story
-    # on the fly and exited 0, whatever they held
-    out = tmp_path / "run"
-    shutil.copytree(snapshot_workspace, out)
-    for g in missing:
-        (out / f"index_{g}.jsonl").unlink()
-    argv = ["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET]
-    assert main(argv) == 2
-    first = out / f"index_{missing[0]}.jsonl"
-    assert capsys.readouterr().err == (f"error: {first} not found (other index snapshots exist; "
-                                       "run `wipcast index` to write all of them)\n")
-    assert not (out / "forecast.jsonl").exists()
-    for g in GRANULARITIES:  # with none, every story is embedded on the fly
-        (out / f"index_{g}.jsonl").unlink(missing_ok=True)
-    assert main(argv) == 0
-
-
 def test_held_snapshot_columns_are_read_only(tmp_path, snapshot_workspace):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
-    path = str(out / "index_daily.jsonl")
-    index = memory.load_snapshot(path)
+    path = str(out / "index.npz")
+    index = memory.load_snapshot(path)[1]["daily"]
     for column in index._state[:6]:
         with pytest.raises(ValueError, match="read-only"):
             column[:1] = column[:1]
@@ -881,16 +913,16 @@ def test_held_snapshot_columns_are_read_only(tmp_path, snapshot_workspace):
     size = len(index)
     story = Story("The WiP items opened at 3.", "contextual", "daily", date(2030, 1, 1), 4.0)
     index.add_many([story], [np.ones(index.dim)])  # builds new columns
-    assert (len(index), len(memory.load_snapshot(path))) == (size + 1, size)
+    assert (len(index), len(memory.load_snapshot(path)[1]["daily"])) == (size + 1, size)
 
 
 def test_a_snapshot_replaced_after_it_was_hashed_is_parsed_as_hashed(tmp_path, snapshot_workspace,
                                                                      monkeypatch):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
-    (out / "index_daily.npz").unlink()
-    path = out / "index_daily.jsonl"
-    targets = [json.loads(line)["target"] for line in read_lines(path)]
+    path = out / "index.npz"
+    with np.load(path, allow_pickle=False) as npz:
+        targets = npz["daily_targets"].tolist()
     real, edited = memory._sha256, []
 
     def hash_then_edit(data):
@@ -900,9 +932,9 @@ def test_a_snapshot_replaced_after_it_was_hashed_is_parsed_as_hashed(tmp_path, s
         return real(data)
 
     monkeypatch.setattr(memory, "_sha256", hash_then_edit)
-    as_hashed = memory.load_snapshot(str(path))
+    as_hashed = memory.load_snapshot(str(path))[1]["daily"]
     assert [story.target for story in as_hashed.documents().values()] == targets
-    as_edited = memory.load_snapshot(str(path))
+    as_edited = memory.load_snapshot(str(path))[1]["daily"]
     assert [story.target for story in as_edited.documents().values()] == [t + 5 for t in targets]
 
 
@@ -920,19 +952,22 @@ def hashed(monkeypatch):
     return seen
 
 
+RUN_FILES = ["index.npz", "wip.csv"]
+
+
 def test_a_warm_forecast_hashes_nothing(tmp_path, snapshot_workspace, hashed):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
     indexed = cold_forecast_jsonl(out)
     assert forecast_jsonl(out) == indexed
-    assert sorted(hashed) == sorted((out / name).read_bytes() for name in [*SNAPSHOTS, "wip.csv"])
+    assert sorted(hashed) == sorted((out / name).read_bytes() for name in RUN_FILES)
     assert forecast_jsonl(out) == indexed
-    assert len(hashed) == 4  # unchanged files are compared with the held bytes, not hashed
+    assert len(hashed) == 2  # unchanged files are compared with the held bytes, not hashed
     edit_targets(out)
     edited = cold_forecast_jsonl(out)
     assert edited != indexed
     assert forecast_jsonl(out) == edited
-    assert hashed[4:] == [(out / "index_daily.jsonl").read_bytes()]
+    assert hashed[2:] == [(out / "index.npz").read_bytes()]
 
 
 def rewrite_keeping_size_and_mtime(path, data):
@@ -944,28 +979,24 @@ def rewrite_keeping_size_and_mtime(path, data):
     assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
 
 
-def test_the_hold_compares_content_not_size_or_mtime(tmp_path, snapshot_workspace, sidecar_loads,
-                                                     jsonl_loads):
+def test_the_hold_compares_content_not_size_or_mtime(tmp_path, snapshot_workspace, snapshot_loads):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
-    path = out / "index_daily.jsonl"
+    path = out / "index.npz"
     indexed = path.read_bytes()
-    at = indexed.index(b'"target": ') + len(b'"target": ')  # the first story's target
-    edited = indexed[:at] + str(int(indexed[at:at + 1]) % 9 + 1).encode() + indexed[at + 1:]
-    daily_loads = []
+    edit_targets(out)  # the same arrays of the same shapes: the same size
+    edited = path.read_bytes()
+    loads = []
     for data in (indexed, edited, indexed):  # A, B, A again, each of one size and mtime
         rewrite_keeping_size_and_mtime(path, data)
         assert main(["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET, "--mode", "react"]) == 0
-        daily_loads.append(sidecar_loads.count(str(path)))
+        loads.append(snapshot_loads.count(str(path)))
         assert memory._held[os.path.realpath(path)][0] == data
-    assert daily_loads == [1, 2, 3]  # loaded on each flip
-    assert len(jsonl_loads) == 1  # B, whose bytes the sidecar was not written from, was parsed
-    assert sorted(memory._held) == sorted(os.path.realpath(out / name)
-                                          for name in [*SNAPSHOTS, "wip.csv"])
-    assert len(memory._held) == len(GRANULARITIES) + 1
+    assert loads == [1, 2, 3]  # loaded on each flip
+    assert sorted(memory._held) == sorted(os.path.realpath(out / name) for name in RUN_FILES)
 
 
-# --- wip.csv held with the snapshots ---
+# --- wip.csv held with the snapshot ---
 
 
 @pytest.fixture
@@ -993,20 +1024,21 @@ def edit_wip_day(out):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_forecasts_in_one_process_parse_wip_csv_once(tmp_path, snapshot_workspace, sidecar_loads,
+def test_forecasts_in_one_process_parse_wip_csv_once(tmp_path, snapshot_workspace, snapshot_loads,
                                                       wip_csv_parses):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
     cold = cold_forecast_jsonl(out)
     assert [forecast_jsonl(out) for _ in range(2)] == [cold, cold]
     assert wip_csv_parses == [str(out / "wip.csv")]
-    assert sorted(sidecar_loads) == [str(out / name) for name in SNAPSHOTS]
+    assert snapshot_loads == [str(out / "index.npz")]
 
 
 def test_a_wip_csv_edited_between_forecasts_is_read_again(tmp_path, snapshot_workspace,
                                                           wip_csv_parses):
+    # without index.npz, which an edited wip.csv would make stale, memory is embedded on the fly
     out = tmp_path / "run"
-    shutil.copytree(snapshot_workspace, out)
+    shutil.copytree(snapshot_workspace, out, ignore=shutil.ignore_patterns("index.npz"))
     indexed = cold_forecast_jsonl(out)
     assert forecast_jsonl(out) == indexed
     edit_wip_day(out)
@@ -1050,16 +1082,17 @@ def test_a_wip_csv_rewritten_after_it_was_hashed_is_parsed_as_hashed(tmp_path, s
         return real(data)
 
     monkeypatch.setattr(memory, "_sha256", hash_then_edit)
-    assert cli._load_series(str(out)).events == days
-    as_edited = cli._load_series(str(out)).events
+    assert cli._load_series(str(out))[0].events == days
+    as_edited = cli._load_series(str(out))[0].events
     assert len(as_edited) == len(days) and as_edited != days
 
 
 def test_unchanged_wip_csv_loads_as_one_frozen_series(tmp_path, snapshot_workspace):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
-    series = cli._load_series(str(out))
-    assert cli._load_series(str(out)) is series
+    series, digest = cli._load_series(str(out))
+    assert cli._load_series(str(out))[0] is series
+    assert digest == hashlib.sha256((out / "wip.csv").read_bytes()).hexdigest()
     assert type(series.events) is tuple
     with pytest.raises(dataclasses.FrozenInstanceError):
         series.events[5].close = 0
@@ -1068,7 +1101,7 @@ def test_unchanged_wip_csv_loads_as_one_frozen_series(tmp_path, snapshot_workspa
 
 
 def test_forecasts_on_one_run_spelled_three_ways_load_it_once(tmp_path, snapshot_workspace,
-                                                              monkeypatch, sidecar_loads,
+                                                              monkeypatch, snapshot_loads,
                                                               wip_csv_parses):
     shutil.copytree(snapshot_workspace, tmp_path / "run")
     monkeypatch.chdir(tmp_path)
@@ -1077,71 +1110,84 @@ def test_forecasts_on_one_run_spelled_three_ways_load_it_once(tmp_path, snapshot
         assert main(["forecast", "--out", out, "--date", SNAPSHOT_TARGET, "--mode", "react"]) == 0
         outputs.add((tmp_path / "run" / "forecast.jsonl").read_bytes())
     assert outputs == {cold_forecast_jsonl(tmp_path / "run")}
-    assert sorted(sidecar_loads) == [os.path.join("run", name) for name in SNAPSHOTS]
+    assert snapshot_loads == [os.path.join("run", "index.npz")]
     assert wip_csv_parses == [os.path.join("run", "wip.csv")]
 
 
-@pytest.mark.parametrize("damage", ["no doc_id", "repeated doc_id", "weekday story",
-                                    "short embedding"])
+def snapshot_error(detail: str) -> str:
+    """What `forecast` says of an index.npz that raised ValueError(``detail``) as it loaded."""
+    return (f"index.npz: not a snapshot as `wipcast index` writes it (ValueError: {detail}); "
+            "rerun `wipcast index`")
+
+
+def recast(name, dtype, at=None, value=None):
+    """An edit of index.npz that casts array ``name`` to ``dtype``, then sets ``value`` at ``at``."""
+    def edit(arrays):
+        arrays[name] = arrays[name].astype(dtype)
+        if at is not None:
+            arrays[name][at] = value
+    return edit
+
+
+# An edit of the daily arrays of index.npz, and what the error says of it.
+MALFORMED_SNAPSHOTS = {
+    "no doc_id": (lambda arrays: arrays.update(daily_int_columns=arrays["daily_int_columns"][:, 1:]),
+                  "not enough values to unpack (expected 3, got 2)"),
+    "repeated doc_id": (recast("daily_int_columns", np.int64, (3, 0), 2),
+                        "doc_id 2 is repeated: an index holds each doc_id once"),
+    "short embedding": (lambda arrays: arrays.update(daily_embeddings=arrays["daily_embeddings"][:-1]),
+                        "need one embedding row and doc_id per story, got shape (62, 72) and 63 "
+                        "doc_ids for 63 stories"),
+}
+
+
+@pytest.mark.parametrize("damage", list(MALFORMED_SNAPSHOTS))
 def test_forecast_on_a_malformed_snapshot_exits_1_naming_it(tmp_path, snapshot_workspace,
                                                              capsys, damage):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
-    path = out / "index_daily.jsonl"
-    records = [json.loads(line) for line in read_lines(path)]
-    if damage == "no doc_id":
-        del records[3]["doc_id"]
-        want = "index_daily.jsonl, line 4: not a snapshot record (KeyError: 'doc_id')"
-    elif damage == "repeated doc_id":  # the line used to replace the earlier one silently
-        records[3]["doc_id"] = records[2]["doc_id"]
-        want = f"index_daily.jsonl: doc_id {records[2]['doc_id']} is repeated"
-    elif damage == "weekday story":  # used to serve the daily agent
-        records[3]["granularity"] = "weekday"
-        want = "index_daily.jsonl: holds weekday stories, not only daily"
-    else:  # used to end in numpy's "inhomogeneous shape" message
-        records[3]["embedding"].pop()
-        want = (f"index_daily.jsonl, line 4: not a snapshot record (ValueError: doc_id "
-                f"{records[3]['doc_id']} has 71 embedding entries, the first line 72)")
-    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    edit, detail = MALFORMED_SNAPSHOTS[damage]
+    edit_snapshot(out, edit)
     assert main(["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET]) == 1
-    assert want in capsys.readouterr().err
+    assert snapshot_error(detail) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["doc_id beyond 64 bits", "infinite target", "fractional doc_id",
-                                    "boolean doc_id", "string target", "boolean target",
-                                    "number text", "nested text", "list granularity",
-                                    "object embedding entry", "boolean embedding entry"])
+# An array of index.npz of another type or shape, or with a value out of
+# range, and what the error says of it. Each would otherwise load as a doc_id
+# cast to 64 bits, a target cast to a float or a text cut from bytes of
+# another kind, or end in a traceback.
+OUT_OF_RANGE = {
+    "doc_id beyond 64 bits": (recast("daily_int_columns", np.uint64, (3, 0), 2**64 - 1),
+                              "daily_int_columns is a 2-d uint64 array, not 2-d int64"),
+    "infinite target": (recast("daily_targets", float, 3, math.inf),
+                        "target inf of the story dated 2024-01-04 is not finite"),
+    "fractional doc_id": (recast("daily_int_columns", float, (3, 0), 3.7),
+                          "daily_int_columns is a 2-d float64 array, not 2-d int64"),
+    "boolean doc_id": (recast("daily_int_columns", bool),
+                       "daily_int_columns is a 2-d bool array, not 2-d int64"),
+    "string target": (recast("daily_targets", str), "daily_targets is a 1-d <U32 array, not 1-d float64"),
+    "boolean target": (recast("daily_targets", bool), "daily_targets is a 1-d bool array, not 1-d float64"),
+    "number text": (recast("daily_texts", np.int64), "daily_texts is a 1-d int64 array, not 1-d uint8"),
+    "nested text": (lambda arrays: arrays.update(daily_texts=arrays["daily_texts"][:, None]),
+                    "daily_texts is a 2-d uint8 array, not 1-d uint8"),
+    "text end beyond the texts": (recast("daily_int_columns", np.int64, (3, 2), 10**9),
+                                  "the text ends in daily_int_columns do not cut daily_texts into texts"),
+    "object embedding entry": (recast("daily_embeddings", object, (3, 5), {"a": 1}),
+                               "Object arrays cannot be loaded when allow_pickle=False"),
+    "boolean embedding entry": (recast("daily_embeddings", bool),
+                                "daily_embeddings is a 2-d bool array, not 2-d float64"),
+}
+
+
+@pytest.mark.parametrize("damage", list(OUT_OF_RANGE))
 def test_forecast_on_a_snapshot_row_out_of_range_exits_1_naming_it(tmp_path, snapshot_workspace,
                                                                    capsys, damage):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
-    (out / "index_daily.npz").unlink()
-    path = out / "index_daily.jsonl"
-    records = [json.loads(line) for line in read_lines(path)]
-    if damage == "doc_id beyond 64 bits":  # used to end in an OverflowError traceback
-        records[3]["doc_id"] = 2**70
-        want = "index_daily.jsonl: a doc_id is out of the 64-bit range"
-    elif damage == "infinite target":  # used to reach the model and fail on "PREDICTION: inf"
-        records[3]["target"] = math.inf
-        want = f"index_daily.jsonl: target inf of the story dated {records[3]['date']} is not finite"
-    elif damage.endswith("embedding entry"):  # an object used to end in a TypeError
-        # traceback, and true to load as 1.0
-        records[3]["embedding"][5] = {"a": 1} if damage.startswith("object") else True
-        want = ("index_daily.jsonl, line 4: not a snapshot record "
-                "(TypeError: embedding must be a nonempty flat list of numbers)")
-    else:  # each used to load silently as doc_id 3 or 1, as target 72.0 or 1.0, or as a
-        # text that is not a string; a list granularity ended in a TypeError traceback
-        key, value = {"fractional doc_id": ("doc_id", 3.7), "boolean doc_id": ("doc_id", True),
-                      "string target": ("target", "72"), "boolean target": ("target", True),
-                      "number text": ("text", 5), "nested text": ("text", ["x", {"a": 1}]),
-                      "list granularity": ("granularity", ["daily"])}[damage]
-        records[3][key] = value
-        kind = {"doc_id": "an integer", "target": "a number"}.get(key, "a string")
-        want = (f"index_daily.jsonl, line 4: not a snapshot record "
-                f"(TypeError: {key} must be {kind}, got {value!r})")
-    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    edit, detail = OUT_OF_RANGE[damage]
+    edit_snapshot(out, edit)
     assert main(["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET]) == 1
-    assert want in capsys.readouterr().err
+    assert snapshot_error(detail) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("stage", ["stories", "forecast", "evaluate"])
@@ -1167,17 +1213,13 @@ def test_a_wip_csv_that_is_not_utf8_exits_1_naming_file_and_line(tmp_path, capsy
         capsys.readouterr().err)
 
 
-def test_a_snapshot_that_is_not_utf8_exits_1_naming_file_and_line(tmp_path, snapshot_workspace,
-                                                                    capsys):
+def test_a_snapshot_whose_texts_are_not_utf8_exits_1_naming_it(tmp_path, snapshot_workspace, capsys):
     out = tmp_path / "run"
     shutil.copytree(snapshot_workspace, out)
-    path = out / "index_daily.jsonl"  # its sidecar no longer matches, so it is parsed
-    lines = path.read_bytes().splitlines(keepends=True)
-    lines[5] = lines[5].replace(b",", b",\xff", 1)
-    path.write_bytes(b"".join(lines))
+    edit_snapshot(out, recast("daily_texts", np.uint8, 5, 0xFF))
     assert main(["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET]) == 1
-    assert f"error: {path}, line 6: not valid UTF-8 (invalid start byte)" in (
-        capsys.readouterr().err)
+    assert (f"error: {out / 'index.npz'}: not a snapshot as `wipcast index` writes it (UnicodeDecodeError: "
+            "'utf-8' codec can't decode byte 0xff in position 5: invalid start byte)") in capsys.readouterr().err
 
 
 def test_a_crlf_wip_csv_forecasts_as_the_lf_one(tmp_path, snapshot_workspace):
@@ -1185,6 +1227,7 @@ def test_a_crlf_wip_csv_forecasts_as_the_lf_one(tmp_path, snapshot_workspace):
     shutil.copytree(snapshot_workspace, out)
     path = out / "wip.csv"
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert main(["index", "--out", str(out)]) == 0  # index.npz records the sha256 of these bytes
     assert forecast_jsonl(out) == cold_forecast_jsonl(snapshot_workspace)
 
 
@@ -1218,7 +1261,7 @@ def test_index_that_fails_on_a_later_granularity_writes_no_snapshot(tmp_path, wo
                                                                     monkeypatch):
     out = tmp_path / "run"
     shutil.copytree(workspace, out)
-    before = {name: (out / name).read_bytes() for name in ("index_daily.jsonl", "index_daily.npz")}
+    before = {name: (out / name).read_bytes() for name in ("index.npz", "index_daily.jsonl")}
     lines = read_lines(out / "wip.csv")
     (out / "wip.csv").write_text("\n".join(lines[:-4]) + "\n")  # would change index_daily
     session = SecondBatchFails()

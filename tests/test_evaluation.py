@@ -389,13 +389,17 @@ def test_rolling_window_longer_than_history_starts_with_empty_index():
         assert entry.predicted == closes[entry.date - timedelta(days=1)]
 
 
+def holds_weekday_stories(index) -> bool:
+    return len(index) > 0 and narrative.GRANULARITIES[index._state[5][0]] == "weekday"
+
+
 def test_rolling_audit_raises_on_a_story_from_the_forecast_day(monkeypatch):
     # the weekday agent's retrievals ignore the as-of cutoff; the audit of what
     # each agent retrieved names it
     real = StoryIndex.retrieve_many
 
     def leaky(self, vectors, as_of_days, k=5):
-        if self.granularities() == {"weekday"}:
+        if holds_weekday_stories(self):
             as_of_days = [date.max] * len(as_of_days)
         return real(self, vectors, as_of_days, k)
 
@@ -412,7 +416,7 @@ def test_rolling_audit_raises_on_the_current_days_story(monkeypatch):
     real = StoryIndex.retrieve_many
 
     def late(self, vectors, as_of_days, k=5):
-        if self.granularities() == {"weekday"}:
+        if holds_weekday_stories(self):
             as_of_days = [day + timedelta(days=1) for day in as_of_days]
         return real(self, vectors, as_of_days, k)
 

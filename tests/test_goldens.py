@@ -18,10 +18,9 @@ events, replayed in a non-UTC zone. The stories digests pin the three
 ``stories_*.jsonl`` of the ``log`` workload.
 
 The forecast digests pin ``forecast.jsonl`` for one day of the snapshot
-workspace in both fusion modes, and in react mode after the daily snapshot's
-targets were edited. Each must come out alike whether memory is loaded from
-the sidecars, from the JSON lines alone, or, with no snapshot, embedded from
-``wip.csv``.
+workspace in both fusion modes, and in react mode after the daily index's
+targets were edited in ``index.npz``. Each must come out alike whether memory
+is loaded from ``index.npz`` or, with no snapshot, embedded from ``wip.csv``.
 """
 
 from __future__ import annotations
@@ -201,7 +200,7 @@ def test_ingest_matches_golden(workload, tmp_path):
 
 
 # (mode, case) -> sha256 of forecast.jsonl for SNAPSHOT_TARGET on the snapshot
-# workspace; "edited" adds 5 to every target in the daily snapshot. All were
+# workspace; "edited" adds 5 to every daily target in index.npz. All were
 # re-recorded when retrieval moved to the agents' cutoff, as of the current day.
 FORECAST_GOLDENS = {
     ("rules", "as indexed"): "170eb3597a8c28c730a34c7e8c511aba69c07e872c732117f48016db180c4605",
@@ -209,7 +208,7 @@ FORECAST_GOLDENS = {
     ("react", "edited"): "4bb46c5f390524e5c8aeab9794dd3f7fdcf4f759697afe92feb3d05a32e9d96a",
 }
 # Where memory is loaded from. With no snapshot there is nothing to edit.
-FORECAST_LOADS = ("sidecars", "json lines", "no snapshot")
+FORECAST_LOADS = ("snapshot", "no snapshot")
 FORECAST_WORKLOADS = [(mode, case, load) for mode, case in FORECAST_GOLDENS for load in FORECAST_LOADS
                       if (case, load) != ("edited", "no snapshot")]
 
@@ -219,10 +218,8 @@ def forecast_digest(workspace, mode: str, case: str, load: str, out) -> str:
     shutil.copytree(workspace, out)
     if case == "edited":
         edit_targets(out)
-    dropped = {"sidecars": (), "json lines": (".npz",), "no snapshot": (".npz", ".jsonl")}[load]
-    for name in os.listdir(out):
-        if name.startswith("index_") and name.endswith(dropped):
-            os.remove(out / name)
+    if load == "no snapshot":
+        os.remove(out / "index.npz")
     assert main(["forecast", "--out", str(out), "--date", SNAPSHOT_TARGET, "--mode", mode]) == 0
     with open(out / "forecast.jsonl", "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()

@@ -6,7 +6,6 @@ document in a plain Python loop and sorts with the documented tie rule.
 
 from __future__ import annotations
 
-import gc
 import io
 import json
 import math
@@ -15,7 +14,6 @@ import re
 import sys
 import threading
 import time
-import warnings
 import zlib
 from collections import OrderedDict
 from dataclasses import replace
@@ -710,7 +708,7 @@ def assert_same_index(a, b):
 
 
 def refuse_jsonl(*args, **kwargs):
-    raise AssertionError("the sidecar should have been used")
+    raise AssertionError("the snapshot should have been used")
 
 
 @pytest.fixture(scope="module")
@@ -726,13 +724,14 @@ def run_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("granularity", ["daily", "weekday", "windowed"])
 def test_sidecar_index_matches_jsonl_index(run_dir, granularity, monkeypatch):
+    # the sidecar is index.npz; index_<g>.jsonl is the export written beside it
     emb = DeterministicEmbedder()
     path = run_dir / f"index_{granularity}.jsonl"
     with open(path, encoding="utf-8") as fh:
         from_jsonl = load_index(fh, provider=emb)
 
     monkeypatch.setattr(memory, "load_index", refuse_jsonl)
-    from_sidecar = load_snapshot(str(path), provider=emb)
+    from_sidecar = load_snapshot(str(run_dir / "index.npz"), provider=emb)[1][granularity]
     assert len(from_sidecar) > 30
     assert_same_index(from_sidecar, from_jsonl)
     ids = rows_of(from_sidecar)[3]
@@ -747,7 +746,7 @@ def test_sidecar_index_matches_jsonl_index(run_dir, granularity, monkeypatch):
 
 
 def test_sidecar_load_and_retrieve_build_no_story(run_dir, monkeypatch):
-    """A hit is read straight off the columns: neither loading a snapshot nor
+    """A hit is read straight off the columns: neither loading index.npz nor
     retrieving from it builds a Story."""
     built = []
     real = Story.__post_init__
@@ -758,7 +757,7 @@ def test_sidecar_load_and_retrieve_build_no_story(run_dir, monkeypatch):
 
     monkeypatch.setattr(Story, "__post_init__", counted)
     monkeypatch.setattr(memory, "load_index", refuse_jsonl)
-    index = load_snapshot(str(run_dir / "index_daily.jsonl"), provider=DeterministicEmbedder())
+    index = load_snapshot(str(run_dir / "index.npz"), provider=DeterministicEmbedder())[1]["daily"]
     assert len(index) > 30
     assert built == []
     query = "The WiP items opened at 12, reached a high of 14 and a low of 9, before closing at 11."
@@ -767,34 +766,33 @@ def test_sidecar_load_and_retrieve_build_no_story(run_dir, monkeypatch):
     assert built == []
 
 
+def test_a_snapshot_loads_the_indexes_and_provenance_it_was_written_with(tmp_path):
+    rng, emb = random.Random(31), DeterministicEmbedder()
+    daily = StoryIndex()
+    add_docs(daily, shuffled_corpus(rng, emb, 40))  # doc_ids out of date order
+    path = str(tmp_path / "index.npz")
+    provenance = {"wip_sha256": "ab" * 32, "window": "7", "embedder": "deterministic"}
+    save_snapshot({"daily": daily, "weekday": StoryIndex(), "windowed": StoryIndex()}, path, provenance)
+    recorded, indexes = load_snapshot(path, provider=emb)
+    assert recorded == provenance
+    assert list(indexes) == list(GRANULARITIES)
+    assert_same_index(indexes["daily"], daily)
+    assert all(index.provider is emb for index in indexes.values())
+
+
 def test_empty_snapshot_round_trips(tmp_path, monkeypatch):
-    path = tmp_path / "index_daily.jsonl"
-    assert save_snapshot(StoryIndex(), str(path)) == 0
-    assert path.read_bytes() == b""
-    with open(path, encoding="utf-8") as fh:
-        assert len(load_index(fh)) == 0
+    buf = io.StringIO()
+    assert save_index(StoryIndex(), buf) == 0
+    assert buf.getvalue() == ""
+    assert len(load_index(io.StringIO(""))) == 0
+    path = tmp_path / "index.npz"
+    save_snapshot({g: StoryIndex() for g in GRANULARITIES}, str(path), {})
     monkeypatch.setattr(memory, "load_index", refuse_jsonl)
-    loaded = load_snapshot(str(path), provider=DeterministicEmbedder())
-    assert (len(loaded), loaded.dim, newest_date(loaded)) == (0, None, None)
-    assert loaded.retrieve("The WiP items opened at 3.", date(2030, 1, 1), k=5) == []
-
-
-def test_a_truncated_sidecar_is_closed_before_the_jsonl_is_read(tmp_path):
-    rng, emb = random.Random(8), DeterministicEmbedder()
-    stories = [render_contextual_story(random_wip_event(rng, date(2024, 1, 1) + timedelta(days=i)), i)
-               for i in range(6)]
-    index = StoryIndex()
-    index.add_many(stories, emb.embed_many(s.text for s in stories))
-    path = tmp_path / "index_daily.jsonl"
-    save_snapshot(index, str(path))
-    sidecar = tmp_path / "index_daily.npz"
-    sidecar.write_bytes(sidecar.read_bytes()[:100])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        loaded = load_snapshot(str(path), provider=emb)
-        gc.collect()
-    assert_same_index(loaded, index)
-    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+    recorded, indexes = load_snapshot(str(path), provider=DeterministicEmbedder())
+    assert recorded == {}
+    for loaded in indexes.values():
+        assert (len(loaded), loaded.dim, newest_date(loaded)) == (0, None, None)
+        assert loaded.retrieve("The WiP items opened at 3.", date(2030, 1, 1), k=5) == []
 
 
 class YieldingDict(OrderedDict):
@@ -807,10 +805,10 @@ class YieldingDict(OrderedDict):
         return found
 
 
-def test_concurrent_snapshot_loads_hold_at_most_four(tmp_path, monkeypatch):
-    """Threads loading more snapshots than are held (one per granularity and the
-    series), so held ones are evicted while others are reused, each get the rows
-    of the file they asked for."""
+def test_concurrent_snapshot_loads_hold_at_most_two(tmp_path, monkeypatch):
+    """Threads loading more snapshots than are held (a run's index.npz and
+    wip.csv), so held ones are evicted while others are reused, each get the
+    rows of the file they asked for."""
     monkeypatch.setattr(memory, "_held", YieldingDict())
     rng, emb = random.Random(4), DeterministicEmbedder()
     sizes = {}
@@ -819,8 +817,8 @@ def test_concurrent_snapshot_loads_hold_at_most_four(tmp_path, monkeypatch):
                    for i in range(n)]
         index = StoryIndex()
         index.add_many(stories, emb.embed_many(story.text for story in stories))
-        path = str(tmp_path / f"index_{n}.jsonl")
-        save_snapshot(index, path)
+        path = str(tmp_path / f"index_{n}.npz")
+        save_snapshot({g: index if g == "daily" else StoryIndex() for g in GRANULARITIES}, path, {})
         sizes[path] = n
     wrong, errors = [], []
 
@@ -829,7 +827,7 @@ def test_concurrent_snapshot_loads_hold_at_most_four(tmp_path, monkeypatch):
         try:
             for _ in range(60):
                 path = pick.choice(sorted(sizes))
-                if len(load_snapshot(path)) != sizes[path]:
+                if len(load_snapshot(path)[1]["daily"]) != sizes[path]:
                     wrong.append(path)
         except Exception as exc:  # reported below; a thread cannot fail the test
             errors.append(exc)
@@ -846,7 +844,7 @@ def test_concurrent_snapshot_loads_hold_at_most_four(tmp_path, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert (errors, wrong) == ([], [])
-    assert len(memory._held) == len(GRANULARITIES) + 1 == 4
+    assert len(memory._held) == memory._HELD_FILES == 2
 
 
 def test_add_many_matches_sequential_adds_with_duplicate_ids():

@@ -9,24 +9,14 @@ written under ``bench/``.
 from __future__ import annotations
 
 import importlib
-import types
-from pathlib import Path
 
 import pytest
 
 from wipcast.memory import StoryIndex
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+from conftest import bench_module
 
-
-def load_tracing() -> types.ModuleType:
-    module = types.ModuleType("bench_tracing")
-    module.__file__ = str(TRACING)
-    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), module.__dict__)
-    return module
-
-
-tracing = load_tracing()
+tracing = bench_module("tracing")
 
 
 @pytest.mark.parametrize("module, attribute", sorted(tracing.FUNCTIONS))
